@@ -256,7 +256,9 @@ fn run_row(
         rpc_requests: report.rpc.total_calls(),
         wire_frames_sent: counters.iter().map(|c| c.frames_sent()).sum(),
         wire_frames_received: counters.iter().map(|c| c.frames_received()).sum(),
-        wire_recv_wait_secs: counters.iter().map(|c| c.recv_wait_secs()).sum(),
+        // Folded from +0.0: an empty f64 `sum()` is -0.0, which the
+        // in-process leg (no counters) would otherwise report.
+        wire_recv_wait_secs: counters.iter().fold(0.0, |acc, c| acc + c.recv_wait_secs()),
         per_endpoint: report
             .rpc_per_endpoint
             .iter()
@@ -494,7 +496,7 @@ fn main() {
 
     let socket_modes = [
         ("jumbo".to_string(), WireMode::Jumbo),
-        ("lockstep".to_string(), WireMode::Lockstep),
+        ("lockstep".to_string(), WireMode::Pipelined { window: 1 }),
         (
             format!("pipelined(w={})", args.window),
             WireMode::Pipelined {

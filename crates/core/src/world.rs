@@ -4,10 +4,10 @@
 //!
 //! Since the pool redesign, a world no longer owns "the" chain: it owns an
 //! [`ofl_rpc::ProviderPool`] of [`EndpointId`]-addressed endpoints, each a
-//! full decorator stack (`Metered(Latency(…(Sim)))`, with seeded
-//! [`FlakyProvider`](ofl_rpc::FlakyProvider) /
-//! [`RateLimitProvider`](ofl_rpc::RateLimitProvider) layers spliced in when
-//! a [`ShardSpec`] configures them). Markets are *placed* on an endpoint,
+//! full stack of [`Layered`](ofl_rpc::Layered) provider layers (`Meter`
+//! over `Latency` over … over `Sim`, with seeded [`Flaky`](ofl_rpc::Flaky)
+//! / [`RateLimit`](ofl_rpc::RateLimit) layers spliced in when a
+//! [`ShardSpec`] configures them). Markets are *placed* on an endpoint,
 //! and every piece of client traffic — contract calls, transaction
 //! broadcasts, receipt polls, log queries, IPFS transfers, and since this
 //! redesign the **wallet's signing reads** (`eth_chainId`,
@@ -1119,15 +1119,11 @@ mod tests {
         // signing preflight — no local chain read can paper over it.
         let wallet = Wallet::from_seed("world-sign-flaky", 1);
         let a = wallet.addresses()[0];
-        let profile = FaultProfile {
-            timeout: SimDuration::from_secs(3),
-            ..FaultProfile::new(1, 1.0)
-        };
         let mut world = World::with_faults(
             ChainConfig::default(),
             &[(a, wei_per_eth())],
             NetworkProfile::campus(),
-            Some(profile),
+            Some(FaultProfile::new(1, 1.0)),
         );
         match world.submit_tx(EP, &wallet, &a, None, U256::ZERO, vec![]) {
             Err(WorldError::Rpc(RpcError::Timeout)) => {}

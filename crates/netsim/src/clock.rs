@@ -17,7 +17,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// From whole seconds.
-    pub fn from_secs(s: u64) -> SimDuration {
+    pub const fn from_secs(s: u64) -> SimDuration {
         SimDuration(s * 1_000_000)
     }
 

@@ -585,14 +585,15 @@ mod tests {
             .unwrap();
         assert_eq!(per_call, batched);
         // Round-trip accounting through a metered stack: 1 count + 1 batch.
-        let mut metered = crate::decorators::MeteredProvider::new(f.provider);
+        let mut metered =
+            crate::decorators::Layered::new(crate::decorators::Meter::default(), f.provider);
         let again = f
             .contract
             .all_cids_batched(&mut metered, &f.caller)
             .value
             .unwrap();
         assert_eq!(again, batched);
-        let metrics = metered.snapshot();
+        let metrics = metered.layer.snapshot();
         assert_eq!(metrics.round_trips, 2);
         assert_eq!(metrics.method("eth_call").calls, 5);
         assert_eq!(metrics.batched_requests, 4);

@@ -1,20 +1,25 @@
-//! Composable provider decorators: latency pricing, deterministic fault
+//! Composable provider layers: latency pricing, deterministic fault
 //! injection, and per-method metering.
 //!
-//! Each decorator implements the same [`EthApi`]/[`IpfsApi`] traits it
-//! wraps, so stacks compose freely:
+//! One adapter, [`Layered`], implements [`EthApi`], [`IpfsApi`], and
+//! [`NodeProvider`] over any inner provider. What a layer *does* is a
+//! [`Layer`] policy: a small state struct whose hooks default to passing
+//! straight through to the inner provider, so each policy writes only the
+//! hooks it changes. Stacks compose freely:
 //!
 //! ```text
-//! ReorderProvider                   ← seeded shuffle of batch reply arrays
-//!   └─ MeteredProvider              ← counts calls/errors, sums costs
-//!        └─ LatencyProvider         ← prices each request from the netsim links
-//!             └─ SpikeProvider      ← seeded slot-long latency stalls
-//!                  └─ RateLimitProvider  ← seeded 429s after K requests per slot
-//!                       └─ FlakyProvider ← seeded request drops, timeout cost
-//!                            └─ SimProvider  (in-process chain + swarm)
+//! Layered<SubLag>                       ← seeded per-subscription push lag
+//!   └─ Layered<Reorder>                 ← seeded shuffle of batch reply arrays
+//!        └─ Layered<Meter>              ← counts calls/errors, sums costs
+//!             └─ Layered<Latency>       ← prices each request from the netsim links
+//!                  └─ Layered<Spike>    ← seeded slot-long latency stalls
+//!                       └─ Layered<RateLimit>  ← seeded 429s after K requests per slot
+//!                            └─ Layered<Flaky> ← seeded request drops, timeout cost
+//!                                 └─ Layered<StaleRead> ← seeded lagging-replica reads
+//!                                      └─ SimProvider  (in-process chain + swarm)
 //! ```
 //!
-//! Decorators never touch a clock: they *price* requests into the response
+//! Layers never touch a clock: they *price* requests into the response
 //! envelope's `cost` field, and the caller decides which clock or timeline
 //! pays. That is what lets the serial workflow charge its one global clock
 //! while the discrete-event engine charges per-owner timelines, both
@@ -36,25 +41,173 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 
+/// The result of an IPFS fetch, as [`IpfsApi::cat`] bills it.
+type CatResult = Billed<Result<(Vec<u8>, FetchStats), IpfsError>>;
+/// The result of an IPFS pin, as [`IpfsApi::pin`] bills it.
+type PinResult = Billed<Result<(), IpfsError>>;
+
 // ----------------------------------------------------------------------
-// LatencyProvider
+// Layer + Layered
+// ----------------------------------------------------------------------
+
+/// One provider layer's policy. Every hook receives the inner provider and
+/// passes straight through to it by default; a policy overrides only what
+/// it changes. `chain`/`swarm` access, backstage operations, and
+/// `subscribe` have no hook: no layer ever alters them.
+pub trait Layer: Send {
+    /// Answers one request (see [`EthApi::execute`]).
+    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
+        inner.execute(request)
+    }
+    /// Answers a batch as one exchange (see [`EthApi::batch`]).
+    fn batch<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        requests: &[RpcRequest],
+    ) -> Vec<RpcResponse> {
+        inner.batch(requests)
+    }
+    /// Stores bytes on an IPFS node (see [`IpfsApi::add`]).
+    fn add<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        node: usize,
+        data: &[u8],
+    ) -> Billed<AddResult> {
+        inner.add(node, data)
+    }
+    /// Fetches a DAG from an IPFS node (see [`IpfsApi::cat`]).
+    fn cat<P: NodeProvider>(&mut self, inner: &mut P, node: usize, cid: &Cid) -> CatResult {
+        inner.cat(node, cid)
+    }
+    /// Pins a DAG on an IPFS node (see [`IpfsApi::pin`]).
+    fn pin<P: NodeProvider>(&mut self, inner: &mut P, node: usize, cid: &Cid) -> PinResult {
+        inner.pin(node, cid)
+    }
+    /// The metering snapshot (see [`NodeProvider::metrics`]).
+    fn metrics<P: NodeProvider>(&self, inner: &P) -> Option<ProviderMetrics> {
+        inner.metrics()
+    }
+    /// A 12-second slot elapsed (see [`NodeProvider::on_slot`]).
+    fn on_slot<P: NodeProvider>(&mut self, inner: &mut P) {
+        inner.on_slot()
+    }
+    /// Cancels a subscription (see [`NodeProvider::unsubscribe`]).
+    fn unsubscribe<P: NodeProvider>(&mut self, inner: &mut P, sub_id: u64) -> bool {
+        inner.unsubscribe(sub_id)
+    }
+    /// Takes pending pushes (see [`NodeProvider::drain_notifications`]).
+    fn drain_notifications<P: NodeProvider>(&mut self, inner: &mut P) -> Vec<Notification> {
+        inner.drain_notifications()
+    }
+}
+
+/// A [`Layer`] policy wrapped around an inner provider: the one adapter
+/// that implements the provider traits for every layer.
+pub struct Layered<L, P> {
+    /// The policy and its state (counters, RNG), open for inspection.
+    pub layer: L,
+    inner: P,
+}
+
+impl<L, P> Layered<L, P> {
+    /// Wraps `inner` with `layer`.
+    pub fn new(layer: L, inner: P) -> Layered<L, P> {
+        Layered { layer, inner }
+    }
+}
+
+impl<L: Layer, P: NodeProvider> EthApi for Layered<L, P> {
+    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
+        self.layer.execute(&mut self.inner, request)
+    }
+    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
+        self.layer.batch(&mut self.inner, requests)
+    }
+}
+
+impl<L: Layer, P: NodeProvider> IpfsApi for Layered<L, P> {
+    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
+        self.layer.add(&mut self.inner, node, data)
+    }
+    fn cat(&mut self, node: usize, cid: &Cid) -> CatResult {
+        self.layer.cat(&mut self.inner, node, cid)
+    }
+    fn pin(&mut self, node: usize, cid: &Cid) -> PinResult {
+        self.layer.pin(&mut self.inner, node, cid)
+    }
+}
+
+impl<L: Layer, P: NodeProvider> NodeProvider for Layered<L, P> {
+    fn chain(&self) -> &Chain {
+        self.inner.chain()
+    }
+    fn chain_mut(&mut self) -> &mut Chain {
+        self.inner.chain_mut()
+    }
+    fn swarm(&self) -> &Swarm {
+        self.inner.swarm()
+    }
+    fn swarm_mut(&mut self) -> &mut Swarm {
+        self.inner.swarm_mut()
+    }
+    fn metrics(&self) -> Option<ProviderMetrics> {
+        self.layer.metrics(&self.inner)
+    }
+    fn on_slot(&mut self) {
+        self.layer.on_slot(&mut self.inner)
+    }
+    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
+        self.inner.backstage(op)
+    }
+    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
+        self.inner.subscribe(kind)
+    }
+    fn unsubscribe(&mut self, sub_id: u64) -> bool {
+        self.layer.unsubscribe(&mut self.inner, sub_id)
+    }
+    fn drain_notifications(&mut self) -> Vec<Notification> {
+        self.layer.drain_notifications(&mut self.inner)
+    }
+}
+
+/// Refuses a single request: `error`, at `cost`.
+fn refuse(id: u64, error: RpcError, cost: SimDuration) -> RpcResponse {
+    RpcResponse {
+        id,
+        result: Err(error),
+        cost,
+    }
+}
+
+/// Refuses a whole batch as one HTTP request: every answer is `error`, and
+/// `cost` elapses once, riding the first response.
+fn refuse_batch(requests: &[RpcRequest], error: RpcError, cost: SimDuration) -> Vec<RpcResponse> {
+    let mut cost = Some(cost);
+    requests
+        .iter()
+        .map(|r| refuse(r.id, error.clone(), cost.take().unwrap_or_default()))
+        .collect()
+}
+
+// ----------------------------------------------------------------------
+// Latency
 // ----------------------------------------------------------------------
 
 /// Prices every request with the netsim link model: RPC round trips for the
 /// Ethereum surface, LAN exchanges for IPFS. Batches are priced as **one**
 /// round trip carrying all payloads.
-pub struct LatencyProvider<P> {
-    inner: P,
+pub struct Latency {
     profile: NetworkProfile,
     /// Fixed wire overhead per request (HTTP/JSON framing).
     pub envelope_bytes: u64,
 }
 
-impl<P> LatencyProvider<P> {
-    /// Wraps `inner`, pricing against `profile`.
-    pub fn new(inner: P, profile: NetworkProfile, envelope_bytes: u64) -> LatencyProvider<P> {
-        LatencyProvider {
-            inner,
+impl Latency {
+    /// Prices against `profile`, adding `envelope_bytes` of framing to each
+    /// leg.
+    pub fn new(profile: NetworkProfile, envelope_bytes: u64) -> Latency {
+        Latency {
             profile,
             envelope_bytes,
         }
@@ -76,16 +229,20 @@ fn response_payload(response: &RpcResponse) -> u64 {
         .unwrap_or(0)
 }
 
-impl<P: EthApi> EthApi for LatencyProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        let mut response = self.inner.execute(request);
+impl Layer for Latency {
+    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
+        let mut response = inner.execute(request);
         let cost = self.price(request.method.payload_bytes(), response_payload(&response));
         response.cost = response.cost.saturating_add(cost);
         response
     }
 
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let mut responses = self.inner.batch(requests);
+    fn batch<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        requests: &[RpcRequest],
+    ) -> Vec<RpcResponse> {
+        let mut responses = inner.batch(requests);
         // One wire round trip for the whole batch: payloads sum, framing is
         // paid once. The full batch cost rides on the first response.
         let out: u64 = requests.iter().map(|r| r.method.payload_bytes()).sum();
@@ -96,19 +253,22 @@ impl<P: EthApi> EthApi for LatencyProvider<P> {
         }
         responses
     }
-}
 
-impl<P: IpfsApi> IpfsApi for LatencyProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        let mut billed = self.inner.add(node, data);
+    fn add<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        node: usize,
+        data: &[u8],
+    ) -> Billed<AddResult> {
+        let mut billed = inner.add(node, data);
         billed.cost = billed
             .cost
             .saturating_add(self.profile.lan.exchange_time(billed.value.bytes_stored, 1));
         billed
     }
 
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        let mut billed = self.inner.cat(node, cid);
+    fn cat<P: NodeProvider>(&mut self, inner: &mut P, node: usize, cid: &Cid) -> CatResult {
+        let mut billed = inner.cat(node, cid);
         let transfer = match &billed.value {
             Ok((_, stats)) => self
                 .profile
@@ -121,8 +281,8 @@ impl<P: IpfsApi> IpfsApi for LatencyProvider<P> {
         billed
     }
 
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        let mut billed = self.inner.pin(node, cid);
+    fn pin<P: NodeProvider>(&mut self, inner: &mut P, node: usize, cid: &Cid) -> PinResult {
+        let mut billed = inner.pin(node, cid);
         billed.cost = billed
             .cost
             .saturating_add(self.profile.lan.exchange_time(0, 1));
@@ -130,41 +290,8 @@ impl<P: IpfsApi> IpfsApi for LatencyProvider<P> {
     }
 }
 
-impl<P: NodeProvider> NodeProvider for LatencyProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
-    }
-}
-
 // ----------------------------------------------------------------------
-// FlakyProvider
+// Flaky
 // ----------------------------------------------------------------------
 
 /// How an unreliable RPC endpoint misbehaves.
@@ -176,39 +303,34 @@ pub struct FaultProfile {
     /// Probability that any one Ethereum request (or whole batch) is
     /// dropped.
     pub drop_rate: f64,
-    /// Virtual time a dropped request wastes before the caller gives up on
-    /// it (the client-side timeout).
-    pub timeout: SimDuration,
 }
 
 impl FaultProfile {
-    /// A profile with the default 3-second client timeout.
+    /// Virtual time a dropped request wastes before the caller gives up on
+    /// it (the client-side timeout).
+    pub const TIMEOUT: SimDuration = SimDuration::from_secs(3);
+
+    /// A profile dropping requests at `drop_rate`.
     pub fn new(seed: u64, drop_rate: f64) -> FaultProfile {
-        FaultProfile {
-            seed,
-            drop_rate,
-            timeout: SimDuration::from_secs(3),
-        }
+        FaultProfile { seed, drop_rate }
     }
 }
 
 /// Drops Ethereum requests with a seeded, deterministic coin — the
-/// infrastructure-fault scenario generator. A dropped request costs the
-/// profile's timeout; IPFS traffic (LAN-local in the paper's deployment)
-/// passes through untouched.
-pub struct FlakyProvider<P> {
-    inner: P,
+/// infrastructure-fault scenario generator. A dropped request costs
+/// [`FaultProfile::TIMEOUT`]; IPFS traffic (LAN-local in the paper's
+/// deployment) passes through untouched.
+pub struct Flaky {
     profile: FaultProfile,
     rng: StdRng,
     /// How many requests (or whole batches) have been dropped so far.
     pub dropped: u64,
 }
 
-impl<P> FlakyProvider<P> {
-    /// Wraps `inner` with the given fault profile.
-    pub fn new(inner: P, profile: FaultProfile) -> FlakyProvider<P> {
-        FlakyProvider {
-            inner,
+impl Flaky {
+    /// A fresh drop sequence for `profile`.
+    pub fn new(profile: FaultProfile) -> Flaky {
+        Flaky {
             rng: StdRng::seed_from_u64(profile.seed),
             profile,
             dropped: 0,
@@ -229,87 +351,29 @@ impl<P> FlakyProvider<P> {
     }
 }
 
-impl<P: EthApi> EthApi for FlakyProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
+impl Layer for Flaky {
+    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
         if self.drops_now() {
-            return RpcResponse {
-                id: request.id,
-                result: Err(RpcError::Timeout),
-                cost: self.profile.timeout,
-            };
+            return refuse(request.id, RpcError::Timeout, FaultProfile::TIMEOUT);
         }
-        self.inner.execute(request)
+        inner.execute(request)
     }
 
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
+    fn batch<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        requests: &[RpcRequest],
+    ) -> Vec<RpcResponse> {
         // A batch is one HTTP request: it drops (or survives) as a unit.
         if self.drops_now() {
-            return requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| RpcResponse {
-                    id: r.id,
-                    result: Err(RpcError::Timeout),
-                    // The timeout elapses once for the whole batch.
-                    cost: if i == 0 {
-                        self.profile.timeout
-                    } else {
-                        SimDuration::ZERO
-                    },
-                })
-                .collect();
+            return refuse_batch(requests, RpcError::Timeout, FaultProfile::TIMEOUT);
         }
-        self.inner.batch(requests)
-    }
-}
-
-impl<P: IpfsApi> IpfsApi for FlakyProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for FlakyProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
+        inner.batch(requests)
     }
 }
 
 // ----------------------------------------------------------------------
-// RateLimitProvider
+// RateLimit
 // ----------------------------------------------------------------------
 
 /// How a quota-enforcing endpoint throttles its clients.
@@ -321,18 +385,18 @@ pub struct RateLimitProfile {
     /// Baseline request budget per 12-second slot (single requests and
     /// whole batches each spend one unit, like one HTTP exchange).
     pub requests_per_slot: u64,
-    /// Virtual time a throttled client backs off before retrying; the
-    /// window is treated as elapsed once the back-off is paid.
-    pub backoff: SimDuration,
 }
 
 impl RateLimitProfile {
-    /// A profile with the default 1-second client back-off.
+    /// Virtual time a throttled client backs off before retrying; the
+    /// window is treated as elapsed once the back-off is paid.
+    pub const BACKOFF: SimDuration = SimDuration::from_secs(1);
+
+    /// A profile granting about `requests_per_slot` requests per slot.
     pub fn new(seed: u64, requests_per_slot: u64) -> RateLimitProfile {
         RateLimitProfile {
             seed,
             requests_per_slot,
-            backoff: SimDuration::from_secs(1),
         }
     }
 }
@@ -340,11 +404,11 @@ impl RateLimitProfile {
 /// Answers 429-style [`RpcError::RateLimited`] once a client exceeds its
 /// per-slot request budget — the quota-fault scenario generator. Each slot
 /// grants a seeded allowance (baseline plus deterministic jitter); the
-/// request over budget is refused at the cost of the profile's back-off,
-/// after which the window is considered elapsed and the allowance renews.
-/// IPFS traffic (LAN-local in the paper's deployment) passes untouched.
-pub struct RateLimitProvider<P> {
-    inner: P,
+/// request over budget is refused at the cost of
+/// [`RateLimitProfile::BACKOFF`], after which the window is considered
+/// elapsed and the allowance renews. IPFS traffic (LAN-local in the paper's
+/// deployment) passes untouched.
+pub struct RateLimit {
     profile: RateLimitProfile,
     rng: StdRng,
     allowance: u64,
@@ -353,13 +417,13 @@ pub struct RateLimitProvider<P> {
     pub limited: u64,
 }
 
-impl<P> RateLimitProvider<P> {
-    /// Wraps `inner` with the given quota profile.
-    pub fn new(inner: P, profile: RateLimitProfile) -> RateLimitProvider<P> {
+impl RateLimit {
+    /// A fresh quota for `profile`; the first window's allowance is drawn
+    /// immediately.
+    pub fn new(profile: RateLimitProfile) -> RateLimit {
         let mut rng = StdRng::seed_from_u64(profile.seed);
         let allowance = draw_allowance(&mut rng, &profile);
-        RateLimitProvider {
-            inner,
+        RateLimit {
             profile,
             rng,
             allowance,
@@ -397,88 +461,34 @@ fn draw_allowance(rng: &mut StdRng, profile: &RateLimitProfile) -> u64 {
     (profile.requests_per_slot + rng.gen_range(0..jitter_span)).max(1)
 }
 
-impl<P: EthApi> EthApi for RateLimitProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
+impl Layer for RateLimit {
+    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
         if self.throttles_now() {
-            return RpcResponse {
-                id: request.id,
-                result: Err(RpcError::RateLimited),
-                cost: self.profile.backoff,
-            };
+            return refuse(request.id, RpcError::RateLimited, RateLimitProfile::BACKOFF);
         }
-        self.inner.execute(request)
+        inner.execute(request)
     }
 
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
+    fn batch<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        requests: &[RpcRequest],
+    ) -> Vec<RpcResponse> {
         // A batch is one HTTP request: it spends (or is refused) one unit.
         if self.throttles_now() {
-            return requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| RpcResponse {
-                    id: r.id,
-                    result: Err(RpcError::RateLimited),
-                    // The back-off elapses once for the whole batch.
-                    cost: if i == 0 {
-                        self.profile.backoff
-                    } else {
-                        SimDuration::ZERO
-                    },
-                })
-                .collect();
+            return refuse_batch(requests, RpcError::RateLimited, RateLimitProfile::BACKOFF);
         }
-        self.inner.batch(requests)
+        inner.batch(requests)
     }
-}
 
-impl<P: IpfsApi> IpfsApi for RateLimitProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for RateLimitProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
+    fn on_slot<P: NodeProvider>(&mut self, inner: &mut P) {
         self.renew_window();
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
+        inner.on_slot()
     }
 }
 
 // ----------------------------------------------------------------------
-// SpikeProvider
+// Spike
 // ----------------------------------------------------------------------
 
 /// How a congested endpoint's latency spikes come and go.
@@ -489,34 +499,30 @@ pub struct SpikeProfile {
     pub seed: u64,
     /// Probability that a stall begins at any idle slot boundary.
     pub spike_rate: f64,
-    /// How many 12-second slots one stall lasts once it begins.
-    pub spike_slots: u64,
-    /// Extra virtual time every Ethereum exchange pays while stalled.
-    pub stall: SimDuration,
 }
 
 impl SpikeProfile {
-    /// A profile with the default 2-slot, 2-second stalls.
+    /// How many 12-second slots one stall lasts once it begins.
+    pub const SPIKE_SLOTS: u64 = 2;
+    /// Extra virtual time every Ethereum exchange pays while stalled.
+    pub const STALL: SimDuration = SimDuration::from_secs(2);
+
+    /// A profile starting stalls at `spike_rate` per idle slot.
     pub fn new(seed: u64, spike_rate: f64) -> SpikeProfile {
-        SpikeProfile {
-            seed,
-            spike_rate,
-            spike_slots: 2,
-            stall: SimDuration::from_secs(2),
-        }
+        SpikeProfile { seed, spike_rate }
     }
 }
 
 /// Stalls an endpoint for whole slots at a time — the congested-provider
 /// scenario generator. At each idle slot boundary a seeded coin decides
 /// whether a spike begins; while one is live, every Ethereum request (or
-/// whole batch) pays the profile's stall on top of its normal price, then
-/// the endpoint recovers and the coin waits for the next boundary. Spikes
-/// are a property of virtual *slots*, not of request count, so equal seeds
-/// stall the exact same windows however much traffic flows through them.
-/// IPFS traffic (LAN-local in the paper's deployment) passes untouched.
-pub struct SpikeProvider<P> {
-    inner: P,
+/// whole batch) pays [`SpikeProfile::STALL`] on top of its normal price,
+/// then the endpoint recovers and the coin waits for the next boundary.
+/// Spikes are a property of virtual *slots*, not of request count, so equal
+/// seeds stall the exact same windows however much traffic flows through
+/// them. IPFS traffic (LAN-local in the paper's deployment) passes
+/// untouched.
+pub struct Spike {
     profile: SpikeProfile,
     rng: StdRng,
     /// Slots left before the current spike clears (0 = healthy).
@@ -525,18 +531,17 @@ pub struct SpikeProvider<P> {
     pub stalled: u64,
 }
 
-impl<P> SpikeProvider<P> {
-    /// Wraps `inner` with the given spike profile. The first slot draws its
-    /// coin immediately, so a spike can be live from the very first request.
-    pub fn new(inner: P, profile: SpikeProfile) -> SpikeProvider<P> {
+impl Spike {
+    /// A fresh spike sequence for `profile`. The first slot draws its coin
+    /// immediately, so a spike can be live from the very first request.
+    pub fn new(profile: SpikeProfile) -> Spike {
         let mut rng = StdRng::seed_from_u64(profile.seed);
         let remaining_slots = if rng.gen_bool(profile.spike_rate) {
-            profile.spike_slots
+            SpikeProfile::SPIKE_SLOTS
         } else {
             0
         };
-        SpikeProvider {
-            inner,
+        Spike {
             profile,
             rng,
             remaining_slots,
@@ -549,20 +554,6 @@ impl<P> SpikeProvider<P> {
         self.remaining_slots > 0
     }
 
-    /// One slot elapses: a live spike runs down; an idle boundary draws the
-    /// seeded coin for the next one. The coin is only drawn while healthy,
-    /// so the draw stream — and with it every later window — depends on
-    /// nothing but the seed and the slot count.
-    fn advance_slot(&mut self) {
-        if self.remaining_slots > 0 {
-            self.remaining_slots -= 1;
-            return;
-        }
-        if self.rng.gen_bool(self.profile.spike_rate) {
-            self.remaining_slots = self.profile.spike_slots;
-        }
-    }
-
     /// Adds the stall to one already-priced cost when a spike is live.
     fn stall_cost(&mut self, cost: SimDuration) -> SimDuration {
         if self.remaining_slots == 0 {
@@ -573,21 +564,25 @@ impl<P> SpikeProvider<P> {
             ofl_trace::Category::Provider,
             "spike.stall",
             "total" => self.stalled,
-            "stall_us" => self.profile.stall.as_micros(),
+            "stall_us" => SpikeProfile::STALL.as_micros(),
         );
-        cost.saturating_add(self.profile.stall)
+        cost.saturating_add(SpikeProfile::STALL)
     }
 }
 
-impl<P: EthApi> EthApi for SpikeProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        let mut response = self.inner.execute(request);
+impl Layer for Spike {
+    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
+        let mut response = inner.execute(request);
         response.cost = self.stall_cost(response.cost);
         response
     }
 
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let mut responses = self.inner.batch(requests);
+    fn batch<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        requests: &[RpcRequest],
+    ) -> Vec<RpcResponse> {
+        let mut responses = inner.batch(requests);
         // A batch is one HTTP exchange: the stall elapses once, riding the
         // first response like every other batch-level cost.
         if let Some(first) = responses.first_mut() {
@@ -595,56 +590,23 @@ impl<P: EthApi> EthApi for SpikeProvider<P> {
         }
         responses
     }
-}
 
-impl<P: IpfsApi> IpfsApi for SpikeProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for SpikeProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.advance_slot();
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
+    /// One slot elapses: a live spike runs down; an idle boundary draws the
+    /// seeded coin for the next one. The coin is only drawn while healthy,
+    /// so the draw stream — and with it every later window — depends on
+    /// nothing but the seed and the slot count.
+    fn on_slot<P: NodeProvider>(&mut self, inner: &mut P) {
+        if self.remaining_slots > 0 {
+            self.remaining_slots -= 1;
+        } else if self.rng.gen_bool(self.profile.spike_rate) {
+            self.remaining_slots = SpikeProfile::SPIKE_SLOTS;
+        }
+        inner.on_slot()
     }
 }
 
 // ----------------------------------------------------------------------
-// ReorderProvider
+// Reorder
 // ----------------------------------------------------------------------
 
 /// How a batch-reordering endpoint shuffles its answers.
@@ -671,34 +633,32 @@ impl ReorderProfile {
 /// request order exactly, while positional consumers would read the wrong
 /// answers — which is precisely what the regime exists to catch.
 ///
-/// Sits **outermost** in the stack: it models the wire delivering the reply
-/// array out of order, after pricing and metering saw the batch in request
-/// order. Single requests and IPFS traffic pass untouched.
-pub struct ReorderProvider<P> {
-    inner: P,
+/// Sits **outside** metering in the stack: it models the wire delivering
+/// the reply array out of order, after pricing and metering saw the batch
+/// in request order. Single requests and IPFS traffic pass untouched.
+pub struct Reorder {
     rng: StdRng,
     /// How many batches came back in a non-identity order.
     pub reordered: u64,
 }
 
-impl<P> ReorderProvider<P> {
-    /// Wraps `inner` with the given shuffle profile.
-    pub fn new(inner: P, profile: ReorderProfile) -> ReorderProvider<P> {
-        ReorderProvider {
-            inner,
+impl Reorder {
+    /// A fresh permutation stream for `profile`.
+    pub fn new(profile: ReorderProfile) -> Reorder {
+        Reorder {
             rng: StdRng::seed_from_u64(profile.seed),
             reordered: 0,
         }
     }
 }
 
-impl<P: EthApi> EthApi for ReorderProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        self.inner.execute(request)
-    }
-
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let mut responses = self.inner.batch(requests);
+impl Layer for Reorder {
+    fn batch<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        requests: &[RpcRequest],
+    ) -> Vec<RpcResponse> {
+        let mut responses = inner.batch(requests);
         if responses.len() > 1 {
             // Fisher–Yates with the seeded stream: len-1 draws per batch,
             // whatever the transport, so equal seeds permute identically.
@@ -724,53 +684,8 @@ impl<P: EthApi> EthApi for ReorderProvider<P> {
     }
 }
 
-impl<P: IpfsApi> IpfsApi for ReorderProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for ReorderProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
-    }
-}
-
 // ----------------------------------------------------------------------
-// StaleReadProvider
+// StaleRead
 // ----------------------------------------------------------------------
 
 /// How far a lagging replica trails the canonical head.
@@ -803,9 +718,8 @@ impl StaleProfile {
 ///
 /// Sits **innermost** in the stack (directly over the backend), so its
 /// canonical-head queries reach the backend without disturbing the fault
-/// decorators' seeded draws and without being metered as client traffic.
-pub struct StaleReadProvider<P> {
-    inner: P,
+/// layers' seeded draws and without being metered as client traffic.
+pub struct StaleRead {
     profile: StaleProfile,
     rng: StdRng,
     /// How many reads were actually degraded (lagged head or hidden
@@ -813,33 +727,23 @@ pub struct StaleReadProvider<P> {
     pub served_stale: u64,
 }
 
-impl<P> StaleReadProvider<P> {
-    /// Wraps `inner` with the given staleness profile.
-    pub fn new(inner: P, profile: StaleProfile) -> StaleReadProvider<P> {
-        StaleReadProvider {
-            inner,
+impl StaleRead {
+    /// A fresh lag stream for `profile`.
+    pub fn new(profile: StaleProfile) -> StaleRead {
+        StaleRead {
             rng: StdRng::seed_from_u64(profile.seed),
             profile,
             served_stale: 0,
         }
     }
-}
-
-impl<P: EthApi> StaleReadProvider<P> {
-    /// The canonical head, read straight from the backend.
-    fn canonical_head(&mut self) -> Option<u64> {
-        match self
-            .inner
-            .execute(&RpcRequest::new(0, RpcMethod::BlockNumber))
-            .result
-        {
-            Ok(RpcResult::BlockNumber(n)) => Some(n),
-            _ => None,
-        }
-    }
 
     /// Applies a seeded lag to one already-answered read.
-    fn lag_response(&mut self, request: &RpcRequest, response: &mut RpcResponse) {
+    fn lag_response<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        request: &RpcRequest,
+        response: &mut RpcResponse,
+    ) {
         let lagged_reads = matches!(
             request.method,
             RpcMethod::BlockNumber | RpcMethod::GetTransactionReceipt { .. }
@@ -863,7 +767,7 @@ impl<P: EthApi> StaleReadProvider<P> {
             }
             Ok(RpcResult::Receipt(opt)) => {
                 let hidden = match opt {
-                    Some(receipt) => match self.canonical_head() {
+                    Some(receipt) => match canonical_head(inner) {
                         // The replica's view ends `lag` slots before the
                         // head; a receipt past that view does not exist yet.
                         Some(head) => receipt.block_number.saturating_add(lag) > head,
@@ -887,71 +791,41 @@ impl<P: EthApi> StaleReadProvider<P> {
     }
 }
 
-impl<P: EthApi> EthApi for StaleReadProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        let mut response = self.inner.execute(request);
-        self.lag_response(request, &mut response);
+/// The canonical head, read straight from the backend.
+fn canonical_head<P: EthApi>(backend: &mut P) -> Option<u64> {
+    match backend
+        .execute(&RpcRequest::new(0, RpcMethod::BlockNumber))
+        .result
+    {
+        Ok(RpcResult::BlockNumber(n)) => Some(n),
+        _ => None,
+    }
+}
+
+impl Layer for StaleRead {
+    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
+        let mut response = inner.execute(request);
+        self.lag_response(inner, request, &mut response);
         response
     }
 
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let mut responses = self.inner.batch(requests);
+    fn batch<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        requests: &[RpcRequest],
+    ) -> Vec<RpcResponse> {
+        let mut responses = inner.batch(requests);
         // Lag draws happen in request order, so a batch of N receipt polls
         // consumes N draws — deterministic whatever the transport.
         for (request, response) in requests.iter().zip(&mut responses) {
-            self.lag_response(request, response);
+            self.lag_response(inner, request, response);
         }
         responses
     }
 }
 
-impl<P: IpfsApi> IpfsApi for StaleReadProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for StaleReadProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
-    }
-}
-
 // ----------------------------------------------------------------------
-// SubLagProvider
+// SubLag
 // ----------------------------------------------------------------------
 
 /// How a lagging push path delays subscription deliveries.
@@ -964,39 +838,28 @@ pub struct SubLagProfile {
     /// (each subscription draws a fixed lag in `0..=max_delay_slots` when
     /// its first notification arrives).
     pub max_delay_slots: u64,
-    /// Also shuffle each released batch with the seeded stream — the
-    /// out-of-order push wire.
-    pub reorder: bool,
 }
 
 impl SubLagProfile {
-    /// A delay-only profile (no reordering).
+    /// A profile lagging each subscription up to `max_delay_slots`.
     pub fn new(seed: u64, max_delay_slots: u64) -> SubLagProfile {
         SubLagProfile {
             seed,
             max_delay_slots,
-            reorder: false,
         }
-    }
-
-    /// The same profile with released batches also shuffled.
-    pub fn with_reorder(mut self) -> SubLagProfile {
-        self.reorder = true;
-        self
     }
 }
 
-/// Delays (and optionally reorders) push notifications — the laggy-wire
-/// scenario generator for the subscription path. Each subscription draws a
-/// fixed seeded lag in slots when its first notification arrives; every
-/// notification for that subscription is then held for that many
-/// [`NodeProvider::on_slot`] boundaries before a drain releases it.
-/// Consumers that assume "drained this slot = published this slot" break
-/// under this decorator; consumers keyed on the notification's own `seq`
-/// do not. Sits **outermost** in the stack: it models the wire delivering
-/// pushes late, after the backend published them in canonical order.
-pub struct SubLagProvider<P> {
-    inner: P,
+/// Delays push notifications — the laggy-wire scenario generator for the
+/// subscription path. Each subscription draws a fixed seeded lag in slots
+/// when its first notification arrives; every notification for that
+/// subscription is then held for that many [`NodeProvider::on_slot`]
+/// boundaries before a drain releases it. Consumers that assume "drained
+/// this slot = published this slot" break under this layer; consumers
+/// keyed on the notification's own `seq` do not. Sits **outermost** in the
+/// stack: it models the wire delivering pushes late, after the backend
+/// published them in canonical order.
+pub struct SubLag {
     profile: SubLagProfile,
     rng: StdRng,
     /// Slots elapsed since construction (the release clock).
@@ -1009,11 +872,10 @@ pub struct SubLagProvider<P> {
     pub delayed: u64,
 }
 
-impl<P> SubLagProvider<P> {
-    /// Wraps `inner` with the given lag profile.
-    pub fn new(inner: P, profile: SubLagProfile) -> SubLagProvider<P> {
-        SubLagProvider {
-            inner,
+impl SubLag {
+    /// A fresh lag stream for `profile`, nothing held.
+    pub fn new(profile: SubLagProfile) -> SubLag {
+        SubLag {
             rng: StdRng::seed_from_u64(profile.seed),
             profile,
             slot: 0,
@@ -1029,63 +891,23 @@ impl<P> SubLagProvider<P> {
     }
 }
 
-impl<P: EthApi> EthApi for SubLagProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        self.inner.execute(request)
-    }
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        self.inner.batch(requests)
-    }
-}
-
-impl<P: IpfsApi> IpfsApi for SubLagProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        self.inner.add(node, data)
-    }
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        self.inner.cat(node, cid)
-    }
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        self.inner.pin(node, cid)
-    }
-}
-
-impl<P: NodeProvider> NodeProvider for SubLagProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
-        self.inner.metrics()
-    }
-    fn on_slot(&mut self) {
+impl Layer for SubLag {
+    fn on_slot<P: NodeProvider>(&mut self, inner: &mut P) {
         self.slot += 1;
-        self.inner.on_slot()
+        inner.on_slot()
     }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
+
+    fn unsubscribe<P: NodeProvider>(&mut self, inner: &mut P, sub_id: u64) -> bool {
         // Anything still held for a cancelled subscription is never
         // delivered — the lagging wire dropped it past the cancel.
         self.held.retain(|(_, n)| n.sub_id != sub_id);
-        self.inner.unsubscribe(sub_id)
+        inner.unsubscribe(sub_id)
     }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
+
+    fn drain_notifications<P: NodeProvider>(&mut self, inner: &mut P) -> Vec<Notification> {
         // Pull fresh publications into the hold queue, assigning each its
         // subscription's fixed lag (drawn seeded on first sight).
-        for note in self.inner.drain_notifications() {
+        for note in inner.drain_notifications() {
             let lag = *self.lags.entry(note.sub_id).or_insert_with(|| {
                 if self.profile.max_delay_slots == 0 {
                     0
@@ -1109,20 +931,12 @@ impl<P: NodeProvider> NodeProvider for SubLagProvider<P> {
             }
         }
         self.held = still;
-        if self.profile.reorder && released.len() > 1 {
-            // Fisher–Yates with the same seeded stream: len-1 draws per
-            // released batch, deterministic whatever the transport.
-            for i in (1..released.len()).rev() {
-                let j = self.rng.gen_range(0..=i);
-                released.swap(i, j);
-            }
-        }
         released
     }
 }
 
 // ----------------------------------------------------------------------
-// MeteredProvider
+// Meter
 // ----------------------------------------------------------------------
 
 /// Counters for one method.
@@ -1136,7 +950,7 @@ pub struct MethodStats {
     pub cost: SimDuration,
 }
 
-/// A snapshot of everything the metering decorator observed.
+/// A snapshot of everything the [`Meter`] layer observed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProviderMetrics {
     methods: BTreeMap<&'static str, MethodStats>,
@@ -1200,29 +1014,21 @@ impl ProviderMetrics {
 /// Counts calls, errors, round trips, and virtual-time totals per method —
 /// what `SessionReport` surfaces so a session can say "this run made 41
 /// provider round trips costing 4.2 virtual seconds".
-pub struct MeteredProvider<P> {
-    inner: P,
+#[derive(Default)]
+pub struct Meter {
     metrics: ProviderMetrics,
 }
 
-impl<P> MeteredProvider<P> {
-    /// Wraps `inner` with zeroed counters.
-    pub fn new(inner: P) -> MeteredProvider<P> {
-        MeteredProvider {
-            inner,
-            metrics: ProviderMetrics::default(),
-        }
-    }
-
+impl Meter {
     /// The counters observed so far.
     pub fn snapshot(&self) -> ProviderMetrics {
         self.metrics.clone()
     }
 }
 
-impl<P: EthApi> EthApi for MeteredProvider<P> {
-    fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        let response = self.inner.execute(request);
+impl Layer for Meter {
+    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
+        let response = inner.execute(request);
         self.metrics.round_trips += 1;
         self.metrics.record(
             request.method.name(),
@@ -1232,8 +1038,12 @@ impl<P: EthApi> EthApi for MeteredProvider<P> {
         response
     }
 
-    fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
-        let responses = self.inner.batch(requests);
+    fn batch<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        requests: &[RpcRequest],
+    ) -> Vec<RpcResponse> {
+        let responses = inner.batch(requests);
         self.metrics.round_trips += 1;
         self.metrics.batched_requests += requests.len() as u64;
         for (request, response) in requests.iter().zip(&responses) {
@@ -1245,63 +1055,37 @@ impl<P: EthApi> EthApi for MeteredProvider<P> {
         }
         responses
     }
-}
 
-impl<P: IpfsApi> IpfsApi for MeteredProvider<P> {
-    fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
-        let billed = self.inner.add(node, data);
+    fn add<P: NodeProvider>(
+        &mut self,
+        inner: &mut P,
+        node: usize,
+        data: &[u8],
+    ) -> Billed<AddResult> {
+        let billed = inner.add(node, data);
         self.metrics.round_trips += 1;
         self.metrics.record("ipfs_add", billed.cost, false);
         billed
     }
 
-    fn cat(&mut self, node: usize, cid: &Cid) -> Billed<Result<(Vec<u8>, FetchStats), IpfsError>> {
-        let billed = self.inner.cat(node, cid);
+    fn cat<P: NodeProvider>(&mut self, inner: &mut P, node: usize, cid: &Cid) -> CatResult {
+        let billed = inner.cat(node, cid);
         self.metrics.round_trips += 1;
         self.metrics
             .record("ipfs_cat", billed.cost, billed.value.is_err());
         billed
     }
 
-    fn pin(&mut self, node: usize, cid: &Cid) -> Billed<Result<(), IpfsError>> {
-        let billed = self.inner.pin(node, cid);
+    fn pin<P: NodeProvider>(&mut self, inner: &mut P, node: usize, cid: &Cid) -> PinResult {
+        let billed = inner.pin(node, cid);
         self.metrics.round_trips += 1;
         self.metrics
             .record("ipfs_pin", billed.cost, billed.value.is_err());
         billed
     }
-}
 
-impl<P: NodeProvider> NodeProvider for MeteredProvider<P> {
-    fn chain(&self) -> &Chain {
-        self.inner.chain()
-    }
-    fn chain_mut(&mut self) -> &mut Chain {
-        self.inner.chain_mut()
-    }
-    fn swarm(&self) -> &Swarm {
-        self.inner.swarm()
-    }
-    fn swarm_mut(&mut self) -> &mut Swarm {
-        self.inner.swarm_mut()
-    }
-    fn metrics(&self) -> Option<ProviderMetrics> {
+    fn metrics<P: NodeProvider>(&self, _inner: &P) -> Option<ProviderMetrics> {
         Some(self.snapshot())
-    }
-    fn on_slot(&mut self) {
-        self.inner.on_slot()
-    }
-    fn backstage(&mut self, op: &BackstageOp) -> BackstageReply {
-        self.inner.backstage(op)
-    }
-    fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
-        self.inner.subscribe(kind)
-    }
-    fn unsubscribe(&mut self, sub_id: u64) -> bool {
-        self.inner.unsubscribe(sub_id)
-    }
-    fn drain_notifications(&mut self) -> Vec<Notification> {
-        self.inner.drain_notifications()
     }
 }
 
@@ -1315,15 +1099,21 @@ mod tests {
 
     fn stack(
         faults: Option<FaultProfile>,
-    ) -> MeteredProvider<LatencyProvider<FlakyProvider<SimProvider>>> {
+    ) -> Layered<Meter, Layered<Latency, Layered<Flaky, SimProvider>>> {
         let addr = H160::from_slice(&[1; 20]);
         let chain = Chain::new(
             ChainConfig::default(),
             &[(addr, ofl_primitives::wei_per_eth())],
         );
         let sim = SimProvider::new(chain, Swarm::spawn("d", 2));
-        let flaky = FlakyProvider::new(sim, faults.unwrap_or(FaultProfile::new(0, 0.0)));
-        MeteredProvider::new(LatencyProvider::new(flaky, NetworkProfile::campus(), 250))
+        let flaky = Flaky::new(faults.unwrap_or(FaultProfile::new(0, 0.0)));
+        Layered::new(
+            Meter::default(),
+            Layered::new(
+                Latency::new(NetworkProfile::campus(), 250),
+                Layered::new(flaky, sim),
+            ),
+        )
     }
 
     fn receipt_poll_batch(n: u64) -> Vec<RpcRequest> {
@@ -1367,8 +1157,8 @@ mod tests {
 
         // 16 polls: ~16 round trips of latency vs 1.
         assert!(batch_cost.as_secs_f64() * 8.0 < per_call_cost.as_secs_f64());
-        let per_metrics = per_call.snapshot();
-        let batch_metrics = batched.snapshot();
+        let per_metrics = per_call.layer.snapshot();
+        let batch_metrics = batched.layer.snapshot();
         assert_eq!(per_metrics.round_trips, 16);
         assert_eq!(batch_metrics.round_trips, 1);
         assert_eq!(batch_metrics.batched_requests, 16);
@@ -1393,11 +1183,7 @@ mod tests {
     #[test]
     fn dropped_requests_cost_the_timeout_and_are_metered_as_errors() {
         // drop_rate 1.0: everything times out.
-        let profile = FaultProfile {
-            timeout: SimDuration::from_secs(3),
-            ..FaultProfile::new(1, 1.0)
-        };
-        let mut provider = stack(Some(profile));
+        let mut provider = stack(Some(FaultProfile::new(1, 1.0)));
         let billed = provider.block_number();
         assert_eq!(billed.value, Err(RpcError::Timeout));
         // Timeout plus the latency pricing of the attempt.
@@ -1405,7 +1191,7 @@ mod tests {
         // A dropped batch times out as a unit.
         let responses = provider.batch(&receipt_poll_batch(4));
         assert!(responses.iter().all(|r| r.result.is_err()));
-        let metrics = provider.snapshot();
+        let metrics = provider.layer.snapshot();
         assert_eq!(metrics.total_errors(), 5);
         assert_eq!(metrics.method("eth_blockNumber").errors, 1);
     }
@@ -1417,7 +1203,7 @@ mod tests {
         assert!(added.cost > SimDuration::ZERO);
         let fetched = provider.cat(1, &added.value.root);
         assert!(fetched.value.is_ok(), "flakiness must not affect the LAN");
-        let metrics = provider.snapshot();
+        let metrics = provider.layer.snapshot();
         assert_eq!(metrics.method("ipfs_add").calls, 1);
         assert_eq!(metrics.method("ipfs_cat").calls, 1);
         assert!(metrics.total_cost() > SimDuration::ZERO);
@@ -1430,31 +1216,27 @@ mod tests {
             ChainConfig::default(),
             &[(addr, ofl_primitives::wei_per_eth())],
         );
-        let profile = RateLimitProfile {
-            seed: 5,
-            requests_per_slot: 3,
-            backoff: SimDuration::from_secs(1),
-        };
+        let profile = RateLimitProfile::new(5, 3);
         // No jitter span randomness matters here: allowance ∈ [3, 4).
-        let mut provider = RateLimitProvider::new(SimProvider::new(chain, Swarm::new()), profile);
+        let mut provider = Layered::new(
+            RateLimit::new(profile),
+            SimProvider::new(chain, Swarm::new()),
+        );
         let mut outcomes = Vec::new();
         for _ in 0..10 {
             outcomes.push(provider.block_number().value.is_err());
         }
         assert!(outcomes.iter().any(|e| *e), "budget of 3 must throttle");
         assert!(!outcomes.iter().all(|e| *e), "renewed windows must pass");
-        assert!(provider.limited > 0);
+        assert!(provider.layer.limited > 0);
         // The refusal itself carries the back-off as its priced cost.
-        let mut fresh = RateLimitProvider::new(
-            {
-                let chain = Chain::new(
-                    ChainConfig::default(),
-                    &[(addr, ofl_primitives::wei_per_eth())],
-                );
-                SimProvider::new(chain, Swarm::new())
-            },
-            profile,
-        );
+        let mut fresh = Layered::new(RateLimit::new(profile), {
+            let chain = Chain::new(
+                ChainConfig::default(),
+                &[(addr, ofl_primitives::wei_per_eth())],
+            );
+            SimProvider::new(chain, Swarm::new())
+        });
         let refused = loop {
             let billed = fresh.block_number();
             if billed.value.is_err() {
@@ -1475,9 +1257,9 @@ mod tests {
                 ChainConfig::default(),
                 &[(addr, ofl_primitives::wei_per_eth())],
             );
-            let mut provider = RateLimitProvider::new(
+            let mut provider = Layered::new(
+                RateLimit::new(RateLimitProfile::new(seed, 4)),
                 SimProvider::new(chain, Swarm::new()),
-                RateLimitProfile::new(seed, 4),
             );
             (0..40)
                 .map(|i| {
@@ -1528,7 +1310,7 @@ mod tests {
         let run = |seed: u64| {
             let (sim, wallet) = funded_sim();
             let [a, b]: [H160; 2] = wallet.addresses().try_into().unwrap();
-            let mut provider = StaleReadProvider::new(sim, StaleProfile::new(seed, 3));
+            let mut provider = Layered::new(StaleRead::new(StaleProfile::new(seed, 3)), sim);
             let raw = wallet
                 .sign_raw(
                     provider.chain(),
@@ -1552,7 +1334,7 @@ mod tests {
                 }
                 outcomes.push((head, receipt.is_some()));
             }
-            (outcomes, provider.served_stale)
+            (outcomes, provider.layer.served_stale)
         };
         let (a, stale_a) = run(5);
         assert!(stale_a > 0, "a 3-slot lag must degrade something");
@@ -1569,7 +1351,7 @@ mod tests {
     fn stale_receipts_become_visible_once_the_head_outruns_the_lag() {
         let (sim, wallet) = funded_sim();
         let [a, b]: [H160; 2] = wallet.addresses().try_into().unwrap();
-        let mut provider = StaleReadProvider::new(sim, StaleProfile::new(7, 2));
+        let mut provider = Layered::new(StaleRead::new(StaleProfile::new(7, 2)), sim);
         let raw = wallet
             .sign_raw(
                 provider.chain(),
@@ -1603,9 +1385,9 @@ mod tests {
                 ChainConfig::default(),
                 &[(addr, ofl_primitives::wei_per_eth())],
             );
-            let mut provider = SpikeProvider::new(
+            let mut provider = Layered::new(
+                Spike::new(SpikeProfile::new(seed, 0.4)),
                 SimProvider::new(chain, Swarm::new()),
-                SpikeProfile::new(seed, 0.4),
             );
             // Two requests per slot across 20 slots: both see the same
             // window, because spikes are per-slot, not per-request.
@@ -1621,7 +1403,7 @@ mod tests {
         let a = run(11);
         assert_eq!(a, run(11), "equal seeds must stall identically");
         assert_ne!(a, run(12), "different seeds should differ");
-        let stall = SpikeProfile::new(0, 0.0).stall;
+        let stall = SpikeProfile::STALL;
         assert!(
             a.iter().any(|c| *c >= stall),
             "a 40% spike rate must stall something"
@@ -1640,15 +1422,18 @@ mod tests {
             &[(addr, ofl_primitives::wei_per_eth())],
         );
         // spike_rate 1.0: every slot stalls, including the first.
-        let mut provider = SpikeProvider::new(
+        let mut provider = Layered::new(
+            Spike::new(SpikeProfile::new(3, 1.0)),
             SimProvider::new(chain, Swarm::new()),
-            SpikeProfile::new(3, 1.0),
         );
-        assert!(provider.is_stalled());
+        assert!(provider.layer.is_stalled());
         let responses = provider.batch(&receipt_poll_batch(4));
-        assert!(responses[0].cost >= provider.profile.stall);
+        assert!(responses[0].cost >= SpikeProfile::STALL);
         assert!(responses[1..].iter().all(|r| r.cost == SimDuration::ZERO));
-        assert_eq!(provider.stalled, 1, "one batch = one stalled exchange");
+        assert_eq!(
+            provider.layer.stalled, 1,
+            "one batch = one stalled exchange"
+        );
     }
 
     #[test]
@@ -1659,9 +1444,9 @@ mod tests {
                 ChainConfig::default(),
                 &[(addr, ofl_primitives::wei_per_eth())],
             );
-            let mut provider = ReorderProvider::new(
+            let mut provider = Layered::new(
+                Reorder::new(ReorderProfile::new(seed)),
                 SimProvider::new(chain, Swarm::new()),
-                ReorderProfile::new(seed),
             );
             (0..6)
                 .map(|_| {
@@ -1693,7 +1478,7 @@ mod tests {
         let run = |seed: u64| -> Vec<Vec<(u64, u64)>> {
             let (sim, wallet) = funded_sim();
             let [a, b]: [H160; 2] = wallet.addresses().try_into().unwrap();
-            let mut provider = SubLagProvider::new(sim, SubLagProfile::new(seed, 3));
+            let mut provider = Layered::new(SubLag::new(SubLagProfile::new(seed, 3)), sim);
             let heads = provider.subscribe(SubscriptionKind::NewHeads);
             let pending = provider.subscribe(SubscriptionKind::PendingTxs);
             assert_eq!((heads, pending), (1, 2));
@@ -1742,10 +1527,10 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(seqs, sorted);
         }
-        // With max lag 0 the decorator is a transparent pass-through.
+        // With max lag 0 the layer is a transparent pass-through.
         let (sim, wallet) = funded_sim();
         let [a_addr, b_addr]: [H160; 2] = wallet.addresses().try_into().unwrap();
-        let mut clear = SubLagProvider::new(sim, SubLagProfile::new(9, 0));
+        let mut clear = Layered::new(SubLag::new(SubLagProfile::new(9, 0)), sim);
         clear.subscribe(SubscriptionKind::PendingTxs);
         let raw = wallet
             .sign_raw(
@@ -1760,8 +1545,8 @@ mod tests {
         let notes = clear.drain_notifications();
         assert_eq!(notes.len(), 1);
         assert!(matches!(notes[0].event, SubEvent::PendingTx(_)));
-        assert_eq!(clear.delayed, 0);
-        assert_eq!(clear.held_back(), 0);
+        assert_eq!(clear.layer.delayed, 0);
+        assert_eq!(clear.layer.held_back(), 0);
     }
 
     #[test]
@@ -1771,9 +1556,9 @@ mod tests {
             ChainConfig::default(),
             &[(addr, ofl_primitives::wei_per_eth())],
         );
-        let mut provider = ReorderProvider::new(
+        let mut provider = Layered::new(
+            Reorder::new(ReorderProfile::new(7)),
             SimProvider::new(chain, Swarm::new()),
-            ReorderProfile::new(7),
         );
         let requests = vec![
             RpcRequest::new(0, RpcMethod::BlockNumber),

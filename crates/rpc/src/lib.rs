@@ -15,13 +15,16 @@
 //! - [`pool`]: [`ProviderPool`] — N endpoint stacks (shards) addressed by
 //!   [`EndpointId`], with tagged batch fan-out and per-endpoint metering
 //!   rolled up into run-level totals.
-//! - [`decorators`]: composable providers wrapping any backend —
-//!   [`LatencyProvider`] prices netsim timing into each response,
-//!   [`FlakyProvider`] injects seeded deterministic drops/timeouts,
-//!   [`RateLimitProvider`] answers seeded 429s past a per-slot quota,
-//!   [`SpikeProvider`] stalls whole slots at a time, [`ReorderProvider`]
-//!   shuffles batch reply arrays (tags intact), and [`MeteredProvider`]
-//!   counts per-method calls and virtual-time totals.
+//! - [`decorators`]: composable provider layers wrapping any backend. One
+//!   adapter, [`Layered`], implements the provider traits over an inner
+//!   provider; each [`Layer`] policy overrides only the hooks it changes:
+//!   [`Latency`] prices netsim timing into each response, [`Flaky`]
+//!   injects seeded deterministic drops/timeouts, [`RateLimit`] answers
+//!   seeded 429s past a per-slot quota, [`Spike`] stalls whole slots at a
+//!   time, [`Reorder`] shuffles batch reply arrays (tags intact),
+//!   [`StaleRead`] serves lagging-replica reads, [`SubLag`] delays push
+//!   deliveries, and [`Meter`] counts per-method calls and virtual-time
+//!   totals.
 //! - [`bindings`]: the [`contract_bindings!`] macro and the generated
 //!   [`ModelMarketContract`] handle — typed contract calls with typed
 //!   decode errors, no raw selector strings.
@@ -68,9 +71,9 @@ pub use backstage::{BackstageOp, BackstageReply};
 pub use bindings::{AbiArg, AbiRet, BindingError, ModelMarketContract};
 pub use codec::CodecError;
 pub use decorators::{
-    FaultProfile, FlakyProvider, LatencyProvider, MeteredProvider, MethodStats, ProviderMetrics,
-    RateLimitProfile, RateLimitProvider, ReorderProfile, ReorderProvider, SpikeProfile,
-    SpikeProvider, StaleProfile, StaleReadProvider, SubLagProfile, SubLagProvider,
+    FaultProfile, Flaky, Latency, Layer, Layered, Meter, MethodStats, ProviderMetrics, RateLimit,
+    RateLimitProfile, Reorder, ReorderProfile, Spike, SpikeProfile, StaleProfile, StaleRead,
+    SubLag, SubLagProfile,
 };
 pub use envelope::{match_to_requests, RpcError, RpcMethod, RpcRequest, RpcResponse, RpcResult};
 pub use eth::EthApi;

@@ -17,8 +17,7 @@
 //!   order. This is how the engine polls every pending receipt across all
 //!   shards in one pass.
 //! - Metrics rollup: [`ProviderPool::metrics_per_endpoint`] exposes each
-//!   endpoint's [`MeteredProvider`](crate::decorators::MeteredProvider)
-//!   snapshot and [`ProviderPool::metrics_merged`] absorbs them into one
+//!   endpoint's [`Meter`](crate::decorators::Meter) layer snapshot and [`ProviderPool::metrics_merged`] absorbs them into one
 //!   run-level [`ProviderMetrics`].
 
 use crate::backstage::{BackstageOp, BackstageReply};

@@ -6,17 +6,16 @@
 //! simulation additionally owns the infrastructure: it mines slots, checks
 //! conservation invariants, and injects failures (garbage-collecting a
 //! peer's blocks, say). Those backstage operations go through the
-//! `chain`/`swarm` accessors, which every decorator forwards down to the
-//! innermost [`SimProvider`].
+//! `chain`/`swarm` accessors, which every [`Layered`] provider layer
+//! forwards down to the innermost [`SimProvider`].
 //!
 //! [`EndpointId`]: crate::pool::EndpointId
 //! [`ProviderPool`]: crate::pool::ProviderPool
 
 use crate::backstage::{BackstageOp, BackstageReply};
 use crate::decorators::{
-    FaultProfile, FlakyProvider, LatencyProvider, MeteredProvider, ProviderMetrics,
-    RateLimitProfile, RateLimitProvider, ReorderProfile, ReorderProvider, SpikeProfile,
-    SpikeProvider, StaleProfile, StaleReadProvider, SubLagProfile, SubLagProvider,
+    FaultProfile, Flaky, Latency, Layered, Meter, ProviderMetrics, RateLimit, RateLimitProfile,
+    Reorder, ReorderProfile, Spike, SpikeProfile, StaleProfile, StaleRead, SubLag, SubLagProfile,
 };
 use crate::envelope::{RpcError, RpcRequest, RpcResponse};
 use crate::eth::EthApi;
@@ -44,7 +43,7 @@ pub trait NodeProvider: EthApi + IpfsApi + Send {
     fn swarm(&self) -> &Swarm;
     /// Mutable backing swarm (backstage: failure injection).
     fn swarm_mut(&mut self) -> &mut Swarm;
-    /// Metering snapshot, when a [`MeteredProvider`] is in the stack.
+    /// Metering snapshot, when a [`Meter`] layer is in the stack.
     fn metrics(&self) -> Option<ProviderMetrics> {
         None
     }
@@ -148,18 +147,19 @@ pub struct EndpointFaults {
     pub spike: Option<SpikeProfile>,
     /// Seeded shuffling of batch reply arrays (tags preserved).
     pub reorder: Option<ReorderProfile>,
-    /// Seeded per-subscription push-delivery lag (and optional reorder).
+    /// Seeded per-subscription push-delivery lag.
     pub sub_lag: Option<SubLagProfile>,
 }
 
-/// Wraps any backend with the standard decorator stack: batch reordering
-/// over metering over latency pricing over (optionally) latency spikes over
-/// (optionally) rate limiting over (optionally) fault injection over
-/// (optionally) stale replica reads. Stale reads sit innermost so their
-/// head queries hit the backend directly without disturbing the fault
-/// decorators' seeded draws; reordering sits outermost because it models
-/// the wire delivering a batch reply out of order, after pricing and
-/// metering saw it in request order.
+/// Wraps any backend with the standard stack of [`Layered`] provider
+/// layers: (optionally) push-delivery lag over (optionally) batch
+/// reordering over metering over latency pricing over (optionally) latency
+/// spikes over (optionally) rate limiting over (optionally) fault injection
+/// over (optionally) stale replica reads. Stale reads sit innermost so
+/// their head queries hit the backend directly without disturbing the
+/// fault layers' seeded draws; reordering sits above metering because it
+/// models the wire delivering a batch reply out of order, after pricing
+/// and metering saw it in request order; push lag wraps everything.
 pub fn decorate(
     backend: Box<dyn NodeProvider>,
     profile: NetworkProfile,
@@ -168,30 +168,29 @@ pub fn decorate(
 ) -> Box<dyn NodeProvider> {
     let mut stack = backend;
     if let Some(stale) = knobs.stale {
-        stack = Box::new(StaleReadProvider::new(stack, stale));
+        stack = Box::new(Layered::new(StaleRead::new(stale), stack));
     }
     if let Some(faults) = knobs.faults {
-        stack = Box::new(FlakyProvider::new(stack, faults));
+        stack = Box::new(Layered::new(Flaky::new(faults), stack));
     }
     if let Some(rate_limit) = knobs.rate_limit {
-        stack = Box::new(RateLimitProvider::new(stack, rate_limit));
+        stack = Box::new(Layered::new(RateLimit::new(rate_limit), stack));
     }
     if let Some(spike) = knobs.spike {
-        stack = Box::new(SpikeProvider::new(stack, spike));
+        stack = Box::new(Layered::new(Spike::new(spike), stack));
     }
-    let mut stack: Box<dyn NodeProvider> = Box::new(MeteredProvider::new(LatencyProvider::new(
-        stack,
-        profile,
-        envelope_bytes,
-    )));
+    let mut stack: Box<dyn NodeProvider> = Box::new(Layered::new(
+        Meter::default(),
+        Layered::new(Latency::new(profile, envelope_bytes), stack),
+    ));
     if let Some(reorder) = knobs.reorder {
-        stack = Box::new(ReorderProvider::new(stack, reorder));
+        stack = Box::new(Layered::new(Reorder::new(reorder), stack));
     }
     // Sub-lag models the wire delivering pushes late, so it wraps the
-    // whole stack — notifications are delayed after every other decorator
-    // has seen them.
+    // whole stack — notifications are delayed after every other layer has
+    // seen them.
     if let Some(sub_lag) = knobs.sub_lag {
-        stack = Box::new(SubLagProvider::new(stack, sub_lag));
+        stack = Box::new(Layered::new(SubLag::new(sub_lag), stack));
     }
     stack
 }
@@ -232,5 +231,65 @@ impl Retryable for crate::bindings::BindingError {
             crate::bindings::BindingError::Rpc(RpcError::Timeout)
                 | crate::bindings::BindingError::Rpc(RpcError::RateLimited)
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backstage::{BackstageOp, BackstageReply};
+    use ofl_eth::chain::ChainConfig;
+    use ofl_primitives::H160;
+
+    fn backend() -> Box<dyn NodeProvider> {
+        let chain = Chain::new(
+            ChainConfig::default(),
+            &[(H160::from_slice(&[1; 20]), ofl_primitives::wei_per_eth())],
+        );
+        Box::new(SimProvider::new(chain, Swarm::spawn("full", 3)))
+    }
+
+    #[test]
+    fn full_stack_forwards_backstage_and_subscriptions_to_the_backend() {
+        let every_knob = EndpointFaults {
+            faults: Some(FaultProfile::new(1, 0.2)),
+            rate_limit: Some(RateLimitProfile::new(2, 8)),
+            stale: Some(StaleProfile::new(3, 2)),
+            spike: Some(SpikeProfile::new(4, 0.3)),
+            reorder: Some(ReorderProfile::new(5)),
+            sub_lag: Some(SubLagProfile::new(6, 2)),
+        };
+        let mut stack = decorate(backend(), NetworkProfile::campus(), 250, every_knob);
+        let mut bare = backend();
+
+        // Backstage traffic and the accessors reach the innermost backend.
+        assert!(matches!(
+            stack.backstage(&BackstageOp::MineSlot { slot_secs: 12 }),
+            BackstageReply::Mined(_)
+        ));
+        assert!(matches!(
+            stack.backstage(&BackstageOp::Height),
+            BackstageReply::Height(1)
+        ));
+        assert_eq!(stack.chain().height(), 1);
+        assert_eq!(stack.swarm().len(), 3);
+
+        // Subscription ids are assigned by the backend, exactly as bare.
+        let kinds = [
+            SubscriptionKind::NewHeads,
+            SubscriptionKind::PendingTxs,
+            SubscriptionKind::NewHeads,
+        ];
+        let ids: Vec<u64> = kinds.iter().map(|k| stack.subscribe(k.clone())).collect();
+        let bare_ids: Vec<u64> = kinds.iter().map(|k| bare.subscribe(k.clone())).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!(ids, bare_ids);
+        assert!(stack.unsubscribe(2));
+        assert!(!stack.unsubscribe(2));
+
+        // The meter sits inside the reorder and sub-lag layers, yet its
+        // snapshot still surfaces through the whole stack.
+        assert!(stack.metrics().is_some());
+        assert!(bare.metrics().is_none());
     }
 }

@@ -44,26 +44,14 @@ pub enum WireMode {
     /// One [`Frame::Batch`] carrying the whole slice — a single jumbo
     /// round trip. The default, and the PR-5 behaviour.
     Jumbo,
-    /// One [`Frame::Request`]-wrapped [`Frame::Execute`] per request, each
-    /// awaited before the next is sent: same frames as `Pipelined`, but
-    /// one blocking wait per request. The slow baseline the benches
-    /// compare against.
-    Lockstep,
-    /// The same per-request frames as `Lockstep`, but up to `window` kept
-    /// in flight at once (v2 request-id pipelining).
+    /// One [`Frame::Request`]-wrapped [`Frame::Execute`] per request, up
+    /// to `window` kept in flight at once (v2 request-id pipelining).
+    /// `window: 1` awaits each reply before sending the next — the
+    /// lockstep baseline the benches compare against.
     Pipelined {
         /// Requests allowed on the wire before the first reply is awaited.
         window: usize,
     },
-}
-
-impl WireMode {
-    fn window(self) -> usize {
-        match self {
-            WireMode::Jumbo | WireMode::Lockstep => 1,
-            WireMode::Pipelined { window } => window.max(1),
-        }
-    }
 }
 
 /// A node backend served over a socket (or any frame transport).
@@ -183,10 +171,10 @@ impl EthApi for SocketProvider {
                 })
                 .collect()
         };
-        if self.mode != WireMode::Jumbo {
+        if let WireMode::Pipelined { window } = self.mode {
             // Per-request frames, window-in-flight (window 1 = lockstep).
             let frames: Vec<Frame> = requests.iter().map(|r| Frame::Execute(r.clone())).collect();
-            let replies = match self.transport.roundtrip_many(&frames, self.mode.window()) {
+            let replies = match self.transport.roundtrip_many(&frames, window.max(1)) {
                 Ok(replies) => replies,
                 Err(e) => return fail(self.transport_error("pipelined batch", &e)),
             };

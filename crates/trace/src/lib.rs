@@ -1,8 +1,8 @@
 //! # ofl-trace — deterministic tracing and metrics keyed by virtual time
 //!
 //! Every other observability surface in the workspace (`hotpath` phase
-//! counters, `MeteredProvider`, `WireCounter`, `DaemonStats`) is a disjoint
-//! aggregate with no shared timeline. This crate gives them one: structured
+//! counters, the `Meter` provider layer, `WireCounter`, `DaemonStats`) is a
+//! disjoint aggregate with no shared timeline. This crate gives them one: structured
 //! trace events stamped with **virtual time** (the engine's `SimInstant`
 //! microseconds), a stable **source id** (engine = 0, endpoint *i* = 1 + *i*)
 //! and a per-source **sequence number**, so a trace is a pure function of the

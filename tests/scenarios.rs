@@ -76,6 +76,30 @@ fn suite_sweeps_partitions_and_failures_deterministically() {
         assert_eq!(a, b, "{} diverged between runs", a.name);
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
+    // Run-vs-run equality cannot catch a change that reorders a seeded
+    // draw in every run alike, so the fault regimes are also pinned across
+    // commits. The fingerprint covers RPC round trips, errors, priced cost,
+    // and virtual time; a deliberate behaviour change re-records these.
+    let pinned = [
+        ("flaky-provider", 0x50af_6ca5_840e_3f8d_u64),
+        ("rate-limited", 0x31bd_233a_6b69_4c98),
+        ("stale-reads", 0xf514_9b69_8654_7efb),
+        ("latency-spike", 0x2f56_c7f5_e934_3b5c),
+        ("reordered-batch", 0xed4e_ae38_3188_f135),
+        ("sub-lag", 0x3801_2289_a35f_2921),
+    ];
+    for (name, expected) in pinned {
+        let outcome = first
+            .iter()
+            .find(|o| o.name == name)
+            .unwrap_or_else(|| panic!("scenario {name} missing"));
+        assert_eq!(
+            outcome.fingerprint(),
+            expected,
+            "{name}: fingerprint moved (0x{:016x})",
+            outcome.fingerprint()
+        );
+    }
 }
 
 #[test]
