@@ -813,10 +813,6 @@ impl World {
                     .push(note);
             }
         }
-        // Parked-but-untaken notifications across every subscription: the
-        // world-side half of the slow-subscriber picture.
-        let depth: usize = self.inbox.values().map(Vec::len).sum();
-        ofl_trace::metrics::gauge_set("world.inbox_depth", depth.min(i64::MAX as usize) as i64);
     }
 
     // ------------------------------------------------------------------

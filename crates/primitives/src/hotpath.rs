@@ -38,21 +38,8 @@ pub enum HotPhase {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SIGN_NS: AtomicU64 = AtomicU64::new(0);
-static CODEC_NS: AtomicU64 = AtomicU64::new(0);
-static QUEUE_NS: AtomicU64 = AtomicU64::new(0);
-static AGGREGATE_NS: AtomicU64 = AtomicU64::new(0);
-static WIRE_NS: AtomicU64 = AtomicU64::new(0);
-
-fn counter(phase: HotPhase) -> &'static AtomicU64 {
-    match phase {
-        HotPhase::Sign => &SIGN_NS,
-        HotPhase::Codec => &CODEC_NS,
-        HotPhase::Queue => &QUEUE_NS,
-        HotPhase::Aggregate => &AGGREGATE_NS,
-        HotPhase::Wire => &WIRE_NS,
-    }
-}
+/// Accumulated nanoseconds, indexed by `HotPhase as usize`.
+static PHASE_NS: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
 
 /// Turns wall-clock phase accounting on or off process-wide (default: off).
 pub fn set_phase_timing(enabled: bool) {
@@ -60,26 +47,20 @@ pub fn set_phase_timing(enabled: bool) {
 }
 
 /// True when [`PhaseTimer`]s are currently recording.
-pub fn phase_timing_enabled() -> bool {
+fn phase_timing_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Adds `ns` nanoseconds directly to a phase's counter (recorded even while
-/// timing is disabled; prefer [`PhaseTimer`] at call sites).
-pub fn record_phase_ns(phase: HotPhase, ns: u64) {
-    counter(phase).fetch_add(ns, Ordering::Relaxed);
+/// Adds `ns` nanoseconds to a phase's counter (recorded even while timing
+/// is disabled).
+fn record_phase_ns(phase: HotPhase, ns: u64) {
+    PHASE_NS[phase as usize].fetch_add(ns, Ordering::Relaxed);
 }
 
 /// Zeroes every phase counter, e.g. between bench legs.
 pub fn reset_phase_times() {
-    for phase in [
-        HotPhase::Sign,
-        HotPhase::Codec,
-        HotPhase::Queue,
-        HotPhase::Aggregate,
-        HotPhase::Wire,
-    ] {
-        counter(phase).store(0, Ordering::Relaxed);
+    for counter in &PHASE_NS {
+        counter.store(0, Ordering::Relaxed);
     }
 }
 
@@ -101,29 +82,13 @@ pub struct PhaseTimes {
 
 /// Reads the current per-phase totals.
 pub fn phase_snapshot() -> PhaseTimes {
+    let ns = |phase: HotPhase| PHASE_NS[phase as usize].load(Ordering::Relaxed);
     PhaseTimes {
-        sign_ns: SIGN_NS.load(Ordering::Relaxed),
-        codec_ns: CODEC_NS.load(Ordering::Relaxed),
-        queue_ns: QUEUE_NS.load(Ordering::Relaxed),
-        aggregate_ns: AGGREGATE_NS.load(Ordering::Relaxed),
-        wire_ns: WIRE_NS.load(Ordering::Relaxed),
-    }
-}
-
-/// Publishes the current per-phase totals into the `ofl_trace::metrics`
-/// registry as `hotpath.<phase>_ns` gauges, so a daemon's phase breakdown
-/// is readable over the wire (`Frame::Stats`) alongside its session
-/// counters. Call after a run (or periodically); gauges are last-write-wins.
-pub fn publish_phase_metrics() {
-    let snap = phase_snapshot();
-    for (name, ns) in [
-        ("hotpath.sign_ns", snap.sign_ns),
-        ("hotpath.codec_ns", snap.codec_ns),
-        ("hotpath.queue_ns", snap.queue_ns),
-        ("hotpath.aggregate_ns", snap.aggregate_ns),
-        ("hotpath.wire_ns", snap.wire_ns),
-    ] {
-        ofl_trace::metrics::gauge_set(name, ns.min(i64::MAX as u64) as i64);
+        sign_ns: ns(HotPhase::Sign),
+        codec_ns: ns(HotPhase::Codec),
+        queue_ns: ns(HotPhase::Queue),
+        aggregate_ns: ns(HotPhase::Aggregate),
+        wire_ns: ns(HotPhase::Wire),
     }
 }
 

@@ -6,7 +6,7 @@
 //! ```text
 //!  ┌───────────┬───────────┬──────────────┬───────────────────────┐
 //!  │ magic u16 │ version   │ length u32   │ payload (tag + body)  │
-//!  │  0x4F57   │  u16 = 2  │ LE, ≤ 64 MiB │ length bytes          │
+//!  │  0x4F57   │  u16 = 5  │ LE, ≤ 64 MiB │ length bytes          │
 //!  └───────────┴───────────┴──────────────┴───────────────────────┘
 //! ```
 //!
@@ -76,8 +76,9 @@ pub const FRAME_MAGIC: u16 = 0x4F57;
 /// server-initiated [`Frame::Notify`], [`Frame::Unsubscribe`]/
 /// [`Frame::Unsubscribed`], and the [`Frame::Ping`] keepalive probe. v4
 /// added the [`Frame::Stats`]/[`Frame::StatsReply`] admin introspection
-/// pair.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// pair. v5 cut [`Frame::StatsReply`] to four daemon counters: the
+/// metrics list is gone and the accept counter is now `accept_errors`.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard cap on one frame's payload. Large enough for any model upload the
 /// marketplace ships, small enough to reject allocation-bomb length
@@ -263,9 +264,9 @@ pub enum Frame {
         sub_id: u64,
     },
     /// Client→server: admin introspection probe — report live daemon
-    /// counters and the server's metrics registry. Answered by
-    /// [`Frame::StatsReply`]. Read-only: dispatching it mutates no
-    /// backend state (beyond the served-frame counters it reports).
+    /// counters. Answered by [`Frame::StatsReply`]. Read-only:
+    /// dispatching it mutates no backend state (beyond the served-frame
+    /// counters it reports).
     Stats,
 
     /// Server→client: the backend is up.
@@ -345,20 +346,18 @@ pub enum Frame {
     /// timeout. No answer expected; clients skip it when reading.
     Ping,
     /// Server→client: answer to [`Frame::Stats`] — a live snapshot of the
-    /// daemon's counters plus its name-ordered metrics registry.
+    /// daemon's counters.
     StatsReply {
         /// Sessions currently live on the answering daemon (persistent
         /// store entries, or this connection's private backends).
         sessions: u64,
         /// Worker threads reaped after their connections closed.
         workers_reaped: u64,
-        /// Accept-retry backoffs the listener has slept through.
-        accept_backoffs: u64,
-        /// Frames dispatched across all connections since daemon start.
+        /// Accepts that failed (each logged and backed off).
+        accept_errors: u64,
+        /// Frames dispatched across all connections since daemon start,
+        /// this probe included.
         frames_served: u64,
-        /// The server's `ofl_trace::metrics` registry, flattened in name
-        /// order (deterministic; see `metrics::snapshot_flat`).
-        metrics: Vec<(String, u64)>,
     },
 }
 
@@ -1019,20 +1018,14 @@ impl Frame {
             Frame::StatsReply {
                 sessions,
                 workers_reaped,
-                accept_backoffs,
+                accept_errors,
                 frames_served,
-                metrics,
             } => {
                 w.u8(0x8F);
                 w.u64(*sessions);
                 w.u64(*workers_reaped);
-                w.u64(*accept_backoffs);
+                w.u64(*accept_errors);
                 w.u64(*frames_served);
-                w.u64(metrics.len() as u64);
-                for (name, value) in metrics {
-                    w.string(name);
-                    w.u64(*value);
-                }
             }
         }
     }
@@ -1183,27 +1176,12 @@ impl Frame {
                 sub_id: r.u64("unsubscribed id")?,
             },
             0x8E => Frame::Ping,
-            0x8F => {
-                let sessions = r.u64("stats sessions")?;
-                let workers_reaped = r.u64("stats workers reaped")?;
-                let accept_backoffs = r.u64("stats accept backoffs")?;
-                let frames_served = r.u64("stats frames served")?;
-                let n = r.u64("stats metric count")?;
-                check_count(n, &r, "stats metric count")?;
-                let mut metrics = bounded_vec(n);
-                for _ in 0..n {
-                    let name = r.string("stats metric name")?;
-                    let value = r.u64("stats metric value")?;
-                    metrics.push((name, value));
-                }
-                Frame::StatsReply {
-                    sessions,
-                    workers_reaped,
-                    accept_backoffs,
-                    frames_served,
-                    metrics,
-                }
-            }
+            0x8F => Frame::StatsReply {
+                sessions: r.u64("stats sessions")?,
+                workers_reaped: r.u64("stats workers reaped")?,
+                accept_errors: r.u64("stats accept errors")?,
+                frames_served: r.u64("stats frames served")?,
+            },
             tag => {
                 return Err(CodecError::BadTag {
                     reading: "frame tag",
@@ -1497,12 +1475,8 @@ mod tests {
             Frame::StatsReply {
                 sessions: 3,
                 workers_reaped: 7,
-                accept_backoffs: 1,
+                accept_errors: 1,
                 frames_served: 900,
-                metrics: vec![
-                    ("rpcd.sessions".to_string(), 3),
-                    ("sub.queue_depth.1".to_string(), 12),
-                ],
             },
         ];
         for frame in frames {

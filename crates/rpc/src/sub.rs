@@ -60,10 +60,10 @@ pub struct Notification {
     pub event: SubEvent,
 }
 
-/// Default [`SubscriptionHub`] high-water mark: a subscription that has
-/// been routed more notifications than this in one run earns a one-shot
+/// [`SubscriptionHub`] high-water mark: a subscription that has been
+/// routed more notifications than this in one run earns a one-shot
 /// warning.
-pub const DEFAULT_SUB_HIGH_WATER: u64 = 10_000;
+pub const SUB_HIGH_WATER: u64 = 10_000;
 
 /// The per-backend subscription table and router.
 #[derive(Debug)]
@@ -72,11 +72,8 @@ pub struct SubscriptionHub {
     /// unsubscribe can never cancel a newer subscription).
     next_id: u64,
     /// Live subscriptions in id order (ids are monotonic, so insertion
-    /// order is id order), each with its routed-notification depth and
-    /// whether its high-water warning has already fired.
+    /// order is id order), each with its routed-notification depth.
     subs: Vec<SubEntry>,
-    /// Depth past which a subscription earns its one-shot warning.
-    high_water: u64,
 }
 
 #[derive(Debug)]
@@ -88,7 +85,6 @@ struct SubEntry {
     /// bound on the subscriber's queued backlog (inbox, push buffer, or
     /// wire) — the observable half of backpressure.
     depth: u64,
-    warned: bool,
 }
 
 impl Default for SubscriptionHub {
@@ -103,13 +99,7 @@ impl SubscriptionHub {
         SubscriptionHub {
             next_id: 1,
             subs: Vec::new(),
-            high_water: DEFAULT_SUB_HIGH_WATER,
         }
-    }
-
-    /// Reconfigures the high-water mark (0 disables the warning).
-    pub fn set_high_water(&mut self, high_water: u64) {
-        self.high_water = high_water;
     }
 
     /// Registers a subscription and returns its id (monotonic from 1).
@@ -119,12 +109,7 @@ impl SubscriptionHub {
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.subs.push(SubEntry {
-            id,
-            kind,
-            depth: 0,
-            warned: false,
-        });
+        self.subs.push(SubEntry { id, kind, depth: 0 });
         id
     }
 
@@ -132,11 +117,7 @@ impl SubscriptionHub {
     pub fn unsubscribe(&mut self, sub_id: u64) -> bool {
         let before = self.subs.len();
         self.subs.retain(|entry| entry.id != sub_id);
-        let removed = self.subs.len() < before;
-        if removed {
-            ofl_trace::metrics::gauge_set(&format!("sub.queue_depth.{sub_id}"), 0);
-        }
-        removed
+        self.subs.len() < before
     }
 
     /// How many subscriptions are live.
@@ -160,40 +141,31 @@ impl SubscriptionHub {
     /// Routes drained chain events to the live subscriptions: events in
     /// publish order, fan-out within an event in subscription-id order.
     ///
-    /// Routing maintains each subscription's `sub.queue_depth.<id>` gauge
-    /// in the `ofl_trace::metrics` registry and logs a one-shot warning
-    /// the first time a subscription's depth passes the high-water mark —
-    /// the observe-only half of backpressure (no event is ever dropped).
+    /// Routing bumps each matched subscription's [`SubscriptionHub::depth`]
+    /// and logs a one-shot warning the moment a depth passes
+    /// [`SUB_HIGH_WATER`] — the observe-only half of backpressure (no
+    /// event is ever dropped).
     pub fn route(&mut self, events: &[(u64, ChainEvent)]) -> Vec<Notification> {
         let mut out = Vec::new();
         for (seq, event) in events {
             for entry in &mut self.subs {
                 if let Some(sub_event) = match_event(&entry.kind, event) {
                     entry.depth += 1;
+                    // Depth grows by one, so this fires exactly once.
+                    if entry.depth == SUB_HIGH_WATER + 1 {
+                        eprintln!(
+                            "warning: subscription {} ({}) passed the high-water mark: \
+                             more than {SUB_HIGH_WATER} notifications routed; \
+                             no backpressure is applied yet",
+                            entry.id,
+                            kind_label(&entry.kind),
+                        );
+                    }
                     out.push(Notification {
                         sub_id: entry.id,
                         seq: *seq,
                         event: sub_event,
                     });
-                }
-            }
-        }
-        if !out.is_empty() {
-            for entry in &mut self.subs {
-                ofl_trace::metrics::gauge_set(
-                    &format!("sub.queue_depth.{}", entry.id),
-                    entry.depth.min(i64::MAX as u64) as i64,
-                );
-                if self.high_water > 0 && entry.depth > self.high_water && !entry.warned {
-                    entry.warned = true;
-                    eprintln!(
-                        "warning: subscription {} ({}) passed the high-water mark: \
-                         {} notifications routed (> {}); no backpressure is applied yet",
-                        entry.id,
-                        kind_label(&entry.kind),
-                        entry.depth,
-                        self.high_water,
-                    );
                 }
             }
         }
@@ -362,43 +334,23 @@ mod tests {
         hub.route(&[(3, head_event())]);
         assert_eq!(hub.depth(heads), Some(2));
         assert_eq!(hub.depth(99), None);
+        assert!(hub.unsubscribe(heads));
+        assert_eq!(hub.depth(heads), None);
     }
 
     #[test]
     fn high_water_warning_latches_and_routing_continues() {
         let mut hub = SubscriptionHub::new();
-        hub.set_high_water(3);
         let pending = hub.subscribe(SubscriptionKind::PendingTxs);
-        let events: Vec<(u64, ChainEvent)> = (0..5).map(|i| (i, pending_event(i))).collect();
-        hub.route(&events);
-        assert_eq!(hub.depth(pending), Some(5));
-        // Observe-only: crossing the mark never drops events. The warning
-        // path is only reachable while the entry's latch is unset.
-        hub.route(&events);
-        assert_eq!(hub.depth(pending), Some(10));
-    }
-
-    #[test]
-    fn depth_gauge_mirrors_routing_and_unsubscribe_zeroes_it() {
-        // The `sub.queue_depth.<id>` gauges live in the process-global
-        // metrics registry, and other tests in this binary route hubs with
-        // low subscription ids concurrently. Burn ids up to a high value no
-        // other test reaches, so this test's gauge is contention-free.
-        let mut hub = SubscriptionHub::new();
-        for _ in 0..240 {
-            hub.subscribe(SubscriptionKind::NewHeads);
-        }
-        let id = hub.subscribe(SubscriptionKind::PendingTxs); // id 241
-        hub.route(&[(0, pending_event(0)), (1, pending_event(1))]);
-        assert_eq!(
-            ofl_trace::metrics::get(&format!("sub.queue_depth.{id}")),
-            Some(ofl_trace::metrics::Metric::Gauge(2))
-        );
-        assert!(hub.unsubscribe(id));
-        assert_eq!(
-            ofl_trace::metrics::get(&format!("sub.queue_depth.{id}")),
-            Some(ofl_trace::metrics::Metric::Gauge(0))
-        );
+        let events: Vec<(u64, ChainEvent)> = (0..=SUB_HIGH_WATER)
+            .map(|i| (i, pending_event(i)))
+            .collect();
+        // Observe-only: crossing the mark never drops events, and routing
+        // past it again does not re-warn.
+        assert_eq!(hub.route(&events).len(), events.len());
+        assert_eq!(hub.depth(pending), Some(SUB_HIGH_WATER + 1));
+        hub.route(&events[..5]);
+        assert_eq!(hub.depth(pending), Some(SUB_HIGH_WATER + 6));
     }
 
     #[test]

@@ -212,13 +212,6 @@ impl<S: Read + Write + Send> FrameTransport for StreamTransport<S> {
                 self.send(&wrapped)?;
                 sent += 1;
             }
-            // Window occupancy right before blocking: how much turnaround
-            // the pipeline is actually hiding at this moment.
-            ofl_trace::metrics::observe(
-                "rpc.pipeline.in_flight",
-                (sent - received) as u64,
-                &[1, 2, 4, 8, 16, 32, 64],
-            );
             let (id, frame) = match self.recv()? {
                 Frame::Reply { id, frame } => (id, *frame),
                 other => {

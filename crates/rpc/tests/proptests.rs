@@ -641,30 +641,27 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Admin introspection frames: the v4 Stats/StatsReply pair.
+    // Admin introspection frames: the Stats/StatsReply pair (v5 layout).
     // ------------------------------------------------------------------
 
     #[test]
     fn stats_frames_roundtrip(
         sessions in any::<u64>(),
         workers_reaped in any::<u64>(),
-        accept_backoffs in any::<u64>(),
+        accept_errors in any::<u64>(),
         frames_served in any::<u64>(),
-        metrics in proptest::collection::vec((".{0,40}", any::<u64>()), 0..24),
     ) {
         // The probe itself is payload-free.
         let wire = Frame::Stats.encode();
         let (decoded, consumed) = Frame::decode(&wire).expect("stats probe decodes");
         prop_assert_eq!(consumed, wire.len());
         prop_assert_eq!(decoded, Frame::Stats);
-        // The reply carries the counters plus an arbitrary name-ordered
-        // metrics snapshot — any name bytes, any values.
+        // The reply carries exactly the four daemon counters.
         let frame = Frame::StatsReply {
             sessions,
             workers_reaped,
-            accept_backoffs,
+            accept_errors,
             frames_served,
-            metrics,
         };
         let wire = frame.encode();
         let (decoded, consumed) = Frame::decode(&wire).expect("stats reply decodes");

@@ -1,4 +1,4 @@
-//! # ofl-trace — deterministic tracing and metrics keyed by virtual time
+//! # ofl-trace — deterministic tracing keyed by virtual time
 //!
 //! Every other observability surface in the workspace (`hotpath` phase
 //! counters, the `Meter` provider layer, `WireCounter`, `DaemonStats`) is a
@@ -9,7 +9,7 @@
 //! seed — bit-reproducible across runs, backends, and serial/parallel
 //! executors, under the same determinism contract as the digests.
 //!
-//! Three pillars:
+//! Two pillars:
 //!
 //! 1. **Span/event API** — [`trace_event!`] / [`trace_span!`] compile to a
 //!    single relaxed atomic load when tracing is disabled; a [`Recorder`]
@@ -20,9 +20,10 @@
 //!    [`Tracer::finish`] merges everything in deterministic
 //!    `(timestamp, source, seq)` order into a [`Trace`] with JSONL and
 //!    Chrome-trace (`chrome://tracing`) exporters.
-//! 3. **Metrics registry** — [`metrics`]: counters, gauges, and
-//!    fixed-bucket histograms iterated in name order, servable live over
-//!    the wire (`Frame::Stats` in `ofl-rpc`).
+//!
+//! Counters are not kept here: each lives with the thing it counts (a
+//! subscription hub, a connection, a daemon's `DaemonStats`, a provider
+//! stack's `Meter`, or the process-wide `hotpath` bench timer).
 //!
 //! ## Determinism domain
 //!
@@ -42,7 +43,6 @@
 mod collector;
 pub mod diff;
 pub mod gzip;
-pub mod metrics;
 mod sink;
 
 pub use collector::Tracer;

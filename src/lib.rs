@@ -17,7 +17,7 @@
 //! - [`ofl_rpcd`] — the node daemon serving that protocol over TCP/Unix
 //!   sockets (plus the in-memory pipe transport tests mount)
 //! - [`ofl_core`] — the OFL-W3 marketplace: buyers, owners, the 7-step workflow
-//! - [`ofl_trace`] — deterministic virtual-time tracing, metrics, and trace-diff
+//! - [`ofl_trace`] — deterministic virtual-time tracing and trace-diff
 
 #![forbid(unsafe_code)]
 
