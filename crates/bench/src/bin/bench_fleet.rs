@@ -4,48 +4,36 @@
 //! Builds a `MultiMarket` fleet (owners split across decorrelated market
 //! cells, round-robined over shards) using the linear-time
 //! `FinalizePolicy::FedAvgProportional` pipeline, and drives the same
-//! seeded run four ways:
+//! seeded run two ways:
 //!
 //! 1. **in-process** — every shard a local `SimProvider` (the reference).
-//! 2. **socket / jumbo** — every shard mounted over a real TCP `rpcd`
-//!    daemon, batches shipped as one `Frame::Batch` (the PR-5 wire mode).
-//! 3. **socket / lockstep** — one request-id frame per RPC request, each
-//!    awaited before the next is sent.
-//! 4. **socket / pipelined** — the *same* frames as lockstep, but a window
-//!    of N kept in flight per connection.
+//! 2. **socket** — every shard mounted over its own TCP connection to a
+//!    real `rpcd` daemon, each provider batch shipped as one
+//!    `Frame::Batch`.
 //!
-//! All four runs must be bit-identical in virtual time and metering (the
-//! backend boundary and the wire discipline are invisible to the
-//! simulation), and lockstep/pipelined must exchange identical frames. A
-//! fifth leg re-runs the in-process fleet with the shard executor flipped
-//! (parallel workers vs strictly serial) and pins the digests equal — the
-//! determinism contract of `ofl_netsim::par`. A final *wire drive* then
-//! ships the same fleet-scale frame load through `roundtrip_many` at
-//! window 1 vs window N against a live daemon, where pipelining must
-//! strictly cut wall-clock time at equal round trips. Results — including
-//! the sign/codec/queue/aggregate/wire hot-path breakdown of the reference
-//! leg — go to the durable perf trajectory `BENCH_fleet.json` at the repo
-//! root.
+//! Both runs must be bit-identical in virtual time and metering (the
+//! backend boundary is invisible to the simulation). A further leg
+//! re-runs the in-process fleet with the shard executor flipped (parallel
+//! workers vs strictly serial) and pins the digests equal — the
+//! determinism contract of `ofl_netsim::par`. Results — including each
+//! run's sign/codec/queue/aggregate/wire hot-path breakdown — go to the
+//! durable perf trajectory `BENCH_fleet.json` at the repo root.
 //!
 //! With `--subscribe`, a further leg re-runs the in-process fleet with the
 //! engine's push watchers open on every shard and records the push-vs-poll
 //! round-trip comparison in a `subscription` block of the record.
 //!
 //! Run: `cargo run -p ofl-bench --release --bin bench_fleet -- \
-//!       [--owners 1024] [--markets N] [--shards 4] [--window 64] \
-//!       [--serial] [--subscribe] [--json]`
+//!       [--owners 1024] [--markets N] [--shards 4] \
+//!       [--serial] [--subscribe] [--trace] [--json]`
 
 use ofl_bench::{header, write_bench};
 use ofl_core::config::MarketConfig;
 use ofl_core::engine::{EngineConfig, EngineReport, MultiMarket};
 use ofl_core::world::{ShardConfig, ShardSpec, DEFAULT_TX_WIRE_BYTES};
-use ofl_eth::chain::ChainConfig;
 use ofl_netsim::par::set_parallel;
 use ofl_primitives::{phase_snapshot, reset_phase_times, set_phase_timing, PhaseTimes};
-use ofl_rpc::{
-    provision_socket_provider_via, BackstageOp, BackstageReply, Frame, ProviderMetrics,
-    RemoteEndpoint, WireCounter, WireMode,
-};
+use ofl_rpc::{provision_socket_provider, ProviderMetrics, RemoteEndpoint, WireCounter};
 use ofl_rpcd::DaemonOptions;
 use serde::Serialize;
 use std::net::TcpListener;
@@ -73,26 +61,8 @@ struct RunRow {
     wire_frames_received: u64,
     wire_recv_wait_secs: f64,
     per_endpoint: Vec<EndpointRow>,
-}
-
-#[derive(Serialize)]
-struct WireDriveRow {
-    wire_mode: String,
-    window: usize,
-    round_trips: u64,
-    wall_secs: f64,
-    frames_per_sec: f64,
-    recv_wait_secs: f64,
-}
-
-#[derive(Serialize)]
-struct Comparison {
-    round_trips: u64,
-    lockstep_wall_secs: f64,
-    pipelined_wall_secs: f64,
-    wall_speedup: f64,
-    equal_round_trips: bool,
-    pipelined_strictly_faster: bool,
+    /// Hot-path wall-clock breakdown of this run alone.
+    phase_times: PhaseTimes,
 }
 
 /// The serial-vs-parallel determinism leg: the same fleet run twice with
@@ -142,16 +112,11 @@ struct Record {
     markets: usize,
     owners_per_market: usize,
     shards: usize,
-    window: usize,
     /// False when `--serial` pinned the reference leg (and the socket
-    /// legs) to the one-thread executor.
+    /// leg) to the one-thread executor.
     parallel: bool,
-    /// Hot-path wall-clock breakdown of the reference in-process leg.
-    phase_times: PhaseTimes,
     parallel_check: ParallelCheck,
     runs: Vec<RunRow>,
-    wire_drive: Vec<WireDriveRow>,
-    pipelined_vs_lockstep: Comparison,
     /// Present when `--subscribe` ran the push-vs-poll leg; `null`
     /// otherwise.
     subscription: Option<SubscriptionLeg>,
@@ -161,7 +126,6 @@ struct Args {
     owners: usize,
     markets: usize,
     shards: usize,
-    window: usize,
     serial: bool,
     subscribe: bool,
     trace: bool,
@@ -172,7 +136,6 @@ fn parse_args() -> Args {
     let mut owners = 1024usize;
     let mut markets: Option<usize> = None;
     let mut shards = 4usize;
-    let mut window = 64usize;
     let mut serial = false;
     let mut subscribe = false;
     let mut trace = false;
@@ -188,7 +151,6 @@ fn parse_args() -> Args {
             "--owners" => owners = number(&mut args, "--owners"),
             "--markets" => markets = Some(number(&mut args, "--markets")),
             "--shards" => shards = number(&mut args, "--shards"),
-            "--window" => window = number(&mut args, "--window"),
             "--serial" => serial = true,
             "--subscribe" => subscribe = true,
             "--trace" => trace = true,
@@ -205,7 +167,6 @@ fn parse_args() -> Args {
         owners,
         markets,
         shards: shards.max(1).min(markets),
-        window: window.max(1),
         serial,
         subscribe,
         trace,
@@ -218,13 +179,13 @@ fn usage(error: &str) -> ! {
         eprintln!("bench_fleet: {error}");
     }
     eprintln!(
-        "usage: bench_fleet [--owners N] [--markets M] [--shards S] [--window W] \
+        "usage: bench_fleet [--owners N] [--markets M] [--shards S] \
          [--serial] [--subscribe] [--trace] [--json]"
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });
 }
 
-/// The digest a run must reproduce regardless of backend and wire mode.
+/// The digest a run must reproduce regardless of backend and executor.
 fn digest(report: &EngineReport) -> (f64, Vec<f64>, ProviderMetrics) {
     (
         report.total_sim_seconds,
@@ -237,9 +198,11 @@ fn digest(report: &EngineReport) -> (f64, Vec<f64>, ProviderMetrics) {
     )
 }
 
+/// One run's record row. Reads the hot-path counters, so call it right
+/// after the run, before the next leg resets them.
 fn run_row(
     backend: &'static str,
-    wire_mode: String,
+    wire_mode: &str,
     owners: usize,
     report: &EngineReport,
     wall_secs: f64,
@@ -247,7 +210,7 @@ fn run_row(
 ) -> RunRow {
     RunRow {
         backend,
-        wire_mode,
+        wire_mode: wire_mode.to_string(),
         wall_secs,
         virtual_secs: report.total_sim_seconds,
         owners_per_virtual_sec: owners as f64 / report.total_sim_seconds,
@@ -271,17 +234,14 @@ fn run_row(
                 rpc_virtual_secs: m.total_cost().as_secs_f64(),
             })
             .collect(),
+        phase_times: phase_snapshot(),
     }
 }
 
 /// One socket-backed fleet run: a real `rpcd` daemon on an ephemeral TCP
-/// port, every shard mounted over its own connection with the given wire
-/// mode, wire counters watching each connection from the outside.
-fn socket_run(
-    configs: Vec<MarketConfig>,
-    shards: usize,
-    mode: WireMode,
-) -> (EngineReport, f64, Vec<WireCounter>) {
+/// port, every shard mounted over its own connection, wire counters
+/// watching each connection from the outside.
+fn socket_run(configs: Vec<MarketConfig>, shards: usize) -> (EngineReport, f64, Vec<WireCounter>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind rpcd listener");
     let addr = listener.local_addr().unwrap().to_string();
     let server = std::thread::spawn(move || {
@@ -297,14 +257,13 @@ fn socket_run(
             .expect("connect to rpcd");
         counters.push(counter);
         ShardSpec::Mounted(
-            provision_socket_provider_via(
+            provision_socket_provider(
                 transport,
                 config.chain.clone(),
                 config.genesis.clone(),
                 profile,
                 DEFAULT_TX_WIRE_BYTES,
                 config.knobs(),
-                mode,
             )
             .expect("provision over tcp"),
         )
@@ -320,77 +279,14 @@ fn socket_run(
     (report, wall, counters)
 }
 
-/// One leg of the wire-turnaround drive: ship `frames` backstage requests
-/// through [`ofl_rpc::FrameTransport::roundtrip_many`] at the given window against
-/// a freshly provisioned daemon backend, and time the whole exchange.
-fn drive_one(addr: &str, frames: usize, label: String, window: usize) -> WireDriveRow {
-    let (mut transport, counter) = RemoteEndpoint::Tcp(addr.to_string())
-        .connect_counted()
-        .expect("connect to rpcd");
-    transport
-        .send(&Frame::Provision {
-            chain: ChainConfig::default(),
-            genesis: Vec::new(),
-        })
-        .expect("send provision");
-    assert!(matches!(
-        transport.recv().expect("provision reply"),
-        Frame::Provisioned
-    ));
-    let load: Vec<Frame> = (0..frames)
-        .map(|_| Frame::Backstage(BackstageOp::Height))
-        .collect();
-    let started = std::time::Instant::now();
-    let replies = transport
-        .roundtrip_many(&load, window)
-        .expect("drive frames");
-    let wall = started.elapsed().as_secs_f64();
-    assert!(
-        replies
-            .iter()
-            .all(|r| matches!(r, Frame::BackstageReply(BackstageReply::Height(0)))),
-        "every drive frame must come back as the height reply"
-    );
-    transport.send(&Frame::Shutdown).expect("send shutdown");
-    assert!(matches!(transport.recv().expect("goodbye"), Frame::Goodbye));
-    WireDriveRow {
-        wire_mode: label,
-        window,
-        round_trips: frames as u64,
-        wall_secs: wall,
-        frames_per_sec: frames as f64 / wall.max(1e-9),
-        recv_wait_secs: counter.recv_wait_secs(),
-    }
-}
-
-/// The wire-turnaround drive at fleet scale: the same `owners * 16`
-/// request-id frames against one daemon, first strictly lockstep
-/// (window 1), then pipelined. Engine compute is out of the picture, so
-/// the measured gap is exactly the per-frame turnaround that the
-/// pipeline window exists to hide — the quantity the fleet runs above
-/// bury under simulation work.
-fn wire_drive(owners: usize, window: usize) -> (WireDriveRow, WireDriveRow) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind rpcd listener");
-    let addr = listener.local_addr().unwrap().to_string();
-    let server =
-        std::thread::spawn(move || ofl_rpcd::serve_listener_with(listener, DaemonOptions::max(2)));
-    let frames = owners * 16;
-    let lockstep = drive_one(&addr, frames, "lockstep".into(), 1);
-    let pipelined = drive_one(&addr, frames, format!("pipelined(w={window})"), window);
-    let stats = server.join().expect("rpcd server thread exits");
-    assert_eq!(stats.connections, 2);
-    (lockstep, pipelined)
-}
-
 fn main() {
     let args = parse_args();
     let owners_per_market = (args.owners / args.markets).max(1);
     let owners = owners_per_market * args.markets;
     header(&format!(
-        "Fleet load: {owners} owners = {} markets x {owners_per_market}, {} shards, window {}{}",
+        "Fleet load: {owners} owners = {} markets x {owners_per_market}, {} shards{}",
         args.markets,
         args.shards,
-        args.window,
         if args.serial { ", serial executor" } else { "" }
     ));
     set_parallel(!args.serial);
@@ -433,6 +329,15 @@ fn main() {
             row.round_trips,
             row.wire_frames_sent
         );
+        let phases = &row.phase_times;
+        println!(
+            "  hot paths: sign {:.3}s, codec {:.3}s, queue {:.3}s, aggregate {:.3}s, wire {:.3}s",
+            phases.sign_ns as f64 / 1e9,
+            phases.codec_ns as f64 / 1e9,
+            phases.queue_ns as f64 / 1e9,
+            phases.aggregate_ns as f64 / 1e9,
+            phases.wire_ns as f64 / 1e9,
+        );
     };
 
     // Reference: every shard in-process, hot-path phase timers running.
@@ -442,25 +347,16 @@ fn main() {
         .run(&EngineConfig::default(), &[])
         .expect("in-process fleet run");
     let local_wall = started.elapsed().as_secs_f64();
-    let phase_times = phase_snapshot();
     let reference = digest(&local);
     let mut runs = vec![run_row(
         "in-process",
-        "local".into(),
+        "local",
         owners,
         &local,
         local_wall,
         &[],
     )];
     print(&runs[0]);
-    println!(
-        "  hot paths: sign {:.3}s, codec {:.3}s, queue {:.3}s, aggregate {:.3}s, wire {:.3}s",
-        phase_times.sign_ns as f64 / 1e9,
-        phase_times.codec_ns as f64 / 1e9,
-        phase_times.queue_ns as f64 / 1e9,
-        phase_times.aggregate_ns as f64 / 1e9,
-        phase_times.wire_ns as f64 / 1e9,
-    );
 
     // Determinism leg: the same fleet with the shard executor flipped.
     // Parallel workers merge results in endpoint order, so the digest —
@@ -494,67 +390,18 @@ fn main() {
         parallel_check.parallel_speedup
     );
 
-    let socket_modes = [
-        ("jumbo".to_string(), WireMode::Jumbo),
-        ("lockstep".to_string(), WireMode::Pipelined { window: 1 }),
-        (
-            format!("pipelined(w={})", args.window),
-            WireMode::Pipelined {
-                window: args.window,
-            },
-        ),
-    ];
-    for (label, mode) in socket_modes {
-        let (report, wall, counters) = socket_run(configs(), args.shards, mode);
-        assert_eq!(
-            digest(&report),
-            reference,
-            "a {label} socket backend must reproduce the in-process run bit-identically"
-        );
-        let row = run_row("socket", label, owners, &report, wall, &counters);
-        print(&row);
-        runs.push(row);
-    }
-
-    // The engine runs above carry heavy simulation work per request, which
-    // buries the per-frame turnaround in compute noise; the fleet rows pin
-    // *identical digests and identical frame counts* across wire modes.
-    // The drive below measures the turnaround itself: the same frame load
-    // at fleet scale, window 1 vs window N, nothing else on the wire.
+    // The socket leg: the same fleet over a live daemon, its own
+    // hot-path breakdown (codec and wire now on the clock).
+    reset_phase_times();
+    let (report, wall, counters) = socket_run(configs(), args.shards);
     assert_eq!(
-        (runs[2].round_trips, runs[2].wire_frames_sent),
-        (runs[3].round_trips, runs[3].wire_frames_sent),
-        "lockstep and pipelined fleet runs must exchange the same frames at the same metered round trips"
+        digest(&report),
+        reference,
+        "a socket backend must reproduce the in-process run bit-identically"
     );
-    let (drive_lockstep, drive_pipelined) = wire_drive(owners, args.window);
-    let comparison = Comparison {
-        round_trips: drive_lockstep.round_trips,
-        lockstep_wall_secs: drive_lockstep.wall_secs,
-        pipelined_wall_secs: drive_pipelined.wall_secs,
-        wall_speedup: drive_lockstep.wall_secs / drive_pipelined.wall_secs.max(1e-9),
-        equal_round_trips: drive_lockstep.round_trips == drive_pipelined.round_trips,
-        pipelined_strictly_faster: drive_pipelined.wall_secs < drive_lockstep.wall_secs,
-    };
-    println!(
-        "\nwire drive ({} frames): lockstep {:.3}s ({:.0} frames/s) vs pipelined {:.3}s \
-         ({:.0} frames/s) -> {:.2}x",
-        comparison.round_trips,
-        drive_lockstep.wall_secs,
-        drive_lockstep.frames_per_sec,
-        drive_pipelined.wall_secs,
-        drive_pipelined.frames_per_sec,
-        comparison.wall_speedup,
-    );
-    assert!(
-        comparison.equal_round_trips,
-        "the two drive legs must ship the same number of frames"
-    );
-    assert!(
-        comparison.pipelined_strictly_faster,
-        "pipelining must strictly cut wall-clock time at equal round trips \
-         (lockstep {:.3}s, pipelined {:.3}s)",
-        comparison.lockstep_wall_secs, comparison.pipelined_wall_secs
-    );
+    let row = run_row("socket", "jumbo", owners, &report, wall, &counters);
+    print(&row);
+    runs.push(row);
 
     // The push-vs-poll leg: the same fleet with the engine's shard
     // watchers open. Deliveries ride replies already crossing the wire, so
@@ -651,13 +498,9 @@ fn main() {
         markets: args.markets,
         owners_per_market,
         shards: args.shards,
-        window: args.window,
         parallel: !args.serial,
-        phase_times,
         parallel_check,
         runs,
-        wire_drive: vec![drive_lockstep, drive_pipelined],
-        pipelined_vs_lockstep: comparison,
         subscription,
     };
     write_bench("fleet", &record);

@@ -17,19 +17,18 @@
 //! connection, and only gives up on I/O failures or an oversized length
 //! prefix (where the stream position itself is lost).
 //!
-//! ## Pipelining and sessions (v2)
+//! ## Sessions (v2)
 //!
 //! Protocol v2 adds the [`Frame::Request`]/[`Frame::Reply`] envelope: any
 //! client frame can travel wrapped with a correlation `id` and a `session`
-//! number. Replies echo the `id`, so a client may keep **N requests in
-//! flight** on one connection and match answers out of order instead of
-//! running strict send→recv lockstep. The `session` routes the inner frame
-//! to one of several independent backends a single connection can
-//! provision — several shards served concurrently over one socket. Bare
-//! (unwrapped) v1-style frames keep working and address session 0.
-//! [`Frame::Attach`] re-binds to a session that already exists on a
-//! persistent daemon (provisioned by an earlier connection) instead of
-//! provisioning a fresh one.
+//! number. The `session` routes the inner frame to one of several
+//! independent backends a single connection can provision — several shards
+//! served concurrently over one socket. Replies echo the `id`, so when
+//! sessions interleave on the connection each answer finds its caller
+//! whatever order the replies come back in. Bare (unwrapped) v1-style
+//! frames keep working and address session 0. [`Frame::Attach`] re-binds
+//! to a session that already exists on a persistent daemon (provisioned by
+//! an earlier connection) instead of provisioning a fresh one.
 //!
 //! ## Push streaming (v3)
 //!
@@ -70,7 +69,7 @@ pub const FRAME_MAGIC: u16 = 0x4F57;
 /// different revision with a typed [`ProtocolError::Unsupported`] error
 /// frame (the stream stays frame-synced, so the conversation survives).
 ///
-/// v2 added the [`Frame::Request`]/[`Frame::Reply`] pipelining envelope and
+/// v2 added the [`Frame::Request`]/[`Frame::Reply`] session envelope and
 /// the [`Frame::Attach`]/[`Frame::Attached`] session re-binding pair. v3
 /// added push streaming: [`Frame::Subscribe`]/[`Frame::Subscribed`],
 /// server-initiated [`Frame::Notify`], [`Frame::Unsubscribe`]/
@@ -303,7 +302,7 @@ pub enum Frame {
     /// Server→client: goodbye (answer to [`Frame::Shutdown`]).
     Goodbye,
     /// Server→client: the answer to a [`Frame::Request`], echoing its
-    /// correlation `id`. Replies to pipelined requests may arrive in any
+    /// correlation `id`. Replies to interleaved sessions may arrive in any
     /// order; the id is what re-associates them.
     Reply {
         /// The request's correlation id.

@@ -82,9 +82,7 @@ pub use ipfs::IpfsApi;
 pub use pool::{EndpointId, ProviderPool};
 pub use provider::{build_provider, decorate, EndpointFaults, NodeProvider, Retryable};
 pub use sim::SimProvider;
-pub use socket::{
-    provision_socket_provider, provision_socket_provider_via, SocketProvider, WireMode,
-};
+pub use socket::{provision_socket_provider, SocketProvider, WireMode};
 pub use sub::{Notification, SubEvent, SubscriptionHub, SubscriptionKind};
 pub use transport::{
     FrameTransport, RemoteEndpoint, SessionMux, SessionTransport, StreamTransport, WireCounter,

@@ -38,37 +38,31 @@ use ofl_netsim::link::NetworkProfile;
 use ofl_primitives::u256::U256;
 use ofl_primitives::H160;
 
-/// How a [`SocketProvider`] ships a batch of requests over the wire.
+/// How a [`SocketProvider`] ships a batch of requests over the wire. It has
+/// one discipline, so this enum exists only because the benchmark harness
+/// names it when it mounts a socket shard through
+/// [`SocketProvider::with_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireMode {
-    /// One [`Frame::Batch`] carrying the whole slice — a single jumbo
-    /// round trip. The default, and the PR-5 behaviour.
+    /// One [`Frame::Batch`] carrying the whole slice: a single round trip.
     Jumbo,
-    /// One [`Frame::Request`]-wrapped [`Frame::Execute`] per request, up
-    /// to `window` kept in flight at once (v2 request-id pipelining).
-    /// `window: 1` awaits each reply before sending the next — the
-    /// lockstep baseline the benches compare against.
-    Pipelined {
-        /// Requests allowed on the wire before the first reply is awaited.
-        window: usize,
-    },
 }
 
 /// A node backend served over a socket (or any frame transport).
 pub struct SocketProvider {
     transport: Box<dyn FrameTransport>,
-    mode: WireMode,
 }
 
 impl SocketProvider {
-    /// Wraps a connected transport (jumbo-batch wire mode).
+    /// Wraps a connected transport.
     pub fn new(transport: Box<dyn FrameTransport>) -> SocketProvider {
-        SocketProvider::with_mode(transport, WireMode::Jumbo)
+        SocketProvider { transport }
     }
 
-    /// Wraps a connected transport with an explicit [`WireMode`].
-    pub fn with_mode(transport: Box<dyn FrameTransport>, mode: WireMode) -> SocketProvider {
-        SocketProvider { transport, mode }
+    /// Same as [`SocketProvider::new`]; [`WireMode`] has one variant. Kept
+    /// because the benchmark harness calls it.
+    pub fn with_mode(transport: Box<dyn FrameTransport>, _mode: WireMode) -> SocketProvider {
+        SocketProvider::new(transport)
     }
 
     /// Asks the daemon to build this connection's backend: a fresh
@@ -171,35 +165,6 @@ impl EthApi for SocketProvider {
                 })
                 .collect()
         };
-        if let WireMode::Pipelined { window } = self.mode {
-            // Per-request frames, window-in-flight (window 1 = lockstep).
-            let frames: Vec<Frame> = requests.iter().map(|r| Frame::Execute(r.clone())).collect();
-            let replies = match self.transport.roundtrip_many(&frames, window.max(1)) {
-                Ok(replies) => replies,
-                Err(e) => return fail(self.transport_error("pipelined batch", &e)),
-            };
-            return requests
-                .iter()
-                .zip(replies)
-                .map(|(request, reply)| match reply {
-                    Frame::Response(response) => response,
-                    Frame::Error(e) => RpcResponse {
-                        id: request.id,
-                        result: Err(
-                            self.transport_error("pipelined batch", &FrameError::Protocol(e))
-                        ),
-                        cost: SimDuration::ZERO,
-                    },
-                    other => RpcResponse {
-                        id: request.id,
-                        result: Err(RpcError::Transport(format!(
-                            "unexpected pipelined batch reply: {other:?}"
-                        ))),
-                        cost: SimDuration::ZERO,
-                    },
-                })
-                .collect();
-        }
         match self.roundtrip(&Frame::Batch(requests.to_vec())) {
             Ok(Frame::BatchResponse(responses)) if responses.len() == requests.len() => responses,
             Ok(Frame::BatchResponse(responses)) => fail(RpcError::Transport(format!(
@@ -347,31 +312,7 @@ pub fn provision_socket_provider(
     envelope_bytes: u64,
     knobs: EndpointFaults,
 ) -> Result<Box<dyn NodeProvider>, FrameError> {
-    provision_socket_provider_via(
-        transport,
-        chain,
-        genesis,
-        profile,
-        envelope_bytes,
-        knobs,
-        WireMode::Jumbo,
-    )
-}
-
-/// [`provision_socket_provider`] with an explicit [`WireMode`] — the mount
-/// path for lockstep/pipelined load runs, where the wire discipline (not
-/// just the endpoint) is part of the experiment.
-#[allow(clippy::too_many_arguments)]
-pub fn provision_socket_provider_via(
-    transport: Box<dyn FrameTransport>,
-    chain: ChainConfig,
-    genesis: Vec<(H160, U256)>,
-    profile: NetworkProfile,
-    envelope_bytes: u64,
-    knobs: EndpointFaults,
-    mode: WireMode,
-) -> Result<Box<dyn NodeProvider>, FrameError> {
-    let mut socket = SocketProvider::with_mode(transport, mode);
+    let mut socket = SocketProvider::new(transport);
     socket.provision(chain, genesis)?;
     Ok(decorate(Box::new(socket), profile, envelope_bytes, knobs))
 }

@@ -5,12 +5,8 @@
 //! A [`FrameTransport`] is request/response from the client's side: `send`
 //! one frame, `recv` its answer. That matches the dispatch loop the `rpcd`
 //! daemon runs — one frame in, one frame out — and keeps the client free
-//! of any read-buffer state machine. On top of that,
-//! [`FrameTransport::roundtrip_many`] ships a whole slice of frames and
-//! collects their answers; transports that speak the v2
-//! [`Frame::Request`]/[`Frame::Reply`] envelope override it to keep a
-//! window of requests **in flight** (pipelining) and to re-associate
-//! out-of-order replies by correlation id.
+//! of any read-buffer state machine. A provider batch is one
+//! [`Frame::Batch`], so a batch costs one round trip.
 //!
 //! [`SessionMux`] multiplexes several independent sessions — several
 //! provisioned shard backends — over **one** underlying connection, each
@@ -41,36 +37,17 @@ pub trait FrameTransport: Send {
     /// order. Pushes only accumulate while the transport is reading (the
     /// daemon writes them ahead of the reply that caused them, so by the
     /// time a reply lands its pushes are already buffered). Transports
-    /// without a push path — the lockstep default — return nothing.
+    /// without a push path (the default) return nothing.
     fn drain_pushes(&mut self) -> Vec<Frame> {
         Vec::new()
-    }
-    /// Ships `frames` and returns their answers, matched 1:1 in request
-    /// order. `window` is the number of requests the transport may keep in
-    /// flight at once; the default implementation is strict lockstep
-    /// (window of one) — pipelining transports override this with the
-    /// request-id envelope.
-    fn roundtrip_many(
-        &mut self,
-        frames: &[Frame],
-        window: usize,
-    ) -> Result<Vec<Frame>, FrameError> {
-        let _ = window;
-        frames
-            .iter()
-            .map(|frame| {
-                self.send(frame)?;
-                self.recv()
-            })
-            .collect()
     }
 }
 
 /// Wire-level counters a transport reports (shared, clonable handle): how
 /// many frames actually crossed the wire and how long the client sat
-/// blocked waiting for replies. The benches read these to show that
-/// lockstep and pipelined runs exchange the *same* frames while paying
-/// very different turnaround waits.
+/// blocked waiting for replies. The benches read these to split a socket
+/// run's wall time into frames shipped and time spent waiting on the
+/// daemon.
 #[derive(Debug, Default)]
 pub struct WireStats {
     frames_sent: AtomicU64,
@@ -91,8 +68,8 @@ impl WireCounter {
     pub fn frames_received(&self) -> u64 {
         self.0.frames_received.load(Ordering::Relaxed)
     }
-    /// Wall-clock seconds the client spent blocked inside `recv` — the
-    /// turnaround cost pipelining exists to hide.
+    /// Wall-clock seconds the client spent blocked inside `recv`: the
+    /// daemon's turnaround as this client saw it.
     pub fn recv_wait_secs(&self) -> f64 {
         self.0.recv_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
@@ -108,13 +85,12 @@ impl WireCounter {
 }
 
 /// Frame framing over any blocking byte stream (TCP socket, Unix socket,
-/// or anything else `Read + Write`). Its [`FrameTransport::roundtrip_many`]
-/// speaks the v2 request-id envelope: up to `window` requests in flight,
-/// replies matched by correlation id however they come back.
+/// or anything else `Read + Write`). [`Frame::Notify`] pushes read while
+/// waiting for a reply are buffered until
+/// [`FrameTransport::drain_pushes`] collects them.
 pub struct StreamTransport<S> {
     stream: S,
     peer: String,
-    next_id: u64,
     counter: WireCounter,
     /// Reused encode buffer: every outgoing frame is serialized into this
     /// vector and written in one syscall, so steady-state sends allocate
@@ -132,7 +108,6 @@ impl<S: Read + Write + Send> StreamTransport<S> {
         StreamTransport {
             stream,
             peer: peer.into(),
-            next_id: 0,
             counter: WireCounter::default(),
             wire: Vec::new(),
             pushes: VecDeque::new(),
@@ -182,72 +157,6 @@ impl<S: Read + Write + Send> FrameTransport for StreamTransport<S> {
     }
     fn drain_pushes(&mut self) -> Vec<Frame> {
         self.pushes.drain(..).collect()
-    }
-
-    /// Pipelined round trips: each frame travels wrapped in a
-    /// [`Frame::Request`] (session 0) carrying a fresh correlation id; up
-    /// to `window` requests are on the wire before the first reply is
-    /// awaited, and replies are re-associated by id — out-of-order replies
-    /// are parked until their turn. `window = 1` degenerates to lockstep
-    /// over the same envelope (same frames, one wait per request).
-    fn roundtrip_many(
-        &mut self,
-        frames: &[Frame],
-        window: usize,
-    ) -> Result<Vec<Frame>, FrameError> {
-        let window = window.max(1);
-        let first_id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(frames.len() as u64);
-        let mut replies: Vec<Option<Frame>> = (0..frames.len()).map(|_| None).collect();
-        let mut sent = 0usize;
-        let mut received = 0usize;
-        while received < frames.len() {
-            // Fill the window before blocking on the wire.
-            while sent < frames.len() && sent - received < window {
-                let wrapped = Frame::Request {
-                    id: first_id.wrapping_add(sent as u64),
-                    session: 0,
-                    frame: Box::new(frames[sent].clone()),
-                };
-                self.send(&wrapped)?;
-                sent += 1;
-            }
-            let (id, frame) = match self.recv()? {
-                Frame::Reply { id, frame } => (id, *frame),
-                other => {
-                    return Err(FrameError::Io(format!(
-                        "pipelined recv from {}: expected a Reply envelope, got {other:?}",
-                        self.peer
-                    )))
-                }
-            };
-            // Replies may come back in any order; slot each by its id.
-            let index = id.wrapping_sub(first_id) as usize;
-            if index >= sent || replies[index].is_some() {
-                return Err(FrameError::Io(format!(
-                    "pipelined recv from {}: unexpected reply id {id}",
-                    self.peer
-                )));
-            }
-            replies[index] = Some(frame);
-            received += 1;
-        }
-        // `received == frames.len()` and ids are deduplicated above, so
-        // every slot is filled — but a malformed peer must surface as an
-        // error, never a worker panic.
-        let mut out = Vec::with_capacity(replies.len());
-        for (index, reply) in replies.into_iter().enumerate() {
-            match reply {
-                Some(frame) => out.push(frame),
-                None => {
-                    return Err(FrameError::Io(format!(
-                        "pipelined recv from {}: request {index} never answered",
-                        self.peer
-                    )))
-                }
-            }
-        }
-        Ok(out)
     }
 }
 

@@ -11,11 +11,12 @@ use ofl_primitives::u256::U256;
 use ofl_rpc::frame::{Frame, FrameError, MAX_FRAME_BYTES};
 use ofl_rpc::{
     CodecError, FrameTransport, RpcError, RpcMethod, RpcRequest, RpcResponse, RpcResult,
-    StreamTransport, SubEvent, SubscriptionKind,
+    SessionMux, SessionTransport, StreamTransport, SubEvent, SubscriptionKind,
 };
 use ofl_w3_test_support::{h160_of, h256_of};
 use proptest::prelude::*;
 use std::io::{Read, Write};
+use std::sync::{Arc, Mutex};
 
 /// Tiny local helpers (no extra crate): deterministic hashes from bytes.
 mod ofl_w3_test_support {
@@ -244,7 +245,7 @@ fn arb_rpc_error() -> impl Strategy<Value = RpcError> {
     ]
 }
 
-/// An in-memory daemon double for the pipelined request-id protocol: it
+/// An in-memory daemon double for the request-id session protocol: it
 /// accepts [`Frame::Request`] envelopes on `write`, and on `read` answers
 /// *everything currently pending* as [`Frame::Reply`]s echoing each
 /// request's inner frame — but in a permuted order (rotated, optionally
@@ -252,16 +253,27 @@ fn arb_rpc_error() -> impl Strategy<Value = RpcError> {
 /// by arrival order.
 struct PermutedEcho {
     inbox: Vec<u8>,
-    pending: Vec<(u64, Frame)>,
+    /// `(id, session, inner frame)` per request not yet answered.
+    pending: Vec<(u64, u64, Frame)>,
     outbox: Vec<u8>,
     rotate: usize,
     reverse: bool,
-    seen_ids: Vec<u64>,
     /// How many [`Frame::Notify`] pushes to write *ahead of* each reply —
     /// the daemon's ordering contract (a reply's pushes are already on the
-    /// wire when the reply lands). Zero keeps the reply-only behaviour.
+    /// wire when the reply lands). Each push names the session of the
+    /// request that caused it. Zero keeps the reply-only behaviour.
     pushes_per_reply: usize,
-    /// Every push written, in wire order, for the test to compare against.
+    /// What the double saw and wrote, shared with the test (the mux owns
+    /// the transport, so the test cannot reach the stream itself).
+    log: Arc<Mutex<EchoLog>>,
+}
+
+/// The [`PermutedEcho`] record a test compares against.
+#[derive(Default)]
+struct EchoLog {
+    /// Every request id received, in wire order.
+    seen_ids: Vec<u64>,
+    /// Every push written, in wire order.
     pushes_written: Vec<Frame>,
 }
 
@@ -273,9 +285,8 @@ impl PermutedEcho {
             outbox: Vec::new(),
             rotate,
             reverse,
-            seen_ids: Vec::new(),
             pushes_per_reply: 0,
-            pushes_written: Vec::new(),
+            log: Arc::default(),
         }
     }
 
@@ -285,6 +296,43 @@ impl PermutedEcho {
             ..PermutedEcho::new(rotate, reverse)
         }
     }
+
+    /// Mounts the double under a [`SessionMux`], returning the mux and a
+    /// handle onto the double's log.
+    fn mux(self) -> (SessionMux, Arc<Mutex<EchoLog>>) {
+        let log = Arc::clone(&self.log);
+        let mux = SessionMux::new(Box::new(StreamTransport::new(self, "echo")));
+        (mux, log)
+    }
+}
+
+/// One `Execute` frame per method, each request numbered by position.
+fn execute_frames(methods: Vec<RpcMethod>) -> Vec<Frame> {
+    methods
+        .into_iter()
+        .enumerate()
+        .map(|(i, method)| Frame::Execute(RpcRequest::new(i as u64, method)))
+        .collect()
+}
+
+/// Sends frame `i` on session `i % sessions`, all before any reply is read,
+/// then receives every reply in send order. Returns the sessions (for
+/// draining pushes) and the replies.
+fn send_all_then_recv(
+    mux: &SessionMux,
+    sessions: usize,
+    frames: &[Frame],
+) -> (Vec<SessionTransport>, Vec<Frame>) {
+    let mut handles: Vec<SessionTransport> = (0..sessions as u64).map(|k| mux.session(k)).collect();
+    for (i, frame) in frames.iter().enumerate() {
+        handles[i % sessions]
+            .send(frame)
+            .expect("mux send succeeds");
+    }
+    let replies = (0..frames.len())
+        .map(|i| handles[i % sessions].recv().expect("mux recv succeeds"))
+        .collect();
+    (handles, replies)
 }
 
 impl Write for PermutedEcho {
@@ -292,13 +340,13 @@ impl Write for PermutedEcho {
         self.inbox.extend_from_slice(buf);
         loop {
             match Frame::decode(&self.inbox) {
-                Ok((Frame::Request { id, frame, .. }, consumed)) => {
+                Ok((Frame::Request { id, session, frame }, consumed)) => {
                     self.inbox.drain(..consumed);
-                    self.seen_ids.push(id);
-                    self.pending.push((id, *frame));
+                    self.log.lock().unwrap().seen_ids.push(id);
+                    self.pending.push((id, session, *frame));
                 }
                 Ok((other, _)) => {
-                    panic!("pipelined client must wrap everything in Request, got {other:?}")
+                    panic!("mux client must wrap everything in Request, got {other:?}")
                 }
                 Err(_) => break, // incomplete frame: wait for more bytes
             }
@@ -326,12 +374,12 @@ impl Read for PermutedEcho {
             if self.reverse {
                 batch.reverse();
             }
-            for (id, frame) in batch {
+            for (id, session, frame) in batch {
                 for p in 0..self.pushes_per_reply {
                     let push = Frame::Notify {
-                        session: 0,
+                        session,
                         sub_id: 1 + p as u64,
-                        seq: self.pushes_written.len() as u64,
+                        seq: self.log.lock().unwrap().pushes_written.len() as u64,
                         event: SubEvent::PendingTx(PendingTxEvent {
                             hash: h256_of(id as u8),
                             sender: h160_of(p as u8),
@@ -342,7 +390,7 @@ impl Read for PermutedEcho {
                         }),
                     };
                     self.outbox.extend_from_slice(&push.encode());
-                    self.pushes_written.push(push);
+                    self.log.lock().unwrap().pushes_written.push(push);
                 }
                 self.outbox.extend_from_slice(
                     &Frame::Reply {
@@ -511,7 +559,7 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Request-id envelopes: the pipelined / multi-session protocol.
+    // Request-id envelopes: the multi-session protocol.
     // ------------------------------------------------------------------
 
     #[test]
@@ -580,30 +628,24 @@ proptest! {
     }
 
     #[test]
-    fn pipelined_replies_match_callers_out_of_order(
+    fn mux_sessions_get_their_own_replies_out_of_order(
         methods in proptest::collection::vec(arb_method(), 1..24),
-        window in 1usize..32,
+        sessions in 1usize..8,
         rotate in 0usize..24,
         reverse in any::<bool>(),
     ) {
-        // However the daemon orders its replies within the window, the
-        // pipelined transport must hand each caller *its own* answer.
-        let frames: Vec<Frame> = methods
-            .into_iter()
-            .enumerate()
-            .map(|(i, method)| Frame::Execute(RpcRequest::new(i as u64, method)))
-            .collect();
-        let mut transport = StreamTransport::new(PermutedEcho::new(rotate, reverse), "echo");
-        let replies = transport
-            .roundtrip_many(&frames, window)
-            .expect("pipelined roundtrip succeeds");
-        // Every reply slots back to the frame that asked for it, in the
-        // caller's order, regardless of wire arrival order.
+        // Several sessions share one connection; however the daemon orders
+        // its replies, the mux must hand each session *its own* answers.
+        let frames = execute_frames(methods);
+        let (mux, log) = PermutedEcho::new(rotate, reverse).mux();
+        let (_, replies) = send_all_then_recv(&mux, sessions, &frames);
+        // Every reply slots back to the frame that asked for it, regardless
+        // of wire arrival order.
         prop_assert_eq!(replies, frames.clone());
         // And the server really saw one distinct id per request.
-        let seen = &transport.stream().seen_ids;
+        let seen = log.lock().unwrap().seen_ids.clone();
         prop_assert_eq!(seen.len(), frames.len());
-        let mut unique = seen.clone();
+        let mut unique = seen;
         unique.sort_unstable();
         unique.dedup();
         prop_assert_eq!(unique.len(), frames.len());
@@ -672,35 +714,33 @@ proptest! {
     #[test]
     fn notify_pushes_interleave_with_out_of_order_replies(
         methods in proptest::collection::vec(arb_method(), 1..16),
-        window in 1usize..16,
+        sessions in 1usize..6,
         rotate in 0usize..16,
         reverse in any::<bool>(),
         pushes_per_reply in 1usize..4,
     ) {
         // The daemon writes Notify pushes ahead of the replies that caused
-        // them, permuted replies and all. The pipelined transport must still
-        // hand each caller its own answer AND park every push, in wire
-        // order, for drain_pushes.
-        let frames: Vec<Frame> = methods
-            .into_iter()
-            .enumerate()
-            .map(|(i, method)| Frame::Execute(RpcRequest::new(i as u64, method)))
-            .collect();
-        let mut transport = StreamTransport::new(
-            PermutedEcho::with_pushes(rotate, reverse, pushes_per_reply),
-            "echo",
-        );
-        let replies = transport
-            .roundtrip_many(&frames, window)
-            .expect("pipelined roundtrip succeeds");
+        // them, permuted replies and all. The mux must still hand each
+        // session its own answers AND park every push, in wire order,
+        // under the session named on its Notify.
+        let frames = execute_frames(methods);
+        let (mux, log) = PermutedEcho::with_pushes(rotate, reverse, pushes_per_reply).mux();
+        let (mut handles, replies) = send_all_then_recv(&mux, sessions, &frames);
         prop_assert_eq!(replies, frames.clone());
         // Every push written before a consumed reply is already parked —
-        // none were dropped, reordered, or mistaken for replies.
-        let expected = transport.stream().pushes_written.clone();
-        prop_assert_eq!(expected.len(), frames.len() * pushes_per_reply);
-        let drained = transport.drain_pushes();
-        prop_assert_eq!(drained, expected);
-        // A second drain is empty: pushes are taken, not copied.
-        prop_assert!(transport.drain_pushes().is_empty());
+        // none were dropped, reordered, mistaken for replies, or handed to
+        // a sibling session.
+        let written = log.lock().unwrap().pushes_written.clone();
+        prop_assert_eq!(written.len(), frames.len() * pushes_per_reply);
+        for (k, handle) in handles.iter_mut().enumerate() {
+            let expected: Vec<Frame> = written
+                .iter()
+                .filter(|push| matches!(push, Frame::Notify { session, .. } if *session == k as u64))
+                .cloned()
+                .collect();
+            prop_assert_eq!(handle.drain_pushes(), expected);
+            // A second drain is empty: pushes are taken, not copied.
+            prop_assert!(handle.drain_pushes().is_empty());
+        }
     }
 }

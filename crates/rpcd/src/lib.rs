@@ -12,7 +12,7 @@
 //! Three transports share the same dispatch code:
 //!
 //! - **TCP** ([`serve_listener`] / [`serve_listener_with`]) and **Unix
-//!   sockets** ([`serve_unix_listener`]) — real sockets, one thread per
+//!   sockets** ([`serve_unix_listener_with`]) — real sockets, one thread per
 //!   connection: what the `rpcd` binary runs.
 //! - **In-memory pipe** ([`PipeTransport`]) — client and server in one
 //!   process with zero threads: each `send` encodes the frame to wire
@@ -639,18 +639,6 @@ pub fn serve_unix_listener_with(listener: UnixListener, options: DaemonOptions) 
     )
 }
 
-/// [`serve_listener`] over a Unix domain socket.
-#[cfg(unix)]
-pub fn serve_unix_listener(listener: UnixListener, max_connections: Option<usize>) {
-    serve_unix_listener_with(
-        listener,
-        DaemonOptions {
-            max_connections,
-            ..DaemonOptions::default()
-        },
-    );
-}
-
 /// Client and daemon in one process, zero threads, full codec fidelity:
 /// every `send` encodes the frame to wire bytes, re-decodes it
 /// server-side, dispatches on the embedded [`Connection`], and queues the
@@ -736,7 +724,7 @@ mod tests {
     use ofl_primitives::wei_per_eth;
     use ofl_rpc::{
         BackstageOp, EthApi, IpfsApi, NodeProvider, RpcMethod, RpcRequest, RpcResult, SessionMux,
-        SocketProvider, SubEvent, SubscriptionKind, WireMode,
+        SocketProvider, SubEvent, SubscriptionKind,
     };
 
     fn provisioned_socket(n_accounts: usize) -> (SocketProvider, Wallet) {
@@ -815,28 +803,6 @@ mod tests {
         ]);
         assert_eq!(responses.len(), 3);
         assert_eq!(responses[0].id, 7);
-        assert!(matches!(responses[0].result, Ok(RpcResult::BlockNumber(0))));
-        assert!(matches!(&responses[1].result, Ok(RpcResult::Balance(b)) if *b == wei_per_eth()));
-        assert!(matches!(responses[2].result, Ok(RpcResult::ChainId(_))));
-    }
-
-    #[test]
-    fn pipelined_wire_mode_batches_through_request_envelopes() {
-        let wallet = Wallet::from_seed("rpcd-pipelined", 1);
-        let a = wallet.addresses()[0];
-        let mut socket = SocketProvider::with_mode(
-            Box::new(PipeTransport::new()),
-            WireMode::Pipelined { window: 8 },
-        );
-        socket
-            .provision(ChainConfig::default(), vec![(a, wei_per_eth())])
-            .expect("pipe provisions");
-        let responses = socket.batch(&[
-            RpcRequest::new(7, RpcMethod::BlockNumber),
-            RpcRequest::new(8, RpcMethod::GetBalance { address: a }),
-            RpcRequest::new(9, RpcMethod::ChainId),
-        ]);
-        assert_eq!(responses.len(), 3);
         assert!(matches!(responses[0].result, Ok(RpcResult::BlockNumber(0))));
         assert!(matches!(&responses[1].result, Ok(RpcResult::Balance(b)) if *b == wei_per_eth()));
         assert!(matches!(responses[2].result, Ok(RpcResult::ChainId(_))));

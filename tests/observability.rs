@@ -4,7 +4,7 @@
 //! The contract under test: a trace is a pure function of the seed. The
 //! default categories (engine, world, provider, sign) fire identically
 //! whether shards run in-process, over the in-memory rpcd pipe, or over
-//! pipelined TCP sockets, and whether the shard executor is serial or
+//! TCP sockets, and whether the shard executor is serial or
 //! parallel — so the exported JSONL is byte-identical across all of them.
 //! And tracing itself must be a pure observer: enabling it changes no
 //! report field.
@@ -15,9 +15,7 @@ use ofl_w3::core::config::{MarketConfig, PartitionScheme};
 use ofl_w3::core::engine::{EngineConfig, EngineReport, MultiMarket};
 use ofl_w3::core::world::{ShardConfig, ShardSpec, DEFAULT_TX_WIRE_BYTES};
 use ofl_w3::netsim::par::{parallel_enabled, set_parallel};
-use ofl_w3::rpc::{
-    provision_socket_provider, provision_socket_provider_via, RemoteEndpoint, WireMode,
-};
+use ofl_w3::rpc::{provision_socket_provider, RemoteEndpoint};
 use ofl_w3::rpcd::{DaemonOptions, PipeTransport};
 
 /// The tracer and the executor flag are process-global, so every test that
@@ -85,7 +83,7 @@ fn pipe_backed(configs: Vec<MarketConfig>, shards: usize) -> EngineReport {
     .1
 }
 
-/// Every shard over its own pipelined TCP connection to one rpcd daemon
+/// Every shard over its own TCP connection to one rpcd daemon
 /// running in this process.
 fn tcp_backed(configs: Vec<MarketConfig>, shards: usize) -> EngineReport {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -99,14 +97,13 @@ fn tcp_backed(configs: Vec<MarketConfig>, shards: usize) -> EngineReport {
             .connect()
             .expect("connect to rpcd");
         ShardSpec::Mounted(
-            provision_socket_provider_via(
+            provision_socket_provider(
                 transport,
                 config.chain.clone(),
                 config.genesis.clone(),
                 profile,
                 DEFAULT_TX_WIRE_BYTES,
                 config.knobs(),
-                WireMode::Pipelined { window: 8 },
             )
             .expect("provision over tcp"),
         )
@@ -134,7 +131,7 @@ fn digest(report: &EngineReport) -> (f64, Vec<f64>, u64) {
 
 /// Satellite (c), main pin: two same-seed 32-owner runs export
 /// byte-identical JSONL traces, the trace is invariant across the
-/// in-process / pipe / pipelined-TCP backends, and enabling tracing
+/// in-process / pipe / TCP backends, and enabling tracing
 /// changes no report digest.
 #[test]
 fn same_seed_traces_are_byte_identical_across_runs_and_backends() {
@@ -171,7 +168,7 @@ fn same_seed_traces_are_byte_identical_across_runs_and_backends() {
     assert_eq!(digest(&tcp_report), digest(&untraced));
     assert!(
         first == tcp,
-        "TCP-pipelined trace must match the in-process trace byte-for-byte"
+        "TCP-backed trace must match the in-process trace byte-for-byte"
     );
 }
 

@@ -518,9 +518,7 @@ mod remote_backend {
     use ofl_w3::core::engine::EngineReport;
     use ofl_w3::core::world::{ShardConfig, ShardSpec, DEFAULT_TX_WIRE_BYTES};
     use ofl_w3::netsim::link::NetworkProfile;
-    use ofl_w3::rpc::{
-        provision_socket_provider, provision_socket_provider_via, RemoteEndpoint, WireMode,
-    };
+    use ofl_w3::rpc::{provision_socket_provider, RemoteEndpoint};
     use ofl_w3::rpcd::{DaemonOptions, PipeTransport};
 
     /// Mounts one shard through the deterministic in-memory pipe: a real
@@ -680,11 +678,10 @@ mod remote_backend {
     }
 
     /// Mounts every shard of a fleet over its own TCP connection to one
-    /// rpcd daemon, speaking the given wire mode, and runs the engine.
+    /// rpcd daemon and runs the engine.
     fn tcp_fleet_run(
         configs: Vec<MarketConfig>,
         shards: usize,
-        mode: WireMode,
         engine: &EngineConfig,
     ) -> EngineReport {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -699,14 +696,13 @@ mod remote_backend {
                 .connect()
                 .expect("connect to rpcd");
             ShardSpec::Mounted(
-                provision_socket_provider_via(
+                provision_socket_provider(
                     transport,
                     config.chain.clone(),
                     config.genesis.clone(),
                     profile,
                     DEFAULT_TX_WIRE_BYTES,
                     config.knobs(),
-                    mode,
                 )
                 .expect("provision over tcp"),
             )
@@ -720,12 +716,11 @@ mod remote_backend {
         report
     }
 
-    /// The pipelined request-id wire discipline is invisible to the
-    /// simulation: the 32-owner fleet run over pipelined TCP sockets
-    /// (window 8, both shards remote) reproduces the all-in-process run
+    /// The wire is invisible to the simulation: the 32-owner fleet run
+    /// with both shards over TCP sockets reproduces the all-in-process run
     /// bit-identically — reports, metering, and timing breakdowns.
     #[test]
-    fn pipelined_socket_shards_run_32_owner_fleet_bit_identically() {
+    fn tcp_socket_shards_run_32_owner_fleet_bit_identically() {
         let base = fleet_base(8, 47);
         let configs = || MultiMarket::replica_configs(&base, 4, 2);
 
@@ -733,22 +728,17 @@ mod remote_backend {
             .run(&EngineConfig::default(), &[])
             .expect("in-process 32-owner fleet");
 
-        let piped = tcp_fleet_run(
-            configs(),
-            2,
-            WireMode::Pipelined { window: 8 },
-            &EngineConfig::default(),
-        );
-        assert_reports_identical(&local, &piped);
-        assert!(piped.rpc_per_endpoint[1].total_calls() > 0);
+        let tcp = tcp_fleet_run(configs(), 2, &EngineConfig::default());
+        assert_reports_identical(&local, &tcp);
+        assert!(tcp.rpc_per_endpoint[1].total_calls() > 0);
     }
 
     /// The push-streaming acceptance pin: with event watching on, the
     /// 32-owner fleet's subscription streams — every NewHeads, Logs, and
     /// PendingTxs delivery across both shards, folded in delivery order
     /// into the engine's event digest — are bit-identical whether the
-    /// shards run in-process, over the in-memory rpcd pipe, or over
-    /// pipelined TCP sockets. The same hooks feed all three backends, so
+    /// shards run in-process, over the in-memory rpcd pipe, or over TCP
+    /// sockets. The same hooks feed all three backends, so
     /// any divergence in push routing, codec, or ordering shows up here.
     #[test]
     fn push_event_streams_are_identical_across_backends() {
@@ -773,7 +763,7 @@ mod remote_backend {
                 .run(&engine, &[])
                 .expect("pipe-backed watched fleet");
 
-        let tcp = tcp_fleet_run(configs(), 2, WireMode::Pipelined { window: 8 }, &engine);
+        let tcp = tcp_fleet_run(configs(), 2, &engine);
 
         assert_eq!(
             (local.events_observed, local.event_digest),
@@ -783,7 +773,7 @@ mod remote_backend {
         assert_eq!(
             (local.events_observed, local.event_digest),
             (tcp.events_observed, tcp.event_digest),
-            "TCP pipelined push streams must match the in-process streams"
+            "TCP push streams must match the in-process streams"
         );
         assert_reports_identical(&local, &piped);
         assert_reports_identical(&local, &tcp);
@@ -791,14 +781,14 @@ mod remote_backend {
 
     /// Fleet-scale pin: the full 1k-owner fleet (32 markets × 32 owners,
     /// 4 shards, `FinalizePolicy::FedAvgProportional`) produces the same
-    /// digest in-process and over pipelined TCP sockets. Release-only —
+    /// digest in-process and over TCP sockets. Release-only —
     /// the engine run is minutes-slow without optimizations.
     #[test]
     #[cfg_attr(
         debug_assertions,
         ignore = "1k-owner fleet needs a release build; run with `cargo test --release`"
     )]
-    fn thousand_owner_fleet_is_bit_identical_over_pipelined_sockets() {
+    fn thousand_owner_fleet_is_bit_identical_over_tcp_sockets() {
         let base = MarketConfig::fleet(32);
         let configs = || MultiMarket::replica_configs(&base, 32, 4);
 
@@ -808,12 +798,7 @@ mod remote_backend {
         let owners: usize = local.sessions.iter().map(|s| s.payments.len()).sum();
         assert_eq!(owners, 1024);
 
-        let piped = tcp_fleet_run(
-            configs(),
-            4,
-            WireMode::Pipelined { window: 64 },
-            &EngineConfig::default(),
-        );
-        assert_reports_identical(&local, &piped);
+        let tcp = tcp_fleet_run(configs(), 4, &EngineConfig::default());
+        assert_reports_identical(&local, &tcp);
     }
 }
