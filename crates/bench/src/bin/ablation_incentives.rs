@@ -59,7 +59,7 @@ fn main() {
             return v;
         }
         *evals.borrow_mut() += 1;
-        let sub_models: Vec<_> = subset.iter().map(|&i| models[i].clone()).collect();
+        let sub_models: Vec<_> = subset.iter().map(|&i| &models[i]).collect();
         let sub_weights: Vec<usize> = subset.iter().map(|&i| weights[i]).collect();
         let mut rng = StdRng::seed_from_u64(1234);
         let acc = aggregate(&sub_models, &sub_weights, &PfnmConfig::default(), &mut rng)

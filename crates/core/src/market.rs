@@ -33,10 +33,11 @@ use ofl_eth::wallet::{TxEnv, Wallet};
 use ofl_fl::baselines::{average_weights, AggregateError};
 use ofl_fl::client::TrainedModel;
 use ofl_fl::pfnm::{self, PfnmConfig};
-use ofl_incentive::{allocate_payments, loo_scores};
+use ofl_incentive::{allocate_payments, loo_coalitions, LooReport};
 use ofl_ipfs::cid::Cid;
 use ofl_ipfs::swarm::{IpfsNode, Swarm};
 use ofl_netsim::clock::{SimClock, SimDuration, SimInstant};
+use ofl_netsim::par::fork_join_mut;
 use ofl_netsim::service::{Response, Service};
 use ofl_netsim::timing::{ComputeModel, PhaseRecorder};
 use ofl_primitives::hotpath::{HotPhase, PhaseTimer};
@@ -758,21 +759,19 @@ impl MarketSession {
                 scratch.now().since(SimInstant(0)),
             );
         }
-        let pfnm_cfg = self.config.pfnm.clone();
-        let seed = self.config.seed;
-        let full_accuracy = agg.accuracy;
-        let test = &self.buyer.test;
-        let models = &agg.models;
-        let weights = &agg.weights;
-        let report = loo_scores(models.len(), |subset| {
-            if subset.len() == models.len() {
-                return full_accuracy;
-            }
-            match aggregate_subset(models, weights, subset, &pfnm_cfg, seed) {
+        // Each coalition is a pure function of (models, weights, subset,
+        // seed) with its own subset-tagged RNG, so the n re-aggregations run
+        // as one fork/join batch; its item-ordered merge keeps the drop
+        // values in owner order.
+        let (config, test) = (&self.config, &self.buyer.test);
+        let mut coalitions = loo_coalitions(agg.models.len());
+        let drop_values = fork_join_mut(&mut coalitions, |_, subset| {
+            match aggregate_subset(&agg.models, &agg.weights, subset, &config.pfnm, config.seed) {
                 Ok(result) => result.model.accuracy(&test.images, &test.labels),
                 Err(_) => 0.0,
             }
         });
+        let report = LooReport::from_values(agg.accuracy, drop_values);
         let amounts = allocate_payments(&report.contributions, &self.config.budget_wei)
             .expect("non-empty participant set");
         (
@@ -1151,7 +1150,7 @@ fn aggregate_subset(
     config: &PfnmConfig,
     seed: u64,
 ) -> Result<pfnm::PfnmResult, pfnm::PfnmError> {
-    let sub_models: Vec<Mlp> = subset.iter().map(|&i| models[i].clone()).collect();
+    let sub_models: Vec<&Mlp> = subset.iter().map(|&i| &models[i]).collect();
     let sub_weights: Vec<usize> = subset.iter().map(|&i| weights[i]).collect();
     // Deterministic per-subset seed so LOO results are reproducible.
     let mut subset_tag: u64 = 0xcbf29ce484222325;
@@ -1164,7 +1163,8 @@ fn aggregate_subset(
 
 /// Estimated backend time for one PFNM aggregation: Hungarian matching over
 /// `n` clients of `hidden` neurons plus a test-set inference. Calibrated to
-/// an A5000-class workstation (documented in DESIGN.md).
+/// an A5000-class workstation: `n · hidden² · 900` matching flops at
+/// 10¹² flop/s plus 50 ms of fixed overhead.
 fn aggregation_time(
     compute: &ComputeModel,
     n_models: usize,

@@ -1,10 +1,9 @@
 //! Synthetic MNIST: a deterministic, class-structured 10-way image task.
 //!
 //! Real MNIST files are unavailable offline, so this generator produces a
-//! statistically similar stand-in (documented as a substitution in
-//! DESIGN.md): each class is a smooth prototype of 28×28 "stroke blobs";
-//! samples are the prototype under random translation, per-pixel noise, and
-//! intensity jitter. An MLP(784,100,10) reaches >95 % accuracy on the full
+//! statistically similar stand-in for the paper's MNIST: each class is a
+//! smooth prototype of 28×28 "stroke blobs"; samples are the prototype
+//! under random translation, per-pixel noise, and intensity jitter. An MLP(784,100,10) reaches >95 % accuracy on the full
 //! task but degrades sharply when a client sees only a couple of classes —
 //! the same qualitative behaviour non-IID MNIST exhibits in the paper's
 //! Fig 4.

@@ -5,9 +5,9 @@
 //! post-Berlin gas schedule from [`crate::gas`] (warm/cold access tracking
 //! per EIP-2929, simplified EIP-2200 `SSTORE` pricing, EIP-3529 refund cap).
 //!
-//! Out of scope (documented in DESIGN.md): inter-contract `CALL`s,
-//! `CREATE`-from-contract, `DELEGATECALL`/`STATICCALL`, precompiles, and
-//! `SELFDESTRUCT` — the OFL-W3 contracts never use them.
+//! Out of scope: inter-contract `CALL`s, `CREATE`-from-contract,
+//! `DELEGATECALL`/`STATICCALL`, precompiles, and `SELFDESTRUCT` — the
+//! OFL-W3 contracts never use them.
 
 use crate::gas;
 use ofl_primitives::u256::U256;

@@ -21,6 +21,7 @@ use ofl_tensor::nn::{Linear, Mlp};
 use ofl_tensor::tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// PFNM hyperparameters.
 #[derive(Debug, Clone)]
@@ -108,9 +109,11 @@ struct Problem {
 }
 
 /// Aggregates local models with PFNM. `weights[j]` is client j's example
-/// count (used for the output-bias average).
+/// count (used for the output-bias average). `models` may hold the models
+/// themselves or references to them, so a caller aggregating a subset
+/// need not clone it.
 pub fn aggregate(
-    models: &[Mlp],
+    models: &[impl Borrow<Mlp>],
     weights: &[usize],
     config: &PfnmConfig,
     rng: &mut impl Rng,
@@ -157,7 +160,8 @@ pub fn aggregate(
     })
 }
 
-fn prepare(models: &[Mlp], weights: &[usize]) -> Result<Problem, PfnmError> {
+fn prepare(models: &[impl Borrow<Mlp>], weights: &[usize]) -> Result<Problem, PfnmError> {
+    let models: Vec<&Mlp> = models.iter().map(Borrow::borrow).collect();
     if models.is_empty() {
         return Err(PfnmError::NoModels);
     }
@@ -166,7 +170,7 @@ fn prepare(models: &[Mlp], weights: &[usize]) -> Result<Problem, PfnmError> {
     }
     let in_dim = models[0].layers[0].in_dim();
     let out_dim = models[0].layers[1].out_dim();
-    for m in models {
+    for m in &models {
         if m.layers[0].in_dim() != in_dim || m.layers[1].out_dim() != out_dim {
             return Err(PfnmError::DimensionMismatch);
         }
@@ -209,33 +213,78 @@ fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum()
 }
 
-/// Log-posterior gain of adding `v` to an atom with statistics
-/// (`weighted_sum`, `count`).
-fn attach_benefit(v: &[f64], atom: &Atom, j_total: usize, cfg: &PfnmConfig) -> f64 {
+/// Log-posterior gain of adding a neuron to an atom with statistics
+/// (`weighted_sum`, `count`). `scaled` is the neuron's `v/σ²` and
+/// `atom_norm2` the atom's `‖weighted_sum‖²`: the caller computes each once,
+/// not once per (neuron, atom) pair.
+fn attach_benefit(
+    scaled: &[f64],
+    atom: &Atom,
+    atom_norm2: f64,
+    j_total: usize,
+    cfg: &PfnmConfig,
+) -> f64 {
     let s2 = cfg.sigma * cfg.sigma;
     let s02 = cfg.sigma0 * cfg.sigma0;
     let denom_with = 1.0 / s02 + (atom.count as f64 + 1.0) / s2;
     let denom_without = 1.0 / s02 + atom.count as f64 / s2;
     let mut with_sum = 0.0;
-    for (i, &x) in v.iter().enumerate() {
-        let s = atom.weighted_sum[i] + x / s2;
+    for (&w, &x) in atom.weighted_sum.iter().zip(scaled) {
+        let s = w + x;
         with_sum += s * s;
     }
-    let param = with_sum / denom_with - norm2(&atom.weighted_sum) / denom_without;
+    let param = with_sum / denom_with - atom_norm2 / denom_without;
     // IBP popularity: atoms matched by many clients attract more.
     let c = (atom.count as f64).clamp(1e-10, j_total as f64 - 1e-10);
     let popularity = (c / (j_total as f64 - c)).ln();
     param + popularity
 }
 
-/// Log-posterior gain of spawning a fresh atom from `v`.
-fn new_atom_benefit(v: &[f64], j_total: usize, cfg: &PfnmConfig) -> f64 {
+/// Log-posterior gain of spawning a fresh atom from a neuron whose `v/σ²`
+/// is `scaled`.
+fn new_atom_benefit(scaled: &[f64], j_total: usize, cfg: &PfnmConfig) -> f64 {
     let s2 = cfg.sigma * cfg.sigma;
     let s02 = cfg.sigma0 * cfg.sigma0;
     let denom = 1.0 / s02 + 1.0 / s2;
-    let param = v.iter().map(|x| (x / s2) * (x / s2)).sum::<f64>() / denom;
+    let param = norm2(scaled) / denom;
     let penalty = (cfg.gamma / j_total as f64).ln();
     param + penalty
+}
+
+/// Cost of a matching slot no neuron may take: another neuron's private
+/// "new atom" column.
+const FORBIDDEN: f64 = 1e12;
+
+/// The min-cost matrix for matching one client's neurons: one row per
+/// neuron, columns are the existing atoms then one private "new atom" slot
+/// per neuron.
+fn cost_matrix(
+    neurons: &[Vec<f64>],
+    atoms: &[Atom],
+    j_total: usize,
+    cfg: &PfnmConfig,
+) -> Vec<Vec<f64>> {
+    let s2 = cfg.sigma * cfg.sigma;
+    let l_local = neurons.len();
+    let atom_norms: Vec<f64> = atoms.iter().map(|a| norm2(&a.weighted_sum)).collect();
+    let mut scaled = Vec::new();
+    neurons
+        .iter()
+        .enumerate()
+        .map(|(l, v)| {
+            scaled.clear();
+            scaled.extend(v.iter().map(|x| x / s2));
+            let mut row = Vec::with_capacity(atoms.len() + l_local);
+            for (atom, &atom_norm2) in atoms.iter().zip(&atom_norms) {
+                row.push(-attach_benefit(&scaled, atom, atom_norm2, j_total, cfg));
+            }
+            let new_benefit = new_atom_benefit(&scaled, j_total, cfg);
+            for l2 in 0..l_local {
+                row.push(if l2 == l { -new_benefit } else { FORBIDDEN });
+            }
+            row
+        })
+        .collect()
 }
 
 /// Solves the max-benefit matching of one client's neurons to atoms or
@@ -246,28 +295,11 @@ fn match_client(
     j_total: usize,
     cfg: &PfnmConfig,
 ) -> Vec<usize> {
-    let l_local = neurons.len();
     let l_global = atoms.len();
-    if l_local == 0 {
+    if neurons.is_empty() {
         return Vec::new();
     }
-    // Columns: existing atoms then one private "new atom" slot per neuron.
-    const FORBIDDEN: f64 = 1e12;
-    let cost: Vec<Vec<f64>> = neurons
-        .iter()
-        .enumerate()
-        .map(|(l, v)| {
-            let mut row = Vec::with_capacity(l_global + l_local);
-            for atom in atoms {
-                row.push(-attach_benefit(v, atom, j_total, cfg));
-            }
-            let new_benefit = new_atom_benefit(v, j_total, cfg);
-            for l2 in 0..l_local {
-                row.push(if l2 == l { -new_benefit } else { FORBIDDEN });
-            }
-            row
-        })
-        .collect();
+    let cost = cost_matrix(neurons, atoms, j_total, cfg);
     let assignment = solve_min(&cost);
     // Renumber fresh-slot columns into new atom ids (appended in order).
     let mut next_new = l_global;
@@ -403,6 +435,79 @@ mod tests {
             seed,
             ..TrainConfig::default()
         }
+    }
+
+    /// The cost matrix as the per-pair formulas wrote it before the atom
+    /// norm and the `v/σ²` scaling were hoisted out of the pair loop: the
+    /// oracle [`cost_matrix`] must match bit for bit.
+    fn per_pair_cost_matrix(
+        neurons: &[Vec<f64>],
+        atoms: &[Atom],
+        j_total: usize,
+        cfg: &PfnmConfig,
+    ) -> Vec<Vec<f64>> {
+        let s2 = cfg.sigma * cfg.sigma;
+        let s02 = cfg.sigma0 * cfg.sigma0;
+        let attach = |v: &[f64], atom: &Atom| {
+            let denom_with = 1.0 / s02 + (atom.count as f64 + 1.0) / s2;
+            let denom_without = 1.0 / s02 + atom.count as f64 / s2;
+            let mut with_sum = 0.0;
+            for (i, &x) in v.iter().enumerate() {
+                let s = atom.weighted_sum[i] + x / s2;
+                with_sum += s * s;
+            }
+            let param = with_sum / denom_with - norm2(&atom.weighted_sum) / denom_without;
+            let c = (atom.count as f64).clamp(1e-10, j_total as f64 - 1e-10);
+            param + (c / (j_total as f64 - c)).ln()
+        };
+        let spawn = |v: &[f64]| {
+            let denom = 1.0 / s02 + 1.0 / s2;
+            let param = v.iter().map(|x| (x / s2) * (x / s2)).sum::<f64>() / denom;
+            param + (cfg.gamma / j_total as f64).ln()
+        };
+        neurons
+            .iter()
+            .enumerate()
+            .map(|(l, v)| {
+                let mut row: Vec<f64> = atoms.iter().map(|a| -attach(v, a)).collect();
+                row.extend(
+                    (0..neurons.len()).map(|l2| if l2 == l { -spawn(v) } else { FORBIDDEN }),
+                );
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hoisted_cost_kernel_matches_per_pair_formula_bit_for_bit() {
+        // σ ≠ 1 so the hoisted division by σ² actually rounds.
+        let cfg = PfnmConfig {
+            sigma: 0.7,
+            sigma0: 1.3,
+            ..PfnmConfig::default()
+        };
+        let (j_total, dim) = (6, 795);
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut vector =
+            |scale: f64| -> Vec<f64> { (0..dim).map(|_| rng.gen_range(-scale..scale)).collect() };
+        let neurons: Vec<Vec<f64>> = (0..7).map(|_| vector(1.0)).collect();
+        let atoms: Vec<Atom> = [0, 1, j_total - 1, 2, 1, j_total - 1]
+            .into_iter()
+            .map(|count| Atom {
+                weighted_sum: vector(3.0),
+                count,
+            })
+            .collect();
+        let hoisted = cost_matrix(&neurons, &atoms, j_total, &cfg);
+        let reference = per_pair_cost_matrix(&neurons, &atoms, j_total, &cfg);
+        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            m.iter()
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(hoisted.len(), neurons.len());
+        assert_eq!(hoisted[0].len(), atoms.len() + neurons.len());
+        assert_eq!(bits(&hoisted), bits(&reference));
     }
 
     #[test]
@@ -547,7 +652,7 @@ mod tests {
     fn rejects_bad_inputs() {
         let mut rng = StdRng::seed_from_u64(5);
         assert_eq!(
-            aggregate(&[], &[], &PfnmConfig::default(), &mut rng).unwrap_err(),
+            aggregate(&[] as &[Mlp], &[], &PfnmConfig::default(), &mut rng).unwrap_err(),
             PfnmError::NoModels
         );
         let deep = Mlp::new(&[10, 8, 8, 2], &mut rng);

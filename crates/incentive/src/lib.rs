@@ -8,7 +8,9 @@
 //! (test accuracy of the model aggregated from that subset). This crate
 //! computes contribution scores from any value function:
 //!
-//! - [`loo_scores`]: the paper's mechanism — `v(N) − v(N∖{i})`.
+//! - [`loo_scores`]: the paper's mechanism — `v(N) − v(N∖{i})`; its
+//!   coalitions ([`loo_coalitions`]) may also be evaluated apart and
+//!   folded with [`LooReport::from_values`].
 //! - [`shapley_monte_carlo`]: sampled Shapley values, the fairness-axiomatic
 //!   alternative benchmarked in ablation A4.
 //!
@@ -34,6 +36,29 @@ pub struct LooReport {
     pub contributions: Vec<f64>,
 }
 
+impl LooReport {
+    /// Builds the report from `v(N)` and the drop values `v(N∖{i})`, in
+    /// participant order.
+    pub fn from_values(full_value: f64, drop_values: Vec<f64>) -> LooReport {
+        let contributions = drop_values.iter().map(|&v| full_value - v).collect();
+        LooReport {
+            full_value,
+            drop_values,
+            contributions,
+        }
+    }
+}
+
+/// The `n` leave-one-out coalitions: entry `i` is `N∖{i}`, ascending. Each
+/// is independent of the others, so a caller may evaluate them in any
+/// order or in parallel and hand the values, in participant order, to
+/// [`LooReport::from_values`].
+pub fn loo_coalitions(n: usize) -> Vec<Vec<usize>> {
+    (0..n)
+        .map(|i| (0..n).filter(|&j| j != i).collect())
+        .collect()
+}
+
 /// Computes leave-one-out contributions over `n` participants.
 ///
 /// `value` is called with participant-index subsets; it is invoked once with
@@ -41,19 +66,8 @@ pub struct LooReport {
 pub fn loo_scores(n: usize, mut value: impl FnMut(&[usize]) -> f64) -> LooReport {
     let full: Vec<usize> = (0..n).collect();
     let full_value = value(&full);
-    let mut drop_values = Vec::with_capacity(n);
-    let mut contributions = Vec::with_capacity(n);
-    for i in 0..n {
-        let subset: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-        let v = value(&subset);
-        drop_values.push(v);
-        contributions.push(full_value - v);
-    }
-    LooReport {
-        full_value,
-        drop_values,
-        contributions,
-    }
+    let drop_values = loo_coalitions(n).iter().map(|s| value(s)).collect();
+    LooReport::from_values(full_value, drop_values)
 }
 
 /// Monte-Carlo Shapley estimation: averages marginal contributions over

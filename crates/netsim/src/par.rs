@@ -11,10 +11,11 @@
 //! can reach the results.
 //!
 //! Worker count is capped by [`std::thread::available_parallelism`]: the
-//! items are split into one contiguous chunk per available core, and a
+//! items are split into one contiguous chunk per available core; the
+//! caller runs the first chunk, one scoped thread per remaining chunk. A
 //! single-core host (or a single-item list) runs inline with no spawns at
 //! all — parallelism can never cost more than the serial loop by more than
-//! a few spawns per call.
+//! `workers − 1` spawns per call.
 //!
 //! Parallelism is a process-wide toggle ([`set_parallel`]) so a bench or a
 //! CI job can drive the *same* binary serial and parallel and assert the
@@ -28,10 +29,11 @@
 //! [`slice::chunks_mut`], which partitions the input into disjoint
 //! `&mut` chunks the borrow checker can verify, and
 //! [`std::thread::scope`] proves every worker borrow ends before the
-//! call returns. Each worker fills its own result slot; the join then
-//! drains the slots in item order. Disjointness, lifetime, and ordering
-//! are all compiler-checked — no raw pointers, no `split_at_mut`
-//! juggling, no `unsafe` escape hatch required.
+//! call returns. Each chunk — the caller's and every spawned thread's —
+//! fills its own result slots; the join then drains the slots in item
+//! order. Disjointness, lifetime, and ordering are all compiler-checked —
+//! no raw pointers, no `split_at_mut` juggling, no `unsafe` escape hatch
+//! required.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -76,9 +78,10 @@ pub fn max_workers() -> usize {
 /// `f` gets the item's index and exclusive access to the item, so
 /// per-shard state (a provider stack, a chain) can be mutated freely;
 /// nothing is shared between workers. Items are split into at most
-/// [`max_workers`] contiguous chunks, one worker thread per chunk, so a
-/// call spawns a bounded number of threads no matter how long the work
-/// list is. Worker panics propagate to the caller when the scope joins.
+/// [`max_workers`] contiguous chunks: the caller runs the first chunk, one
+/// scoped thread per remaining chunk, so a call spawns fewer threads than
+/// the host has cores no matter how long the work list is. Worker panics
+/// propagate to the caller when the scope joins.
 pub fn fork_join_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
@@ -93,28 +96,30 @@ where
             .map(|(i, item)| f(i, item))
             .collect();
     }
-    // One pre-sized slot per item: each worker fills the slots of its own
-    // chunk, and collection by slot index restores item order no matter
+    // One pre-sized slot per item: each chunk fills the slots of its own
+    // items, and collection by slot index restores item order no matter
     // how the threads interleave.
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (c, (item_chunk, slot_chunk)) in items
-            .chunks_mut(chunk)
-            .zip(slots.chunks_mut(chunk))
-            .enumerate()
-        {
-            let f = &f;
-            scope.spawn(move || {
-                for (o, (item, slot)) in item_chunk.iter_mut().zip(slot_chunk).enumerate() {
-                    *slot = Some(f(c * chunk + o, item));
-                }
-            });
+    let run_chunk = |c: usize, item_chunk: &mut [T], slot_chunk: &mut [Option<R>]| {
+        for (o, (item, slot)) in item_chunk.iter_mut().zip(slot_chunk).enumerate() {
+            *slot = Some(f(c * chunk + o, item));
         }
+    };
+    std::thread::scope(|scope| {
+        let mut chunks = items.chunks_mut(chunk).zip(slots.chunks_mut(chunk));
+        let (first_items, first_slots) = chunks.next().expect("at least two items");
+        for (c, (item_chunk, slot_chunk)) in chunks.enumerate() {
+            let run_chunk = &run_chunk;
+            scope.spawn(move || run_chunk(c + 1, item_chunk, slot_chunk));
+        }
+        // The caller is a worker too: it runs the first chunk while the
+        // spawned threads run the rest.
+        run_chunk(0, first_items, first_slots);
     });
     slots
         .into_iter()
-        .map(|slot| slot.expect("every worker fills its slot"))
+        .map(|slot| slot.expect("every chunk fills its slots"))
         .collect()
 }
 
@@ -156,6 +161,32 @@ mod tests {
         let parallel = fork_join_mut(&mut b, work);
         assert_eq!(serial, parallel);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn caller_runs_the_first_chunk() {
+        // Every item records the thread that ran it. The first chunk runs on
+        // the calling thread, and the results still merge in item order.
+        let caller = std::thread::current().id();
+        let mut items: Vec<usize> = (0..8).collect();
+        let ran = fork_join_mut(&mut items, |i, item| {
+            *item += 100;
+            (i, std::thread::current().id())
+        });
+        assert_eq!(
+            ran.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+        assert_eq!(items, (100..108).collect::<Vec<_>>());
+        assert_eq!(ran[0].1, caller);
+        // With workers, the whole first chunk ran on the caller and every
+        // later chunk on a spawned thread.
+        let workers = max_workers().min(items.len());
+        if workers > 1 && parallel_enabled() {
+            let chunk = items.len().div_ceil(workers);
+            assert!(ran[..chunk].iter().all(|&(_, t)| t == caller));
+            assert!(ran[chunk..].iter().all(|&(_, t)| t != caller));
+        }
     }
 
     #[test]

@@ -99,14 +99,16 @@ impl Mlp {
 
     /// Inference forward pass: returns logits.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
+        // The first layer reads `x` in place: no copy of the input batch.
+        let mut cur: Option<Tensor> = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            cur = layer.forward(&cur);
+            let mut y = layer.forward(cur.as_ref().unwrap_or(x));
             if i + 1 < self.layers.len() {
-                cur.map_inplace(|v| v.max(0.0));
+                y.map_inplace(|v| v.max(0.0));
             }
+            cur = Some(y);
         }
-        cur
+        cur.unwrap_or_else(|| x.clone())
     }
 
     /// Class probabilities.
@@ -128,25 +130,26 @@ impl Mlp {
 
     /// Forward pass that keeps the activations needed for backward.
     pub fn forward_cached(&self, x: &Tensor) -> ForwardCache {
+        // Layer i reads its input from `activations[i]`, so the batch is
+        // copied once, into `activations[0]`.
         let mut activations = vec![x.clone()];
         let mut pre_activations = Vec::new();
-        let mut cur = x.clone();
+        let mut logits = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward(&cur);
+            let pre = layer.forward(&activations[i]);
             if i + 1 < self.layers.len() {
-                pre_activations.push(pre.clone());
-                let mut act = pre;
+                let mut act = pre.clone();
                 act.map_inplace(|v| v.max(0.0));
-                activations.push(act.clone());
-                cur = act;
+                pre_activations.push(pre);
+                activations.push(act);
             } else {
-                cur = pre;
+                logits = Some(pre);
             }
         }
         ForwardCache {
+            logits: logits.unwrap_or_else(|| x.clone()),
             activations,
             pre_activations,
-            logits: cur,
         }
     }
 

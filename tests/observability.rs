@@ -13,6 +13,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use ofl_w3::core::config::{MarketConfig, PartitionScheme};
 use ofl_w3::core::engine::{EngineConfig, EngineReport, MultiMarket};
+use ofl_w3::core::market::{Marketplace, SessionReport};
 use ofl_w3::core::world::{ShardConfig, ShardSpec, DEFAULT_TX_WIRE_BYTES};
 use ofl_w3::netsim::par::{parallel_enabled, set_parallel};
 use ofl_w3::rpc::{provision_socket_provider, RemoteEndpoint};
@@ -193,6 +194,38 @@ fn serial_and_parallel_executors_merge_identical_traces() {
         serial == parallel,
         "serial and parallel executors must merge to identical traces"
     );
+}
+
+/// The leave-one-out coalitions of a PFNM market fan out over the fork/join
+/// executor; its item-ordered merge must leave every drop accuracy,
+/// contribution and payment exactly where the serial loop puts it.
+#[test]
+fn serial_and_parallel_loo_price_owners_identically() {
+    let _guard = trace_lock();
+    let was_parallel = parallel_enabled();
+    let run = |parallel: bool| {
+        set_parallel(parallel);
+        let (_, report) = Marketplace::run(MarketConfig::small_test()).expect("pfnm market");
+        report
+    };
+    let serial = run(false);
+    let parallel = run(true);
+    set_parallel(was_parallel);
+
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(serial.loo_drop_accuracies.len(), 4);
+    assert_eq!(
+        bits(&serial.loo_drop_accuracies),
+        bits(&parallel.loo_drop_accuracies)
+    );
+    assert_eq!(bits(&serial.contributions), bits(&parallel.contributions));
+    let rows = |r: &SessionReport| {
+        r.payments
+            .iter()
+            .map(|p| (p.address, p.amount_wei, p.receipt.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(rows(&serial), rows(&parallel));
 }
 
 /// Triage: two traces from different seeds diverge, and the diff names the
