@@ -17,6 +17,13 @@ fn bench_ecdsa(c: &mut Criterion) {
     let pk = public_key(&key).unwrap();
     let hash = keccak256(b"benchmark message");
     let sig = sign(&key, &hash).unwrap();
+    // A full-width key: the fixed-base multiply costs one addition per
+    // nonzero window, so a small key would time little more than the
+    // final inversion.
+    let wide_key = U256::from_be_bytes(&keccak256(b"benchmark key"));
+    group.bench_function("public_key", |b| {
+        b.iter(|| public_key(black_box(&wide_key)).unwrap())
+    });
     group.bench_function("sign", |b| {
         b.iter(|| sign(black_box(&key), black_box(&hash)))
     });

@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run -p ofl-bench --release --bin bench_session_engine`
 
-use ofl_bench::{header, write_bench, write_record};
+use ofl_bench::{header, write_record};
 use ofl_core::config::{MarketConfig, PartitionScheme};
 use ofl_core::engine::{EngineConfig, MultiMarket};
 use ofl_core::scenario::Scenario;
@@ -332,7 +332,4 @@ backend boundary, 8 owners (in-process vs rpcd over the frame codec):"
         backend_boundary_8_owners: boundary,
     };
     write_record("bench_session_engine", &record);
-    // The same record also lands in the durable perf trajectory at the
-    // repo root, where CI uploads it per PR.
-    write_bench("session_engine", &record);
 }

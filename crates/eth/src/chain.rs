@@ -203,6 +203,16 @@ pub struct CallResult {
     pub gas_used: u64,
 }
 
+/// A mempool entry: the transaction with the hash and sender `submit`
+/// computed, so mining never re-encodes, re-hashes or re-recovers it
+/// (recovery is deterministic, so the stored sender can never disagree
+/// with a re-run).
+struct Pooled {
+    tx: SignedTx,
+    hash: H256,
+    sender: H160,
+}
+
 /// The blockchain simulator.
 pub struct Chain {
     config: ChainConfig,
@@ -210,14 +220,10 @@ pub struct Chain {
     blocks: Vec<Block>,
     receipts: HashMap<H256, Receipt>,
     tx_index: HashMap<H256, SignedTx>,
-    mempool: Vec<SignedTx>,
+    mempool: Vec<Pooled>,
     base_fee: U256,
     /// Total wei burned via the base fee (EIP-1559).
     burned: U256,
-    /// Senders recovered at submission, so mining a pool transaction does
-    /// not pay `ecrecover` again on every block attempt (recovery is
-    /// deterministic, so the memo can never disagree with a re-run).
-    sender_memo: HashMap<H256, H160>,
     /// The raw event log: heads, logs, and pending transactions in publish
     /// order. Empty (and free) until [`Chain::enable_events`] — fleets
     /// without subscribers never buffer anything.
@@ -247,7 +253,6 @@ impl Chain {
             mempool: Vec::new(),
             base_fee,
             burned: U256::ZERO,
-            sender_memo: HashMap::new(),
             events: Vec::new(),
             event_seq: 0,
             events_enabled: false,
@@ -347,7 +352,7 @@ impl Chain {
 
     /// Whether a submitted transaction is still waiting in the mempool.
     pub fn is_pending(&self, hash: &H256) -> bool {
-        self.mempool.iter().any(|tx| tx.hash() == *hash)
+        self.mempool.iter().any(|p| p.hash == *hash)
     }
 
     /// `eth_getLogs`: collects logs matching `filter` from the inclusive
@@ -443,8 +448,7 @@ impl Chain {
             };
             self.publish(ChainEvent::Pending(event));
         }
-        self.sender_memo.insert(hash, sender);
-        self.mempool.push(tx);
+        self.mempool.push(Pooled { tx, hash, sender });
         Ok(hash)
     }
 
@@ -470,34 +474,29 @@ impl Chain {
         // block's base fee. The sort is stable, so submission order breaks
         // ties and a sender's equal-tip nonce run keeps its relative order.
         let base = self.base_fee;
-        pool.sort_by_key(|tx| std::cmp::Reverse(effective_tip(tx, &base)));
-        for tx in pool {
-            if gas_used_total + tx.request.gas_limit > self.config.gas_limit {
-                remaining.push(tx);
+        pool.sort_by_key(|p| std::cmp::Reverse(effective_tip(&p.tx, &base)));
+        for pooled in pool {
+            if gas_used_total + pooled.tx.request.gas_limit > self.config.gas_limit {
+                remaining.push(pooled);
                 continue;
             }
             // Not ready (future nonce): keep for a later block.
-            let sender = match self.sender_memo.get(&tx.hash()).copied() {
-                Some(s) => s,
-                None => match tx.recover_sender() {
-                    Ok(s) => s,
-                    Err(_) => continue, // drop unverifiable txs
-                },
-            };
-            if tx.request.nonce != self.state.nonce(&sender) {
-                if tx.request.nonce > self.state.nonce(&sender) {
-                    remaining.push(tx);
+            let nonce = self.state.nonce(&pooled.sender);
+            if pooled.tx.request.nonce != nonce {
+                if pooled.tx.request.nonce > nonce {
+                    remaining.push(pooled);
                 }
                 continue;
             }
-            match self.execute(&tx, &sender, number, timestamp) {
+            let Pooled { tx, hash, sender } = pooled;
+            match self.execute(&tx, hash, &sender, number, timestamp) {
                 Ok(receipt) => {
                     gas_used_total += receipt.gas_used;
                     for log in &receipt.logs {
                         bloom.accrue_log(log);
                     }
-                    included.push(tx.hash());
-                    self.tx_index.insert(tx.hash(), tx);
+                    included.push(hash);
+                    self.tx_index.insert(hash, tx);
                     receipts.push(receipt);
                 }
                 Err(_) => {
@@ -507,15 +506,6 @@ impl Chain {
             }
         }
         self.mempool = remaining;
-        // Only pool transactions can be mined again; drop memo entries for
-        // everything that left the pool this block.
-        if self.mempool.is_empty() {
-            self.sender_memo.clear();
-        } else {
-            let live: std::collections::HashSet<H256> =
-                self.mempool.iter().map(|tx| tx.hash()).collect();
-            self.sender_memo.retain(|h, _| live.contains(h));
-        }
 
         let header = Header {
             parent_hash,
@@ -599,6 +589,7 @@ impl Chain {
     fn execute(
         &mut self,
         tx: &SignedTx,
+        tx_hash: H256,
         sender: &H160,
         block_number: u64,
         timestamp: u64,
@@ -677,7 +668,7 @@ impl Chain {
             .wrapping_add(&U256::from(total_gas).wrapping_mul(&self.base_fee));
 
         Ok(Receipt {
-            tx_hash: tx.hash(),
+            tx_hash,
             status,
             gas_used: total_gas,
             effective_gas_price: price,

@@ -5,10 +5,18 @@
 //! RFC-6979 nonces, low-`s` normalized signatures, and public-key recovery
 //! (the `ecrecover` primitive that lets the chain derive a transaction's
 //! sender from its signature alone).
+//!
+//! The field and scalar layers run on module-local 4×64-bit limb helpers
+//! that the compiler inlines, so no field or scalar operation calls into
+//! the general-purpose [`U256`] arithmetic. `recover` and `verify` share
+//! one variable-base multiply, `u1·R + u2·G`: the GLV endomorphism splits
+//! `u1` into two ~128-bit halves that share their doublings, and the `G`
+//! term comes from a fixed-base table that needs none.
 
 use ofl_primitives::hotpath::{HotPhase, PhaseTimer};
-use ofl_primitives::u256::{U256, U512};
+use ofl_primitives::u256::U256;
 use ofl_primitives::{hmac_sha256, keccak256, H160};
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 /// The field prime `p = 2^256 - 2^32 - 977`.
@@ -43,69 +51,163 @@ pub const GY: U256 = U256([
     0x483ada7726a3c465,
 ]);
 
-/// `2^256 - p = 2^32 + 977`, the folding constant for fast reduction.
-const C: U256 = U256([0x1000003d1, 0, 0, 0]);
+/// Little-endian 64-bit limbs of a 256-bit value.
+type Limbs = [u64; 4];
 
-/// `2^256 - n` (about 2^129), the folding constant for fast scalar
-/// reduction mod the group order.
-const N_C: U256 = U256([0x402da1732fc9bebf, 0x4551231950b75fc4, 0x1, 0]);
+/// `2^256 - p = 2^32 + 977`, the folding constant for reduction mod `p`.
+const P_FOLD: Limbs = [0x1000003d1, 0, 0, 0];
 
-/// 512-bit addition with carry out (carry can only be 0 or 1 here because we
-/// only ever add values far below 2^512).
-fn u512_add(a: &U512, b: &U512) -> U512 {
-    let mut out = [0u64; 8];
-    let mut carry = 0u128;
-    for (i, limb) in out.iter_mut().enumerate() {
-        let sum = a.0[i] as u128 + b.0[i] as u128 + carry;
-        *limb = sum as u64;
-        carry = sum >> 64;
-    }
-    debug_assert_eq!(carry, 0, "u512_add overflow");
-    U512(out)
+/// `2^256 - n` (about 2^129), the folding constant for reduction mod `n`.
+const N_FOLD: Limbs = [0x402da1732fc9bebf, 0x4551231950b75fc4, 0x1, 0];
+
+/// `a + b + carry`: the low limb and the carry out.
+#[inline(always)]
+fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
 }
 
-/// Reduces a 512-bit product modulo `p` using the special form of the
-/// secp256k1 prime: `2^256 ≡ 2^32 + 977 (mod p)`, so the high half folds
-/// into the low half with one small multiplication. Two folds plus at most
-/// two conditional subtractions suffice.
-fn reduce_p(w: &U512) -> U256 {
-    let mut cur = *w;
-    // Fold until the high 256 bits are zero (at most 2 iterations: the first
-    // fold leaves hi ≤ 2^34, the second leaves hi = 0).
-    loop {
-        let hi = U256([cur.0[4], cur.0[5], cur.0[6], cur.0[7]]);
-        let lo = U256([cur.0[0], cur.0[1], cur.0[2], cur.0[3]]);
-        if hi.is_zero() {
-            let mut r = lo;
-            while r >= P {
-                r = r.wrapping_sub(&P);
-            }
-            return r;
-        }
-        cur = u512_add(&hi.widening_mul(&C), &U512::from_u256(&lo));
+/// `a - b - borrow` for `borrow ∈ {0, 1}`: the low limb and the borrow out.
+#[inline(always)]
+fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+    let t = (a as u128).wrapping_sub(b as u128 + borrow as u128);
+    (t as u64, (t >> 127) as u64)
+}
+
+/// 256-bit addition with the carry out.
+#[inline(always)]
+fn add4(a: &Limbs, b: &Limbs) -> (Limbs, u64) {
+    let mut r = [0u64; 4];
+    let mut carry = 0;
+    for i in 0..4 {
+        (r[i], carry) = adc(a[i], b[i], carry);
     }
+    (r, carry)
+}
+
+/// 256-bit subtraction with the borrow out.
+#[inline(always)]
+fn sub4(a: &Limbs, b: &Limbs) -> (Limbs, u64) {
+    let mut r = [0u64; 4];
+    let mut borrow = 0;
+    for i in 0..4 {
+        (r[i], borrow) = sbb(a[i], b[i], borrow);
+    }
+    (r, borrow)
+}
+
+/// The full 512-bit product, schoolbook (16 limb multiplies).
+#[inline(always)]
+fn mul_wide(a: &Limbs, b: &Limbs) -> [u64; 8] {
+    let mut w = [0u64; 8];
+    for i in 0..4 {
+        let mut carry = 0u64;
+        for j in 0..4 {
+            let t = w[i + j] as u128 + a[i] as u128 * b[j] as u128 + carry as u128;
+            w[i + j] = t as u64;
+            carry = (t >> 64) as u64;
+        }
+        w[i + 4] = carry;
+    }
+    w
+}
+
+/// The full 512-bit square: each of the six cross products once, doubled,
+/// plus the four diagonal squares (10 limb multiplies instead of 16).
+#[inline(always)]
+fn sqr_wide(a: &Limbs) -> [u64; 8] {
+    let mut w = [0u64; 8];
+    for i in 0..3 {
+        let mut carry = 0u64;
+        for j in i + 1..4 {
+            let t = w[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry as u128;
+            w[i + j] = t as u64;
+            carry = (t >> 64) as u64;
+        }
+        w[i + 4] = carry;
+    }
+    // Double the cross products; no cross product lands in limb 0.
+    for k in (1..8).rev() {
+        w[k] = (w[k] << 1) | (w[k - 1] >> 63);
+    }
+    let mut carry = 0u64;
+    for (i, &limb) in a.iter().enumerate() {
+        let sq = limb as u128 * limb as u128;
+        let (lo, c) = adc(w[2 * i], sq as u64, carry);
+        let (hi, c) = adc(w[2 * i + 1], (sq >> 64) as u64, c);
+        w[2 * i] = lo;
+        w[2 * i + 1] = hi;
+        carry = c;
+    }
+    w
+}
+
+/// Reduces `carry·2^256 + r` modulo `m = 2^256 - fold`, given that the
+/// value is below `2m`: it is at least `m` exactly when `carry` is set or
+/// adding `fold` carries out of 256 bits, and then `r + fold` (mod 2^256)
+/// is the difference.
+#[inline(always)]
+fn sub_if_ge(r: Limbs, carry: u64, fold: &Limbs) -> Limbs {
+    let (t, c) = add4(&r, fold);
+    if carry | c != 0 {
+        t
+    } else {
+        r
+    }
+}
+
+/// Reduces a 512-bit product modulo `p` in one pass, using the special form
+/// of the secp256k1 prime: `2^256 ≡ 2^32 + 977`, so the high half folds in
+/// with one limb multiply per limb, and the 34-bit spill with one more.
+#[inline(always)]
+fn reduce_wide_p(w: &[u64; 8]) -> Limbs {
+    let mut r = [0u64; 4];
+    let mut carry = 0u64;
+    for i in 0..4 {
+        let t = w[i] as u128 + w[i + 4] as u128 * P_FOLD[0] as u128 + carry as u128;
+        r[i] = t as u64;
+        carry = (t >> 64) as u64;
+    }
+    let t = r[0] as u128 + carry as u128 * P_FOLD[0] as u128;
+    r[0] = t as u64;
+    let mut c = (t >> 64) as u64;
+    for limb in r.iter_mut().skip(1) {
+        (*limb, c) = adc(*limb, 0, c);
+    }
+    // What is left is below 2^256 + 2^67 < 2p.
+    sub_if_ge(r, c, &P_FOLD)
+}
+
+/// One folding pass mod `n`: `lo + hi·(2^256 - n)` for the low four limbs
+/// `lo` of `w` and the `hi_len` limbs above them.
+#[inline(always)]
+fn fold_n(w: &[u64; 8], hi_len: usize) -> [u64; 8] {
+    let mut out = [w[0], w[1], w[2], w[3], 0, 0, 0, 0];
+    for i in 0..hi_len {
+        let mut carry = 0u64;
+        for j in 0..3 {
+            let t = out[i + j] as u128 + w[4 + i] as u128 * N_FOLD[j] as u128 + carry as u128;
+            out[i + j] = t as u64;
+            carry = (t >> 64) as u64;
+        }
+        for limb in out.iter_mut().skip(i + 3) {
+            (*limb, carry) = adc(*limb, 0, carry);
+        }
+    }
+    out
 }
 
 /// Reduces a 512-bit product modulo the group order `n` by the same
-/// folding trick as [`reduce_p`]: `2^256 ≡ 2^256 - n (mod n)` and the
-/// difference is only ~2^129, so a handful of folds replace bit-by-bit
-/// long division. Every ECDSA sign and recover runs hundreds of scalar
-/// multiplies through here (the Fermat inversions), so this is squarely
-/// on the fleet's signing hot path.
-fn reduce_n(w: &U512) -> U256 {
-    let mut cur = *w;
-    loop {
-        let hi = U256([cur.0[4], cur.0[5], cur.0[6], cur.0[7]]);
-        let lo = U256([cur.0[0], cur.0[1], cur.0[2], cur.0[3]]);
-        if hi.is_zero() {
-            let mut r = lo;
-            while r >= N {
-                r = r.wrapping_sub(&N);
-            }
-            return r;
-        }
-        cur = u512_add(&hi.widening_mul(&N_C), &U512::from_u256(&lo));
-    }
+/// folding trick as [`reduce_wide_p`]: `2^256 ≡ 2^256 - n (mod n)` and the
+/// difference is only ~2^129, so three fixed passes take the product below
+/// 2^386, then 2^260, then 2^256 + 2^134, and one conditional subtraction
+/// finishes.
+#[inline(always)]
+fn reduce_wide_n(w: &[u64; 8]) -> Limbs {
+    let w = fold_n(w, 4);
+    let w = fold_n(&w, 3);
+    let w = fold_n(&w, 1);
+    sub_if_ge([w[0], w[1], w[2], w[3]], w[4], &N_FOLD)
 }
 
 /// Field element in `F_p`, kept reduced.
@@ -121,11 +223,7 @@ impl Fe {
 
     /// Constructs from an integer, reducing mod `p`.
     pub fn new(v: U256) -> Fe {
-        if v >= P {
-            Fe(v.wrapping_sub(&P))
-        } else {
-            Fe(v)
-        }
+        Fe(U256(sub_if_ge(v.0, 0, &P_FOLD)))
     }
 
     /// The underlying reduced integer.
@@ -143,76 +241,84 @@ impl Fe {
         self.0.bit(0)
     }
 
+    #[inline]
     pub fn add(self, rhs: Fe) -> Fe {
-        let (sum, carry) = self.0.overflowing_add(&rhs.0);
-        let mut r = sum;
-        if carry || r >= P {
-            r = r.wrapping_sub(&P);
-        }
-        Fe(r)
+        let (sum, carry) = add4(&self.0 .0, &rhs.0 .0);
+        Fe(U256(sub_if_ge(sum, carry, &P_FOLD)))
     }
 
+    #[inline]
     pub fn sub(self, rhs: Fe) -> Fe {
-        if self.0 >= rhs.0 {
-            Fe(self.0.wrapping_sub(&rhs.0))
+        let (diff, borrow) = sub4(&self.0 .0, &rhs.0 .0);
+        if borrow == 0 {
+            Fe(U256(diff))
         } else {
-            Fe(P.wrapping_sub(&rhs.0).wrapping_add(&self.0))
+            // diff + p ≡ diff - (2^256 - p) (mod 2^256).
+            Fe(U256(sub4(&diff, &P_FOLD).0))
         }
     }
 
+    #[inline]
     pub fn neg(self) -> Fe {
-        if self.0.is_zero() {
+        if self.is_zero() {
             self
         } else {
-            Fe(P.wrapping_sub(&self.0))
+            Fe(U256(sub4(&P.0, &self.0 .0).0))
         }
     }
 
+    #[inline]
     pub fn mul(self, rhs: Fe) -> Fe {
-        Fe(reduce_p(&self.0.widening_mul(&rhs.0)))
+        Fe(U256(reduce_wide_p(&mul_wide(&self.0 .0, &rhs.0 .0))))
     }
 
+    #[inline]
     pub fn square(self) -> Fe {
-        self.mul(self)
+        Fe(U256(reduce_wide_p(&sqr_wide(&self.0 .0))))
     }
 
-    /// Small-scalar multiply (for the 2·, 3·, 8· constants in the group law).
-    pub fn mul_small(self, k: u64) -> Fe {
-        Fe(reduce_p(&self.0.widening_mul(&U256::from_u64(k))))
+    /// `self^(2^k)`: `k` squarings.
+    fn sqr_n(self, k: usize) -> Fe {
+        (0..k).fold(self, |acc, _| acc.square())
     }
 
-    /// Multiplicative inverse by Fermat (p is prime); `None` for zero.
+    /// The addition-chain prefix shared by [`Fe::inv`] and [`Fe::sqrt`]:
+    /// `self^(2^k - 1)` for the block lengths `k = 2, 22, 223` that the
+    /// binary forms of `p - 2` and `(p + 1)/4` consist of.
+    fn pow_blocks(self) -> (Fe, Fe, Fe) {
+        let x2 = self.square().mul(self);
+        let x3 = x2.square().mul(self);
+        let x6 = x3.sqr_n(3).mul(x3);
+        let x9 = x6.sqr_n(3).mul(x3);
+        let x11 = x9.sqr_n(2).mul(x2);
+        let x22 = x11.sqr_n(11).mul(x11);
+        let x44 = x22.sqr_n(22).mul(x22);
+        let x88 = x44.sqr_n(44).mul(x44);
+        let x176 = x88.sqr_n(88).mul(x88);
+        let x220 = x176.sqr_n(44).mul(x44);
+        let x223 = x220.sqr_n(3).mul(x3);
+        (x2, x22, x223)
+    }
+
+    /// Multiplicative inverse by Fermat (p is prime), over a fixed
+    /// addition chain for `p - 2` (255 squarings, 15 multiplies); `None`
+    /// for zero.
     pub fn inv(self) -> Option<Fe> {
         if self.is_zero() {
             return None;
         }
-        Some(self.pow(&P.wrapping_sub(&U256::from_u64(2))))
+        // p - 2 = [223 ones] 0 [22 ones] 0000 1 0 11 0 1 (high to low).
+        let (x2, x22, x223) = self.pow_blocks();
+        let t = x223.sqr_n(23).mul(x22).sqr_n(5).mul(self);
+        Some(t.sqr_n(3).mul(x2).sqr_n(2).mul(self))
     }
 
-    /// Exponentiation by squaring.
-    pub fn pow(self, e: &U256) -> Fe {
-        let mut result = Fe::ONE;
-        let mut base = self;
-        for i in 0..e.bits() {
-            if e.bit(i as usize) {
-                result = result.mul(base);
-            }
-            base = base.square();
-        }
-        result
-    }
-
-    /// Square root via `a^((p+1)/4)` (valid because `p ≡ 3 mod 4`);
-    /// `None` when `a` is a non-residue.
+    /// Square root via `a^((p+1)/4)` (valid because `p ≡ 3 mod 4`), over a
+    /// fixed addition chain; `None` when `a` is a non-residue.
     pub fn sqrt(self) -> Option<Fe> {
-        // (p + 1) / 4
-        let exp = U256([
-            0xffffffffbfffff0c,
-            0xffffffffffffffff,
-            0xffffffffffffffff,
-            0x3fffffffffffffff,
-        ]);
-        let cand = self.pow(&exp);
+        // (p + 1)/4 = [223 ones] 0 [22 ones] 0000 11 00 (high to low).
+        let (x2, x22, x223) = self.pow_blocks();
+        let cand = x223.sqr_n(23).mul(x22).sqr_n(6).mul(x2).sqr_n(2);
         if cand.square() == self {
             Some(cand)
         } else {
@@ -221,10 +327,42 @@ impl Fe {
     }
 }
 
-/// Scalar in `Z_n`, kept reduced. Arithmetic uses the `reduce_n` folding
-/// reduction — the Fermat inversions inside sign/recover run hundreds of
-/// scalar multiplies each, so generic long-division reduction here would
-/// dominate the whole signing path.
+/// The odd-window schedule for the low 129 bits of `n - 2`, after its
+/// block of 127 leading ones: each step squares `shift` times and then
+/// multiplies by `a^digit` (odd `digit ≤ 15`).
+const N_MINUS_2_TAIL: [(u8, u8); 26] = [
+    (5, 11),
+    (3, 5),
+    (4, 5),
+    (4, 7),
+    (5, 13),
+    (2, 3),
+    (5, 7),
+    (6, 13),
+    (5, 11),
+    (4, 13),
+    (3, 1),
+    (6, 5),
+    (10, 7),
+    (4, 7),
+    (5, 15),
+    (4, 15),
+    (5, 9),
+    (6, 11),
+    (4, 13),
+    (5, 3),
+    (6, 13),
+    (10, 13),
+    (4, 9),
+    (9, 9),
+    (4, 15),
+    (1, 1),
+];
+
+/// Scalar in `Z_n`, kept reduced. Arithmetic uses the `reduce_wide_n`
+/// folding reduction — the Fermat inversions inside sign/recover run
+/// hundreds of scalar multiplies each, so generic long-division reduction
+/// here would dominate the whole signing path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Scalar(U256);
 
@@ -235,11 +373,7 @@ impl Scalar {
     /// Constructs reducing mod `n`. One conditional subtraction is a full
     /// reduction: `2n > 2^256`, so any `U256` is below `2n`.
     pub fn new(v: U256) -> Scalar {
-        if v >= N {
-            Scalar(v.wrapping_sub(&N))
-        } else {
-            Scalar(v)
-        }
+        Scalar(U256(sub_if_ge(v.0, 0, &N_FOLD)))
     }
 
     /// Constructs only if already reduced and nonzero (strict validation for
@@ -274,43 +408,163 @@ impl Scalar {
     }
 
     pub fn add(self, rhs: Scalar) -> Scalar {
-        let (sum, carry) = self.0.overflowing_add(&rhs.0);
-        let mut r = sum;
-        if carry || r >= N {
-            r = r.wrapping_sub(&N);
-        }
-        Scalar(r)
+        let (sum, carry) = add4(&self.0 .0, &rhs.0 .0);
+        Scalar(U256(sub_if_ge(sum, carry, &N_FOLD)))
     }
 
     pub fn mul(self, rhs: Scalar) -> Scalar {
-        Scalar(reduce_n(&self.0.widening_mul(&rhs.0)))
+        Scalar(U256(reduce_wide_n(&mul_wide(&self.0 .0, &rhs.0 .0))))
+    }
+
+    fn square(self) -> Scalar {
+        Scalar(U256(reduce_wide_n(&sqr_wide(&self.0 .0))))
+    }
+
+    /// `self^(2^k)`: `k` squarings.
+    fn sqr_n(self, k: usize) -> Scalar {
+        (0..k).fold(self, |acc, _| acc.square())
     }
 
     pub fn neg(self) -> Scalar {
-        if self.0.is_zero() {
+        if self.is_zero() {
             self
         } else {
-            Scalar(N.wrapping_sub(&self.0))
+            Scalar(U256(sub4(&N.0, &self.0 .0).0))
         }
     }
 
-    /// Inverse by Fermat (n is prime), over the folding multiply; `None`
-    /// for zero.
+    /// Inverse by Fermat (n is prime), over a fixed addition chain for
+    /// `n - 2` (256 squarings, 43 multiplies); `None` for zero.
     pub fn inv(self) -> Option<Scalar> {
         if self.is_zero() {
             return None;
         }
-        let e = N.wrapping_sub(&U256::from_u64(2));
-        let mut result = Scalar(U256::ONE);
-        let mut base = self;
-        for i in 0..e.bits() {
-            if e.bit(i as usize) {
-                result = result.mul(base);
-            }
-            base = base.mul(base);
+        // n - 2 = [127 ones] 0 [128-bit tail]: the ones by doubling
+        // blocks, the tail by N_MINUS_2_TAIL over a, a³, …, a¹⁵.
+        let x2 = self.square().mul(self);
+        let x3 = x2.square().mul(self);
+        let x6 = x3.sqr_n(3).mul(x3);
+        let x12 = x6.sqr_n(6).mul(x6);
+        let x24 = x12.sqr_n(12).mul(x12);
+        let x48 = x24.sqr_n(24).mul(x24);
+        let x96 = x48.sqr_n(48).mul(x48);
+        let x120 = x96.sqr_n(24).mul(x24);
+        let x126 = x120.sqr_n(6).mul(x6);
+        let x127 = x126.square().mul(self);
+        let a2 = self.square();
+        let mut odd = [self; 8];
+        for i in 1..8 {
+            odd[i] = odd[i - 1].mul(a2);
         }
-        Some(result)
+        Some(N_MINUS_2_TAIL.iter().fold(x127, |t, &(shift, digit)| {
+            t.sqr_n(shift as usize).mul(odd[digit as usize / 2])
+        }))
     }
+
+    /// The GLV split: `(k1, k2)` with `k1 + k2·λ ≡ self (mod n)`, where
+    /// each of `k1`, `k2` is below 2^128 or within 2^128 of `n` (a
+    /// negative half). Follows libsecp256k1's `scalar_split_lambda`: round
+    /// `self·g_i / 2^384` and combine with the short lattice basis.
+    fn split_lambda(self) -> (Scalar, Scalar) {
+        let c1 = mul_shift_384(&self.0 .0, &GLV_G1);
+        let c2 = mul_shift_384(&self.0 .0, &GLV_G2);
+        let k2 = c1.mul(GLV_MINUS_B1).add(c2.mul(GLV_MINUS_B2));
+        let k1 = self.add(k2.mul(LAMBDA).neg());
+        (k1, k2)
+    }
+}
+
+/// `round(k·g / 2^384)`, below 2^128 for `k, g < 2^256`.
+fn mul_shift_384(k: &Limbs, g: &Limbs) -> Scalar {
+    let w = mul_wide(k, g);
+    let (lo, carry) = adc(w[6], w[5] >> 63, 0);
+    Scalar(U256([lo, w[7] + carry, 0, 0]))
+}
+
+/// `λ`, a cube root of unity mod `n`: `λ·(x, y) = (β·x, y)` for every
+/// point (Gallant–Lambert–Vanstone, CRYPTO 2001).
+const LAMBDA: Scalar = Scalar(U256([
+    0xdf02967c1b23bd72,
+    0x122e22ea20816678,
+    0xa5261c028812645a,
+    0x5363ad4cc05c30e0,
+]));
+
+/// `β`, the cube root of unity mod `p` that pairs with [`LAMBDA`].
+const BETA: Fe = Fe(U256([
+    0xc1396c28719501ee,
+    0x9cf0497512f58995,
+    0x6e64479eac3434e9,
+    0x7ae96a2b657c0710,
+]));
+
+/// `round(2^384 · b2 / n)` for the lattice basis `(a1, b1), (a2, b2)`.
+const GLV_G1: Limbs = [
+    0xe893209a45dbb031,
+    0x3daa8a1471e8ca7f,
+    0xe86c90e49284eb15,
+    0x3086d221a7d46bcd,
+];
+
+/// `round(2^384 · (-b1) / n)`.
+const GLV_G2: Limbs = [
+    0x1571b4ae8ac47f71,
+    0x221208ac9df506c6,
+    0x6f547fa90abfe4c4,
+    0xe4437ed6010e8828,
+];
+
+/// `-b1 mod n`.
+const GLV_MINUS_B1: Scalar = Scalar(U256([0x6f547fa90abfe4c3, 0xe4437ed6010e8828, 0, 0]));
+
+/// `-b2 mod n`.
+const GLV_MINUS_B2: Scalar = Scalar(U256([
+    0xd765cda83db1562c,
+    0x8a280ac50774346d,
+    0xfffffffffffffffe,
+    0xffffffffffffffff,
+]));
+
+/// Width of the signed-digit (wNAF) recoding: digits are odd and within
+/// ±15, so a base point needs its 8 odd multiples `P, 3P, …, 15P`.
+const WNAF_W: usize = 5;
+
+/// Bits `i..i + count` of `e` (zero past bit 255), for `count < 64`.
+fn bits_at(e: &Limbs, i: usize, count: usize) -> u64 {
+    if i >= 256 {
+        return 0;
+    }
+    let (limb, off) = (i / 64, i % 64);
+    let mut v = e[limb] >> off;
+    if off + count > 64 && limb + 1 < 4 {
+        v |= e[limb + 1] << (64 - off);
+    }
+    v & ((1 << count) - 1)
+}
+
+/// The width-[`WNAF_W`] NAF of `k`, read as the signed value `k` or
+/// `k - n`, whichever is shorter: digits least significant first, and the
+/// number of positions up to the last nonzero digit. A digit never lands
+/// past the magnitude's top bit plus one.
+fn wnaf(k: &Scalar) -> ([i8; 257], usize) {
+    let (mag, sign) = if k.is_high() { (k.neg(), -1) } else { (*k, 1) };
+    let e = &mag.0 .0;
+    let nbits = mag.0.bits() as usize;
+    let mut digits = [0i8; 257];
+    let (mut bit, mut carry, mut len) = (0usize, 0u64, 0usize);
+    while bit <= nbits {
+        if bits_at(e, bit, 1) == carry {
+            bit += 1;
+            continue;
+        }
+        let mut word = (bits_at(e, bit, WNAF_W) + carry) as i32;
+        carry = (word >> (WNAF_W - 1)) as u64 & 1;
+        word -= (carry << WNAF_W) as i32;
+        digits[bit] = (sign * word) as i8;
+        len = bit + 1;
+        bit += WNAF_W;
+    }
+    (digits, len)
 }
 
 /// A point on the curve in affine coordinates, or infinity.
@@ -321,6 +575,9 @@ pub enum Affine {
     /// A finite point (x, y) satisfying the curve equation.
     Point { x: Fe, y: Fe },
 }
+
+/// The curve constant `b = 7`.
+const SEVEN: Fe = Fe(U256([7, 0, 0, 0]));
 
 impl Affine {
     /// The generator `G`.
@@ -337,7 +594,7 @@ impl Affine {
             Affine::Infinity => true,
             Affine::Point { x, y } => {
                 let lhs = y.square();
-                let rhs = x.square().mul(*x).add(Fe::new(U256::from_u64(7)));
+                let rhs = x.square().mul(*x).add(SEVEN);
                 lhs == rhs
             }
         }
@@ -346,7 +603,7 @@ impl Affine {
     /// Lifts an x-coordinate to a point with the requested y parity
     /// (`ecrecover`'s core step). `None` if x is not on the curve.
     pub fn lift_x(x: Fe, odd_y: bool) -> Option<Affine> {
-        let y2 = x.square().mul(x).add(Fe::new(U256::from_u64(7)));
+        let y2 = x.square().mul(x).add(SEVEN);
         let mut y = y2.sqrt()?;
         if y.is_odd() != odd_y {
             y = y.neg();
@@ -423,6 +680,14 @@ impl Jacobian {
         }
     }
 
+    /// The inverse point `(X, -Y, Z)`.
+    fn neg(&self) -> Jacobian {
+        Jacobian {
+            y: self.y.neg(),
+            ..*self
+        }
+    }
+
     /// Point doubling (a = 0 specialization, dbl-2009-l formulas).
     pub fn double(&self) -> Jacobian {
         if self.is_infinity() || self.y.is_zero() {
@@ -431,16 +696,19 @@ impl Jacobian {
         let a = self.x.square();
         let b = self.y.square();
         let c = b.square();
-        let d = self.x.add(b).square().sub(a).sub(c).mul_small(2);
-        let e = a.mul_small(3);
+        let d = self.x.add(b).square().sub(a).sub(c);
+        let d = d.add(d);
+        let e = a.add(a).add(a);
         let f = e.square();
-        let x3 = f.sub(d.mul_small(2));
-        let y3 = e.mul(d.sub(x3)).sub(c.mul_small(8));
-        let z3 = self.y.mul(self.z).mul_small(2);
+        let x3 = f.sub(d.add(d));
+        let c2 = c.add(c);
+        let c4 = c2.add(c2);
+        let y3 = e.mul(d.sub(x3)).sub(c4.add(c4));
+        let yz = self.y.mul(self.z);
         Jacobian {
             x: x3,
             y: y3,
-            z: z3,
+            z: yz.add(yz),
         }
     }
 
@@ -465,12 +733,14 @@ impl Jacobian {
             return Jacobian::INFINITY;
         }
         let h = u2.sub(u1);
-        let i = h.mul_small(2).square();
+        let i = h.add(h).square();
         let j = h.mul(i);
-        let r = s2.sub(s1).mul_small(2);
+        let r = s2.sub(s1);
+        let r = r.add(r);
         let v = u1.mul(i);
-        let x3 = r.square().sub(j).sub(v.mul_small(2));
-        let y3 = r.mul(v.sub(x3)).sub(s1.mul(j).mul_small(2));
+        let x3 = r.square().sub(j).sub(v.add(v));
+        let s1j = s1.mul(j);
+        let y3 = r.mul(v.sub(x3)).sub(s1j.add(s1j));
         let z3 = self.z.add(other.z).square().sub(z1z1).sub(z2z2).mul(h);
         Jacobian {
             x: x3,
@@ -479,97 +749,161 @@ impl Jacobian {
         }
     }
 
-    /// Scalar multiplication via a 4-bit window: 15 precomputed multiples,
-    /// then four doublings plus at most one addition per scalar nibble —
-    /// about half the additions of plain double-and-add for a full-width
-    /// scalar. Same group element as [`Jacobian::scalar_mul_binary`]
-    /// (regression-pinned in the tests); `ecrecover` runs one of these per
-    /// mined transaction.
-    pub fn scalar_mul(&self, k: &Scalar) -> Jacobian {
-        let e = k.to_u256();
-        if e.is_zero() || self.is_infinity() {
+    /// Mixed addition of a finite affine point `(x2, y2)` (madd-2007-bl:
+    /// `Z2 = 1` saves four multiplies and a square over [`Jacobian::add`]).
+    fn add_affine(&self, (x2, y2): (Fe, Fe)) -> Jacobian {
+        if self.is_infinity() {
+            return Jacobian {
+                x: x2,
+                y: y2,
+                z: Fe::ONE,
+            };
+        }
+        let z1z1 = self.z.square();
+        let u2 = x2.mul(z1z1);
+        let s2 = y2.mul(self.z).mul(z1z1);
+        if u2 == self.x {
+            if s2 == self.y {
+                return self.double();
+            }
             return Jacobian::INFINITY;
         }
-        let mut multiples = [*self; 15];
-        for i in 1..15 {
-            multiples[i] = multiples[i - 1].add(self);
+        let h = u2.sub(self.x);
+        let hh = h.square();
+        let i = hh.add(hh);
+        let i = i.add(i);
+        let j = h.mul(i);
+        let r = s2.sub(self.y);
+        let r = r.add(r);
+        let v = self.x.mul(i);
+        let x3 = r.square().sub(j).sub(v.add(v));
+        let y1j = self.y.mul(j);
+        let y3 = r.mul(v.sub(x3)).sub(y1j.add(y1j));
+        let z3 = self.z.add(h).square().sub(z1z1).sub(hh);
+        Jacobian {
+            x: x3,
+            y: y3,
+            z: z3,
         }
-        let top_window = (e.bits() as usize).div_ceil(4);
-        let mut acc = Jacobian::INFINITY;
-        for w in (0..top_window).rev() {
-            acc = acc.double().double().double().double();
-            let digit = ((e.0[w / 16] >> ((w % 16) * 4)) & 0xf) as usize;
-            if digit != 0 {
-                acc = acc.add(&multiples[digit - 1]);
-            }
-        }
-        acc
     }
 
-    /// Scalar multiplication by plain left-to-right double-and-add — the
-    /// reference path the windowed ladder is verified against.
-    pub fn scalar_mul_binary(&self, k: &Scalar) -> Jacobian {
-        let e = k.to_u256();
-        let mut acc = Jacobian::INFINITY;
-        let nbits = e.bits();
-        for i in (0..nbits).rev() {
-            acc = acc.double();
-            if e.bit(i as usize) {
-                acc = acc.add(self);
-            }
+    /// Adds `digit·P` for an odd wNAF digit, given `odd[i] = (2i + 1)·P`.
+    fn add_digit(&self, odd: &[Jacobian; 8], digit: i8) -> Jacobian {
+        let entry = &odd[digit.unsigned_abs() as usize / 2];
+        match digit.cmp(&0) {
+            Ordering::Greater => self.add(entry),
+            Ordering::Less => self.add(&entry.neg()),
+            Ordering::Equal => *self,
         }
-        acc
     }
 }
 
-/// Fixed-base precomputation for the generator: `TABLE[w][d - 1]` holds
-/// `(d · 16^w) · G` for windows `w ∈ 0..64` and digits `d ∈ 1..=15`, so a
-/// generator multiply is at most 63 additions with **zero doublings** —
-/// every transaction signature pays two generator multiplies (nonce point
-/// + RFC-6979 retries), and fleets sign tens of thousands of them.
-static G_TABLE: OnceLock<Vec<[Jacobian; 15]>> = OnceLock::new();
+/// Normalizes finite Jacobian points to affine `(x, y)` with one field
+/// inversion for the whole batch (Montgomery's trick): invert the product
+/// of every `Z`, then peel each point's own inverse off with two
+/// multiplies.
+fn batch_to_affine(points: &[Jacobian]) -> Vec<(Fe, Fe)> {
+    // prefix[i] = Z_0 · … · Z_{i-1}
+    let mut prefix = Vec::with_capacity(points.len());
+    let mut acc = Fe::ONE;
+    for p in points {
+        prefix.push(acc);
+        acc = acc.mul(p.z);
+    }
+    let mut inv = acc.inv().expect("finite points have nonzero Z");
+    let mut out = vec![(Fe::ZERO, Fe::ZERO); points.len()];
+    for (i, p) in points.iter().enumerate().rev() {
+        let zinv = inv.mul(prefix[i]);
+        inv = inv.mul(p.z);
+        let zinv2 = zinv.square();
+        out[i] = (p.x.mul(zinv2), p.y.mul(zinv2).mul(zinv));
+    }
+    out
+}
 
-fn g_table() -> &'static [[Jacobian; 15]] {
+/// Bits per window of the fixed-base generator table.
+const G_WINDOW: usize = 8;
+
+/// Nonzero digits per window: `1..=G_DIGITS`.
+const G_DIGITS: usize = (1 << G_WINDOW) - 1;
+
+/// Fixed-base precomputation for the generator: `TABLE[w][d - 1]` holds
+/// `(d · 256^w) · G` in affine coordinates for windows `w ∈ 0..32` and
+/// digits `d ∈ 1..=255`, so a generator multiply is at most 31 mixed
+/// additions with **zero doublings**. Each signature attempt pays one
+/// generator multiply (its nonce point), as does each `recover` and
+/// `verify` for its `G` term, and fleets sign tens of thousands of them.
+/// The table is 8,160 points (510 KiB), built once per process with one
+/// field inversion.
+static G_TABLE: OnceLock<Vec<[(Fe, Fe); G_DIGITS]>> = OnceLock::new();
+
+fn g_table() -> &'static [[(Fe, Fe); G_DIGITS]] {
     G_TABLE.get_or_init(|| {
-        let mut table = Vec::with_capacity(64);
+        let windows = 256 / G_WINDOW;
+        let mut points = Vec::with_capacity(windows * G_DIGITS);
         let mut base = Jacobian::from_affine(&Affine::generator());
-        for _ in 0..64 {
-            let mut entries = [Jacobian::INFINITY; 15];
+        for _ in 0..windows {
             let mut acc = base;
-            for slot in entries.iter_mut() {
-                *slot = acc;
+            for _ in 0..G_DIGITS {
+                points.push(acc);
                 acc = acc.add(&base);
             }
-            // After 15 additions acc = 16·base: the next window's unit.
-            table.push(entries);
+            // After G_DIGITS additions acc = 2^G_WINDOW·base: the next
+            // window's unit.
             base = acc;
         }
-        table
+        batch_to_affine(&points)
+            .chunks_exact(G_DIGITS)
+            .map(|window| window.try_into().expect("G_DIGITS per window"))
+            .collect()
     })
 }
 
-/// Multiplies the generator by `k` via the 4-bit fixed-base table. The
-/// result is the same group element as [`g_mul_double_and_add`], so every
-/// affine coordinate — and therefore every signature byte — is identical;
-/// only the wall-clock cost changes (regression-pinned in the tests).
+/// Multiplies the generator by `k` via the fixed-base table. The result
+/// is the same group element as plain double-and-add, so every affine
+/// coordinate — and therefore every signature byte — is identical; only
+/// the wall-clock cost changes (regression-pinned in the tests).
 pub fn g_mul(k: &Scalar) -> Jacobian {
-    let table = g_table();
-    let e = k.to_u256();
+    let e = &k.0 .0;
     let mut acc = Jacobian::INFINITY;
-    for (w, entries) in table.iter().enumerate() {
-        let digit = ((e.0[w / 16] >> ((w % 16) * 4)) & 0xf) as usize;
+    for (w, entries) in g_table().iter().enumerate() {
+        let digit = bits_at(e, w * G_WINDOW, G_WINDOW) as usize;
         if digit != 0 {
-            acc = acc.add(&entries[digit - 1]);
+            acc = acc.add_affine(entries[digit - 1]);
         }
     }
     acc
 }
 
-/// Multiplies the generator by `k` with plain left-to-right
-/// double-and-add — the reference path the precomputed table is verified
-/// against.
-pub fn g_mul_double_and_add(k: &Scalar) -> Jacobian {
-    Jacobian::from_affine(&Affine::generator()).scalar_mul_binary(k)
+/// `a·P + b·G`, the one variable-base multiply, shared by [`recover`] and
+/// [`verify`]. `a` is split with the GLV endomorphism into two ~128-bit
+/// halves whose wNAF digits are evaluated Straus–Shamir style against
+/// `P`'s odd multiples and their `λ`-images, so both halves share 128
+/// doublings; `b·G` comes from the fixed-base table. The same group
+/// element as double-and-add of each term (regression-pinned in the
+/// tests).
+fn mul_add_g(p: &Jacobian, a: &Scalar, b: &Scalar) -> Jacobian {
+    let (a1, a2) = a.split_lambda();
+    let (digits1, len1) = wnaf(&a1);
+    let (digits2, len2) = wnaf(&a2);
+    let p2 = p.double();
+    let mut odd = [*p; 8];
+    for i in 1..8 {
+        odd[i] = odd[i - 1].add(&p2);
+    }
+    // λ·(X, Y, Z) = (β·X, Y, Z): one field multiply per multiple.
+    let odd_lambda = odd.map(|q| Jacobian {
+        x: q.x.mul(BETA),
+        ..q
+    });
+    let mut acc = Jacobian::INFINITY;
+    for i in (0..len1.max(len2)).rev() {
+        acc = acc
+            .double()
+            .add_digit(&odd, digits1[i])
+            .add_digit(&odd_lambda, digits2[i]);
+    }
+    acc.add(&g_mul(b))
 }
 
 /// An ECDSA signature with recovery information.
@@ -718,9 +1052,7 @@ pub fn verify(public_key: &Affine, msg_hash: &[u8; 32], sig: &Signature) -> bool
     };
     let u1 = z.mul(sinv);
     let u2 = r.mul(sinv);
-    let point = g_mul(&u1)
-        .add(&Jacobian::from_affine(public_key).scalar_mul(&u2))
-        .to_affine();
+    let point = mul_add_g(&Jacobian::from_affine(public_key), &u2, &u1).to_affine();
     match point {
         Affine::Infinity => false,
         Affine::Point { x, .. } => Scalar::new(x.to_u256()) == r,
@@ -739,15 +1071,11 @@ pub fn recover(msg_hash: &[u8; 32], sig: &Signature) -> Result<Affine, EcdsaErro
     let z = Scalar::new(U256::from_be_bytes(msg_hash));
     let rinv = r.inv().ok_or(EcdsaError::InvalidSignature)?;
     // Q = r⁻¹(s·R − z·G) = (r⁻¹s)·R + (r⁻¹(−z))·G — folding the inverse
-    // into the scalars costs one arbitrary-point multiply plus one
-    // table-accelerated generator multiply, instead of two arbitrary-point
-    // multiplies on top of the generator one.
+    // into the scalars leaves one joint multiply: the R term with shared
+    // doublings, the G term from the fixed-base table.
     let u1 = rinv.mul(s);
     let u2 = rinv.mul(z.neg());
-    let q = Jacobian::from_affine(&r_point)
-        .scalar_mul(&u1)
-        .add(&g_mul(&u2))
-        .to_affine();
+    let q = mul_add_g(&Jacobian::from_affine(&r_point), &u1, &u2).to_affine();
     if q == Affine::Infinity {
         return Err(EcdsaError::RecoveryFailed);
     }
@@ -765,9 +1093,383 @@ pub fn recover_address(msg_hash: &[u8; 32], sig: &Signature) -> Result<H160, Ecd
 mod tests {
     use super::*;
     use ofl_primitives::hex::to_hex;
+    use ofl_primitives::u256::U512;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     fn fe_hex(s: &str) -> Fe {
         Fe::new(U256::from_hex_str(s).unwrap())
+    }
+
+    fn random_u256(rng: &mut StdRng) -> U256 {
+        U256([
+            rng.next_u64(),
+            rng.next_u64(),
+            rng.next_u64(),
+            rng.next_u64(),
+        ])
+    }
+
+    // ---- Oracles: the superseded production paths, kept as references. ----
+
+    /// Generic square-and-multiply: the oracle for the addition chains.
+    fn fe_pow(a: Fe, e: &U256) -> Fe {
+        let mut result = Fe::ONE;
+        let mut base = a;
+        for i in 0..e.bits() {
+            if e.bit(i as usize) {
+                result = result.mul(base);
+            }
+            base = base.square();
+        }
+        result
+    }
+
+    /// 512-bit addition (the operands never overflow here).
+    fn u512_add(a: &U512, b: &U512) -> U512 {
+        let mut out = [0u64; 8];
+        let mut carry = 0u128;
+        for (i, limb) in out.iter_mut().enumerate() {
+            let sum = a.0[i] as u128 + b.0[i] as u128 + carry;
+            *limb = sum as u64;
+            carry = sum >> 64;
+        }
+        assert_eq!(carry, 0, "u512_add overflow");
+        U512(out)
+    }
+
+    /// The looping 512-bit fold mod `p`: fold `hi·(2^32 + 977)` into the
+    /// low half until the high half is zero, then subtract `p` while it
+    /// fits.
+    fn reduce_p_looping(w: &U512) -> U256 {
+        let fold = U256(P_FOLD);
+        let mut cur = *w;
+        loop {
+            let hi = U256([cur.0[4], cur.0[5], cur.0[6], cur.0[7]]);
+            let lo = U256([cur.0[0], cur.0[1], cur.0[2], cur.0[3]]);
+            if hi.is_zero() {
+                let mut r = lo;
+                while r >= P {
+                    r = r.wrapping_sub(&P);
+                }
+                return r;
+            }
+            cur = u512_add(&hi.widening_mul(&fold), &U512::from_u256(&lo));
+        }
+    }
+
+    /// Plain left-to-right double-and-add: the reference every multiply
+    /// is checked against.
+    fn scalar_mul_binary(p: &Jacobian, k: &Scalar) -> Jacobian {
+        let e = k.to_u256();
+        let mut acc = Jacobian::INFINITY;
+        for i in (0..e.bits()).rev() {
+            acc = acc.double();
+            if e.bit(i as usize) {
+                acc = acc.add(p);
+            }
+        }
+        acc
+    }
+
+    /// The 4-bit windowed variable-base multiply `recover` and `verify`
+    /// used before the joint GLV/Straus multiply.
+    fn scalar_mul_windowed(p: &Jacobian, k: &Scalar) -> Jacobian {
+        let e = k.to_u256();
+        if e.is_zero() || p.is_infinity() {
+            return Jacobian::INFINITY;
+        }
+        let mut multiples = [*p; 15];
+        for i in 1..15 {
+            multiples[i] = multiples[i - 1].add(p);
+        }
+        let mut acc = Jacobian::INFINITY;
+        for w in (0..(e.bits() as usize).div_ceil(4)).rev() {
+            acc = acc.double().double().double().double();
+            let digit = ((e.0[w / 16] >> ((w % 16) * 4)) & 0xf) as usize;
+            if digit != 0 {
+                acc = acc.add(&multiples[digit - 1]);
+            }
+        }
+        acc
+    }
+
+    fn g_mul_double_and_add(k: &Scalar) -> Jacobian {
+        scalar_mul_binary(&Jacobian::from_affine(&Affine::generator()), k)
+    }
+
+    /// The recovery path before the joint multiply: the same validation,
+    /// a windowed multiply of R and a separate table multiply of G.
+    fn recover_oracle(msg_hash: &[u8; 32], sig: &Signature) -> Result<Affine, EcdsaError> {
+        let r = Scalar::from_canonical(sig.r).ok_or(EcdsaError::InvalidSignature)?;
+        let s = Scalar::from_canonical(sig.s).ok_or(EcdsaError::InvalidSignature)?;
+        if sig.recovery_id > 1 {
+            return Err(EcdsaError::InvalidSignature);
+        }
+        let r_point = Affine::lift_x(Fe::new(sig.r), sig.recovery_id & 1 == 1)
+            .ok_or(EcdsaError::RecoveryFailed)?;
+        let z = Scalar::new(U256::from_be_bytes(msg_hash));
+        let rinv = r.inv().ok_or(EcdsaError::InvalidSignature)?;
+        let q = scalar_mul_windowed(&Jacobian::from_affine(&r_point), &rinv.mul(s))
+            .add(&g_mul_double_and_add(&rinv.mul(z.neg())))
+            .to_affine();
+        if q == Affine::Infinity {
+            return Err(EcdsaError::RecoveryFailed);
+        }
+        Ok(q)
+    }
+
+    /// `a + b·λ (mod n)` for signed `a`, `b` given as magnitude and sign.
+    fn glv_combine(a: (U256, bool), b: (U256, bool)) -> U256 {
+        let signed = |(v, negative): (U256, bool)| {
+            let s = Scalar::new(v);
+            if negative {
+                s.neg()
+            } else {
+                s
+            }
+        };
+        signed(a).add(signed(b).mul(LAMBDA)).to_u256()
+    }
+
+    /// Magnitude of a scalar read as signed (`k` or `k - n`).
+    fn signed_bits(k: Scalar) -> u32 {
+        if k.is_high() {
+            k.neg().to_u256().bits()
+        } else {
+            k.to_u256().bits()
+        }
+    }
+
+    /// Scalars that stress every digit-recoding boundary: tiny values,
+    /// order-adjacent values, all-0xf nibbles, values with only the top
+    /// window set, and GLV splits whose halves land near ±2^128.
+    fn edge_scalars() -> Vec<U256> {
+        let two_128_m1 = U256::ONE.shl(128).wrapping_sub(&U256::ONE);
+        let two_127 = U256::ONE.shl(127);
+        let mut v = vec![
+            U256::ONE,
+            U256::from_u64(2),
+            U256::from_u64(15),
+            U256::from_u64(16),
+            U256::from_u64(0xdeadbeef),
+            U256::from_hex_str("4c0883a69102937d6231471b5dbb6204fe512961708279feb1be6ae5538da033")
+                .unwrap(),
+            N.wrapping_sub(&U256::from_u64(2)),
+            N.wrapping_sub(&U256::ONE),
+            U256::MAX,
+            U256::ONE.shl(252).wrapping_sub(&U256::ONE),
+            two_128_m1,
+            two_127,
+        ];
+        // Nibble and byte window boundaries, and values whose only nonzero
+        // digit is in the top window.
+        for bit in [4u32, 8, 60, 64, 124, 128, 248, 252, 255] {
+            v.push(U256::ONE.shl(bit));
+        }
+        for d in 1..=15u64 {
+            v.push(U256::from_u64(d).shl(252));
+        }
+        for d in [0x10u64, 0x80, 0xfe, 0xff] {
+            v.push(U256::from_u64(d).shl(248));
+        }
+        for (a, b) in [
+            ((two_128_m1, false), (two_128_m1, false)),
+            ((two_128_m1, true), (two_128_m1, false)),
+            ((two_128_m1, false), (two_128_m1, true)),
+            ((two_128_m1, true), (two_128_m1, true)),
+            ((two_127, false), (two_127, true)),
+            ((two_128_m1, false), (U256::ZERO, false)),
+            ((U256::ONE, false), (two_128_m1, false)),
+        ] {
+            v.push(glv_combine(a, b));
+        }
+        // Seeded scalars whose split has a half of the full 128 bits
+        // (about one in ten random scalars).
+        let mut rng = StdRng::seed_from_u64(128);
+        let full_width = (0..256)
+            .map(|_| Scalar::new(random_u256(&mut rng)))
+            .filter(|k| {
+                let (k1, k2) = k.split_lambda();
+                signed_bits(k1).max(signed_bits(k2)) == 128
+            })
+            .take(4);
+        v.extend(full_width.map(Scalar::to_u256));
+        v
+    }
+
+    // ---- Field and scalar layers against the U256 + div_rem reference. ----
+
+    #[test]
+    fn field_ops_match_div_rem_reference() {
+        let two_255 = U256::ONE.shl(255);
+        let mut values = vec![
+            U256::ZERO,
+            U256::ONE,
+            U256::from_u64(2),
+            P.wrapping_sub(&U256::from_u64(2)),
+            P.wrapping_sub(&U256::ONE),
+            two_255,
+            two_255.wrapping_sub(&U256::ONE),
+            U256::from_u64(0x1000003d1),
+        ];
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..12 {
+            values.push(random_u256(&mut rng).div_rem(&P).1);
+        }
+        let p_minus_2 = P.wrapping_sub(&U256::from_u64(2));
+        let sqrt_exp = P.wrapping_add(&U256::ONE).shr(2);
+        for &a in &values {
+            let fa = Fe::new(a);
+            assert_eq!(fa.to_u256(), a, "new a={a:?}");
+            assert_eq!(
+                fa.neg().to_u256(),
+                U256::ZERO.sub_mod(&a, &P),
+                "neg a={a:?}"
+            );
+            assert_eq!(fa.square().to_u256(), a.mul_mod(&a, &P), "square a={a:?}");
+            assert_eq!(fa.inv(), (!a.is_zero()).then(|| fe_pow(fa, &p_minus_2)));
+            if let Some(inv) = fa.inv() {
+                assert_eq!(inv.to_u256(), a.inv_mod_prime(&P).unwrap(), "inv a={a:?}");
+            }
+            // The old sqrt: the candidate a^((p+1)/4), kept iff it squares back.
+            let cand = fe_pow(fa, &sqrt_exp);
+            assert_eq!(fa.sqrt(), (cand.square() == fa).then_some(cand), "a={a:?}");
+            for &b in &values {
+                let fb = Fe::new(b);
+                assert_eq!(fa.add(fb).to_u256(), a.add_mod(&b, &P), "{a:?}+{b:?}");
+                assert_eq!(fa.sub(fb).to_u256(), a.sub_mod(&b, &P), "{a:?}-{b:?}");
+                let product = fa.mul(fb).to_u256();
+                assert_eq!(product, a.mul_mod(&b, &P), "{a:?}*{b:?}");
+                assert_eq!(product, reduce_p_looping(&a.widening_mul(&b)));
+            }
+        }
+        // Unreduced inputs: every U256 reduces like div_rem.
+        for v in [P, P.wrapping_add(&U256::ONE), U256::MAX] {
+            assert_eq!(Fe::new(v).to_u256(), v.div_rem(&P).1, "new v={v:?}");
+        }
+    }
+
+    #[test]
+    fn scalar_folding_reduction_matches_long_division() {
+        // reduce_wide_n against the generic div_rem reduction over products
+        // of order-adjacent, structured and seeded operands.
+        let mut values = vec![
+            U256::ZERO,
+            U256::ONE,
+            U256::from_u64(0xffff_ffff),
+            N.wrapping_sub(&U256::from_u64(2)),
+            N.wrapping_sub(&U256::ONE),
+            N.wrapping_add(&U256::ONE), // wraps mod 2^256: exercises Scalar::new too
+            U256::MAX,
+            U256::from_hex_str("8000000000000000000000000000000000000000000000000000000000000001")
+                .unwrap(),
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..8 {
+            values.push(random_u256(&mut rng));
+        }
+        for &a in &values {
+            let sa = Scalar::new(a);
+            assert_eq!(sa.to_u256(), a.div_rem(&N).1, "new a={a:?}");
+            let ra = a.div_rem(&N).1;
+            assert_eq!(sa.square().to_u256(), ra.mul_mod(&ra, &N), "square a={a:?}");
+            assert_eq!(sa.neg().to_u256(), U256::ZERO.sub_mod(&ra, &N));
+            for &b in &values {
+                let rb = b.div_rem(&N).1;
+                let fast = sa.mul(Scalar::new(b)).to_u256();
+                assert_eq!(fast, ra.mul_mod(&rb, &N), "a={a:?} b={b:?}");
+                assert_eq!(sa.add(Scalar::new(b)).to_u256(), ra.add_mod(&rb, &N));
+            }
+            // The addition chain agrees with Fermat over div_rem.
+            match sa.inv() {
+                None => assert!(ra.is_zero()),
+                Some(inv) => {
+                    assert_eq!(inv.to_u256(), ra.inv_mod_prime(&N).unwrap(), "a={a:?}");
+                    assert_eq!(sa.mul(inv).to_u256(), U256::ONE);
+                }
+            }
+        }
+        // Addition overflow fold: (n-1) + (n-1) ≡ n-2.
+        let nm1 = Scalar::new(N.wrapping_sub(&U256::ONE));
+        assert_eq!(nm1.add(nm1).to_u256(), N.wrapping_sub(&U256::from_u64(2)));
+    }
+
+    #[test]
+    fn addition_chains_spell_their_exponents() {
+        // Replay each chain's squarings and multiplies on the exponent
+        // itself: [127 ones] 0 followed by the tail windows must be n - 2.
+        let mut e = U256::ONE.shl(127).wrapping_sub(&U256::ONE);
+        for &(shift, digit) in &N_MINUS_2_TAIL {
+            assert_eq!(digit % 2, 1);
+            e = e
+                .shl(shift as u32)
+                .wrapping_add(&U256::from_u64(digit as u64));
+        }
+        assert_eq!(e, N.wrapping_sub(&U256::from_u64(2)));
+    }
+
+    // ---- Group law and multiplies against double-and-add. ----
+
+    #[test]
+    fn glv_constants_are_paired_cube_roots() {
+        let l2 = LAMBDA.mul(LAMBDA);
+        assert_eq!(l2.mul(LAMBDA).to_u256(), U256::ONE);
+        let b2 = BETA.mul(BETA);
+        assert_eq!(b2.mul(BETA), Fe::ONE);
+        // λ·G = (β·Gx, Gy).
+        let lg = g_mul_double_and_add(&LAMBDA).to_affine();
+        assert_eq!(
+            lg,
+            Affine::Point {
+                x: Fe::new(GX).mul(BETA),
+                y: Fe::new(GY)
+            }
+        );
+    }
+
+    #[test]
+    fn glv_split_recombines_into_short_halves() {
+        let mut scalars = edge_scalars();
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..64 {
+            scalars.push(random_u256(&mut rng));
+        }
+        let mut full_width = 0;
+        for v in scalars {
+            let k = Scalar::new(v);
+            let (k1, k2) = k.split_lambda();
+            assert_eq!(k1.add(k2.mul(LAMBDA)), k, "k={v:?}");
+            assert!(signed_bits(k1) <= 128, "k1 of {v:?}");
+            assert!(signed_bits(k2) <= 128, "k2 of {v:?}");
+            full_width += (signed_bits(k1).max(signed_bits(k2)) == 128) as usize;
+        }
+        // The edge set reaches the bound, not just stays under it.
+        assert!(full_width >= 4, "only {full_width} full-width splits");
+    }
+
+    #[test]
+    fn wnaf_digits_rebuild_the_signed_scalar() {
+        let mut scalars = edge_scalars();
+        scalars.push(U256::ZERO);
+        scalars.push(U256::from_u64(31));
+        scalars.push(N.shr(1));
+        scalars.push(N.shr(1).wrapping_add(&U256::ONE));
+        for v in scalars {
+            let k = Scalar::new(v);
+            let (digits, len) = wnaf(&k);
+            let mut acc = Scalar::ZERO;
+            for i in (0..digits.len()).rev() {
+                acc = acc.add(acc);
+                let d = digits[i];
+                assert!(d == 0 || (d % 2 != 0 && d.abs() <= 15), "digit {d}");
+                assert!(d == 0 || i < len, "digit past len");
+                let m = Scalar::new(U256::from_u64(d.unsigned_abs() as u64));
+                acc = if d < 0 { acc.add(m.neg()) } else { acc.add(m) };
+            }
+            assert_eq!(acc, k, "k={v:?}");
+            assert!(len <= signed_bits(k) as usize + 1, "k={v:?}");
+        }
     }
 
     #[test]
@@ -797,34 +1499,30 @@ mod tests {
     }
 
     #[test]
-    fn scalar_mul_matches_repeated_add() {
+    fn small_multiples_match_repeated_add() {
         let g = Jacobian::from_affine(&Affine::generator());
+        let p = g_mul(&Scalar::new(U256::from_u64(7)));
         let mut acc = Jacobian::INFINITY;
+        let mut acc_g = Jacobian::INFINITY;
         for k in 1..=20u64 {
-            acc = acc.add(&g);
-            let direct = g.scalar_mul(&Scalar::new(U256::from_u64(k)));
-            assert_eq!(acc.to_affine(), direct.to_affine(), "k={k}");
+            acc = acc.add(&p);
+            acc_g = acc_g.add(&g);
+            let k = Scalar::new(U256::from_u64(k));
+            let direct = mul_add_g(&p, &k, &Scalar::ZERO);
+            assert_eq!(acc.to_affine(), direct.to_affine(), "k={k:?}");
+            assert_eq!(acc_g.to_affine(), g_mul(&k).to_affine(), "k={k:?}");
+            let mixed = acc_g.add_affine((Fe::new(GX), Fe::new(GY)));
+            assert_eq!(mixed.to_affine(), acc_g.add(&g).to_affine(), "k={k:?}");
         }
+        // Mixed addition's special cases: P + P doubles, P + (-P) is O.
+        let g_xy = (Fe::new(GX), Fe::new(GY));
+        assert_eq!(g.add_affine(g_xy).to_affine(), g.double().to_affine());
+        assert!(g.neg().add_affine(g_xy).is_infinity());
     }
 
     #[test]
     fn fixed_base_table_matches_double_and_add() {
-        // Small scalars, structured scalars (one digit per window
-        // boundary), and group-order edge cases.
-        let mut scalars = vec![
-            U256::ONE,
-            U256::from_u64(2),
-            U256::from_u64(15),
-            U256::from_u64(16),
-            U256::from_u64(0xdeadbeef),
-            U256::from_hex_str("4c0883a69102937d6231471b5dbb6204fe512961708279feb1be6ae5538da033")
-                .unwrap(),
-            N.wrapping_sub(&U256::ONE),
-        ];
-        for w in [1u32, 15, 16, 31, 32, 63] {
-            scalars.push(U256::ONE.shl(w * 4));
-        }
-        for v in scalars {
+        for v in edge_scalars() {
             let k = Scalar::new(v);
             assert_eq!(
                 g_mul(&k).to_affine(),
@@ -832,6 +1530,46 @@ mod tests {
                 "k={v:?}"
             );
         }
+    }
+
+    #[test]
+    fn joint_multiply_matches_double_and_add() {
+        // a·P + b·G against both oracles, over edge scalars for a and a
+        // mix of edge, zero and seeded scalars for b.
+        let points = [
+            Jacobian::from_affine(&Affine::generator()),
+            g_mul(&Scalar::new(U256::from_u64(7))),
+            g_mul(&Scalar::new(N.wrapping_sub(&U256::ONE))),
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        for (i, v) in edge_scalars().into_iter().enumerate() {
+            let a = Scalar::new(v);
+            let b = match i % 3 {
+                0 => Scalar::ZERO,
+                1 => Scalar::new(random_u256(&mut rng)),
+                _ => a.neg(),
+            };
+            let p = &points[i % points.len()];
+            let expect = scalar_mul_binary(p, &a).add(&g_mul_double_and_add(&b));
+            let got = mul_add_g(p, &a, &b);
+            assert_eq!(got.to_affine(), expect.to_affine(), "a={v:?}");
+            if b.is_zero() {
+                assert_eq!(
+                    got.to_affine(),
+                    scalar_mul_windowed(p, &a).to_affine(),
+                    "a={v:?}"
+                );
+            }
+        }
+        // Terms that cancel: a·G + (n - a)·G = O.
+        let g = Jacobian::from_affine(&Affine::generator());
+        let a = Scalar::new(U256::from_u64(0xdeadbeef));
+        assert!(mul_add_g(&g, &a, &a.neg()).is_infinity());
+        // Terms that coincide: a·G + a·G = 2a·G.
+        assert_eq!(
+            mul_add_g(&g, &a, &a).to_affine(),
+            g_mul(&a.add(a)).to_affine()
+        );
     }
 
     #[test]
@@ -865,69 +1603,62 @@ mod tests {
     }
 
     #[test]
-    fn windowed_scalar_mul_matches_double_and_add() {
-        // An arbitrary point (7·G) against edge scalars: tiny, nibble
-        // boundaries, and order-adjacent values.
-        let p = g_mul(&Scalar::new(U256::from_u64(7)));
-        let mut scalars = vec![
-            U256::ZERO,
-            U256::ONE,
-            U256::from_u64(15),
-            U256::from_u64(16),
-            U256::from_u64(0xdeadbeef),
-            U256::from_hex_str("4c0883a69102937d6231471b5dbb6204fe512961708279feb1be6ae5538da033")
-                .unwrap(),
-            N.wrapping_sub(&U256::ONE),
-        ];
-        for w in [1u32, 15, 16, 31, 32, 63] {
-            scalars.push(U256::ONE.shl(w * 4));
-        }
-        for v in scalars {
-            let k = Scalar::new(v);
+    fn recover_of_sign_is_the_signers_address_over_seeded_keys() {
+        let mut rng = StdRng::seed_from_u64(42);
+        for i in 0..24u64 {
+            let key = random_u256(&mut rng);
+            let Some(d) = Scalar::from_canonical(key) else {
+                continue;
+            };
+            let expect = g_mul_double_and_add(&d).to_affine();
+            assert_eq!(public_key(&key).unwrap(), expect);
+            let h = keccak256(&key.to_be_bytes());
+            let sig = sign(&key, &h).unwrap();
+            assert_eq!(recover(&h, &sig), Ok(expect), "i={i}");
+            assert_eq!(recover(&h, &sig), recover_oracle(&h, &sig), "i={i}");
             assert_eq!(
-                p.scalar_mul(&k).to_affine(),
-                p.scalar_mul_binary(&k).to_affine(),
-                "k={v:?}"
+                recover_address(&h, &sig),
+                Ok(expect.to_eth_address().unwrap())
             );
+            assert!(verify(&expect, &h, &sig));
         }
     }
 
     #[test]
-    fn scalar_folding_reduction_matches_long_division() {
-        // reduce_n against the generic div_rem reduction over products of
-        // order-adjacent and structured operands.
-        let values = [
-            U256::ZERO,
-            U256::ONE,
-            U256::from_u64(0xffff_ffff),
-            N.wrapping_sub(&U256::ONE),
-            N.wrapping_add(&U256::ONE), // wraps mod 2^256: exercises Scalar::new too
-            U256::MAX,
-            U256::from_hex_str("8000000000000000000000000000000000000000000000000000000000000001")
-                .unwrap(),
+    fn garbage_signatures_fail_like_the_old_path() {
+        let h = keccak256(b"x");
+        // The smallest r that is not the x of any curve point.
+        let off_curve = (1u64..1000)
+            .map(U256::from_u64)
+            .find(|&x| Affine::lift_x(Fe::new(x), false).is_none())
+            .unwrap();
+        let on_curve = sign(&U256::from_u64(42), &h).unwrap().r;
+        let cases = [
+            (U256::ZERO, U256::ONE, 0, EcdsaError::InvalidSignature),
+            (N, U256::ONE, 0, EcdsaError::InvalidSignature),
+            (U256::MAX, U256::ONE, 0, EcdsaError::InvalidSignature),
+            (on_curve, U256::ZERO, 0, EcdsaError::InvalidSignature),
+            (on_curve, N, 1, EcdsaError::InvalidSignature),
+            (on_curve, U256::MAX, 0, EcdsaError::InvalidSignature),
+            (on_curve, U256::ONE, 2, EcdsaError::InvalidSignature),
+            (on_curve, U256::ONE, 3, EcdsaError::InvalidSignature),
+            (U256::ONE, U256::ONE, 5, EcdsaError::InvalidSignature),
+            (off_curve, U256::ONE, 0, EcdsaError::RecoveryFailed),
+            (off_curve, U256::ONE, 1, EcdsaError::RecoveryFailed),
         ];
-        for a in values {
-            assert_eq!(Scalar::new(a).to_u256(), a.div_rem(&N).1, "new a={a:?}");
-            for b in values {
-                let fast = Scalar::new(a).mul(Scalar::new(b)).to_u256();
-                let slow = a.div_rem(&N).1.mul_mod(&b.div_rem(&N).1, &N);
-                assert_eq!(fast, slow, "a={a:?} b={b:?}");
-            }
+        for (r, s, recovery_id, expect) in cases {
+            let sig = Signature { r, s, recovery_id };
+            assert_eq!(recover(&h, &sig), Err(expect), "{sig:?}");
+            assert_eq!(recover_oracle(&h, &sig), Err(expect), "{sig:?}");
         }
-        // Addition overflow fold: (n-1) + (n-1) ≡ n-2.
-        let nm1 = Scalar::new(N.wrapping_sub(&U256::ONE));
-        assert_eq!(nm1.add(nm1).to_u256(), N.wrapping_sub(&U256::from_u64(2)));
-        // Fermat inverse over the folding multiply agrees with the generic
-        // path and satisfies the inverse law.
-        for v in [
-            U256::from_u64(2),
-            U256::from_u64(0xdead),
-            N.wrapping_sub(&U256::ONE),
-        ] {
-            let s = Scalar::new(v);
-            let inv = s.inv().unwrap();
-            assert_eq!(inv.to_u256(), v.inv_mod_prime(&N).unwrap());
-            assert_eq!(s.mul(inv).to_u256(), U256::ONE);
+        // Garbage that still recovers (some key signed it) agrees too.
+        for recovery_id in 0..2 {
+            let sig = Signature {
+                r: on_curve,
+                s: U256::from_u64(12345),
+                recovery_id,
+            };
+            assert_eq!(recover(&h, &sig), recover_oracle(&h, &sig));
         }
     }
 
@@ -1035,38 +1766,6 @@ mod tests {
     }
 
     #[test]
-    fn recover_rejects_garbage() {
-        let h = keccak256(b"x");
-        assert!(recover(
-            &h,
-            &Signature {
-                r: U256::ZERO,
-                s: U256::ONE,
-                recovery_id: 0
-            }
-        )
-        .is_err());
-        assert!(recover(
-            &h,
-            &Signature {
-                r: N,
-                s: U256::ONE,
-                recovery_id: 0
-            }
-        )
-        .is_err());
-        assert!(recover(
-            &h,
-            &Signature {
-                r: U256::ONE,
-                s: U256::ONE,
-                recovery_id: 5
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
     fn invalid_private_keys_rejected() {
         assert_eq!(public_key(&U256::ZERO), Err(EcdsaError::InvalidPrivateKey));
         assert_eq!(public_key(&N), Err(EcdsaError::InvalidPrivateKey));
@@ -1083,7 +1782,7 @@ mod tests {
         // assuming: a^((p-1)/2) == p-1 for non-residues.
         let exp = P.wrapping_sub(&U256::ONE).shr(1);
         let five = Fe::new(U256::from_u64(5));
-        let euler = five.pow(&exp);
+        let euler = fe_pow(five, &exp);
         if euler == Fe::ONE {
             assert!(five.sqrt().is_some());
         } else {

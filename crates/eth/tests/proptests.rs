@@ -1,9 +1,11 @@
 //! Property-based tests over the blockchain substrate: transaction codec
-//! laws, ABI roundtrips, EVM arithmetic vs reference semantics, and ECDSA
-//! sign/verify/recover for arbitrary keys and messages.
+//! laws, ABI roundtrips, EVM arithmetic vs reference semantics, secp256k1
+//! field and scalar arithmetic vs the `U256` reference, and ECDSA
+//! sign/verify/recover for arbitrary keys, messages and garbage
+//! signatures.
 
 use ofl_eth::abi::{self, Type, Value};
-use ofl_eth::secp256k1::{self, N};
+use ofl_eth::secp256k1::{self, Affine, EcdsaError, Fe, Scalar, Signature, N, P};
 use ofl_eth::tx::{sign_tx, SignedTx, TxRequest};
 use ofl_primitives::u256::U256;
 use ofl_primitives::{keccak256, H160};
@@ -94,6 +96,95 @@ proptest! {
         let mut other = hash;
         other[flip % 32] ^= 0x01;
         prop_assert!(!secp256k1::verify(&pk, &other, &sig));
+    }
+}
+
+/// Values biased toward the reduction edges of both moduli (0, 1, m − 2,
+/// m − 1, m, 2^255, 2^256 − 1), mixed half and half with uniform ones.
+fn arb_edgy_u256() -> impl Strategy<Value = U256> {
+    let two = U256::from_u64(2);
+    let two_255 = U256::ONE.shl(255);
+    let edges = vec![
+        U256::ZERO,
+        U256::ONE,
+        P.wrapping_sub(&two),
+        P.wrapping_sub(&U256::ONE),
+        P,
+        N.wrapping_sub(&two),
+        N.wrapping_sub(&U256::ONE),
+        N,
+        two_255,
+        two_255.wrapping_sub(&U256::ONE),
+        U256::MAX,
+    ];
+    prop_oneof![proptest::sample::select(edges), arb_u256()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn field_ops_match_u256_reference(a in arb_edgy_u256(), b in arb_edgy_u256()) {
+        let (ra, rb) = (a.div_rem(&P).1, b.div_rem(&P).1);
+        let (fa, fb) = (Fe::new(a), Fe::new(b));
+        prop_assert_eq!(fa.to_u256(), ra);
+        prop_assert_eq!(fa.add(fb).to_u256(), ra.add_mod(&rb, &P));
+        prop_assert_eq!(fa.sub(fb).to_u256(), ra.sub_mod(&rb, &P));
+        prop_assert_eq!(fa.neg().to_u256(), U256::ZERO.sub_mod(&ra, &P));
+        prop_assert_eq!(fa.mul(fb).to_u256(), ra.mul_mod(&rb, &P));
+        prop_assert_eq!(fa.square().to_u256(), ra.mul_mod(&ra, &P));
+        prop_assert_eq!(fa.inv().map(Fe::to_u256), ra.inv_mod_prime(&P));
+        // sqrt is a^((p+1)/4), kept only when it squares back to a.
+        let cand = ra.pow_mod(&P.wrapping_add(&U256::ONE).shr(2), &P);
+        let root = (cand.mul_mod(&cand, &P) == ra).then_some(cand);
+        prop_assert_eq!(fa.sqrt().map(Fe::to_u256), root);
+    }
+
+    #[test]
+    fn scalar_ops_match_u256_reference(a in arb_edgy_u256(), b in arb_edgy_u256()) {
+        let (ra, rb) = (a.div_rem(&N).1, b.div_rem(&N).1);
+        let (sa, sb) = (Scalar::new(a), Scalar::new(b));
+        prop_assert_eq!(sa.to_u256(), ra);
+        prop_assert_eq!(sa.add(sb).to_u256(), ra.add_mod(&rb, &N));
+        prop_assert_eq!(sa.neg().to_u256(), U256::ZERO.sub_mod(&ra, &N));
+        prop_assert_eq!(sa.mul(sb).to_u256(), ra.mul_mod(&rb, &N));
+        prop_assert_eq!(sa.inv().map(Scalar::to_u256), ra.inv_mod_prime(&N));
+    }
+
+    #[test]
+    fn recover_of_sign_is_the_signers_address(
+        key in arb_private_key(),
+        msg in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let hash = keccak256(&msg);
+        let address = secp256k1::public_key(&key).unwrap().to_eth_address().unwrap();
+        let sig = secp256k1::sign(&key, &hash).unwrap();
+        prop_assert_eq!(secp256k1::recover_address(&hash, &sig), Ok(address));
+    }
+
+    #[test]
+    fn garbage_signatures_fail_with_stable_errors(
+        r in arb_edgy_u256(),
+        s in arb_edgy_u256(),
+        recovery_id in 0u8..4,
+        msg in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let hash = keccak256(&msg);
+        let sig = Signature { r, s, recovery_id };
+        let out_of_range = |v: U256| v.is_zero() || v >= N;
+        let got = secp256k1::recover(&hash, &sig);
+        if out_of_range(r) || out_of_range(s) || recovery_id > 1 {
+            prop_assert_eq!(got, Err(EcdsaError::InvalidSignature));
+        } else if Affine::lift_x(Fe::new(r), recovery_id == 1).is_none() {
+            prop_assert_eq!(got, Err(EcdsaError::RecoveryFailed));
+        } else {
+            // Some key signed it: the recovered key verifies it, unless s
+            // is the malleable high twin that verify rejects.
+            let q = got.unwrap();
+            prop_assert!(q.is_on_curve());
+            let high = Scalar::from_canonical(s).unwrap().is_high();
+            prop_assert_eq!(secp256k1::verify(&q, &hash, &sig), !high);
+        }
     }
 }
 
