@@ -1,14 +1,15 @@
 //! Micro-benchmarks of the blockchain substrate: ECDSA, transaction
-//! round-trips, and EVM execution of the CidStorage contract.
+//! round-trips, and EVM execution of the CidStorage contract on a small
+//! and a shard-sized state.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ofl_eth::chain::{Chain, ChainConfig};
-use ofl_eth::contracts::{cid_storage_init_code, CidStorage};
+use ofl_eth::contracts::{cid_storage_init_code, cid_storage_runtime, CidStorage};
 use ofl_eth::secp256k1::{public_key, recover, sign, verify};
 use ofl_eth::tx::{sign_tx, SignedTx, TxRequest};
 use ofl_eth::wallet::Wallet;
 use ofl_primitives::u256::U256;
-use ofl_primitives::{keccak256, wei_per_eth, H160};
+use ofl_primitives::{keccak256, wei_per_eth, H160, H256};
 
 fn bench_ecdsa(c: &mut Criterion) {
     let mut group = c.benchmark_group("secp256k1");
@@ -65,36 +66,40 @@ fn bench_tx(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_evm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("evm");
-    // Deploy once, then benchmark call execution through eth_call (pure EVM
-    // interpreter work: dispatch + keccak + storage reads).
-    let wallet = Wallet::from_seed("bench", 1);
-    let owner = wallet.addresses()[0];
-    let mut chain = Chain::new(ChainConfig::default(), &[(owner, wei_per_eth())]);
+/// Deploys `CidStorage` from `owner` and stores one CID in it, so `getCid`
+/// has work to do.
+fn deploy_cid_storage(chain: &mut Chain, wallet: &Wallet, owner: &H160) -> CidStorage {
     let hash = wallet
-        .send(
-            &mut chain,
-            &owner,
-            None,
-            U256::ZERO,
-            cid_storage_init_code(),
-        )
+        .send(chain, owner, None, U256::ZERO, cid_storage_init_code())
         .unwrap();
-    chain.mine_block(12);
+    chain.mine_block(12 * (chain.height() + 1));
     let contract = CidStorage::at(chain.receipt(&hash).unwrap().contract_address.unwrap());
-    // Store one CID so getCid has work to do.
     wallet
         .send(
-            &mut chain,
-            &owner,
+            chain,
+            owner,
             Some(contract.address),
             U256::ZERO,
             CidStorage::upload_cid_calldata("QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG"),
         )
         .unwrap();
-    chain.mine_block(24);
+    chain.mine_block(12 * (chain.height() + 1));
+    contract
+}
 
+/// Views and gas estimates run against the live state without copying it,
+/// so their cost must not grow with the state. The same rows run on a
+/// one-account chain (`evm`) and on a state shaped like one shard of a
+/// 10k-owner fleet (`evm_shard_state`): 2,500 funded accounts and 78
+/// `CidStorage` contracts with 64 occupied slots each.
+fn bench_evm(c: &mut Criterion) {
+    let wallet = Wallet::from_seed("bench", 1);
+    let owner = wallet.addresses()[0];
+    let upload = CidStorage::upload_cid_calldata("QmBenchmarkCidBenchmarkCidBenchmarkCidBench");
+
+    let mut chain = Chain::new(ChainConfig::default(), &[(owner, wei_per_eth())]);
+    let contract = deploy_cid_storage(&mut chain, &wallet, &owner);
+    let mut group = c.benchmark_group("evm");
     group.bench_function("eth_call_getCid", |b| {
         b.iter(|| contract.get_cid(black_box(&chain), &owner, 0).unwrap())
     });
@@ -102,8 +107,35 @@ fn bench_evm(c: &mut Criterion) {
         b.iter(|| contract.cid_count(black_box(&chain), &owner).unwrap())
     });
     group.bench_function("estimate_gas_uploadCid", |b| {
-        let data = CidStorage::upload_cid_calldata("QmBenchmarkCidBenchmarkCidBenchmarkCidBench");
-        b.iter(|| chain.estimate_gas(&owner, Some(&contract.address), black_box(&data)))
+        b.iter(|| chain.estimate_gas(&owner, Some(&contract.address), black_box(&upload)))
+    });
+    group.finish();
+
+    let filler = |tag: &str, i: u32| {
+        let mut seed = tag.as_bytes().to_vec();
+        seed.extend(i.to_be_bytes());
+        keccak256(&seed)
+    };
+    let mut genesis = vec![(owner, wei_per_eth())];
+    genesis
+        .extend((1..2_500).map(|i| (H160::from_slice(&filler("owner", i)[..20]), wei_per_eth())));
+    let mut shard = Chain::new(ChainConfig::default(), &genesis);
+    let contract = deploy_cid_storage(&mut shard, &wallet, &owner);
+    let state = shard.state_mut();
+    for i in 1..78 {
+        let address = H160::from_slice(&filler("contract", i)[..20]);
+        state.account_mut(&address).code = cid_storage_runtime();
+        for slot in 0..64 {
+            let key = H256::from_slice(&filler("slot", i * 64 + slot));
+            state.set_storage(&address, &key, U256::from(slot as u64 + 1));
+        }
+    }
+    let mut group = c.benchmark_group("evm_shard_state");
+    group.bench_function("eth_call_getCid", |b| {
+        b.iter(|| contract.get_cid(black_box(&shard), &owner, 0).unwrap())
+    });
+    group.bench_function("estimate_gas_uploadCid", |b| {
+        b.iter(|| shard.estimate_gas(&owner, Some(&contract.address), black_box(&upload)))
     });
     group.finish();
 }

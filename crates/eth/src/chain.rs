@@ -625,27 +625,16 @@ impl Chain {
         debug_assert!(req.gas_limit >= intrinsic, "validated at submit");
         let exec_gas = req.gas_limit - intrinsic;
 
-        // Everything past this point can roll back on failure, except the
-        // fee and nonce which stay.
-        let snapshot = self.state.snapshot();
-
-        let (status, mut gas_used, refund, logs, contract_address, output) = if req.is_create() {
-            self.execute_create(
-                req,
-                sender,
-                nonce_before,
-                price,
-                block_number,
-                timestamp,
-                exec_gas,
-            )
-        } else {
-            self.execute_call(req, sender, price, block_number, timestamp, exec_gas)
-        };
-
-        if status != TxStatus::Success {
-            self.state = snapshot;
-        }
+        // The fee and the nonce stay whatever the frame does.
+        let (status, mut gas_used, refund, logs, contract_address, output) = self.run_frame(
+            req,
+            sender,
+            nonce_before,
+            price,
+            block_number,
+            timestamp,
+            exec_gas,
+        );
 
         // EIP-3529 refund cap: at most gas_used / 5.
         let capped_refund = refund.min(gas_used / gas::MAX_REFUND_QUOTIENT);
@@ -680,8 +669,16 @@ impl Chain {
         })
     }
 
+    /// Runs a transaction's one frame. A creation runs `req.data` as init
+    /// code at the new contract address and pays for its code deposit; a
+    /// call runs the callee's code on `req.data` (a code-less callee is a
+    /// plain transfer: an empty frame that succeeds for no gas). The value
+    /// moves before the frame runs, and only a success commits the frame's
+    /// storage writes (and a creation's runtime code). Any failure moves
+    /// the value back and deletes a target account the transfer created,
+    /// which leaves the state exactly as it was.
     #[allow(clippy::too_many_arguments)]
-    fn execute_create(
+    fn run_frame(
         &mut self,
         req: &crate::tx::TxRequest,
         sender: &H160,
@@ -691,116 +688,18 @@ impl Chain {
         timestamp: u64,
         exec_gas: u64,
     ) -> ExecOutcome {
-        let new_address = create_address(sender, nonce_before);
-        // Endow the new contract with the transaction value.
-        if self
-            .state
-            .transfer(sender, &new_address, &req.value)
-            .is_err()
-        {
-            return (TxStatus::Failed, exec_gas, 0, Vec::new(), None, Vec::new());
+        let failed = (TxStatus::Failed, exec_gas, 0, Vec::new(), None, Vec::new());
+        let (target, calldata) = match req.to {
+            Some(to) => (to, req.data.clone()),
+            None => (create_address(sender, nonce_before), Vec::new()),
+        };
+        // `credit` creates the target's entry, so look before the transfer.
+        let existed = self.state.account(&target).is_some();
+        if self.state.transfer(sender, &target, &req.value).is_err() {
+            return failed;
         }
-        let env = self.env_for(
-            req,
-            sender,
-            new_address,
-            price,
-            block_number,
-            timestamp,
-            Vec::new(),
-        );
-        let result = Interpreter::new(&mut self.state, env, req.data.clone(), exec_gas).run();
-        match result.outcome {
-            Outcome::Success => {
-                let runtime = result.output;
-                let deposit_cost = gas::CODE_DEPOSIT_BYTE * runtime.len() as u64;
-                if result.gas_used + deposit_cost > exec_gas {
-                    return (TxStatus::Failed, exec_gas, 0, Vec::new(), None, Vec::new());
-                }
-                self.state.account_mut(&new_address).code = runtime;
-                (
-                    TxStatus::Success,
-                    result.gas_used + deposit_cost,
-                    result.refund,
-                    result.logs,
-                    Some(new_address),
-                    Vec::new(),
-                )
-            }
-            Outcome::Revert => (
-                TxStatus::Reverted,
-                result.gas_used,
-                0,
-                Vec::new(),
-                None,
-                result.output,
-            ),
-            _ => (TxStatus::Failed, exec_gas, 0, Vec::new(), None, Vec::new()),
-        }
-    }
-
-    fn execute_call(
-        &mut self,
-        req: &crate::tx::TxRequest,
-        sender: &H160,
-        price: U256,
-        block_number: u64,
-        timestamp: u64,
-        exec_gas: u64,
-    ) -> ExecOutcome {
-        let to = req.to.expect("call path requires recipient");
-        if self.state.transfer(sender, &to, &req.value).is_err() {
-            return (TxStatus::Failed, exec_gas, 0, Vec::new(), None, Vec::new());
-        }
-        let code = self.state.code(&to).to_vec();
-        if code.is_empty() {
-            // Plain value transfer: no execution.
-            return (TxStatus::Success, 0, 0, Vec::new(), None, Vec::new());
-        }
-        let env = self.env_for(
-            req,
-            sender,
-            to,
-            price,
-            block_number,
-            timestamp,
-            req.data.clone(),
-        );
-        let result = Interpreter::new(&mut self.state, env, code, exec_gas).run();
-        match result.outcome {
-            Outcome::Success => (
-                TxStatus::Success,
-                result.gas_used,
-                result.refund,
-                result.logs,
-                None,
-                result.output,
-            ),
-            Outcome::Revert => (
-                TxStatus::Reverted,
-                result.gas_used,
-                0,
-                Vec::new(),
-                None,
-                result.output,
-            ),
-            _ => (TxStatus::Failed, exec_gas, 0, Vec::new(), None, Vec::new()),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn env_for(
-        &self,
-        req: &crate::tx::TxRequest,
-        sender: &H160,
-        address: H160,
-        price: U256,
-        block_number: u64,
-        timestamp: u64,
-        calldata: Vec<u8>,
-    ) -> Env {
-        Env {
-            address,
+        let env = Env {
+            address: target,
             caller: *sender,
             origin: *sender,
             call_value: req.value,
@@ -811,36 +710,84 @@ impl Chain {
             gas_limit: self.config.gas_limit,
             chain_id: self.config.chain_id,
             base_fee: self.base_fee,
+        };
+        let (code, deposit_per_byte) = match req.to {
+            Some(_) => (self.state.code(&target), 0),
+            None => (&req.data[..], gas::CODE_DEPOSIT_BYTE),
+        };
+        let result = Interpreter::new(&self.state, env, code, exec_gas).run();
+        let deposit_cost = deposit_per_byte * result.output.len() as u64;
+        let outcome = match result.outcome {
+            Outcome::Success if result.gas_used + deposit_cost <= exec_gas => {
+                for (key, value) in &result.storage {
+                    self.state.set_storage(&target, key, *value);
+                }
+                let (created, output) = match req.to {
+                    Some(_) => (None, result.output),
+                    None => {
+                        self.state.account_mut(&target).code = result.output;
+                        (Some(target), Vec::new())
+                    }
+                };
+                let gas_used = result.gas_used + deposit_cost;
+                return (
+                    TxStatus::Success,
+                    gas_used,
+                    result.refund,
+                    result.logs,
+                    created,
+                    output,
+                );
+            }
+            Outcome::Revert => {
+                let output = result.output;
+                (
+                    TxStatus::Reverted,
+                    result.gas_used,
+                    0,
+                    Vec::new(),
+                    None,
+                    output,
+                )
+            }
+            _ => failed,
+        };
+        self.state
+            .transfer(&target, sender, &req.value)
+            .expect("a frame never spends its target's balance");
+        if !existed {
+            self.state.remove_account(&target);
         }
+        outcome
     }
 
-    /// Read-only call (`eth_call`): executes against a scratch copy of the
-    /// state. Free — this is why the paper's Step 5 "download CIDs" incurs
-    /// no gas fee.
-    pub fn call(&self, from: &H160, to: &H160, data: Vec<u8>) -> CallResult {
-        let code = self.state.code(to).to_vec();
-        if code.is_empty() {
-            return CallResult {
-                success: true,
-                output: Vec::new(),
-                gas_used: 0,
-            };
-        }
-        let env = Env {
-            address: *to,
+    /// The environment of a frame no transaction pays for (`eth_call`,
+    /// `eth_estimateGas`): no value, priced at the base fee, in the next
+    /// block.
+    fn view_env(&self, from: &H160, address: H160, calldata: Vec<u8>, timestamp: u64) -> Env {
+        Env {
+            address,
             caller: *from,
             origin: *from,
             call_value: U256::ZERO,
-            calldata: data,
+            calldata,
             gas_price: self.base_fee,
             block_number: self.height() + 1,
-            timestamp: self.latest_block().map(|b| b.header.timestamp).unwrap_or(0),
+            timestamp,
             gas_limit: self.config.gas_limit,
             chain_id: self.config.chain_id,
             base_fee: self.base_fee,
-        };
-        let mut scratch = self.state.clone();
-        let result = Interpreter::new(&mut scratch, env, code, self.config.gas_limit).run();
+        }
+    }
+
+    /// Read-only call (`eth_call`): runs against the current state and
+    /// drops the frame's writes. Free — this is why the paper's Step 5
+    /// "download CIDs" incurs no gas fee.
+    pub fn call(&self, from: &H160, to: &H160, data: Vec<u8>) -> CallResult {
+        let timestamp = self.latest_block().map(|b| b.header.timestamp).unwrap_or(0);
+        let env = self.view_env(from, *to, data, timestamp);
+        let code = self.state.code(to);
+        let result = Interpreter::new(&self.state, env, code, self.config.gas_limit).run();
         CallResult {
             success: result.is_success(),
             gas_used: result.gas_used,
@@ -858,22 +805,9 @@ impl Chain {
             }
             None => {
                 // Creation: simulate init execution + deposit.
-                let env = Env {
-                    address: create_address(from, self.state.nonce(from)),
-                    caller: *from,
-                    origin: *from,
-                    call_value: U256::ZERO,
-                    calldata: Vec::new(),
-                    gas_price: self.base_fee,
-                    block_number: self.height() + 1,
-                    timestamp: 0,
-                    gas_limit: self.config.gas_limit,
-                    chain_id: self.config.chain_id,
-                    base_fee: self.base_fee,
-                };
-                let mut scratch = self.state.clone();
-                let result =
-                    Interpreter::new(&mut scratch, env, data.to_vec(), self.config.gas_limit).run();
+                let address = create_address(from, self.state.nonce(from));
+                let env = self.view_env(from, address, Vec::new(), 0);
+                let result = Interpreter::new(&self.state, env, data, self.config.gas_limit).run();
                 gas::intrinsic_gas(data, true)
                     + result.gas_used
                     + gas::CODE_DEPOSIT_BYTE * result.output.len() as u64
@@ -1347,6 +1281,102 @@ mod tests {
         assert_eq!(fl.log.address, contract);
         let seqs: Vec<u64> = events.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
+    }
+
+    /// Signs `req` with key 0, mines it alone in the next block and
+    /// returns its receipt.
+    fn mine_one(chain: &mut Chain, req: TxRequest) -> Receipt {
+        let hash = chain.submit(sign_tx(req, &key(0)).unwrap()).unwrap();
+        chain.mine_block(12 * (chain.height() + 1));
+        chain.receipt(&hash).unwrap().clone()
+    }
+
+    fn create_req(chain: &Chain, value: u64, init: Vec<u8>) -> TxRequest {
+        TxRequest {
+            chain_id: chain.config().chain_id,
+            nonce: chain.nonce(&addr_of(&key(0))),
+            max_priority_fee_per_gas: U256::from(1_500_000_000u64),
+            max_fee_per_gas: U256::from(40_000_000_000u64),
+            gas_limit: 100_000,
+            to: None,
+            value: U256::from(value),
+            data: init,
+        }
+    }
+
+    // Init code: SSTORE(0, 1), then REVERT(0, 0).
+    const STORE_THEN_REVERT: [u8; 10] =
+        [0x60, 0x01, 0x60, 0x00, 0x55, 0x60, 0x00, 0x60, 0x00, 0xfd];
+
+    #[test]
+    fn failed_creation_at_a_fresh_address_leaves_no_account() {
+        let mut chain = funded_chain(1);
+        let sender = addr_of(&key(0));
+        let created = create_address(&sender, 0);
+        let before = chain.balance(&sender);
+        let req = create_req(&chain, 1_000, STORE_THEN_REVERT.to_vec());
+        let receipt = mine_one(&mut chain, req);
+        assert_eq!(receipt.status, TxStatus::Reverted);
+        assert_eq!(receipt.contract_address, None);
+        assert!(chain.state().account(&created).is_none());
+        // The sender paid the fee and got the value back.
+        assert_eq!(chain.balance(&sender), before.wrapping_sub(&receipt.fee));
+    }
+
+    #[test]
+    fn failed_creation_at_a_prefunded_address_keeps_its_prior_balance() {
+        let mut chain = funded_chain(1);
+        let sender = addr_of(&key(0));
+        let created = create_address(&sender, 0);
+        chain
+            .state_mut()
+            .credit(&created, &U256::from(777u64))
+            .unwrap();
+        let prior = chain.state().account(&created).unwrap().clone();
+        let req = create_req(&chain, 1_000, STORE_THEN_REVERT.to_vec());
+        let receipt = mine_one(&mut chain, req);
+        assert_eq!(receipt.status, TxStatus::Reverted);
+        assert_eq!(chain.state().account(&created), Some(&prior));
+        assert_eq!(chain.balance(&created), U256::from(777u64));
+    }
+
+    #[test]
+    fn creation_whose_code_deposit_exceeds_the_gas_left_leaves_no_account() {
+        // SSTORE(0, 1), then RETURN(0, 1000): 1,000 bytes of runtime cost
+        // 200,000 deposit gas, more than the 100,000 gas limit.
+        let init = vec![
+            0x60, 0x01, 0x60, 0x00, 0x55, 0x61, 0x03, 0xe8, 0x60, 0x00, 0xf3,
+        ];
+        let mut chain = funded_chain(1);
+        let sender = addr_of(&key(0));
+        let created = create_address(&sender, 0);
+        let before = chain.balance(&sender);
+        let req = create_req(&chain, 1_000, init);
+        let receipt = mine_one(&mut chain, req);
+        assert_eq!(receipt.status, TxStatus::Failed);
+        assert_eq!(receipt.gas_used, 100_000);
+        assert!(chain.state().account(&created).is_none());
+        assert_eq!(chain.balance(&sender), before.wrapping_sub(&receipt.fee));
+    }
+
+    #[test]
+    fn value_call_to_a_store_then_revert_contract_returns_the_value() {
+        let mut chain = funded_chain(1);
+        let sender = addr_of(&key(0));
+        let deploy = create_req(&chain, 0, crate::asm::deployment_code(&STORE_THEN_REVERT));
+        let contract = mine_one(&mut chain, deploy).contract_address.unwrap();
+        chain
+            .state_mut()
+            .set_storage(&contract, &H256::ZERO, U256::from(5u64));
+        let prior = chain.state().account(&contract).unwrap().clone();
+        let before = chain.balance(&sender);
+        let mut call = transfer_req(&chain, 0, contract, U256::from(1_000u64));
+        call.gas_limit = 100_000;
+        let receipt = mine_one(&mut chain, call);
+        assert_eq!(receipt.status, TxStatus::Reverted);
+        assert_eq!(chain.state().account(&contract), Some(&prior));
+        assert_eq!(chain.storage(&contract, &H256::ZERO), U256::from(5u64));
+        assert_eq!(chain.balance(&sender), before.wrapping_sub(&receipt.fee));
     }
 
     #[test]

@@ -5,14 +5,19 @@
 //! post-Berlin gas schedule from [`crate::gas`] (warm/cold access tracking
 //! per EIP-2929, simplified EIP-2200 `SSTORE` pricing, EIP-3529 refund cap).
 //!
+//! A frame only reads the world state: `SSTORE` writes into the frame's own
+//! write map, which [`ExecResult::storage`] hands back for the caller to
+//! commit or drop.
+//!
 //! Out of scope: inter-contract `CALL`s, `CREATE`-from-contract,
 //! `DELEGATECALL`/`STATICCALL`, precompiles, and `SELFDESTRUCT` — the
 //! OFL-W3 contracts never use them.
 
 use crate::gas;
+use crate::state::State;
 use ofl_primitives::u256::U256;
 use ofl_primitives::{keccak256, H160, H256};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Maximum stack depth, per the Yellow Paper.
 pub const STACK_LIMIT: usize = 1024;
@@ -42,16 +47,6 @@ pub struct Env {
     pub chain_id: u64,
     /// Current block base fee.
     pub base_fee: U256,
-}
-
-/// Storage and balance access the interpreter needs from the world state.
-pub trait Host {
-    /// Reads a storage slot of `address`.
-    fn sload(&self, address: &H160, key: &H256) -> U256;
-    /// Writes a storage slot of `address`.
-    fn sstore(&mut self, address: &H160, key: &H256, value: U256);
-    /// Account balance.
-    fn balance(&self, address: &H160) -> U256;
 }
 
 /// A log record emitted by `LOG0`–`LOG4`.
@@ -118,6 +113,9 @@ pub struct ExecResult {
     pub output: Vec<u8>,
     /// Logs emitted (only meaningful on success).
     pub logs: Vec<LogEntry>,
+    /// Final value of every storage slot of `Env::address` the frame
+    /// wrote, in slot order (only meaningful on success).
+    pub storage: BTreeMap<H256, U256>,
 }
 
 impl ExecResult {
@@ -128,10 +126,10 @@ impl ExecResult {
 }
 
 /// The interpreter for one call frame.
-pub struct Interpreter<'h, H: Host> {
-    host: &'h mut H,
+pub struct Interpreter<'a> {
+    state: &'a State,
     env: Env,
-    code: Vec<u8>,
+    code: &'a [u8],
     valid_jumpdests: HashSet<usize>,
     stack: Vec<U256>,
     memory: Vec<u8>,
@@ -144,8 +142,9 @@ pub struct Interpreter<'h, H: Host> {
     // which is identical for our single-frame transactions).
     warm_slots: HashSet<H256>,
     warm_accounts: HashSet<H160>,
-    // Slot values at call entry, for SSTORE original-value pricing.
-    original_slots: HashMap<H256, U256>,
+    // Slots written so far and their current values. The state does not
+    // change during a frame, so it still holds each slot's original value.
+    writes: BTreeMap<H256, U256>,
 }
 
 enum Control {
@@ -153,12 +152,12 @@ enum Control {
     Stop(Outcome, Vec<u8>),
 }
 
-impl<'h, H: Host> Interpreter<'h, H> {
-    /// Prepares a frame to run `code` with `gas` available.
-    pub fn new(host: &'h mut H, env: Env, code: Vec<u8>, gas: u64) -> Self {
-        let valid_jumpdests = scan_jumpdests(&code);
+impl<'a> Interpreter<'a> {
+    /// Prepares a frame to run `code` against `state` with `gas` available.
+    pub fn new(state: &'a State, env: Env, code: &'a [u8], gas: u64) -> Self {
+        let valid_jumpdests = scan_jumpdests(code);
         Interpreter {
-            host,
+            state,
             env,
             code,
             valid_jumpdests,
@@ -171,7 +170,7 @@ impl<'h, H: Host> Interpreter<'h, H> {
             logs: Vec::new(),
             warm_slots: HashSet::new(),
             warm_accounts: HashSet::new(),
-            original_slots: HashMap::new(),
+            writes: BTreeMap::new(),
         }
     }
 
@@ -199,17 +198,15 @@ impl<'h, H: Host> Interpreter<'h, H> {
     }
 
     fn finish(self, outcome: Outcome, output: Vec<u8>) -> ExecResult {
+        let success = outcome == Outcome::Success;
         ExecResult {
             gas_used: self.gas_limit_call - self.gas_remaining,
-            refund: if outcome == Outcome::Success {
-                self.refund
+            refund: if success { self.refund } else { 0 },
+            logs: if success { self.logs } else { Vec::new() },
+            storage: if success {
+                self.writes
             } else {
-                0
-            },
-            logs: if outcome == Outcome::Success {
-                self.logs
-            } else {
-                Vec::new()
+                BTreeMap::new()
             },
             outcome,
             output,
@@ -542,7 +539,7 @@ impl<'h, H: Host> Interpreter<'h, H> {
                     gas::ACCOUNT_WARM
                 };
                 self.charge(cost)?;
-                let bal = self.host.balance(&addr);
+                let bal = self.state.balance(&addr);
                 self.push(bal)?;
             }
             0x32 => {
@@ -660,7 +657,7 @@ impl<'h, H: Host> Interpreter<'h, H> {
             0x47 => {
                 // SELFBALANCE
                 self.charge(gas::LOW)?;
-                let bal = self.host.balance(&self.env.address);
+                let bal = self.state.balance(&self.env.address);
                 self.push(bal)?;
             }
             0x48 => {
@@ -715,15 +712,16 @@ impl<'h, H: Host> Interpreter<'h, H> {
                     gas::SLOAD_WARM
                 };
                 self.charge(cost)?;
-                let v = self.host.sload(&self.env.address, &key);
+                let v = self.writes.get(&key).copied();
+                let v = v.unwrap_or_else(|| self.state.storage(&self.env.address, &key));
                 self.push(v)?;
             }
             0x55 => {
                 // SSTORE (simplified EIP-2200/2929/3529)
                 let key = H256::from_u256(&self.pop()?);
                 let value = self.pop()?;
-                let current = self.host.sload(&self.env.address, &key);
-                let original = *self.original_slots.entry(key).or_insert(current);
+                let original = self.state.storage(&self.env.address, &key);
+                let current = self.writes.get(&key).copied().unwrap_or(original);
                 let cold = self.warm_slots.insert(key);
                 let mut cost = if cold { gas::SSTORE_COLD_SURCHARGE } else { 0 };
                 cost += if value == current {
@@ -742,7 +740,7 @@ impl<'h, H: Host> Interpreter<'h, H> {
                 if !current.is_zero() && value.is_zero() {
                     self.refund += gas::SSTORE_CLEAR_REFUND;
                 }
-                self.host.sstore(&self.env.address, &key, value);
+                self.writes.insert(key, value);
             }
             0x56 => {
                 // JUMP
@@ -939,28 +937,6 @@ fn signextend(k: &U256, x: &U256) -> U256 {
 mod tests {
     use super::*;
 
-    /// In-memory host for unit tests.
-    #[derive(Default)]
-    struct TestHost {
-        storage: HashMap<(H160, H256), U256>,
-        balances: HashMap<H160, U256>,
-    }
-
-    impl Host for TestHost {
-        fn sload(&self, address: &H160, key: &H256) -> U256 {
-            self.storage
-                .get(&(*address, *key))
-                .copied()
-                .unwrap_or(U256::ZERO)
-        }
-        fn sstore(&mut self, address: &H160, key: &H256, value: U256) {
-            self.storage.insert((*address, *key), value);
-        }
-        fn balance(&self, address: &H160) -> U256 {
-            self.balances.get(address).copied().unwrap_or(U256::ZERO)
-        }
-    }
-
     fn test_env() -> Env {
         Env {
             address: H160::from_slice(&[0x11; 20]),
@@ -982,8 +958,7 @@ mod tests {
     }
 
     fn run_with(code: &[u8], env: Env, gas: u64) -> ExecResult {
-        let mut host = TestHost::default();
-        Interpreter::new(&mut host, env, code.to_vec(), gas).run()
+        Interpreter::new(&State::new(), env, code, gas).run()
     }
 
     fn ret_top() -> Vec<u8> {
@@ -1074,23 +1049,72 @@ mod tests {
             0x60, 0x01, 0x54, // SLOAD(1)
             0x60, 0x00, 0x52, 0x60, 0x20, 0x60, 0x00, 0xf3,
         ];
-        let mut host = TestHost::default();
-        let r = Interpreter::new(&mut host, test_env(), code, 1_000_000).run();
+        let r = run(&code);
         assert_eq!(output_u256(&r), U256::from(0x42u64));
-        // Cold SSTORE-set: 2100 + 20000; warm SLOAD (same slot): 100.
-        // Plus pushes/mstore/return overhead (3*7 + 3 = 24ish).
-        assert!(r.gas_used > 22_100, "gas {}", r.gas_used);
-        assert!(r.gas_used < 23_000, "gas {}", r.gas_used);
+        // Cold SSTORE-set, then a warm SLOAD of the same slot, plus six
+        // pushes, one MSTORE and its one-word memory expansion.
+        let expect = gas::SSTORE_COLD_SURCHARGE
+            + gas::SSTORE_SET
+            + gas::SLOAD_WARM
+            + 7 * gas::VERY_LOW
+            + gas::memory_cost(1);
+        assert_eq!(r.gas_used, expect);
+        assert_eq!(r.gas_used, 22_224);
+        assert_eq!(
+            r.storage.into_iter().collect::<Vec<_>>(),
+            vec![(H256::from_u256(&U256::ONE), U256::from(0x42u64))]
+        );
+    }
+
+    #[test]
+    fn sstore_there_and_back_prices_current_against_original() {
+        // SSTORE(1, y) then SSTORE(1, x), from a state holding slot 1 = x.
+        let key = H256::from_u256(&U256::ONE);
+        let there_and_back = |x: u8, y: u8| {
+            let mut state = State::new();
+            state.set_storage(&test_env().address, &key, U256::from(x as u64));
+            let code = vec![0x60, y, 0x60, 0x01, 0x55, 0x60, x, 0x60, 0x01, 0x55, 0x00];
+            let r = Interpreter::new(&state, test_env(), &code, 100_000).run();
+            assert!(r.is_success());
+            // The frame never touched the state it read.
+            assert_eq!(
+                state.storage(&test_env().address, &key),
+                U256::from(x as u64)
+            );
+            assert_eq!(r.storage.get(&key), Some(&U256::from(x as u64)));
+            (r.gas_used, r.refund)
+        };
+        // x = 5 ≠ 0: the first write resets an original slot; the second
+        // finds current (7) ≠ original (5) and pays only the warm price.
+        let pushes = 4 * gas::VERY_LOW;
+        assert_eq!(
+            there_and_back(5, 7),
+            (
+                pushes + gas::SSTORE_COLD_SURCHARGE + gas::SSTORE_RESET + gas::SSTORE_WARM,
+                0
+            )
+        );
+        assert_eq!(there_and_back(5, 7).0, 5_112);
+        // x = 0: the first write sets a fresh slot; clearing it again is
+        // warm and earns the clearing refund.
+        assert_eq!(
+            there_and_back(0, 7),
+            (
+                pushes + gas::SSTORE_COLD_SURCHARGE + gas::SSTORE_SET + gas::SSTORE_WARM,
+                gas::SSTORE_CLEAR_REFUND
+            )
+        );
+        assert_eq!(there_and_back(0, 7).0, 22_212);
     }
 
     #[test]
     fn sstore_refund_on_clear() {
-        // Pre-set slot 1 = 5 in host, then SSTORE(1, 0).
-        let mut host = TestHost::default();
+        // Pre-set slot 1 = 5 in the state, then SSTORE(1, 0).
+        let mut state = State::new();
         let addr = test_env().address;
-        host.sstore(&addr, &H256::from_u256(&U256::ONE), U256::from(5u64));
+        state.set_storage(&addr, &H256::from_u256(&U256::ONE), U256::from(5u64));
         let code = vec![0x60, 0x00, 0x60, 0x01, 0x55, 0x00];
-        let r = Interpreter::new(&mut host, test_env(), code, 100_000).run();
+        let r = Interpreter::new(&state, test_env(), &code, 100_000).run();
         assert!(r.is_success());
         assert_eq!(r.refund, gas::SSTORE_CLEAR_REFUND);
     }
@@ -1278,9 +1302,9 @@ mod tests {
 
     #[test]
     fn balance_cold_then_warm() {
-        let mut host = TestHost::default();
+        let mut state = State::new();
         let who = H160::from_slice(&[0x77; 20]);
-        host.balances.insert(who, U256::from(123u64));
+        state.credit(&who, &U256::from(123u64)).unwrap();
         // BALANCE(who) twice; return second result.
         let mut code = vec![0x73];
         code.extend(who.0);
@@ -1290,7 +1314,7 @@ mod tests {
         code.extend(who.0);
         code.push(0x31); // warm
         code.extend(ret_top());
-        let r = Interpreter::new(&mut host, test_env(), code, 100_000).run();
+        let r = Interpreter::new(&state, test_env(), &code, 100_000).run();
         assert_eq!(output_u256(&r), U256::from(123u64));
         // cost contains one cold (2600) + one warm (100)
         assert!(r.gas_used > 2_700);

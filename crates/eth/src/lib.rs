@@ -13,7 +13,7 @@
 //! - [`asm`]: an EVM assembler with labels, used to author contracts.
 //! - [`contracts`]: the `CidStorage` contract from the paper's Fig 2, plus a
 //!   typed Rust client.
-//! - [`state`]: the account/world state with snapshot rollback.
+//! - [`state`]: the account/world state, which the EVM only reads.
 //! - [`block`] / [`chain`]: receipts, bloom filters, the mempool, PoA block
 //!   production on 12-second slots, and EIP-1559 base-fee dynamics.
 //! - [`wallet`]: the MetaMask analogue — seed-derived keys, fee summaries,

@@ -1,7 +1,7 @@
-//! World state: the account map (nonce, balance, code, storage) with
-//! snapshot/rollback support for failed transactions.
+//! World state: the account map (nonce, balance, code, storage). The EVM
+//! only reads it; the chain commits a frame's writes when the frame
+//! succeeds (see [`crate::chain`]).
 
-use crate::evm::Host;
 use ofl_primitives::u256::U256;
 use ofl_primitives::{H160, H256};
 use std::collections::HashMap;
@@ -143,11 +143,9 @@ impl State {
         }
     }
 
-    /// Full snapshot for transaction-level rollback. Account maps at our
-    /// scale are tiny (tens of entries), so a clone is simpler and safer
-    /// than a journal.
-    pub fn snapshot(&self) -> State {
-        self.clone()
+    /// Deletes an account outright (undoing a failed creation that made it).
+    pub fn remove_account(&mut self, address: &H160) {
+        self.accounts.remove(address);
     }
 
     /// Total wei across all accounts (conservation checks in tests).
@@ -173,20 +171,6 @@ impl State {
         let mut pairs: Vec<(&H160, &Account)> = self.accounts.iter().collect();
         pairs.sort_by_key(|(address, _)| **address);
         pairs.into_iter()
-    }
-}
-
-impl Host for State {
-    fn sload(&self, address: &H160, key: &H256) -> U256 {
-        self.storage(address, key)
-    }
-
-    fn sstore(&mut self, address: &H160, key: &H256, value: U256) {
-        self.set_storage(address, key, value);
-    }
-
-    fn balance(&self, address: &H160) -> U256 {
-        State::balance(self, address)
     }
 }
 
@@ -236,15 +220,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rollback() {
+    fn remove_account_forgets_it() {
         let mut st = State::new();
         st.credit(&addr(1), &U256::from(50u64)).unwrap();
-        let snap = st.snapshot();
-        st.debit(&addr(1), &U256::from(20u64)).unwrap();
-        st.set_storage(&addr(1), &H256::ZERO, U256::ONE);
-        st = snap;
+        st.credit(&addr(2), &U256::ZERO).unwrap();
+        assert_eq!(st.account_count(), 2);
+        st.remove_account(&addr(2));
+        assert!(st.account(&addr(2)).is_none());
+        assert_eq!(st.account_count(), 1);
         assert_eq!(st.balance(&addr(1)), U256::from(50u64));
-        assert_eq!(st.storage(&addr(1), &H256::ZERO), U256::ZERO);
     }
 
     #[test]
@@ -254,16 +238,5 @@ mod tests {
         st.bump_nonce(&addr(9));
         st.bump_nonce(&addr(9));
         assert_eq!(st.nonce(&addr(9)), 2);
-    }
-
-    #[test]
-    fn host_impl_delegates() {
-        let mut st = State::new();
-        let a = addr(5);
-        let k = H256::from_u256(&U256::from(7u64));
-        Host::sstore(&mut st, &a, &k, U256::from(11u64));
-        assert_eq!(Host::sload(&st, &a, &k), U256::from(11u64));
-        st.credit(&a, &U256::from(33u64)).unwrap();
-        assert_eq!(Host::balance(&st, &a), U256::from(33u64));
     }
 }

@@ -233,24 +233,8 @@ proptest! {
 /// operands pushed as immediates.
 mod evm_semantics {
     use super::*;
-    use ofl_eth::evm::{Env, Host, Interpreter};
-    use ofl_primitives::H256;
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    struct NullHost(HashMap<(H160, H256), U256>);
-
-    impl Host for NullHost {
-        fn sload(&self, a: &H160, k: &H256) -> U256 {
-            self.0.get(&(*a, *k)).copied().unwrap_or(U256::ZERO)
-        }
-        fn sstore(&mut self, a: &H160, k: &H256, v: U256) {
-            self.0.insert((*a, *k), v);
-        }
-        fn balance(&self, _: &H160) -> U256 {
-            U256::ZERO
-        }
-    }
+    use ofl_eth::evm::{Env, Interpreter};
+    use ofl_eth::state::State;
 
     fn run_binop(op: u8, a: U256, b: U256) -> U256 {
         // PUSH32 b, PUSH32 a, OP, MSTORE, RETURN — stack top is `a`.
@@ -273,8 +257,7 @@ mod evm_semantics {
             chain_id: 1,
             base_fee: U256::ZERO,
         };
-        let mut host = NullHost::default();
-        let result = Interpreter::new(&mut host, env, code, 1_000_000).run();
+        let result = Interpreter::new(&State::new(), env, &code, 1_000_000).run();
         assert!(result.is_success(), "{:?}", result.outcome);
         U256::from_be_slice(&result.output)
     }
@@ -326,6 +309,144 @@ mod evm_semantics {
             let expect_shr = if s < 256 { a.shr(s as u32) } else { U256::ZERO };
             prop_assert_eq!(run_binop(0x1b, shift, a), expect_shl);
             prop_assert_eq!(run_binop(0x1c, shift, a), expect_shr);
+        }
+    }
+}
+
+/// A failed transaction changes exactly the fee, the sender's nonce and the
+/// coinbase tip: the value it moved, the storage its frame wrote and any
+/// account it created are all undone. Seeded one-transaction-per-block
+/// mixes over transfers, value calls, reverting calls, failing creations
+/// and `uploadCid`s.
+mod state_equivalence {
+    use super::*;
+    use ofl_eth::block::TxStatus;
+    use ofl_eth::chain::{Chain, ChainConfig};
+    use ofl_eth::contracts::{cid_storage_runtime, CidStorage};
+    use ofl_eth::state::State;
+    use ofl_primitives::H256;
+
+    /// Runtime: SSTORE(0, CALLVALUE), STOP — accepts value and succeeds.
+    const STORE_VALUE: [u8; 5] = [0x34, 0x60, 0x00, 0x55, 0x00];
+    /// Runtime or init code: SSTORE(0, 1), then REVERT(0, 0).
+    const STORE_THEN_REVERT: [u8; 10] =
+        [0x60, 0x01, 0x60, 0x00, 0x55, 0x60, 0x00, 0x60, 0x00, 0xfd];
+    /// Init code: JUMPDEST PUSH1 0 JUMP — loops until out of gas.
+    const SPIN: [u8; 4] = [0x5b, 0x60, 0x00, 0x56];
+    /// Init code: SSTORE(0, 1), then RETURN(0, 1000) — a 200,000-gas
+    /// deposit no 100,000-gas creation can pay.
+    const OVERSIZED: [u8; 11] = [
+        0x60, 0x01, 0x60, 0x00, 0x55, 0x61, 0x03, 0xe8, 0x60, 0x00, 0xf3,
+    ];
+
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        Transfer,
+        ValueCall,
+        RevertingCall,
+        OutOfGasCreate,
+        OversizedCreate,
+        Upload,
+    }
+
+    fn arb_step() -> impl Strategy<Value = (Kind, usize, u64)> {
+        let kinds = vec![
+            Kind::Transfer,
+            Kind::ValueCall,
+            Kind::RevertingCall,
+            Kind::OutOfGasCreate,
+            Kind::OversizedCreate,
+            Kind::Upload,
+        ];
+        (proptest::sample::select(kinds), 0usize..3, 0u64..10_000)
+    }
+
+    fn key(i: usize) -> U256 {
+        U256::from(7_000 + i as u64)
+    }
+
+    fn addr(i: usize) -> H160 {
+        secp256k1::public_key(&key(i))
+            .unwrap()
+            .to_eth_address()
+            .unwrap()
+    }
+
+    fn entries(state: &State) -> Vec<(H160, ofl_eth::state::Account)> {
+        state.iter().map(|(a, acct)| (*a, acct.clone())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn failed_txs_change_only_fee_nonce_and_tip(
+            steps in proptest::collection::vec(arb_step(), 1..12),
+        ) {
+            let genesis: Vec<(H160, U256)> = (0..3)
+                .map(|i| (addr(i), U256::from_u128(10u128.pow(18))))
+                .collect();
+            let mut chain = Chain::new(ChainConfig::default(), &genesis);
+            let supply = chain.state().total_supply();
+            let (cid_storage, store_value, reverting) = (
+                H160::from_slice(&[0xc1; 20]),
+                H160::from_slice(&[0xc2; 20]),
+                H160::from_slice(&[0xc3; 20]),
+            );
+            let state = chain.state_mut();
+            state.account_mut(&cid_storage).code = cid_storage_runtime();
+            state.account_mut(&store_value).code = STORE_VALUE.to_vec();
+            state.account_mut(&reverting).code = STORE_THEN_REVERT.to_vec();
+            state.set_storage(&reverting, &H256::ZERO, U256::from(5u64));
+
+            for (kind, from, value) in steps {
+                let sender = addr(from);
+                let (to, data, value, expect) = match kind {
+                    Kind::Transfer => {
+                        let fresh = H160::from_slice(&[0x50 + (value % 4) as u8; 20]);
+                        let to = if value % 2 == 0 { addr((from + 1) % 3) } else { fresh };
+                        (Some(to), Vec::new(), value, TxStatus::Success)
+                    }
+                    Kind::ValueCall => (Some(store_value), Vec::new(), value, TxStatus::Success),
+                    Kind::RevertingCall => (Some(reverting), Vec::new(), value, TxStatus::Reverted),
+                    Kind::OutOfGasCreate => (None, SPIN.to_vec(), value, TxStatus::Failed),
+                    Kind::OversizedCreate => (None, OVERSIZED.to_vec(), value, TxStatus::Failed),
+                    Kind::Upload => {
+                        let cid = format!("Qm{}", "x".repeat((value % 60) as usize));
+                        let data = CidStorage::upload_cid_calldata(&cid);
+                        (Some(cid_storage), data, 0, TxStatus::Success)
+                    }
+                };
+                let req = TxRequest {
+                    chain_id: chain.config().chain_id,
+                    nonce: chain.nonce(&sender),
+                    max_priority_fee_per_gas: U256::from(1_500_000_000u64),
+                    max_fee_per_gas: U256::from(40_000_000_000u64),
+                    // Small enough that `OVERSIZED` cannot pay its deposit.
+                    gas_limit: if to.is_some() { 300_000 } else { 100_000 },
+                    to,
+                    value: U256::from(value),
+                    data,
+                };
+                let pre = chain.state().clone();
+                let hash = chain.submit(sign_tx(req, &key(from)).unwrap()).unwrap();
+                chain.mine_block(12 * (chain.height() + 1));
+                let receipt = chain.receipt(&hash).unwrap().clone();
+                prop_assert_eq!(receipt.status, expect);
+                prop_assert_eq!(chain.state().total_supply().wrapping_add(&chain.burned()), supply);
+                if receipt.status == TxStatus::Success {
+                    continue;
+                }
+                let base_fee = chain.block(receipt.block_number).unwrap().header.base_fee;
+                let tip = receipt.effective_gas_price.wrapping_sub(&base_fee);
+                let mut expected = pre;
+                expected.debit(&sender, &receipt.fee).unwrap();
+                expected.bump_nonce(&sender);
+                expected
+                    .credit(&chain.config().coinbase, &U256::from(receipt.gas_used).wrapping_mul(&tip))
+                    .unwrap();
+                prop_assert_eq!(entries(chain.state()), entries(&expected));
+            }
         }
     }
 }
