@@ -120,7 +120,8 @@ fn main() {
     );
     let (env, _rpc_cost) = market
         .world
-        .tx_env(EndpointId(0), &owner, Some(&contract), &data)
+        .endpoint(EndpointId(0))
+        .tx_env(&owner, Some(&contract), &data)
         .expect("signing environment over RPC");
     let summary =
         market

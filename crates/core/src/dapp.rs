@@ -61,7 +61,10 @@ impl OwnerApp {
     pub fn connect_wallet(&mut self, market: &mut Marketplace) -> String {
         let addr = market.owners[self.owner_index].address;
         let ep = market.session.placement;
-        let (balance, cost) = market.world.eth_retry(ep, |eth| eth.get_balance(&addr));
+        let (balance, cost) = market
+            .world
+            .endpoint(ep)
+            .eth_retry(|eth| eth.get_balance(&addr));
         market.world.clock.advance(cost);
         // A provider failure must not masquerade as an empty wallet.
         let msg = match balance {
@@ -276,14 +279,16 @@ impl CidWatcher {
     /// `eth_getLogs` over `(last_seen, head]` when anything is new.
     fn poll_range(&mut self, world: &mut World) -> Result<(Vec<String>, SimDuration), MarketError> {
         let ep = self.endpoint;
-        let (head, mut duration) = world.eth_retry(ep, |eth| eth.block_number());
+        let (head, mut duration) = world.endpoint(ep).eth_retry(|eth| eth.block_number());
         let head = head.map_err(WorldError::Rpc)?;
         if head <= self.last_seen_block {
             return Ok((Vec::new(), duration));
         }
         let from = self.last_seen_block + 1;
         let contract = self.contract;
-        let (cids, d_logs) = world.eth_retry(ep, |eth| contract.uploaded_cids_in(eth, from, head));
+        let (cids, d_logs) = world
+            .endpoint(ep)
+            .eth_retry(|eth| contract.uploaded_cids_in(eth, from, head));
         duration = duration.saturating_add(d_logs);
         let cids = cids?;
         // Advance the cursor only once the range was actually read — a
@@ -327,7 +332,10 @@ impl BuyerApp {
     /// `eth_blockNumber`, straight through the provider stack.
     pub fn node_status(&mut self, market: &mut Marketplace) -> Result<String, MarketError> {
         let ep = market.session.placement;
-        let (head, cost) = market.world.eth_retry(ep, |eth| eth.block_number());
+        let (head, cost) = market
+            .world
+            .endpoint(ep)
+            .eth_retry(|eth| eth.block_number());
         market.world.clock.advance(cost);
         match head {
             Ok(head) => {

@@ -23,26 +23,48 @@
 //!   transactions in different chains' blocks, which is how the engine
 //!   compares same-shard against cross-shard contention.
 //!
+//! Same-instant runs: the engine pops every consecutive event of one step
+//! kind due at the same instant (all owners arriving at t = 0, every
+//! owner's CID broadcast after the deploy confirms, every market's
+//! finalize) and splits each step into a *prepare* half — the work that
+//! touches only the step's own owner or market and its market's endpoint:
+//! training, IPFS transfers, signing reads, signing and broadcasts, CID
+//! download, aggregation — and a *commit* half: timelines, phase
+//! recorders, pending receipts, scheduling, the `engine.dispatch` trace
+//! event. The prepare halves run as one fork/join (training over owners,
+//! everything else over endpoints, each endpoint's steps in pop order on
+//! one worker); the commits run on the engine thread in pop order. A run
+//! of one is the same code.
+//!
 //! Determinism: the queue delivers simultaneous events in scheduling
 //! order, all state is seeded, and nothing iterates a hash map — a run is
-//! a pure function of `(configs, placements, failures, arrivals)`.
+//! a pure function of `(configs, placements, failures, arrivals)`. A
+//! prepare half depends on no earlier commit of its run, and the only
+//! commits that reach an endpoint (the slot barrier, a finished buyer's
+//! receipt lookups) belong to runs whose prepare halves reach none — so
+//! each endpoint sees the calls a one-at-a-time engine would make. Trace
+//! events a prepare half records are captured and replayed by its commit,
+//! so the trace is byte-identical too.
 
 use crate::config::MarketConfig;
 use crate::market::{
-    buyer_phase, owner_phase, Aggregation, LooPayments, MarketError, MarketSession, PaymentRow,
-    SessionBlueprint, SessionReport,
+    buyer_phase, owner_phase, Aggregation, LooPayments, MarketError, MarketSession, OwnerState,
+    PaymentRow, SessionBlueprint, SessionReport,
 };
 use crate::scenario::FailurePlan;
-use crate::world::{ShardConfig, ShardSpec, World, WorldError};
+use crate::world::{Endpoint, ShardConfig, ShardSpec, World, WorldError};
 use ofl_eth::block::Receipt;
 use ofl_eth::chain::LogFilter;
 use ofl_eth::tx::{sign_tx, TxRequest};
 use ofl_ipfs::cid::Cid;
 use ofl_netsim::clock::{SimDuration, SimInstant};
+use ofl_netsim::link::Link;
+use ofl_netsim::par::fork_join_mut;
 use ofl_netsim::sched::{EventQueue, Timeline};
 use ofl_primitives::u256::U256;
 use ofl_primitives::{H160, H256};
 use ofl_rpc::{EndpointId, ModelMarketContract, ProviderMetrics, SubEvent, SubscriptionKind};
+use ofl_trace::Captured;
 use std::collections::BTreeSet;
 
 /// When each owner shows up to start training.
@@ -351,6 +373,233 @@ enum Ev {
     },
 }
 
+impl Ev {
+    /// Whether two events are the same step kind — what the steps of one
+    /// same-instant run share.
+    fn same_step(a: &Ev, b: &Ev) -> bool {
+        std::mem::discriminant(a) == std::mem::discriminant(b)
+    }
+
+    /// The market the step belongs to (`None` for the slot barrier).
+    fn market(&self) -> Option<usize> {
+        match *self {
+            Ev::SubmitDeploy { m }
+            | Ev::OwnerArrive { m, .. }
+            | Ev::OwnerTrained { m, .. }
+            | Ev::OwnerUploaded { m, .. }
+            | Ev::OwnerSubmitCid { m, .. }
+            | Ev::BuyerFinalize { m }
+            | Ev::BuyerSubmitPayments { m }
+            | Ev::BuyerDone { m } => Some(m),
+            Ev::Mine { .. } => None,
+        }
+    }
+}
+
+/// One endpoint's share of a same-instant run: the markets placed there
+/// and its steps (with their index in the run), in pop order.
+#[derive(Default)]
+struct Shard<'a> {
+    markets: Vec<(usize, &'a mut MarketSession, &'a MarketRun)>,
+    steps: Vec<(usize, &'a Ev)>,
+}
+
+/// What a step's prepare half hands its commit half.
+enum Prepared {
+    /// The step has no prepare half (the slot barrier; an uploaded owner's
+    /// hand-off to the chain).
+    Nothing,
+    /// Owner work (training, upload) that takes this long on the owner's
+    /// timeline.
+    Took(SimDuration),
+    /// A broadcast transaction: its hash, the signing preflight, and the
+    /// shard's backstage height right after the send.
+    Sent {
+        hash: H256,
+        preflight: SimDuration,
+        height: u64,
+    },
+    /// The buyer's finalize pipeline.
+    Finalized(Box<Finalized>),
+    /// The buyer's payment broadcast: the signing preflight, then per
+    /// payment `(recipient, amount, hash, height after the send)`.
+    Paid {
+        env_cost: SimDuration,
+        sent: Vec<(H160, U256, H256, u64)>,
+    },
+    /// Every owner's local test accuracy, for the session report.
+    Done(Vec<f64>),
+}
+
+/// The buyer's download → retrieve → aggregate → /loo pipeline: what it
+/// found and how long each stage takes.
+struct Finalized {
+    cids_onchain: Vec<String>,
+    cids_retrieved: Vec<String>,
+    download: SimDuration,
+    retrieve: SimDuration,
+    aggregate: SimDuration,
+    loo: SimDuration,
+    finalize: (Aggregation, LooPayments),
+}
+
+/// Runs one prepare half under the engine thread's trace context
+/// `(source, vtime)`, holding back its trace events for the commit to
+/// replay.
+fn traced<T>(ctx: (u32, u64), f: impl FnOnce() -> T) -> (T, Captured) {
+    let _ctx = ofl_trace::source_scope(ctx.0, ctx.1);
+    ofl_trace::capture(f)
+}
+
+/// The prepare half of an endpoint-bound step: the work that touches only
+/// the step's own market and its market's endpoint.
+fn prepare_step(
+    endpoint: &mut Endpoint,
+    session: &mut MarketSession,
+    run: &MarketRun,
+    lan: &Link,
+    ev: &Ev,
+) -> Result<Prepared, MarketError> {
+    match *ev {
+        Ev::SubmitDeploy { .. } => {
+            let buyer = session.buyer.address;
+            let (hash, preflight) = endpoint.submit_tx(
+                &session.wallet,
+                &buyer,
+                None,
+                U256::ZERO,
+                ModelMarketContract::init_code(),
+            )?;
+            let height = endpoint.height();
+            Ok(Prepared::Sent {
+                hash,
+                preflight,
+                height,
+            })
+        }
+        Ev::OwnerTrained { i, .. } => {
+            let (_cid, duration) = session.upload_owner(endpoint, i)?;
+            Ok(Prepared::Took(duration))
+        }
+        Ev::OwnerSubmitCid { i, .. } => {
+            let (hash, preflight) = if run.failures.revert_cid_tx.contains(&i) {
+                // An unknown selector: the contract's dispatcher reverts,
+                // the owner pays intrinsic+execution gas, no CID lands.
+                let contract = session
+                    .contract
+                    .ok_or(MarketError::StepOrder("deploy before sending CIDs"))?;
+                let from = session.owners[i].address;
+                endpoint.submit_tx(
+                    &session.wallet,
+                    &from,
+                    Some(contract.address),
+                    U256::ZERO,
+                    vec![0xde, 0xad, 0xbe, 0xef],
+                )?
+            } else {
+                session.submit_cid(endpoint, i)?
+            };
+            let height = endpoint.height();
+            Ok(Prepared::Sent {
+                hash,
+                preflight,
+                height,
+            })
+        }
+        Ev::BuyerFinalize { .. } => {
+            // Availability failure: after the CIDs are public, the blocks
+            // vanish.
+            for &i in &run.failures.drop_ipfs_blocks {
+                if let Some(cid) = &session.owners[i].cid {
+                    endpoint.drop_ipfs_block(session.owners[i].ipfs_node, cid);
+                }
+            }
+            let (cids_onchain, download) = session.download_cids_computed(endpoint)?;
+            // A production client gives up on unfetchable CIDs; retrieve
+            // only content some peer on the market's shard can still serve.
+            let cids_retrieved: Vec<String> = cids_onchain
+                .iter()
+                .filter(|s| Cid::parse(s).is_ok_and(|c| endpoint.swarm_has(&c)))
+                .cloned()
+                .collect();
+            let (_n, retrieve) = session.retrieve_models_computed(endpoint, &cids_retrieved)?;
+            let (agg, aggregate) = session.aggregate_computed(lan)?;
+            let (payments, loo) = session.loo_payments_computed(lan, &agg);
+            Ok(Prepared::Finalized(Box::new(Finalized {
+                cids_onchain,
+                cids_retrieved,
+                download,
+                retrieve,
+                aggregate,
+                loo,
+                finalize: (agg, payments),
+            })))
+        }
+        Ev::BuyerSubmitPayments { .. } => {
+            let (agg, loo) = run.finalize.as_ref().expect("finalize precedes payments");
+            // Fee terms are priced at broadcast time, against the base fee
+            // the market's shard has *now* — not at finalize time.
+            let (env, env_cost) = session.payment_env(endpoint, agg)?;
+            let txs = match env {
+                Some(env) => session.build_payment_txs(&env, agg, loo),
+                None => Vec::new(),
+            };
+            let mut sent = Vec::with_capacity(txs.len());
+            for (address, amount, tx) in txs {
+                // The one RPC transfer for the payment batch was charged on
+                // the buyer's timeline at finalize; retries (flaky
+                // provider) smear onto the global clock inside
+                // `broadcast_raw`'s bill, which the engine deliberately
+                // leaves unapplied.
+                let (result, _cost) = endpoint.broadcast_raw(&tx.encode());
+                let hash = result.map_err(|e| MarketError::TxFailed(format!("payment: {e}")))?;
+                sent.push((address, amount, hash, endpoint.height()));
+            }
+            Ok(Prepared::Paid { env_cost, sent })
+        }
+        Ev::BuyerDone { .. } => Ok(Prepared::Done(session.local_accuracies())),
+        Ev::OwnerArrive { .. } | Ev::OwnerUploaded { .. } | Ev::Mine { .. } => {
+            unreachable!("prepared off the endpoints")
+        }
+    }
+}
+
+/// Records the `engine.dispatch` trace event for one step.
+fn trace_dispatch(ev: &Ev) {
+    if !(ofl_trace::tracing_enabled() && ofl_trace::category_enabled(ofl_trace::Category::Engine)) {
+        return;
+    }
+    use ofl_trace::FieldValue;
+    let (label, tail): (&'static str, Vec<(&'static str, FieldValue)>) = match ev {
+        Ev::SubmitDeploy { m } => ("submit_deploy", vec![("m", (*m).into())]),
+        Ev::OwnerArrive { m, i } => ("owner_arrive", vec![("m", (*m).into()), ("i", (*i).into())]),
+        Ev::OwnerTrained { m, i } => (
+            "owner_trained",
+            vec![("m", (*m).into()), ("i", (*i).into())],
+        ),
+        Ev::OwnerUploaded { m, i } => (
+            "owner_uploaded",
+            vec![("m", (*m).into()), ("i", (*i).into())],
+        ),
+        Ev::OwnerSubmitCid { m, i, .. } => (
+            "owner_submit_cid",
+            vec![("m", (*m).into()), ("i", (*i).into())],
+        ),
+        Ev::Mine { slot_secs } => ("mine", vec![("slot_secs", (*slot_secs).into())]),
+        Ev::BuyerFinalize { m } => ("buyer_finalize", vec![("m", (*m).into())]),
+        Ev::BuyerSubmitPayments { m } => ("buyer_submit_payments", vec![("m", (*m).into())]),
+        Ev::BuyerDone { m } => ("buyer_done", vec![("m", (*m).into())]),
+    };
+    let mut fields = vec![("ev", FieldValue::from(label))];
+    fields.extend(tail);
+    ofl_trace::record_event(
+        ofl_trace::Category::Engine,
+        ofl_trace::EventKind::Instant,
+        "engine.dispatch",
+        fields,
+    );
+}
+
 /// Who is waiting on a mined receipt.
 enum Wake {
     Deploy {
@@ -511,57 +760,17 @@ impl<'a> Driver<'a> {
             }
         }
 
-        while let Some((t, ev)) = self.queue.pop() {
+        while let Some((t, run)) = self.queue.pop_run(Ev::same_step) {
             self.world.clock.advance_to(t);
-            if ofl_trace::tracing_enabled()
-                && ofl_trace::category_enabled(ofl_trace::Category::Engine)
-            {
-                use ofl_trace::FieldValue;
-                let (label, tail): (&'static str, Vec<(&'static str, FieldValue)>) = match &ev {
-                    Ev::SubmitDeploy { m } => ("submit_deploy", vec![("m", (*m).into())]),
-                    Ev::OwnerArrive { m, i } => {
-                        ("owner_arrive", vec![("m", (*m).into()), ("i", (*i).into())])
-                    }
-                    Ev::OwnerTrained { m, i } => (
-                        "owner_trained",
-                        vec![("m", (*m).into()), ("i", (*i).into())],
-                    ),
-                    Ev::OwnerUploaded { m, i } => (
-                        "owner_uploaded",
-                        vec![("m", (*m).into()), ("i", (*i).into())],
-                    ),
-                    Ev::OwnerSubmitCid { m, i, .. } => (
-                        "owner_submit_cid",
-                        vec![("m", (*m).into()), ("i", (*i).into())],
-                    ),
-                    Ev::Mine { slot_secs } => ("mine", vec![("slot_secs", (*slot_secs).into())]),
-                    Ev::BuyerFinalize { m } => ("buyer_finalize", vec![("m", (*m).into())]),
-                    Ev::BuyerSubmitPayments { m } => {
-                        ("buyer_submit_payments", vec![("m", (*m).into())])
-                    }
-                    Ev::BuyerDone { m } => ("buyer_done", vec![("m", (*m).into())]),
-                };
-                let mut fields = vec![("ev", FieldValue::from(label))];
-                fields.extend(tail);
-                ofl_trace::record_event(
-                    ofl_trace::Category::Engine,
-                    ofl_trace::EventKind::Instant,
-                    "engine.dispatch",
-                    fields,
-                );
-            }
-            match ev {
-                Ev::SubmitDeploy { m } => self.on_submit_deploy(m, t)?,
-                Ev::OwnerArrive { m, i } => self.on_owner_arrive(m, i, t),
-                Ev::OwnerTrained { m, i } => self.on_owner_trained(m, i, t)?,
-                Ev::OwnerUploaded { m, i } => self.on_owner_uploaded(m, i, t)?,
-                Ev::OwnerSubmitCid { m, i, phase_start } => {
-                    self.on_owner_submit_cid(m, i, phase_start, t)?
-                }
-                Ev::Mine { slot_secs } => self.on_mine(slot_secs)?,
-                Ev::BuyerFinalize { m } => self.on_buyer_finalize(m, t)?,
-                Ev::BuyerSubmitPayments { m } => self.on_buyer_submit_payments(m, t)?,
-                Ev::BuyerDone { m } => self.on_buyer_done(m, t)?,
+            // Prepare every step of the run off the engine thread, then
+            // commit them in pop order. Each commit first records its
+            // dispatch and replays what its prepare half traced, so the
+            // trace reads exactly as if the steps had run one at a time.
+            let prepared = self.prepare(&run);
+            for (ev, (step, events)) in run.into_iter().zip(prepared) {
+                trace_dispatch(&ev);
+                events.replay();
+                self.commit(ev, step?, t)?;
             }
         }
 
@@ -629,124 +838,255 @@ impl<'a> Driver<'a> {
         }
     }
 
-    // -- event handlers ----------------------------------------------------
+    // -- same-instant runs --------------------------------------------------
 
-    fn on_submit_deploy(&mut self, m: usize, _t: SimInstant) -> Result<(), MarketError> {
-        let buyer = self.sessions[m].buyer.address;
-        let ep = self.sessions[m].placement;
-        let (hash, preflight) = self.world.submit_tx(
-            ep,
-            &self.sessions[m].wallet,
-            &buyer,
-            None,
-            U256::ZERO,
-            ModelMarketContract::init_code(),
-        )?;
-        // The wallet's signing reads ride the buyer's own timeline; the
-        // deploy-confirm wake will advance past them anyway.
-        self.markets[m].buyer_timeline.advance(preflight);
-        self.pending.push(PendingTx {
-            endpoint: ep,
-            hash,
-            submitted_height: self.world.height(ep),
-            wake: Wake::Deploy { m },
-            mined: false,
-        });
-        let slot = self.world.next_slot_secs(self.world.clock.now());
-        self.schedule_mine(slot);
-        Ok(())
-    }
-
-    fn on_owner_arrive(&mut self, m: usize, i: usize, t: SimInstant) {
-        if self.markets[m].failures.freeload.contains(&i) {
-            // Shrink the silo to (at most) 3 examples before training; the
-            // owner still goes through the whole honest protocol.
-            let len = self.sessions[m].owners[i].data.len();
-            let keep: Vec<usize> = (0..len.min(3)).collect();
-            self.sessions[m].owners[i].data = self.sessions[m].owners[i].data.subset(&keep);
+    /// The prepare halves of a same-instant run, in pop order. Training
+    /// forks over owners; every other step forks over endpoints, each
+    /// endpoint's steps in pop order on one worker, so every endpoint sees
+    /// the calls the one-at-a-time engine made.
+    fn prepare(&mut self, run: &[Ev]) -> Vec<(Result<Prepared, MarketError>, Captured)> {
+        // Every prepare half starts from the context a popped step would
+        // see on the engine thread.
+        let ctx = (ofl_trace::source(), ofl_trace::vtime());
+        match run[0] {
+            Ev::Mine { .. } | Ev::OwnerUploaded { .. } => run
+                .iter()
+                .map(|_| (Ok(Prepared::Nothing), Captured::default()))
+                .collect(),
+            Ev::OwnerArrive { .. } => self.prepare_training(run, ctx),
+            _ => self.prepare_on_endpoints(run, ctx),
         }
-        let duration = self.sessions[m].train_owner(i);
-        self.sessions[m].owner_recorders[i].add(owner_phase::TRAIN, duration);
-        let timeline = &mut self.markets[m].owner_timelines[i];
-        timeline.advance_to(t);
-        let done = timeline.advance(duration);
-        self.queue.schedule(done, Ev::OwnerTrained { m, i });
     }
 
-    fn on_owner_trained(&mut self, m: usize, i: usize, t: SimInstant) -> Result<(), MarketError> {
-        let (_cid, duration) = self.sessions[m].upload_owner(self.world, i)?;
-        self.sessions[m].owner_recorders[i].add(owner_phase::UPLOAD, duration);
-        let timeline = &mut self.markets[m].owner_timelines[i];
-        timeline.advance_to(t);
-        let done = timeline.advance(duration);
-        self.queue.schedule(done, Ev::OwnerUploaded { m, i });
-        Ok(())
-    }
-
-    fn on_owner_uploaded(&mut self, m: usize, i: usize, t: SimInstant) -> Result<(), MarketError> {
-        if self.markets[m].failures.dropout.contains(&i) {
-            // Silent dropout: trained and uploaded, never tells the chain.
-            self.resolve_owner(m, t);
-            return Ok(());
-        }
-        if self.markets[m].contract_ready {
-            self.schedule_cid_submit(m, i, t);
-        } else {
-            // The contract isn't deployed yet; the owner's DApp polls and
-            // submits the moment the deployment confirms.
-            self.markets[m].parked.push(i);
-        }
-        Ok(())
-    }
-
-    fn on_owner_submit_cid(
+    /// Trains every arriving owner of the run as one fork/join over owners:
+    /// training touches only the owner's own silo and model.
+    fn prepare_training(
         &mut self,
-        m: usize,
-        i: usize,
-        phase_start: SimInstant,
-        t: SimInstant,
-    ) -> Result<(), MarketError> {
-        let hash;
-        let wake;
-        let ep = self.sessions[m].placement;
-        let preflight;
-        if self.markets[m].failures.revert_cid_tx.contains(&i) {
-            // An unknown selector: the contract's dispatcher reverts, the
-            // owner pays intrinsic+execution gas, no CID lands.
-            let contract = self.sessions[m]
-                .contract
-                .ok_or(MarketError::StepOrder("deploy before sending CIDs"))?;
-            let from = self.sessions[m].owners[i].address;
-            let (h, cost) = self.world.submit_tx(
-                ep,
-                &self.sessions[m].wallet,
-                &from,
-                Some(contract.address),
-                U256::ZERO,
-                vec![0xde, 0xad, 0xbe, 0xef],
-            )?;
-            hash = h;
-            preflight = cost;
-            wake = Wake::OwnerRevert { m, i };
-        } else {
-            let (h, cost) = self.sessions[m].submit_cid(self.world, i)?;
-            hash = h;
-            preflight = cost;
-            wake = Wake::OwnerCid { m, i, phase_start };
+        run: &[Ev],
+        ctx: (u32, u64),
+    ) -> Vec<(Result<Prepared, MarketError>, Captured)> {
+        let mut owners: Vec<(&MarketConfig, Vec<Option<&mut OwnerState>>)> = self
+            .sessions
+            .iter_mut()
+            .map(|MarketSession { config, owners, .. }| {
+                (&*config, owners.iter_mut().map(Some).collect())
+            })
+            .collect();
+        let mut work: Vec<(&MarketConfig, &mut OwnerState, usize, bool)> = run
+            .iter()
+            .map(|ev| {
+                let Ev::OwnerArrive { m, i } = *ev else {
+                    unreachable!("a run shares one step kind")
+                };
+                let (config, slots) = &mut owners[m];
+                let owner = slots[i].take().expect("each owner arrives once");
+                (
+                    *config,
+                    owner,
+                    i,
+                    self.markets[m].failures.freeload.contains(&i),
+                )
+            })
+            .collect();
+        fork_join_mut(&mut work, |_, (config, owner, i, freeload)| {
+            traced(ctx, || {
+                if *freeload {
+                    // Shrink the silo to (at most) 3 examples before
+                    // training; the owner still goes through the whole
+                    // honest protocol.
+                    let keep: Vec<usize> = (0..owner.data.len().min(3)).collect();
+                    owner.data = owner.data.subset(&keep);
+                }
+                Ok(Prepared::Took(owner.train(config, *i)))
+            })
+        })
+    }
+
+    /// Prepares the run's endpoint-bound steps as one fork/join over
+    /// endpoints: each endpoint's worker holds the sessions placed on it
+    /// and runs its share of the run in pop order.
+    fn prepare_on_endpoints(
+        &mut self,
+        run: &[Ev],
+        ctx: (u32, u64),
+    ) -> Vec<(Result<Prepared, MarketError>, Captured)> {
+        let lan = self.world.profile.lan;
+        let placement: Vec<EndpointId> = self.sessions.iter().map(|s| s.placement).collect();
+        let market_of = |ev: &Ev| ev.market().expect("endpoint steps belong to a market");
+        let mut shards: Vec<Shard> = (0..self.world.endpoints())
+            .map(|_| Shard::default())
+            .collect();
+        for (k, ev) in run.iter().enumerate() {
+            shards[placement[market_of(ev)].0].steps.push((k, ev));
         }
-        // The signing reads ride the owner's own timeline; the receipt wake
-        // advances past them.
-        self.markets[m].owner_timelines[i].advance(preflight);
+        for (m, (session, market)) in self.sessions.iter_mut().zip(&self.markets).enumerate() {
+            let shard = &mut shards[placement[m].0];
+            if !shard.steps.is_empty() {
+                shard.markets.push((m, session, market));
+            }
+        }
+        let groups = shards
+            .into_iter()
+            .enumerate()
+            .filter(|(_, shard)| !shard.steps.is_empty())
+            .map(|(e, shard)| (EndpointId(e), shard))
+            .collect();
+        let answers = self.world.fork_endpoints(groups, |endpoint, shard| {
+            shard
+                .steps
+                .iter()
+                .map(|&(k, ev)| {
+                    let at = shard
+                        .markets
+                        .binary_search_by_key(&market_of(ev), |(m, _, _)| *m)
+                        .expect("the step's market is placed on its endpoint");
+                    let (_, session, market) = &mut shard.markets[at];
+                    let (step, events) =
+                        traced(ctx, || prepare_step(endpoint, session, market, &lan, ev));
+                    (k, step, events)
+                })
+                .collect::<Vec<_>>()
+        });
+        // Back from per-endpoint groups to pop order.
+        let mut prepared: Vec<_> = answers.into_iter().flatten().collect();
+        prepared.sort_unstable_by_key(|&(k, _, _)| k);
+        prepared
+            .into_iter()
+            .map(|(_, step, events)| (step, events))
+            .collect()
+    }
+
+    /// A step's commit half, on the engine thread in pop order: timelines,
+    /// phase recorders, pending receipts, and scheduling.
+    fn commit(&mut self, ev: Ev, step: Prepared, t: SimInstant) -> Result<(), MarketError> {
+        match (ev, step) {
+            (
+                Ev::SubmitDeploy { m },
+                Prepared::Sent {
+                    hash,
+                    preflight,
+                    height,
+                },
+            ) => {
+                // The wallet's signing reads ride the buyer's own timeline;
+                // the deploy-confirm wake will advance past them anyway.
+                self.markets[m].buyer_timeline.advance(preflight);
+                self.push_pending(m, hash, height, Wake::Deploy { m }, t);
+            }
+            (Ev::OwnerArrive { m, i }, Prepared::Took(duration)) => {
+                self.sessions[m].owner_recorders[i].add(owner_phase::TRAIN, duration);
+                let timeline = &mut self.markets[m].owner_timelines[i];
+                timeline.advance_to(t);
+                let done = timeline.advance(duration);
+                self.queue.schedule(done, Ev::OwnerTrained { m, i });
+            }
+            (Ev::OwnerTrained { m, i }, Prepared::Took(duration)) => {
+                self.sessions[m].owner_recorders[i].add(owner_phase::UPLOAD, duration);
+                let timeline = &mut self.markets[m].owner_timelines[i];
+                timeline.advance_to(t);
+                let done = timeline.advance(duration);
+                self.queue.schedule(done, Ev::OwnerUploaded { m, i });
+            }
+            (Ev::OwnerUploaded { m, i }, Prepared::Nothing) => {
+                if self.markets[m].failures.dropout.contains(&i) {
+                    // Silent dropout: trained and uploaded, never tells the
+                    // chain.
+                    self.resolve_owner(m, t);
+                } else if self.markets[m].contract_ready {
+                    self.schedule_cid_submit(m, i, t);
+                } else {
+                    // The contract isn't deployed yet; the owner's DApp
+                    // polls and submits the moment the deployment confirms.
+                    self.markets[m].parked.push(i);
+                }
+            }
+            (
+                Ev::OwnerSubmitCid { m, i, phase_start },
+                Prepared::Sent {
+                    hash,
+                    preflight,
+                    height,
+                },
+            ) => {
+                let wake = if self.markets[m].failures.revert_cid_tx.contains(&i) {
+                    Wake::OwnerRevert { m, i }
+                } else {
+                    Wake::OwnerCid { m, i, phase_start }
+                };
+                // The signing reads ride the owner's own timeline; the
+                // receipt wake advances past them.
+                self.markets[m].owner_timelines[i].advance(preflight);
+                self.push_pending(m, hash, height, wake, t);
+            }
+            (Ev::Mine { slot_secs }, Prepared::Nothing) => self.on_mine(slot_secs)?,
+            (Ev::BuyerFinalize { m }, Prepared::Finalized(f)) => {
+                let Finalized {
+                    cids_onchain,
+                    cids_retrieved,
+                    download,
+                    retrieve,
+                    aggregate,
+                    loo,
+                    finalize,
+                } = *f;
+                let recorder = &mut self.sessions[m].buyer_recorder;
+                recorder.add(buyer_phase::DOWNLOAD_CIDS, download);
+                recorder.add(buyer_phase::RETRIEVE, retrieve);
+                recorder.add(buyer_phase::AGGREGATE, aggregate);
+                // The buyer pipelines download → retrieve → aggregate →
+                // /loo → payment broadcast on its own timeline; payments
+                // reach the mempool together after one RPC transfer.
+                let pay_rpc = self.world.tx_submit_time(0);
+                let run = &mut self.markets[m];
+                run.detail.cids_onchain = cids_onchain;
+                run.detail.cids_retrieved = cids_retrieved;
+                run.finalize = Some(finalize);
+                run.buyer_timeline.advance_to(t);
+                run.buyer_timeline.advance(download);
+                run.buyer_timeline.advance(retrieve);
+                run.payment_phase_start = run.buyer_timeline.advance(aggregate);
+                run.buyer_timeline.advance(loo);
+                let pay_at = run.buyer_timeline.advance(pay_rpc);
+                self.queue.schedule(pay_at, Ev::BuyerSubmitPayments { m });
+            }
+            (Ev::BuyerSubmitPayments { m }, Prepared::Paid { env_cost, sent }) => {
+                // The signing environment is RPC traffic like everything
+                // else; its preflight rides the buyer's timeline.
+                self.markets[m].buyer_timeline.advance(env_cost);
+                for &(_, _, hash, height) in &sent {
+                    self.push_pending(m, hash, height, Wake::Payment { m }, t);
+                }
+                let run = &mut self.markets[m];
+                run.outstanding_payments = sent.len();
+                run.payment_hashes = sent.iter().map(|&(_, _, hash, _)| hash).collect();
+                run.paid = sent
+                    .iter()
+                    .map(|&(address, amount, _, _)| (address, amount))
+                    .collect();
+                if sent.is_empty() {
+                    self.queue.schedule(t, Ev::BuyerDone { m });
+                }
+            }
+            (Ev::BuyerDone { m }, Prepared::Done(local_accuracies)) => {
+                self.on_buyer_done(m, t, local_accuracies)
+            }
+            _ => unreachable!("every step kind prepares its own output"),
+        }
+        Ok(())
+    }
+
+    /// Parks market `m`'s transaction broadcast at `t` until its receipt is
+    /// polled, and makes sure the next slot mines.
+    fn push_pending(&mut self, m: usize, hash: H256, height: u64, wake: Wake, t: SimInstant) {
         self.pending.push(PendingTx {
-            endpoint: ep,
+            endpoint: self.sessions[m].placement,
             hash,
-            submitted_height: self.world.height(ep),
+            submitted_height: height,
             wake,
             mined: false,
         });
         let slot = self.world.next_slot_secs(t);
         self.schedule_mine(slot);
-        Ok(())
     }
 
     fn on_mine(&mut self, slot_secs: u64) -> Result<(), MarketError> {
@@ -858,7 +1198,7 @@ impl<'a> Driver<'a> {
             let height = match heights.get(&ep) {
                 Some(height) => *height,
                 None => {
-                    let height = self.world.height(ep);
+                    let height = self.world.endpoint(ep).height();
                     heights.insert(ep, height);
                     height
                 }
@@ -947,7 +1287,7 @@ impl<'a> Driver<'a> {
                 };
                 let tx = sign_tx(request, &key)
                     .map_err(|e| MarketError::TxFailed(format!("front-run signing: {e:?}")))?;
-                let (result, _cost) = self.world.broadcast_raw(ep, &tx.encode());
+                let (result, _cost) = self.world.endpoint(ep).broadcast_raw(&tx.encode());
                 result.map_err(|e| MarketError::TxFailed(format!("front-run broadcast: {e}")))?;
                 self.markets[m].adversary_nonce += 1;
                 self.markets[m].front_runs += 1;
@@ -1008,109 +1348,7 @@ impl<'a> Driver<'a> {
         Ok(())
     }
 
-    fn on_buyer_finalize(&mut self, m: usize, t: SimInstant) -> Result<(), MarketError> {
-        let ep = self.sessions[m].placement;
-        // Availability failure: after the CIDs are public, the blocks vanish.
-        let drop_blocks = self.markets[m].failures.drop_ipfs_blocks.clone();
-        for i in drop_blocks {
-            if let Some(cid) = self.sessions[m].owners[i].cid.clone() {
-                let node_index = self.sessions[m].owners[i].ipfs_node;
-                self.world.drop_ipfs_block(ep, node_index, &cid);
-            }
-        }
-
-        let session = &mut self.sessions[m];
-        let (cids_onchain, d_download) = session.download_cids_computed(self.world)?;
-        session
-            .buyer_recorder
-            .add(buyer_phase::DOWNLOAD_CIDS, d_download);
-        // A production client gives up on unfetchable CIDs; retrieve only
-        // content some peer on the market's shard can still serve.
-        let cids_retrieved: Vec<String> = cids_onchain
-            .iter()
-            .filter(|s| {
-                Cid::parse(s)
-                    .map(|c| self.world.swarm_has(ep, &c))
-                    .unwrap_or(false)
-            })
-            .cloned()
-            .collect();
-        let (_n, d_retrieve) = session.retrieve_models_computed(self.world, &cids_retrieved)?;
-        session
-            .buyer_recorder
-            .add(buyer_phase::RETRIEVE, d_retrieve);
-        let (agg, d_agg) = session.aggregate_computed(self.world)?;
-        session.buyer_recorder.add(buyer_phase::AGGREGATE, d_agg);
-        let (loo, d_loo) = session.loo_payments_computed(self.world, &agg);
-
-        // The buyer pipelines download → retrieve → aggregate → /loo →
-        // payment broadcast on its own timeline; payments reach the mempool
-        // together after one RPC transfer.
-        let pay_rpc = self.world.tx_submit_time(0);
-        let run = &mut self.markets[m];
-        run.detail.cids_onchain = cids_onchain;
-        run.detail.cids_retrieved = cids_retrieved;
-        run.finalize = Some((agg, loo));
-        run.buyer_timeline.advance_to(t);
-        run.buyer_timeline.advance(d_download);
-        run.buyer_timeline.advance(d_retrieve);
-        run.payment_phase_start = run.buyer_timeline.advance(d_agg);
-        run.buyer_timeline.advance(d_loo);
-        let pay_at = run.buyer_timeline.advance(pay_rpc);
-        self.queue.schedule(pay_at, Ev::BuyerSubmitPayments { m });
-        Ok(())
-    }
-
-    fn on_buyer_submit_payments(&mut self, m: usize, t: SimInstant) -> Result<(), MarketError> {
-        let ep = self.sessions[m].placement;
-        let (agg, loo) = self.markets[m]
-            .finalize
-            .take()
-            .expect("finalize precedes payments");
-        // Fee terms are priced at broadcast time, against the base fee the
-        // market's shard has *now* — not at finalize time. The signing
-        // environment is RPC traffic like everything else; its preflight
-        // rides the buyer's timeline.
-        let (env, env_cost) = self.sessions[m].payment_env(self.world, &agg)?;
-        self.markets[m].buyer_timeline.advance(env_cost);
-        let txs = match env {
-            Some(env) => self.sessions[m].build_payment_txs(&env, &agg, &loo),
-            None => Vec::new(),
-        };
-        self.markets[m].finalize = Some((agg, loo));
-        let mut hashes = Vec::new();
-        let mut paid = Vec::new();
-        for (address, amount, tx) in txs {
-            // The one RPC transfer for the payment batch was charged on the
-            // buyer's timeline at finalize; retries (flaky provider) smear
-            // onto the global clock inside `broadcast_raw`'s bill, which the
-            // engine deliberately leaves unapplied.
-            let (result, _cost) = self.world.broadcast_raw(ep, &tx.encode());
-            let hash = result.map_err(|e| MarketError::TxFailed(format!("payment: {e}")))?;
-            self.pending.push(PendingTx {
-                endpoint: ep,
-                hash,
-                submitted_height: self.world.height(ep),
-                wake: Wake::Payment { m },
-                mined: false,
-            });
-            hashes.push(hash);
-            paid.push((address, amount));
-        }
-        let run = &mut self.markets[m];
-        run.outstanding_payments = hashes.len();
-        run.payment_hashes = hashes;
-        run.paid = paid;
-        if run.outstanding_payments == 0 {
-            self.queue.schedule(t, Ev::BuyerDone { m });
-        } else {
-            let slot = self.world.next_slot_secs(t);
-            self.schedule_mine(slot);
-        }
-        Ok(())
-    }
-
-    fn on_buyer_done(&mut self, m: usize, t: SimInstant) -> Result<(), MarketError> {
+    fn on_buyer_done(&mut self, m: usize, t: SimInstant, local_accuracies: Vec<f64>) {
         let ep = self.sessions[m].placement;
         let rows: Vec<(H160, U256, H256)> = self.markets[m]
             .paid
@@ -1139,11 +1377,11 @@ impl<'a> Driver<'a> {
         run.report = Some(session.assemble_report(
             &agg,
             &loo,
+            local_accuracies,
             payments,
             total_secs,
             self.world.rpc_metrics(ep),
         ));
-        Ok(())
     }
 
     /// For every mined block on every shard, how many distinct owners'

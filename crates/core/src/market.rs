@@ -14,8 +14,9 @@
 //!
 //! The session state lives in [`MarketSession`], which is deliberately
 //! substrate-free: every step is a primitive that either does pure host
-//! compute and *returns* the virtual time it would take, or touches a
-//! [`World`] passed in by the caller. Two drivers compose the primitives:
+//! compute and *returns* the virtual time it would take, or touches the
+//! market's [`Endpoint`] of a world, passed in by the caller. Two drivers
+//! compose the primitives:
 //!
 //! - [`Marketplace`] owns a private `World` and runs the steps serially,
 //!   blocking in virtual time on each confirmation (the original workflow).
@@ -24,7 +25,7 @@
 //!   concurrently and their transactions share blocks.
 
 use crate::config::{FinalizePolicy, MarketConfig, PartitionScheme};
-use crate::world::{ShardConfig, ShardSpec, World, WorldError};
+use crate::world::{Endpoint, ShardConfig, ShardSpec, World, WorldError};
 use ofl_data::dataset::Dataset;
 use ofl_data::{mnist, partition};
 use ofl_eth::block::Receipt;
@@ -37,6 +38,7 @@ use ofl_incentive::{allocate_payments, loo_coalitions, LooReport};
 use ofl_ipfs::cid::Cid;
 use ofl_ipfs::swarm::{IpfsNode, Swarm};
 use ofl_netsim::clock::{SimClock, SimDuration, SimInstant};
+use ofl_netsim::link::Link;
 use ofl_netsim::par::fork_join_mut;
 use ofl_netsim::service::{Response, Service};
 use ofl_netsim::timing::{ComputeModel, PhaseRecorder};
@@ -89,6 +91,27 @@ pub struct OwnerState {
     pub cid: Option<Cid>,
     /// Receipt of the `uploadCid` transaction.
     pub upload_receipt: Option<Receipt>,
+}
+
+impl OwnerState {
+    /// **Step 2 (training half)** — owner `i` of a market configured by
+    /// `config` trains on its silo on the host CPU and keeps the model and
+    /// its encoding. Returns the *virtual* time the training would take on
+    /// the owner's hardware; the caller decides which clock or timeline to
+    /// charge. Touches nothing but this owner.
+    pub fn train(&mut self, config: &MarketConfig, i: usize) -> SimDuration {
+        let cfg = ofl_fl::client::TrainConfig {
+            seed: config.train.seed.wrapping_add(i as u64 * 7919),
+            ..config.train.clone()
+        };
+        let trained = ofl_fl::client::train_local(&self.data, &cfg);
+        let train_time = config
+            .owner_compute
+            .training_time(self.data.len().max(1), cfg.epochs);
+        self.model_bytes = encode_model(&trained.model);
+        self.trained = Some(trained);
+        train_time
+    }
 }
 
 /// The model buyer's session state.
@@ -497,37 +520,24 @@ impl MarketSession {
     // Owner primitives (Train → Upload → SendCid state machine).
     // ------------------------------------------------------------------
 
-    /// **Step 2 (training half)** — owner `i` trains locally on the host
-    /// CPU and returns the *virtual* time the training would take on the
-    /// owner's hardware. The caller decides which clock/timeline to charge.
+    /// **Step 2 (training half)** — owner `i` trains locally
+    /// ([`OwnerState::train`]) and returns the virtual time it would take.
     pub fn train_owner(&mut self, i: usize) -> SimDuration {
-        let cfg = ofl_fl::client::TrainConfig {
-            seed: self.config.train.seed.wrapping_add(i as u64 * 7919),
-            ..self.config.train.clone()
-        };
-        let trained = ofl_fl::client::train_local(&self.owners[i].data, &cfg);
-        let train_time = self
-            .config
-            .owner_compute
-            .training_time(self.owners[i].data.len().max(1), cfg.epochs);
-        self.owners[i].model_bytes = encode_model(&trained.model);
-        self.owners[i].trained = Some(trained);
-        train_time
+        self.owners[i].train(&self.config, i)
     }
 
     /// **Steps 2–3** — owner `i` pushes its model into the swarm and
     /// receives the CID. Returns the CID and the LAN transfer time.
     pub fn upload_owner(
         &mut self,
-        world: &mut World,
+        endpoint: &mut Endpoint,
         i: usize,
     ) -> Result<(Cid, SimDuration), MarketError> {
         if self.owners[i].trained.is_none() {
             return Err(MarketError::StepOrder("train before upload"));
         }
-        let bytes = self.owners[i].model_bytes.clone();
-        let node = self.owners[i].ipfs_node;
-        let billed = world.ipfs_add(self.placement, node, &bytes);
+        let owner = &self.owners[i];
+        let billed = endpoint.ipfs_add(owner.ipfs_node, &owner.model_bytes);
         self.owners[i].cid = Some(billed.value.root.clone());
         Ok((billed.value.root, billed.cost))
     }
@@ -552,8 +562,8 @@ impl MarketSession {
     /// hash plus the wallet's signing-preflight cost (the caller charges
     /// it). Pair with [`MarketSession::finish_cid`].
     pub fn submit_cid(
-        &mut self,
-        world: &mut World,
+        &self,
+        endpoint: &mut Endpoint,
         i: usize,
     ) -> Result<(H256, SimDuration), MarketError> {
         let contract = self
@@ -561,8 +571,7 @@ impl MarketSession {
             .ok_or(MarketError::StepOrder("deploy before sending CIDs"))?;
         let data = self.cid_calldata(i)?;
         let from = self.owners[i].address;
-        Ok(world.submit_tx(
-            self.placement,
+        Ok(endpoint.submit_tx(
             &self.wallet,
             &from,
             Some(contract.address),
@@ -606,25 +615,23 @@ impl MarketSession {
     /// `bench_session_engine` sweeps.
     pub fn download_cids_computed(
         &self,
-        world: &mut World,
+        endpoint: &mut Endpoint,
     ) -> Result<(Vec<String>, SimDuration), MarketError> {
         let contract = self
             .contract
             .ok_or(MarketError::StepOrder("deploy before download"))?;
         let buyer = self.buyer.address;
-        if world.batch_cid_reads {
-            let (cids, duration) =
-                world.eth_retry(self.placement, |eth| contract.all_cids_batched(eth, &buyer));
+        if endpoint.batch_cid_reads {
+            let (cids, duration) = endpoint.eth_retry(|eth| contract.all_cids_batched(eth, &buyer));
             return Ok((cids?, duration));
         }
         let mut duration = SimDuration::ZERO;
-        let (count, d) = world.eth_retry(self.placement, |eth| contract.cid_count(eth, &buyer));
+        let (count, d) = endpoint.eth_retry(|eth| contract.cid_count(eth, &buyer));
         duration = duration.saturating_add(d);
         let count = count?;
         let mut cids = Vec::with_capacity(count as usize);
         for index in 0..count {
-            let (cid, d) =
-                world.eth_retry(self.placement, |eth| contract.get_cid(eth, &buyer, index));
+            let (cid, d) = endpoint.eth_retry(|eth| contract.get_cid(eth, &buyer, index));
             duration = duration.saturating_add(d);
             cids.push(cid?);
         }
@@ -636,14 +643,14 @@ impl MarketSession {
     /// Returns the retrieved count and the total bitswap transfer time.
     pub fn retrieve_models_computed(
         &mut self,
-        world: &mut World,
+        endpoint: &mut Endpoint,
         cids: &[String],
     ) -> Result<(usize, SimDuration), MarketError> {
         self.retrieved.clear();
         let mut duration = SimDuration::ZERO;
         for cid_str in cids {
             let cid = Cid::parse(cid_str).map_err(|_| MarketError::ModelDecode)?;
-            let billed = world.ipfs_cat(self.placement, self.buyer.ipfs_node, &cid);
+            let billed = endpoint.ipfs_cat(self.buyer.ipfs_node, &cid);
             duration = duration.saturating_add(billed.cost);
             let (bytes, _stats) = billed.value.map_err(WorldError::Ipfs)?;
             let model = decode_model(&bytes).map_err(|_| MarketError::ModelDecode)?;
@@ -664,11 +671,12 @@ impl MarketSession {
     }
 
     /// **Step 7 (aggregation half)** — one backend `/aggregate` call plus
-    /// the PFNM matching and a test-set evaluation, all host-side. Returns
-    /// the aggregation and its virtual duration (backend call + inference).
+    /// the PFNM matching and a test-set evaluation, all host-side, with the
+    /// backend reached over `lan`. Returns the aggregation and its virtual
+    /// duration (backend call + inference).
     pub fn aggregate_computed(
         &mut self,
-        world: &World,
+        lan: &Link,
     ) -> Result<(Aggregation, SimDuration), MarketError> {
         let _t = PhaseTimer::start(HotPhase::Aggregate);
         if self.retrieved.is_empty() {
@@ -686,12 +694,8 @@ impl MarketSession {
         // The Flask call's network + processing time, measured on a scratch
         // clock so the caller can charge it to any timeline.
         let scratch = SimClock::new();
-        self.backend.call(
-            &scratch,
-            &world.profile.lan,
-            "/aggregate",
-            b"models".to_vec(),
-        );
+        self.backend
+            .call(&scratch, lan, "/aggregate", b"models".to_vec());
         let full = match self.config.finalize {
             FinalizePolicy::PfnmLoo => aggregate_subset(
                 &models,
@@ -737,13 +741,12 @@ impl MarketSession {
     /// budget. Returns the payment plan and the backend call's duration.
     pub fn loo_payments_computed(
         &mut self,
-        world: &World,
+        lan: &Link,
         agg: &Aggregation,
     ) -> (LooPayments, SimDuration) {
         let _t = PhaseTimer::start(HotPhase::Aggregate);
         let scratch = SimClock::new();
-        self.backend
-            .call(&scratch, &world.profile.lan, "/loo", b"loo".to_vec());
+        self.backend.call(&scratch, lan, "/loo", b"loo".to_vec());
         if self.config.finalize == FinalizePolicy::FedAvgProportional {
             // Linear-time pricing: each owner's contribution is the data
             // weight it brought; no leave-one-out coalitions are rerun.
@@ -787,7 +790,7 @@ impl MarketSession {
     /// **Step 7 (payment half)** — signs one transfer per attributable
     /// recipient with consecutive nonces (so they can share a block). The
     /// signing environment — chain id, starting nonce, transfer gas
-    /// estimate, base fee — comes from [`World::tx_env`] envelopes against
+    /// estimate, base fee — comes from [`Endpoint::tx_env`] envelopes against
     /// the market's endpoint, never a local chain read. Returns
     /// `(recipient, amount, signed_tx)` rows ready to broadcast.
     pub fn build_payment_txs(
@@ -832,29 +835,21 @@ impl MarketSession {
     /// — plus the preflight's RPC cost for the caller to charge.
     pub fn payment_env(
         &self,
-        world: &mut World,
+        endpoint: &mut Endpoint,
         agg: &Aggregation,
     ) -> Result<(Option<TxEnv>, SimDuration), MarketError> {
         let Some(first) = agg.recipients.iter().flatten().next().copied() else {
             return Ok((None, SimDuration::ZERO));
         };
-        let (env, cost) = world.tx_env(self.placement, &self.buyer.address, Some(&first), &[])?;
+        let (env, cost) = endpoint.tx_env(&self.buyer.address, Some(&first), &[])?;
         Ok((Some(env), cost))
     }
 
-    /// Distills the finished session into the [`SessionReport`] feeding
-    /// every figure and table of the paper's §4.
-    pub fn assemble_report(
-        &self,
-        agg: &Aggregation,
-        loo: &LooPayments,
-        payments: Vec<PaymentRow>,
-        total_sim_seconds: f64,
-        rpc: ProviderMetrics,
-    ) -> SessionReport {
+    /// Test accuracy of every owner's local model on the buyer's test set
+    /// (0 for an owner that never trained) — the Fig 4 bars.
+    pub fn local_accuracies(&self) -> Vec<f64> {
         let test = &self.buyer.test;
-        let local_accuracies: Vec<f64> = self
-            .owners
+        self.owners
             .iter()
             .map(|o| {
                 o.trained
@@ -862,7 +857,21 @@ impl MarketSession {
                     .map(|t| t.model.accuracy(&test.images, &test.labels))
                     .unwrap_or(0.0)
             })
-            .collect();
+            .collect()
+    }
+
+    /// Distills the finished session into the [`SessionReport`] feeding
+    /// every figure and table of the paper's §4; `local_accuracies` is
+    /// [`MarketSession::local_accuracies`].
+    pub fn assemble_report(
+        &self,
+        agg: &Aggregation,
+        loo: &LooPayments,
+        local_accuracies: Vec<f64>,
+        payments: Vec<PaymentRow>,
+        total_sim_seconds: f64,
+        rpc: ProviderMetrics,
+    ) -> SessionReport {
         let mut gas = Vec::new();
         if let Some(d) = &self.deploy_receipt {
             gas.push(GasRow {
@@ -992,7 +1001,8 @@ impl Marketplace {
     /// **Steps 2–3** — owner `i` uploads its model to IPFS and receives the
     /// CID.
     pub fn owner_upload_model(&mut self, i: usize) -> Result<Cid, MarketError> {
-        let (cid, duration) = self.session.upload_owner(&mut self.world, i)?;
+        let mut endpoint = self.world.endpoint(self.session.placement);
+        let (cid, duration) = self.session.upload_owner(&mut endpoint, i)?;
         self.world.clock.advance(duration);
         self.session.owner_recorders[i].add(owner_phase::UPLOAD, duration);
         Ok(cid)
@@ -1021,7 +1031,8 @@ impl Marketplace {
     /// **Step 5** — the buyer downloads every CID from the contract. Free:
     /// only read calls.
     pub fn buyer_download_cids(&mut self) -> Result<Vec<String>, MarketError> {
-        let (cids, duration) = self.session.download_cids_computed(&mut self.world)?;
+        let mut endpoint = self.world.endpoint(self.session.placement);
+        let (cids, duration) = self.session.download_cids_computed(&mut endpoint)?;
         self.world.clock.advance(duration);
         self.session
             .buyer_recorder
@@ -1041,12 +1052,13 @@ impl Marketplace {
             .session
             .contract
             .ok_or(MarketError::StepOrder("deploy before watching events"))?;
-        let (head, d_head) = self.world.eth_retry(ep, |eth| eth.block_number());
+        let (head, d_head) = self.world.endpoint(ep).eth_retry(|eth| eth.block_number());
         self.world.clock.advance(d_head);
         let head = head.map_err(WorldError::Rpc)?;
         let (cids, duration) = self
             .world
-            .eth_retry(ep, |eth| contract.uploaded_cids_in(eth, 1, head));
+            .endpoint(ep)
+            .eth_retry(|eth| contract.uploaded_cids_in(eth, 1, head));
         self.world.clock.advance(duration);
         self.session
             .buyer_recorder
@@ -1057,9 +1069,8 @@ impl Marketplace {
     /// **Step 6** — the buyer retrieves every model from IPFS and verifies
     /// integrity (the CID *is* the hash).
     pub fn buyer_retrieve_models(&mut self, cids: &[String]) -> Result<usize, MarketError> {
-        let (n, duration) = self
-            .session
-            .retrieve_models_computed(&mut self.world, cids)?;
+        let mut endpoint = self.world.endpoint(self.session.placement);
+        let (n, duration) = self.session.retrieve_models_computed(&mut endpoint, cids)?;
         self.world.clock.advance(duration);
         self.session
             .buyer_recorder
@@ -1072,7 +1083,8 @@ impl Marketplace {
     /// full session report.
     pub fn buyer_aggregate_and_pay(&mut self) -> Result<SessionReport, MarketError> {
         // Aggregation on the backend workstation (Flask call).
-        let (agg, agg_duration) = self.session.aggregate_computed(&self.world)?;
+        let lan = self.world.profile.lan;
+        let (agg, agg_duration) = self.session.aggregate_computed(&lan)?;
         self.world.clock.advance(agg_duration);
         self.session
             .buyer_recorder
@@ -1080,14 +1092,16 @@ impl Marketplace {
 
         // LOO: re-aggregate n leave-one-out coalitions (backend /loo call).
         let pay_start = self.world.clock.now();
-        let (loo, loo_duration) = self.session.loo_payments_computed(&self.world, &agg);
+        let (loo, loo_duration) = self.session.loo_payments_computed(&lan, &agg);
         self.world.clock.advance(loo_duration);
 
         // Payment transactions: one signing-environment preflight against
         // the market's endpoint, then consecutive nonces so they share a
         // block.
         let ep = self.session.placement;
-        let (env, env_cost) = self.session.payment_env(&mut self.world, &agg)?;
+        let (env, env_cost) = self
+            .session
+            .payment_env(&mut self.world.endpoint(ep), &agg)?;
         self.world.clock.advance(env_cost);
         let txs = match env {
             Some(env) => self.session.build_payment_txs(&env, &agg, &loo),
@@ -1096,7 +1110,7 @@ impl Marketplace {
         let mut hashes = Vec::new();
         let mut paid: Vec<(H160, U256)> = Vec::new();
         for (address, amount, tx) in txs {
-            let (result, cost) = self.world.broadcast_raw(ep, &tx.encode());
+            let (result, cost) = self.world.endpoint(ep).broadcast_raw(&tx.encode());
             self.world.clock.advance(cost);
             let hash = result.map_err(|e| MarketError::TxFailed(format!("payment: {e}")))?;
             hashes.push(hash);
@@ -1120,6 +1134,7 @@ impl Marketplace {
         Ok(self.session.assemble_report(
             &agg,
             &loo,
+            self.session.local_accuracies(),
             payments,
             self.world.clock.elapsed_secs(),
             self.world.rpc_metrics(ep),

@@ -300,7 +300,7 @@ impl Scenario {
         for &i in &self.failures.drop_ipfs_blocks {
             if let Some(cid) = market.owners[i].cid.clone() {
                 let node_index = market.owners[i].ipfs_node;
-                market.world.drop_ipfs_block(ep, node_index, &cid);
+                market.world.endpoint(ep).drop_ipfs_block(node_index, &cid);
             }
         }
 
@@ -318,7 +318,7 @@ impl Scenario {
             .iter()
             .filter(|s| {
                 Cid::parse(s)
-                    .map(|c| market.world.swarm_has(ep, &c))
+                    .map(|c| market.world.endpoint(ep).swarm_has(&c))
                     .unwrap_or(false)
             })
             .cloned()

@@ -30,7 +30,7 @@
 //!
 //! - **Serial** ([`World::send_and_confirm`]): submit, then block (in
 //!   virtual time) until mined — one participant at a time.
-//! - **Event-driven** ([`World::submit_tx`] / [`World::await_receipt`] plus
+//! - **Event-driven** ([`Endpoint::submit_tx`] / [`World::await_receipt`] plus
 //!   the slot helpers): submission and confirmation are separate steps, so
 //!   the session engine in `ofl_core::engine` can let many owners' (and
 //!   many markets') transactions land in their shard's mempool together
@@ -382,6 +382,41 @@ impl World {
         self.pool.endpoint(endpoint)
     }
 
+    /// One endpoint's client view: its provider stack with the world's
+    /// retry budget and CID-read mode — what every piece of a market's
+    /// own traffic (signing reads, broadcasts, IPFS transfers, contract
+    /// reads) goes through.
+    pub fn endpoint(&mut self, endpoint: EndpointId) -> Endpoint<'_> {
+        Endpoint {
+            provider: self.pool.endpoint(endpoint),
+            max_rpc_retries: self.max_rpc_retries,
+            batch_cid_reads: self.batch_cid_reads,
+        }
+    }
+
+    /// Runs `f` once per `(endpoint, group)` pair — groups name distinct
+    /// endpoints in ascending order — on that endpoint's view, the
+    /// endpoints on parallel workers ([`ProviderPool::fork_endpoints`]),
+    /// and returns the results in `groups` order. Each group's work runs in order on one worker, so
+    /// every endpoint sees the calls a serial loop over the groups would
+    /// make.
+    pub fn fork_endpoints<T, R, F>(&mut self, groups: Vec<(EndpointId, T)>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(&mut Endpoint<'_>, &mut T) -> R + Sync,
+    {
+        let (max_rpc_retries, batch_cid_reads) = (self.max_rpc_retries, self.batch_cid_reads);
+        self.pool.fork_endpoints(groups, |_, provider, group| {
+            let mut endpoint = Endpoint {
+                provider,
+                max_rpc_retries,
+                batch_cid_reads,
+            };
+            f(&mut endpoint, group)
+        })
+    }
+
     /// Direct backstage chain access for one shard — **in-process shards
     /// only** (a remote shard has no chain reference to give; this panics
     /// there). Simulation drivers use the wire-able backstage helpers
@@ -415,15 +450,6 @@ impl World {
     /// static for a chain's lifetime).
     pub fn chain_config(&self, endpoint: EndpointId) -> &ChainConfig {
         &self.chain_configs[endpoint.0]
-    }
-
-    /// Backstage chain height (the driver's truth, unaffected by stale or
-    /// flaky client reads).
-    pub fn height(&mut self, endpoint: EndpointId) -> u64 {
-        self.pool
-            .endpoint(endpoint)
-            .backstage(&BackstageOp::Height)
-            .into_u64()
     }
 
     /// Backstage mempool occupancy.
@@ -487,25 +513,6 @@ impl World {
             .into_u64() as usize
     }
 
-    /// Failure injection: unpin + garbage-collect `cid` on one node of the
-    /// shard's swarm, so the content vanishes from that peer.
-    pub fn drop_ipfs_block(&mut self, endpoint: EndpointId, node: usize, cid: &Cid) {
-        self.pool
-            .endpoint(endpoint)
-            .backstage(&BackstageOp::DropIpfsBlock {
-                node: node as u64,
-                cid: cid.clone(),
-            });
-    }
-
-    /// Whether *any* node of the shard's swarm can still serve `cid`.
-    pub fn swarm_has(&mut self, endpoint: EndpointId, cid: &Cid) -> bool {
-        self.pool
-            .endpoint(endpoint)
-            .backstage(&BackstageOp::SwarmHas { cid: cid.clone() })
-            .into_flag()
-    }
-
     /// One endpoint's metering snapshot: per-method call counts and
     /// virtual-time totals that endpoint's decorator stack observed.
     pub fn rpc_metrics(&self, endpoint: EndpointId) -> ProviderMetrics {
@@ -520,28 +527,6 @@ impl World {
     /// All endpoints' metering rolled up into one run-level snapshot.
     pub fn rpc_metrics_merged(&self) -> ProviderMetrics {
         self.pool.metrics_merged()
-    }
-
-    /// Runs one provider operation against `endpoint` with
-    /// transient-failure retries, summing every attempt's cost. The caller
-    /// charges the returned duration to its clock or timeline.
-    pub fn eth_retry<T, E: Retryable>(
-        &mut self,
-        endpoint: EndpointId,
-        mut op: impl FnMut(&mut dyn NodeProvider) -> Billed<Result<T, E>>,
-    ) -> (Result<T, E>, SimDuration) {
-        let mut total = SimDuration::ZERO;
-        let mut attempt = 0u32;
-        loop {
-            let Billed { value, cost } = op(self.pool.endpoint(endpoint));
-            total = total.saturating_add(cost);
-            match value {
-                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
-                    attempt += 1;
-                }
-                other => return (other, total),
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -566,103 +551,8 @@ impl World {
     }
 
     // ------------------------------------------------------------------
-    // The wallet's signing environment (client traffic, like any other).
-    // ------------------------------------------------------------------
-
-    /// Fetches everything a wallet needs before signing — chain id, nonce,
-    /// gas estimate, gas price — as **one** batched round trip against the
-    /// market's endpoint, retrying transient failures. Returns the
-    /// environment and the total cost of every attempt (the caller charges
-    /// it). Because these are ordinary envelopes, a flaky or throttling
-    /// endpoint now faults the signing path too.
-    pub fn tx_env(
-        &mut self,
-        endpoint: EndpointId,
-        from: &H160,
-        to: Option<&H160>,
-        data: &[u8],
-    ) -> Result<(TxEnv, SimDuration), WorldError> {
-        let requests = vec![
-            RpcRequest::new(0, RpcMethod::ChainId),
-            RpcRequest::new(1, RpcMethod::GetTransactionCount { address: *from }),
-            RpcRequest::new(
-                2,
-                RpcMethod::EstimateGas {
-                    from: *from,
-                    to: to.copied(),
-                    data: data.to_vec(),
-                },
-            ),
-            RpcRequest::new(3, RpcMethod::GasPrice),
-        ];
-        let mut total = SimDuration::ZERO;
-        let mut attempt = 0u32;
-        loop {
-            // Tag-match the reply array: a reordering endpoint shuffles it,
-            // and the four sub-results here are decoded by position.
-            let responses =
-                match_to_requests(&requests, self.pool.endpoint(endpoint).batch(&requests));
-            total = responses
-                .iter()
-                .fold(total, |acc, r| acc.saturating_add(r.cost));
-            match decode_tx_env(&responses) {
-                Ok(env) => return Ok((env, total)),
-                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
-                    attempt += 1;
-                }
-                Err(e) => return Err(WorldError::Rpc(e)),
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Non-blocking substrate steps (event-driven path).
     // ------------------------------------------------------------------
-
-    /// Signs a transaction (environment fetched over the provider traits —
-    /// see [`World::tx_env`]) and broadcasts it through the endpoint
-    /// (`eth_sendRawTransaction`) — the non-blocking half of
-    /// [`World::send_and_confirm`]. The successful broadcast itself is
-    /// never charged here (the caller prices it; serial:
-    /// [`World::tx_submit_time`], engine: the owner's timeline); the
-    /// returned duration is the signing preflight plus any wasted retried
-    /// round trips, for the caller to charge.
-    pub fn submit_tx(
-        &mut self,
-        endpoint: EndpointId,
-        wallet: &Wallet,
-        from: &H160,
-        to: Option<H160>,
-        value: U256,
-        data: Vec<u8>,
-    ) -> Result<(H256, SimDuration), WorldError> {
-        let (env, mut cost) = self.tx_env(endpoint, from, to.as_ref(), &data)?;
-        let raw = wallet.sign_with_env(&env, from, to, value, data)?;
-        let mut attempt = 0u32;
-        loop {
-            let Billed { value, cost: c } = self.pool.endpoint(endpoint).send_raw_transaction(&raw);
-            match value {
-                Ok(hash) => return Ok((hash, cost)),
-                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
-                    cost = cost.saturating_add(c);
-                    attempt += 1;
-                }
-                Err(e) => return Err(WorldError::Rpc(e)),
-            }
-        }
-    }
-
-    /// Broadcasts an already-signed raw transaction through the endpoint
-    /// (`eth_sendRawTransaction`), retrying transient failures. Returns the
-    /// outcome and the summed cost of every attempt — the caller charges it.
-    pub fn broadcast_raw(
-        &mut self,
-        endpoint: EndpointId,
-        raw: &[u8],
-    ) -> (Result<H256, RpcError>, SimDuration) {
-        let owned = raw.to_vec();
-        self.eth_retry(endpoint, |eth| eth.send_raw_transaction(&owned))
-    }
 
     /// Polls receipts for `hashes` on one endpoint — one batched round trip
     /// when [`World::batch_receipt_polls`] is set (N polls, one wire
@@ -831,7 +721,9 @@ impl World {
         let max_wait_slots = self.chain_config(endpoint).max_wait_slots;
         let mut extra_slots = 0u64;
         loop {
-            let (result, cost) = self.eth_retry(endpoint, |eth| eth.get_transaction_receipt(hash));
+            let (result, cost) = self
+                .endpoint(endpoint)
+                .eth_retry(|eth| eth.get_transaction_receipt(hash));
             self.clock.advance(cost);
             match result {
                 Ok(Some(receipt)) => return Ok(receipt),
@@ -873,7 +765,9 @@ impl World {
     ) -> Result<Receipt, WorldError> {
         // RPC submission (calldata rides along).
         self.clock.advance(self.tx_submit_time(data.len()));
-        let (hash, preflight) = self.submit_tx(endpoint, wallet, from, to, value, data)?;
+        let (hash, preflight) = self
+            .endpoint(endpoint)
+            .submit_tx(wallet, from, to, value, data)?;
         self.clock.advance(preflight);
         self.await_receipt(endpoint, hash)
     }
@@ -934,35 +828,172 @@ impl World {
         to: &H160,
         data: Vec<u8>,
     ) -> Result<CallResult, WorldError> {
-        let (result, cost) = self.eth_retry(endpoint, |eth| eth.call(from, to, data.clone()));
+        let (result, cost) = self
+            .endpoint(endpoint)
+            .eth_retry(|eth| eth.call(from, to, data.clone()));
         self.clock.advance(cost);
         result.map_err(WorldError::Rpc)
     }
+}
 
-    // ------------------------------------------------------------------
-    // IPFS traffic (also provider-priced; the caller charges the bill).
-    // ------------------------------------------------------------------
+/// One endpoint of a [`World`], borrowed for client traffic (see
+/// [`World::endpoint`]): the endpoint's provider stack plus the world's
+/// retry budget and CID-read mode. A view touches nothing but its own
+/// endpoint, so views of different endpoints can work on different threads
+/// ([`World::fork_endpoints`]).
+pub struct Endpoint<'a> {
+    provider: &'a mut dyn NodeProvider,
+    /// How many times a transient (timed-out or rate-limited) request is
+    /// retried before giving up ([`World::max_rpc_retries`]).
+    max_rpc_retries: u32,
+    /// Whether the buyer's CID download batches its `getCid` reads
+    /// ([`World::batch_cid_reads`]).
+    pub(crate) batch_cid_reads: bool,
+}
 
-    /// `ipfs add` on `node` of `endpoint`'s swarm: stores + pins, returns
-    /// the root CID and the priced LAN transfer time.
-    pub fn ipfs_add(
+impl Endpoint<'_> {
+    /// Runs one provider operation with transient-failure retries, summing
+    /// every attempt's cost. The caller charges the returned duration to
+    /// its clock or timeline.
+    pub fn eth_retry<T, E: Retryable>(
         &mut self,
-        endpoint: EndpointId,
-        node: usize,
-        data: &[u8],
-    ) -> Billed<AddResult> {
-        self.pool.endpoint(endpoint).add(node, data)
+        mut op: impl FnMut(&mut dyn NodeProvider) -> Billed<Result<T, E>>,
+    ) -> (Result<T, E>, SimDuration) {
+        let mut total = SimDuration::ZERO;
+        let mut attempt = 0u32;
+        loop {
+            let Billed { value, cost } = op(&mut *self.provider);
+            total = total.saturating_add(cost);
+            match value {
+                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
+                    attempt += 1;
+                }
+                other => return (other, total),
+            }
+        }
     }
 
-    /// `ipfs cat` on `node` of `endpoint`'s swarm: bitswaps the DAG under
+    /// Fetches everything a wallet needs before signing — chain id, nonce,
+    /// gas estimate, gas price — as **one** batched round trip, retrying
+    /// transient failures. Returns the environment and the total cost of
+    /// every attempt (the caller charges it). Because these are ordinary
+    /// envelopes, a flaky or throttling endpoint faults the signing path
+    /// too.
+    pub fn tx_env(
+        &mut self,
+        from: &H160,
+        to: Option<&H160>,
+        data: &[u8],
+    ) -> Result<(TxEnv, SimDuration), WorldError> {
+        let requests = vec![
+            RpcRequest::new(0, RpcMethod::ChainId),
+            RpcRequest::new(1, RpcMethod::GetTransactionCount { address: *from }),
+            RpcRequest::new(
+                2,
+                RpcMethod::EstimateGas {
+                    from: *from,
+                    to: to.copied(),
+                    data: data.to_vec(),
+                },
+            ),
+            RpcRequest::new(3, RpcMethod::GasPrice),
+        ];
+        let mut total = SimDuration::ZERO;
+        let mut attempt = 0u32;
+        loop {
+            // Tag-match the reply array: a reordering endpoint shuffles it,
+            // and the four sub-results here are decoded by position.
+            let responses = match_to_requests(&requests, self.provider.batch(&requests));
+            total = responses
+                .iter()
+                .fold(total, |acc, r| acc.saturating_add(r.cost));
+            match decode_tx_env(&responses) {
+                Ok(env) => return Ok((env, total)),
+                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
+                    attempt += 1;
+                }
+                Err(e) => return Err(WorldError::Rpc(e)),
+            }
+        }
+    }
+
+    /// Signs a transaction (environment from [`Endpoint::tx_env`]) and
+    /// broadcasts it (`eth_sendRawTransaction`) without waiting for it to
+    /// be mined — the non-blocking half of [`World::send_and_confirm`].
+    /// The successful broadcast itself is never charged here (the caller
+    /// prices it; serial: [`World::tx_submit_time`], engine: the owner's
+    /// timeline); the returned duration is the signing preflight plus any
+    /// wasted retried round trips, for the caller to charge.
+    pub fn submit_tx(
+        &mut self,
+        wallet: &Wallet,
+        from: &H160,
+        to: Option<H160>,
+        value: U256,
+        data: Vec<u8>,
+    ) -> Result<(H256, SimDuration), WorldError> {
+        let (env, mut cost) = self.tx_env(from, to.as_ref(), &data)?;
+        let raw = wallet.sign_with_env(&env, from, to, value, data)?;
+        let mut attempt = 0u32;
+        loop {
+            let Billed { value, cost: c } = self.provider.send_raw_transaction(&raw);
+            match value {
+                Ok(hash) => return Ok((hash, cost)),
+                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
+                    cost = cost.saturating_add(c);
+                    attempt += 1;
+                }
+                Err(e) => return Err(WorldError::Rpc(e)),
+            }
+        }
+    }
+
+    /// Broadcasts an already-signed raw transaction
+    /// (`eth_sendRawTransaction`), retrying transient failures. Returns the
+    /// outcome and the summed cost of every attempt — the caller charges
+    /// it.
+    pub fn broadcast_raw(&mut self, raw: &[u8]) -> (Result<H256, RpcError>, SimDuration) {
+        self.eth_retry(|eth| eth.send_raw_transaction(raw))
+    }
+
+    /// `ipfs add` on `node` of the endpoint's swarm: stores + pins, returns
+    /// the root CID and the priced LAN transfer time.
+    pub fn ipfs_add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
+        self.provider.add(node, data)
+    }
+
+    /// `ipfs cat` on `node` of the endpoint's swarm: bitswaps the DAG under
     /// `cid` and returns the bytes, transfer stats, and priced LAN time.
     pub fn ipfs_cat(
         &mut self,
-        endpoint: EndpointId,
         node: usize,
         cid: &Cid,
     ) -> Billed<Result<(Vec<u8>, FetchStats), ofl_ipfs::swarm::IpfsError>> {
-        self.pool.endpoint(endpoint).cat(node, cid)
+        self.provider.cat(node, cid)
+    }
+
+    /// Backstage chain height (the driver's truth, unaffected by stale or
+    /// flaky client reads).
+    pub fn height(&mut self) -> u64 {
+        self.provider.backstage(&BackstageOp::Height).into_u64()
+    }
+
+    /// Whether *any* node of the endpoint's swarm can still serve `cid`
+    /// (backstage).
+    pub fn swarm_has(&mut self, cid: &Cid) -> bool {
+        self.provider
+            .backstage(&BackstageOp::SwarmHas { cid: cid.clone() })
+            .into_flag()
+    }
+
+    /// Failure injection (backstage): unpin + garbage-collect `cid` on one
+    /// node of the endpoint's swarm, so the content vanishes from that
+    /// peer.
+    pub fn drop_ipfs_block(&mut self, node: usize, cid: &Cid) {
+        self.provider.backstage(&BackstageOp::DropIpfsBlock {
+            node: node as u64,
+            cid: cid.clone(),
+        });
     }
 }
 
@@ -1069,10 +1100,12 @@ mod tests {
         let genesis: Vec<(H160, U256)> = addrs.iter().map(|a| (*a, wei_per_eth())).collect();
         let mut world = World::new(ChainConfig::default(), &genesis, NetworkProfile::campus());
         let (h1, _) = world
-            .submit_tx(EP, &wallet, &addrs[0], Some(addrs[1]), U256::ONE, vec![])
+            .endpoint(EP)
+            .submit_tx(&wallet, &addrs[0], Some(addrs[1]), U256::ONE, vec![])
             .unwrap();
         let (h2, _) = world
-            .submit_tx(EP, &wallet, &addrs[1], Some(addrs[0]), U256::ONE, vec![])
+            .endpoint(EP)
+            .submit_tx(&wallet, &addrs[1], Some(addrs[0]), U256::ONE, vec![])
             .unwrap();
         assert_eq!(world.clock.elapsed_secs(), 0.0, "submission never blocks");
         assert_eq!(world.chain(EP).mempool_len(), 2);
@@ -1089,7 +1122,10 @@ mod tests {
         let addrs = wallet.addresses();
         let genesis: Vec<(H160, U256)> = addrs.iter().map(|a| (*a, wei_per_eth())).collect();
         let mut world = World::new(ChainConfig::default(), &genesis, NetworkProfile::campus());
-        let (env, cost) = world.tx_env(EP, &addrs[0], Some(&addrs[1]), &[]).unwrap();
+        let (env, cost) = world
+            .endpoint(EP)
+            .tx_env(&addrs[0], Some(&addrs[1]), &[])
+            .unwrap();
         assert_eq!(env.nonce, 0);
         assert_eq!(env.gas_estimate, 21_000);
         assert_eq!(env.chain_id, world.chain(EP).config().chain_id);
@@ -1121,7 +1157,10 @@ mod tests {
             NetworkProfile::campus(),
             Some(FaultProfile::new(1, 1.0)),
         );
-        match world.submit_tx(EP, &wallet, &a, None, U256::ZERO, vec![]) {
+        match world
+            .endpoint(EP)
+            .submit_tx(&wallet, &a, None, U256::ZERO, vec![])
+        {
             Err(WorldError::Rpc(RpcError::Timeout)) => {}
             other => panic!("expected signing-path timeout, got {other:?}"),
         }
@@ -1244,8 +1283,8 @@ mod tests {
         let hashes: Vec<H256> = (0..4)
             .map(|i| {
                 world
+                    .endpoint(EP)
                     .submit_tx(
-                        EP,
                         &wallet,
                         &addrs[i],
                         Some(addrs[(i + 1) % 4]),
@@ -1287,10 +1326,12 @@ mod tests {
         // Same-instant submissions on different shards mine into different
         // chains' blocks at the same slot boundary.
         let (h0, _) = world
-            .submit_tx(EndpointId(0), &wallet, &a, Some(b), U256::ONE, vec![])
+            .endpoint(EndpointId(0))
+            .submit_tx(&wallet, &a, Some(b), U256::ONE, vec![])
             .unwrap();
         let (h1, _) = world
-            .submit_tx(EndpointId(1), &wallet, &b, Some(a), U256::ONE, vec![])
+            .endpoint(EndpointId(1))
+            .submit_tx(&wallet, &b, Some(a), U256::ONE, vec![])
             .unwrap();
         let blocks = world.mine_slot(12);
         assert_eq!(blocks.len(), 2);
@@ -1328,7 +1369,8 @@ mod tests {
         // Ids are per-backend: both shards hand out 1 first.
         assert_eq!((heads0, pend1), (1, 1));
         let (h1, _) = world
-            .submit_tx(EndpointId(1), &wallet, &b, Some(a), U256::ONE, vec![])
+            .endpoint(EndpointId(1))
+            .submit_tx(&wallet, &b, Some(a), U256::ONE, vec![])
             .unwrap();
         // Nothing delivered before the slot boundary pump.
         assert!(world.take_notifications(EndpointId(1), pend1).is_empty());

@@ -21,6 +21,13 @@
 //! CI job can drive the *same* binary serial and parallel and assert the
 //! digests match.
 //!
+//! A fork/join issued from inside a worker of a call that took every core
+//! — a finalize batch whose markets each fork their leave-one-out
+//! coalitions — runs inline on that worker: spawning again would start up
+//! to workers² threads for no extra parallelism. When the outer call has
+//! fewer items than the host has cores, its workers are not marked and a
+//! nested fork/join spreads over the spare cores as usual.
+//!
 //! ## Safe splitting — why this module needs no `unsafe`
 //!
 //! The workspace forbids `unsafe` (`#![forbid(unsafe_code)]` on every
@@ -35,6 +42,7 @@
 //! no raw pointers, no `split_at_mut` juggling, no `unsafe` escape hatch
 //! required.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Process-wide parallelism toggle; workers are used when `true` (the
@@ -70,10 +78,39 @@ pub fn max_workers() -> usize {
     }
 }
 
+thread_local! {
+    /// Set while this thread runs a chunk of a parallel fork/join that
+    /// took every core.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// True on a thread that is running a chunk of a parallel
+/// [`fork_join_mut`] that took every core — where a nested fork/join runs
+/// inline.
+fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
+/// Marks the current thread as a worker until dropped, then restores the
+/// previous mark.
+struct WorkerMark(bool);
+
+impl WorkerMark {
+    fn set() -> WorkerMark {
+        WorkerMark(IN_WORKER.with(|w| w.replace(true)))
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(self.0));
+    }
+}
+
 /// Runs `f` once per item — on scoped worker threads when parallelism is
-/// enabled, the host has more than one core, and there is more than one
-/// item; serially inline otherwise — and returns the results **in item
-/// order**.
+/// enabled, the host has more than one core, there is more than one item
+/// and the caller is not a worker of a call that took every core; serially
+/// inline otherwise — and returns the results **in item order**.
 ///
 /// `f` gets the item's index and exclusive access to the item, so
 /// per-shard state (a provider stack, a chain) can be mutated freely;
@@ -89,7 +126,7 @@ where
     F: Fn(usize, &mut T) -> R + Sync,
 {
     let workers = max_workers().min(items.len());
-    if workers <= 1 || !parallel_enabled() {
+    if workers <= 1 || !parallel_enabled() || in_worker() {
         return items
             .iter_mut()
             .enumerate()
@@ -101,7 +138,11 @@ where
     // how the threads interleave.
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     let chunk = items.len().div_ceil(workers);
+    // Only a call that took every core marks its workers: one with spare
+    // cores leaves them to the fork/joins its items issue.
+    let saturated = workers == max_workers();
     let run_chunk = |c: usize, item_chunk: &mut [T], slot_chunk: &mut [Option<R>]| {
+        let _worker = saturated.then(WorkerMark::set);
         for (o, (item, slot)) in item_chunk.iter_mut().zip(slot_chunk).enumerate() {
             *slot = Some(f(c * chunk + o, item));
         }
@@ -109,13 +150,24 @@ where
     std::thread::scope(|scope| {
         let mut chunks = items.chunks_mut(chunk).zip(slots.chunks_mut(chunk));
         let (first_items, first_slots) = chunks.next().expect("at least two items");
-        for (c, (item_chunk, slot_chunk)) in chunks.enumerate() {
-            let run_chunk = &run_chunk;
-            scope.spawn(move || run_chunk(c + 1, item_chunk, slot_chunk));
-        }
+        let spawned: Vec<_> = chunks
+            .enumerate()
+            .map(|(c, (item_chunk, slot_chunk))| {
+                let run_chunk = &run_chunk;
+                scope.spawn(move || run_chunk(c + 1, item_chunk, slot_chunk))
+            })
+            .collect();
         // The caller is a worker too: it runs the first chunk while the
         // spawned threads run the rest.
         run_chunk(0, first_items, first_slots);
+        // Join each thread to its exit, not just to the end of its chunk:
+        // an exited thread hands its allocator arena back, so the next
+        // fork's threads reuse it instead of opening new ones.
+        for worker in spawned {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     slots
         .into_iter()
@@ -187,6 +239,52 @@ mod tests {
             assert!(ran[..chunk].iter().all(|&(_, t)| t == caller));
             assert!(ran[chunk..].iter().all(|&(_, t)| t != caller));
         }
+    }
+
+    /// Forks over `outer` items, each of which forks over 4 inner items;
+    /// per outer item, whether its worker was marked and whether every
+    /// inner item ran on that worker's thread.
+    fn nested_fork(outer: usize) -> Vec<(bool, bool)> {
+        let mut items: Vec<Vec<u64>> = (0..outer as u64)
+            .map(|i| (0..4).map(|j| i * 4 + j).collect())
+            .collect();
+        let ran = fork_join_mut(&mut items, |_, inner| {
+            let me = std::thread::current().id();
+            let inner_threads = fork_join_mut(inner, |_, x| {
+                *x += 1;
+                std::thread::current().id()
+            });
+            (in_worker(), inner_threads.iter().all(|&t| t == me))
+        });
+        assert_eq!(items.concat(), (1..=4 * outer as u64).collect::<Vec<_>>());
+        // The mark never leaks out of the call.
+        assert!(!in_worker());
+        ran
+    }
+
+    #[test]
+    fn nested_fork_joins_run_inline_when_the_outer_call_took_every_core() {
+        // As many outer items as cores: every worker is marked and each
+        // inner fork stays on the thread that runs its outer item, so a
+        // call never spawns more than the outer fork's workers.
+        let parallel = max_workers() > 1 && parallel_enabled();
+        let ran = nested_fork(max_workers().max(2));
+        assert!(ran
+            .iter()
+            .all(|&(marked, inline)| marked == parallel && inline));
+    }
+
+    #[test]
+    fn nested_fork_joins_use_the_cores_an_outer_call_left_free() {
+        // Two outer items on a host with more cores leave cores free: the
+        // workers are not marked, and each inner fork spreads over workers
+        // of its own.
+        let saturated = parallel_enabled() && max_workers() == 2;
+        let spare = parallel_enabled() && max_workers() > 2;
+        let ran = nested_fork(2);
+        assert!(ran
+            .iter()
+            .all(|&(marked, inline)| marked == saturated && inline != spare));
     }
 
     #[test]

@@ -103,6 +103,25 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.event))
     }
 
+    /// Removes the earliest event together with every event queued directly
+    /// behind it at the same instant for which `same(first, next)` holds —
+    /// a same-instant run, in delivery order. The run ends at the first
+    /// event that fires later or fails the test, so popping runs delivers
+    /// exactly the sequence [`EventQueue::pop`] would.
+    pub fn pop_run(&mut self, same: impl Fn(&E, &E) -> bool) -> Option<(SimInstant, Vec<E>)> {
+        let (at, first) = self.pop()?;
+        let mut run = vec![first];
+        let _t = PhaseTimer::start(HotPhase::Queue);
+        while self
+            .heap
+            .peek()
+            .is_some_and(|next| next.at == at && same(&run[0], &next.event))
+        {
+            run.push(self.heap.pop().expect("peeked").event);
+        }
+        Some((at, run))
+    }
+
     /// Firing instant of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimInstant> {
         self.heap.peek().map(|e| e.at)
@@ -198,6 +217,24 @@ mod tests {
             assert_eq!(got, expect);
         }
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn runs_split_where_the_instant_or_the_kind_changes() {
+        // Kinds are the tens digit; a run is a same-instant, same-kind
+        // stretch of the delivery order.
+        let mut q = EventQueue::new();
+        for (at, ev) in [(5, 10), (5, 11), (5, 20), (5, 12), (7, 13), (7, 14)] {
+            q.schedule(SimInstant(at), ev);
+        }
+        let same = |a: &u32, b: &u32| a / 10 == b / 10;
+        assert_eq!(q.pop_run(same), Some((SimInstant(5), vec![10, 11])));
+        assert_eq!(q.pop_run(same), Some((SimInstant(5), vec![20])));
+        assert_eq!(q.pop_run(same), Some((SimInstant(5), vec![12])));
+        // Scheduling at the popped instant is still allowed mid-run.
+        q.schedule(SimInstant(7), 15);
+        assert_eq!(q.pop_run(same), Some((SimInstant(7), vec![13, 14, 15])));
+        assert_eq!(q.pop_run(same), None);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub struct AccessLogEntry {
     pub duration: SimDuration,
 }
 
-type Handler = Box<dyn FnMut(&Request) -> Response>;
+type Handler = Box<dyn FnMut(&Request) -> Response + Send>;
 
 /// A routed service reachable over a link.
 pub struct Service {
@@ -91,11 +91,12 @@ impl Service {
         &self.name
     }
 
-    /// Registers a route handler (replacing any previous one).
+    /// Registers a route handler (replacing any previous one). Handlers
+    /// are `Send`, so a service moves with its owner onto a worker thread.
     pub fn route(
         &mut self,
         path: impl Into<String>,
-        handler: impl FnMut(&Request) -> Response + 'static,
+        handler: impl FnMut(&Request) -> Response + Send + 'static,
     ) {
         self.routes.insert(path.into(), Box::new(handler));
     }

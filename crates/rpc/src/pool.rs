@@ -9,8 +9,12 @@
 //! while two markets on the same shard share a mempool exactly as a
 //! single-endpoint world would.
 //!
-//! The pool adds two things on top of per-endpoint access:
+//! The pool adds three things on top of per-endpoint access:
 //!
+//! - [`ProviderPool::fork_endpoints`]: the one fork/join over endpoints —
+//!   per-endpoint work groups on parallel workers, each group in order on
+//!   its endpoint. Everything below that spans shards runs on it, and so
+//!   does the engine's same-instant step batch.
 //! - [`ProviderPool::batch`]: a tagged fan-out — requests addressed to
 //!   several endpoints are grouped and each group travels as **one** wire
 //!   round trip to its endpoint, with responses scattered back in request
@@ -76,56 +80,74 @@ impl ProviderPool {
         &*self.endpoints[id.0]
     }
 
+    /// The pool's one fork/join: runs `f` once per `(endpoint, group)` pair
+    /// — groups name distinct endpoints in ascending order — with the
+    /// endpoint's stack borrowed exclusively, and returns the results in
+    /// `groups` order. Endpoints are independent shards, so their groups
+    /// run on parallel [`fork_join_mut`] workers; whatever a group does
+    /// runs in order on one worker, so each endpoint sees the call sequence
+    /// a serial loop would make. Trace context is the caller's to set
+    /// inside `f`.
+    pub fn fork_endpoints<T, R, F>(&mut self, groups: Vec<(EndpointId, T)>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(EndpointId, &mut dyn NodeProvider, &mut T) -> R + Sync,
+    {
+        let mut groups = groups.into_iter().peekable();
+        let mut work: Vec<(EndpointId, &mut dyn NodeProvider, T)> = Vec::new();
+        for (i, endpoint) in self.endpoints.iter_mut().enumerate() {
+            if let Some((id, group)) = groups.next_if(|(id, _)| id.0 == i) {
+                work.push((id, &mut **endpoint, group));
+            }
+        }
+        assert!(
+            groups.next().is_none(),
+            "groups name distinct endpoints in ascending order"
+        );
+        fork_join_mut(&mut work, |_, (id, endpoint, group)| {
+            f(*id, &mut **endpoint, group)
+        })
+    }
+
     /// Tagged batch fan-out: groups `requests` by endpoint (preserving each
     /// endpoint's request order), sends each group as **one** batched round
     /// trip, and scatters the responses back into request order. Batch
     /// costs ride on the first response of each endpoint's group, exactly
     /// as a single-endpoint [`EthApi::batch`](crate::eth::EthApi::batch).
     ///
-    /// Endpoints are independent shards, so their groups run on parallel
-    /// worker threads ([`fork_join_mut`]); the scatter is by recorded
-    /// request index, so response order — and therefore every digest
-    /// downstream — is identical to the serial fan-out.
+    /// The groups run through [`ProviderPool::fork_endpoints`]; the scatter
+    /// is by recorded request index, so response order — and therefore
+    /// every digest downstream — is identical to the serial fan-out.
     pub fn batch(&mut self, requests: &[(EndpointId, RpcRequest)]) -> Vec<RpcResponse> {
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for id in 0..self.endpoints.len() {
-            let indices: Vec<usize> = requests
-                .iter()
-                .enumerate()
-                .filter(|(_, (ep, _))| ep.0 == id)
-                .map(|(i, _)| i)
-                .collect();
-            if !indices.is_empty() {
-                groups.push((id, indices));
-            }
+        let mut indices: Vec<Vec<usize>> = vec![Vec::new(); self.endpoints.len()];
+        for (i, (ep, _)) in requests.iter().enumerate() {
+            indices[ep.0].push(i);
         }
-        // Pair each busy endpoint with its request group; disjoint
-        // endpoints are the unit of parallelism.
-        let mut work: Vec<(usize, &mut Box<dyn NodeProvider>, Vec<RpcRequest>)> = Vec::new();
-        let mut remaining = self.endpoints.as_mut_slice();
-        let mut consumed = 0usize;
-        for (id, indices) in &groups {
-            let (_, rest) = remaining.split_at_mut(id - consumed);
-            let (endpoint, rest) = rest.split_first_mut().expect("endpoint id in range");
-            remaining = rest;
-            consumed = id + 1;
-            let group: Vec<RpcRequest> = indices.iter().map(|&i| requests[i].1.clone()).collect();
-            work.push((*id, endpoint, group));
-        }
+        let groups: Vec<(EndpointId, Vec<RpcRequest>)> = indices
+            .iter()
+            .enumerate()
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(id, group)| {
+                let requests = group.iter().map(|&i| requests[i].1.clone()).collect();
+                (EndpointId(id), requests)
+            })
+            .collect();
         // Each worker re-pairs its endpoint's reply array by correlation
         // tag, so a reordering endpoint still scatters correct answers.
         // Trace events inside the fan-out attribute to the *endpoint's*
         // stable source id at the caller's virtual time, so serial and
         // parallel executors emit identical traces.
         let vtime = ofl_trace::vtime();
-        let answers = fork_join_mut(&mut work, move |_, (id, endpoint, group)| {
-            let _src = ofl_trace::source_scope(1 + *id as u32, vtime);
+        let answers = self.fork_endpoints(groups, |id, endpoint, group| {
+            let _src = ofl_trace::source_scope(1 + id.0 as u32, vtime);
             let responses = endpoint.batch(group);
             crate::envelope::match_to_requests(group, responses)
         });
         let mut responses: Vec<Option<RpcResponse>> = (0..requests.len()).map(|_| None).collect();
-        for ((_, indices), group_answers) in groups.iter().zip(answers) {
-            for (&i, answer) in indices.iter().zip(group_answers) {
+        let busy = indices.iter().filter(|group| !group.is_empty());
+        for (group, group_answers) in busy.zip(answers) {
+            for (&i, answer) in group.iter().zip(group_answers) {
                 responses[i] = Some(answer);
             }
         }
@@ -168,8 +190,9 @@ impl ProviderPool {
     /// shards' blocks for a slot is one `backstage_all` call.
     pub fn backstage_all(&mut self, op: &BackstageOp) -> Vec<BackstageReply> {
         let vtime = ofl_trace::vtime();
-        fork_join_mut(&mut self.endpoints, move |i, endpoint| {
-            let _src = ofl_trace::source_scope(1 + i as u32, vtime);
+        let every = self.endpoint_ids().map(|id| (id, ())).collect();
+        self.fork_endpoints(every, |id, endpoint, ()| {
+            let _src = ofl_trace::source_scope(1 + id.0 as u32, vtime);
             endpoint.backstage(op)
         })
     }
@@ -284,6 +307,41 @@ mod tests {
         assert_eq!(merged.round_trips, 2);
         assert_eq!(merged.batched_requests, 3);
         assert_eq!(merged.method("eth_getBalance").calls, 2);
+    }
+
+    #[test]
+    fn fork_endpoints_runs_each_group_on_its_own_endpoint() {
+        let (mut pool, wallet) = pool_of(3);
+        let addrs = wallet.addresses();
+        // Groups for endpoints 0 and 2 only; each group reads every
+        // address, and only its own shard funds one of them.
+        let groups = vec![
+            (EndpointId(0), addrs.clone()),
+            (EndpointId(2), addrs.clone()),
+        ];
+        let funded = pool.fork_endpoints(groups, |id, endpoint, addresses| {
+            let balances: Vec<bool> = addresses
+                .iter()
+                .map(|a| !endpoint.get_balance(a).value.unwrap().is_zero())
+                .collect();
+            (id, balances)
+        });
+        assert_eq!(
+            funded,
+            vec![
+                (EndpointId(0), vec![true, false, false]),
+                (EndpointId(2), vec![false, false, true]),
+            ]
+        );
+        // Endpoint 1 was never called.
+        assert_eq!(pool.metrics_per_endpoint()[1].total_calls(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending order")]
+    fn fork_endpoints_rejects_unordered_groups() {
+        let (mut pool, _) = pool_of(2);
+        pool.fork_endpoints(vec![(EndpointId(1), ()), (EndpointId(0), ())], |_, _, _| ());
     }
 
     #[test]

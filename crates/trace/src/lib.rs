@@ -48,7 +48,7 @@ mod sink;
 pub use collector::Tracer;
 pub use sink::{ChromeSink, JsonlSink, Trace, TraceSink};
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -366,19 +366,83 @@ pub fn record_event(
     name: &'static str,
     fields: Vec<(&'static str, FieldValue)>,
 ) {
-    let rec = recorder_slot().clone();
-    if let Some(rec) = rec {
-        let (ts_us, source) = CTX.with(|c| c.get());
-        rec.record(TraceEvent {
-            ts_us,
-            source,
-            seq: 0,
-            cat,
-            kind,
-            name,
-            fields,
-        });
+    let (ts_us, source) = CTX.with(|c| c.get());
+    deliver(TraceEvent {
+        ts_us,
+        source,
+        seq: 0,
+        cat,
+        kind,
+        name,
+        fields,
+    });
+}
+
+/// Hands a stamped event to this thread's capture buffer when one is open,
+/// else to the installed recorder.
+fn deliver(ev: TraceEvent) {
+    let uncaptured = CAPTURE.with(|c| match c.borrow_mut().as_mut() {
+        Some(buffer) => {
+            buffer.push(ev);
+            None
+        }
+        None => Some(ev),
+    });
+    if let Some(ev) = uncaptured {
+        let rec = recorder_slot().clone();
+        if let Some(rec) = rec {
+            rec.record(ev);
+        }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Capture and replay across threads
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    static CAPTURE: RefCell<Option<Vec<TraceEvent>>> = const { RefCell::new(None) };
+}
+
+/// Events one closure recorded, held back by [`capture`] until
+/// [`Captured::replay`] hands them on.
+#[derive(Debug, Default)]
+#[must_use = "captured events are lost unless replayed"]
+pub struct Captured(Vec<TraceEvent>);
+
+impl Captured {
+    /// Records the held events on the calling thread, in capture order.
+    /// Each keeps the `(ts, source)` it was stamped with and gets its
+    /// sequence number now — so work captured on a fork/join worker and
+    /// replayed in order on the recording thread orders exactly as if it
+    /// had run there.
+    pub fn replay(self) {
+        for ev in self.0 {
+            deliver(ev);
+        }
+    }
+}
+
+/// Runs `f` with this thread's events captured instead of recorded, and
+/// returns them beside `f`'s result for a later [`Captured::replay`].
+/// Costs one relaxed load when tracing is off.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Captured) {
+    if !tracing_enabled() {
+        return (f(), Captured::default());
+    }
+    /// Closes the capture buffer (on unwind too) and reopens any outer one.
+    struct Open(Option<Vec<TraceEvent>>);
+    impl Drop for Open {
+        fn drop(&mut self) {
+            let outer = self.0.take();
+            CAPTURE.with(|c| *c.borrow_mut() = outer);
+        }
+    }
+    let open = Open(CAPTURE.with(|c| c.borrow_mut().replace(Vec::new())));
+    let out = f();
+    let events = CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default();
+    drop(open);
+    (out, Captured(events))
 }
 
 /// RAII span: emits `Begin` on creation (via [`span`]) and `End` — stamped
@@ -527,6 +591,87 @@ mod tests {
         assert_eq!(events[0].ts_us, 5);
         assert_eq!(events[1].kind, EventKind::End);
         assert_eq!(events[1].ts_us, 8, "span end is stamped at drop time");
+    }
+
+    #[test]
+    fn replayed_worker_events_order_like_direct_ones() {
+        // The same event sequence twice: once recorded directly on this
+        // thread, once with the middle stretch captured on a worker (under
+        // this thread's context) and replayed here between direct events.
+        let _g = GLOBAL.lock().unwrap();
+        let run = |via_worker: bool| {
+            let tracer = Tracer::start();
+            install(tracer.recorder());
+            let _ctx = source_scope(0, 500);
+            trace_event!(Category::Engine, "direct.before");
+            let middle = || {
+                trace_event!(Category::Sign, "worker.a", "i" => 1u64);
+                let _endpoint = source_scope(3, 700);
+                trace_event!(Category::Provider, "worker.b");
+            };
+            if via_worker {
+                let (source, ts) = (source(), vtime());
+                let ((), captured) = std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let _ctx = source_scope(source, ts);
+                        capture(middle)
+                    })
+                    .join()
+                    .unwrap()
+                });
+                trace_event!(Category::Engine, "direct.between");
+                captured.replay();
+            } else {
+                trace_event!(Category::Engine, "direct.between");
+                middle();
+            }
+            trace_event!(Category::Engine, "direct.after");
+            uninstall();
+            tracer
+                .finish()
+                .events
+                .iter()
+                .map(|e| (e.ts_us, e.source, e.seq, e.name))
+                .collect::<Vec<_>>()
+        };
+        let direct = run(false);
+        assert_eq!(
+            direct,
+            vec![
+                (500, 0, 0, "direct.before"),
+                (500, 0, 1, "direct.between"),
+                (500, 0, 2, "worker.a"),
+                (500, 0, 3, "direct.after"),
+                (700, 3, 0, "worker.b"),
+            ]
+        );
+        assert_eq!(run(true), direct);
+    }
+
+    #[test]
+    fn capture_holds_events_until_replay() {
+        let _g = GLOBAL.lock().unwrap();
+        let rec = Arc::new(CaptureRecorder {
+            events: Mutex::new(Vec::new()),
+        });
+        install(rec.clone());
+        let (answer, captured) = capture(|| {
+            trace_event!(Category::World, "held");
+            42
+        });
+        assert_eq!(answer, 42);
+        assert!(
+            rec.events.lock().unwrap().is_empty(),
+            "nothing recorded yet"
+        );
+        trace_event!(Category::World, "direct");
+        captured.replay();
+        uninstall();
+        let names: Vec<&str> = rec.events.lock().unwrap().iter().map(|e| e.name).collect();
+        assert_eq!(names, vec!["direct", "held"]);
+        // With tracing off, capture runs the closure and holds nothing.
+        let (_, empty) = capture(|| trace_event!(Category::World, "off"));
+        assert!(empty.0.is_empty());
     }
 
     #[test]

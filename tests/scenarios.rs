@@ -6,10 +6,12 @@
 use std::sync::OnceLock;
 
 use ofl_w3::core::config::{MarketConfig, PartitionScheme};
-use ofl_w3::core::engine::{EngineConfig, MultiMarket};
+use ofl_w3::core::engine::{Arrivals, EngineConfig, MultiMarket};
 use ofl_w3::core::market::Marketplace;
-use ofl_w3::core::scenario::{Scenario, ScenarioOutcome, ScenarioSuite};
-use ofl_w3::rpc::EndpointId;
+use ofl_w3::core::scenario::{
+    ExecutionMode, FailurePlan, Scenario, ScenarioOutcome, ScenarioSuite,
+};
+use ofl_w3::rpc::{EndpointId, FaultProfile};
 
 const SUITE_SEED: u64 = 7;
 
@@ -77,17 +79,34 @@ fn suite_sweeps_partitions_and_failures_deterministically() {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
     // Run-vs-run equality cannot catch a change that reorders a seeded
-    // draw in every run alike, so the fault regimes are also pinned across
-    // commits. The fingerprint covers RPC round trips, errors, priced cost,
-    // and virtual time; a deliberate behaviour change re-records these.
+    // draw in every run alike, so the fault regimes and every regime the
+    // event engine drives are also pinned across commits. The fingerprint
+    // covers RPC round trips, errors, priced cost, and virtual time; a
+    // deliberate behaviour change re-records these.
     let pinned = [
         ("flaky-provider", 0x50af_6ca5_840e_3f8d_u64),
         ("rate-limited", 0x31bd_233a_6b69_4c98),
         ("stale-reads", 0xf514_9b69_8654_7efb),
         ("latency-spike", 0x2f56_c7f5_e934_3b5c),
         ("reordered-batch", 0xed4e_ae38_3188_f135),
+        ("mempool-freeloader", 0x0a49_5377_b301_5212),
         ("sub-lag", 0x3801_2289_a35f_2921),
+        ("concurrent-8", 0xe4ee_2a72_2015_21b8),
+        ("staggered-4", 0x5e8e_2d6f_c72d_52ad),
+        ("multi-2x4", 0x0d43_58ae_9272_baec),
+        ("sharded-2x4", 0x7af0_de1b_6525_30fa),
+        ("concurrent-dropout", 0x55b6_6eff_84a7_46eb),
     ];
+    // Every regime the engine drives is in the list.
+    for scenario in &suite.scenarios {
+        if scenario.mode != ExecutionMode::Serial {
+            assert!(
+                pinned.iter().any(|(name, _)| *name == scenario.name),
+                "{} is not pinned",
+                scenario.name
+            );
+        }
+    }
     for (name, expected) in pinned {
         let outcome = first
             .iter()
@@ -270,6 +289,60 @@ fn concurrency_regimes_are_deterministic_by_seed() {
         assert!(a.eth_conserved, "{}", a.name);
         assert!(a.budget_exhausted(), "{}", a.name);
     }
+}
+
+/// A sharded concurrent regime over a flaky provider whose failure plan
+/// hits owners of the same same-instant run in every market: a silent
+/// dropout, a reverted CID transaction, a freeloader and a vanished model
+/// block ride the engine's batched owner and buyer steps next to honest
+/// owners, with retried requests in between. Three markets on two shards
+/// put two markets on one endpoint.
+fn sharded_faulty_regime() -> Scenario {
+    let mut scenario = Scenario::new(
+        "sharded-faulty-3x8",
+        MarketConfig {
+            n_owners: 8,
+            partition: PartitionScheme::Iid,
+            seed: SUITE_SEED.wrapping_add(300),
+            ..MarketConfig::small_test()
+        },
+    )
+    .with_rpc_faults(FaultProfile::new(SUITE_SEED ^ 0xF1A5, 0.15))
+    .with_failures(FailurePlan {
+        dropout: vec![1],
+        revert_cid_tx: vec![3],
+        freeload: vec![5],
+        drop_ipfs_blocks: vec![6],
+        ..FailurePlan::clean()
+    })
+    .with_mode(ExecutionMode::MultiMarket {
+        markets: 3,
+        arrivals: Arrivals::Simultaneous,
+        shards: 2,
+    });
+    trim(&mut scenario);
+    scenario
+}
+
+/// The sharded fault regime completes with every per-owner variant doing
+/// what it should, and its fingerprint is pinned across commits.
+#[test]
+fn sharded_fault_regime_is_pinned_across_commits() {
+    let outcome = sharded_faulty_regime()
+        .run()
+        .expect("the sharded fault regime completes");
+    // Per market: 8 owners, minus the dropout, the reverted CID, and the
+    // owner whose block vanished; the freeloader still gets aggregated.
+    assert_eq!(outcome.n_models_aggregated, 3 * 5);
+    assert_eq!(outcome.reverted_tx_count, 3);
+    assert!(outcome.eth_conserved);
+    assert!(outcome.budget_exhausted());
+    assert_eq!(
+        outcome.fingerprint(),
+        0x5c8e_165f_8c61_6f06,
+        "fingerprint moved (0x{:016x})",
+        outcome.fingerprint()
+    );
 }
 
 /// The headline acceptance scenario: 32 owners on the discrete-event
