@@ -40,9 +40,13 @@
 //! order, all state is seeded, and nothing iterates a hash map — a run is
 //! a pure function of `(configs, placements, failures, arrivals)`. A
 //! prepare half depends on no earlier commit of its run, and the only
-//! commits that reach an endpoint (the slot barrier, a finished buyer's
-//! receipt lookups) belong to runs whose prepare halves reach none — so
-//! each endpoint sees the calls a one-at-a-time engine would make. Trace
+//! commit that reaches an endpoint (the slot barrier) belongs to runs
+//! whose prepare halves reach none — so each endpoint sees the client
+//! calls a one-at-a-time engine would make. Backstage reads are grouped
+//! per run: an endpoint's prepare group reads its height once (nothing
+//! mines inside a run), a finalize asks after all its CIDs at once, and a
+//! finished buyer takes its payment receipts from the slot polls that
+//! delivered them. Trace
 //! events a prepare half records are captured and replayed by its commit,
 //! so the trace is byte-identical too.
 
@@ -56,7 +60,6 @@ use crate::world::{Endpoint, ShardConfig, ShardSpec, World, WorldError};
 use ofl_eth::block::Receipt;
 use ofl_eth::chain::LogFilter;
 use ofl_eth::tx::{sign_tx, TxRequest};
-use ofl_ipfs::cid::Cid;
 use ofl_netsim::clock::{SimDuration, SimInstant};
 use ofl_netsim::link::Link;
 use ofl_netsim::par::fork_join_mut;
@@ -275,7 +278,7 @@ impl MultiMarket {
         let sessions = blueprints
             .into_iter()
             .zip(&configs)
-            .map(|(b, c)| b.instantiate_with(|label| world.spawn_ipfs_node(c.placement, label)))
+            .map(|(b, c)| b.instantiate_with(|labels| world.spawn_ipfs_nodes(c.placement, labels)))
             .collect();
         MultiMarket { world, sessions }
     }
@@ -517,11 +520,7 @@ fn prepare_step(
             let (cids_onchain, download) = session.download_cids_computed(endpoint)?;
             // A production client gives up on unfetchable CIDs; retrieve
             // only content some peer on the market's shard can still serve.
-            let cids_retrieved: Vec<String> = cids_onchain
-                .iter()
-                .filter(|s| Cid::parse(s).is_ok_and(|c| endpoint.swarm_has(&c)))
-                .cloned()
-                .collect();
+            let cids_retrieved = endpoint.retrievable(&cids_onchain);
             let (_n, retrieve) = session.retrieve_models_computed(endpoint, &cids_retrieved)?;
             let (agg, aggregate) = session.aggregate_computed(lan)?;
             let (payments, loo) = session.loo_payments_computed(lan, &agg);
@@ -614,8 +613,10 @@ enum Wake {
         m: usize,
         i: usize,
     },
+    /// Market `m`'s payment `k` (its index in the broadcast order).
     Payment {
         m: usize,
+        k: usize,
     },
 }
 
@@ -649,7 +650,9 @@ struct MarketRun {
     payment_phase_start: SimInstant,
     outstanding_payments: usize,
     paid: Vec<(H160, U256)>,
-    payment_hashes: Vec<H256>,
+    /// Each payment's receipt, in broadcast order, as the slot poll
+    /// delivered it.
+    payment_receipts: Vec<Option<Receipt>>,
     finalize: Option<(Aggregation, LooPayments)>,
     /// The adversary's `pendingTxs` subscription on the market's shard
     /// (only when the plan front-runs).
@@ -718,7 +721,7 @@ impl<'a> Driver<'a> {
                     payment_phase_start: SimInstant(0),
                     outstanding_payments: 0,
                     paid: Vec::new(),
-                    payment_hashes: Vec::new(),
+                    payment_receipts: Vec::new(),
                     finalize: None,
                     freeload_sub,
                     adversary_nonce: 0,
@@ -1053,12 +1056,12 @@ impl<'a> Driver<'a> {
                 // The signing environment is RPC traffic like everything
                 // else; its preflight rides the buyer's timeline.
                 self.markets[m].buyer_timeline.advance(env_cost);
-                for &(_, _, hash, height) in &sent {
-                    self.push_pending(m, hash, height, Wake::Payment { m }, t);
+                for (k, &(_, _, hash, height)) in sent.iter().enumerate() {
+                    self.push_pending(m, hash, height, Wake::Payment { m, k }, t);
                 }
                 let run = &mut self.markets[m];
                 run.outstanding_payments = sent.len();
-                run.payment_hashes = sent.iter().map(|&(_, _, hash, _)| hash).collect();
+                run.payment_receipts = vec![None; sent.len()];
                 run.paid = sent
                     .iter()
                     .map(|&(address, amount, _, _)| (address, amount))
@@ -1161,7 +1164,8 @@ impl<'a> Driver<'a> {
                     self.markets[m].reverted_tx_count += 1;
                     self.resolve_owner(m, wake_at);
                 }
-                Wake::Payment { m } => {
+                Wake::Payment { m, k } => {
+                    self.markets[m].payment_receipts[k] = Some(receipt);
                     self.markets[m].outstanding_payments -= 1;
                     if self.markets[m].outstanding_payments == 0 {
                         self.queue.schedule(wake_at, Ev::BuyerDone { m });
@@ -1350,22 +1354,17 @@ impl<'a> Driver<'a> {
 
     fn on_buyer_done(&mut self, m: usize, t: SimInstant, local_accuracies: Vec<f64>) {
         let ep = self.sessions[m].placement;
-        let rows: Vec<(H160, U256, H256)> = self.markets[m]
+        let run = &mut self.markets[m];
+        let payments = run
             .paid
             .iter()
-            .zip(&self.markets[m].payment_hashes)
-            .map(|((address, amount), hash)| (*address, *amount, *hash))
-            .collect();
-        let mut payments = Vec::with_capacity(rows.len());
-        for (address, amount, hash) in rows {
-            let receipt = self.world.receipt_of(ep, &hash).expect("payment mined");
-            payments.push(PaymentRow {
+            .zip(std::mem::take(&mut run.payment_receipts))
+            .map(|(&(address, amount_wei), receipt)| PaymentRow {
                 address,
-                amount_wei: amount,
-                receipt,
-            });
-        }
-        let run = &mut self.markets[m];
+                amount_wei,
+                receipt: receipt.expect("every payment's receipt was delivered"),
+            })
+            .collect();
         run.buyer_timeline.advance_to(t);
         let session = &mut self.sessions[m];
         session

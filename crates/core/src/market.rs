@@ -391,13 +391,20 @@ impl SessionBlueprint {
     /// session state (in-process worlds; see
     /// [`SessionBlueprint::instantiate_with`] for the general form).
     pub fn instantiate(self, swarm: &mut Swarm) -> MarketSession {
-        self.instantiate_with(|label| swarm.add_node(IpfsNode::new(label)))
+        self.instantiate_with(|labels| {
+            labels
+                .into_iter()
+                .map(|label| swarm.add_node(IpfsNode::new(label)))
+                .collect()
+        })
     }
 
     /// Spawns the market's IPFS nodes through `spawn` (any backstage node
-    /// spawner — a local swarm or a remote shard's wire channel) and
-    /// assembles the session state.
-    pub fn instantiate_with(self, mut spawn: impl FnMut(&str) -> usize) -> MarketSession {
+    /// spawner — a local swarm or a remote shard's wire channel), which
+    /// gets every label at once (the buyer's first, then each owner's) and
+    /// returns the node indices in label order, and assembles the session
+    /// state.
+    pub fn instantiate_with(self, spawn: impl FnOnce(Vec<String>) -> Vec<usize>) -> MarketSession {
         let SessionBlueprint {
             config,
             label,
@@ -409,13 +416,17 @@ impl SessionBlueprint {
             silos,
             test,
         } = self;
-        let buyer_node = spawn(&format!("{label}buyer"));
+        let labels = std::iter::once(format!("{label}buyer"))
+            .chain((0..silos.len()).map(|i| format!("{label}owner-{i}")))
+            .collect();
+        let nodes = spawn(labels);
+        let buyer_node = nodes[0];
         let owners: Vec<OwnerState> = silos
             .into_iter()
             .enumerate()
             .map(|(i, data)| OwnerState {
                 address: owner_addrs[i],
-                ipfs_node: spawn(&format!("{label}owner-{i}")),
+                ipfs_node: nodes[i + 1],
                 data,
                 trained: None,
                 model_bytes: Vec::new(),
@@ -966,7 +977,7 @@ impl Marketplace {
             blueprint.config().profile,
         );
         let session =
-            blueprint.instantiate_with(|label| world.spawn_ipfs_node(EndpointId(0), label));
+            blueprint.instantiate_with(|labels| world.spawn_ipfs_nodes(EndpointId(0), labels));
         Marketplace { world, session }
     }
 

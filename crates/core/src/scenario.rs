@@ -32,7 +32,6 @@
 use crate::config::{MarketConfig, PartitionScheme};
 use crate::engine::{Arrivals, EngineConfig, MultiMarket};
 use crate::market::{MarketError, Marketplace};
-use ofl_ipfs::cid::Cid;
 use ofl_netsim::clock::SimDuration;
 use ofl_primitives::u256::U256;
 use ofl_primitives::{format_eth, H160};
@@ -314,15 +313,7 @@ impl Scenario {
         );
         // A production client gives up on unfetchable CIDs; model that by
         // retrieving only content some peer can still serve.
-        let cids_retrieved: Vec<String> = cids_onchain
-            .iter()
-            .filter(|s| {
-                Cid::parse(s)
-                    .map(|c| market.world.endpoint(ep).swarm_has(&c))
-                    .unwrap_or(false)
-            })
-            .cloned()
-            .collect();
+        let cids_retrieved = market.world.endpoint(ep).retrievable(&cids_onchain);
         market.buyer_retrieve_models(&cids_retrieved)?;
         let report = market.buyer_aggregate_and_pay()?;
 

@@ -391,6 +391,7 @@ impl World {
             provider: self.pool.endpoint(endpoint),
             max_rpc_retries: self.max_rpc_retries,
             batch_cid_reads: self.batch_cid_reads,
+            height: None,
         }
     }
 
@@ -412,6 +413,7 @@ impl World {
                 provider,
                 max_rpc_retries,
                 batch_cid_reads,
+                height: None,
             };
             f(&mut endpoint, group)
         })
@@ -502,15 +504,17 @@ impl World {
             .into_wei()
     }
 
-    /// Spawns an IPFS node into one shard's swarm, returning its index —
-    /// how sessions come up on a shard wherever it runs.
-    pub fn spawn_ipfs_node(&mut self, endpoint: EndpointId, label: &str) -> usize {
+    /// Spawns one IPFS node per label into one shard's swarm, in label
+    /// order, returning their indices — how a session's nodes come up on
+    /// a shard wherever it runs, in one backstage round trip.
+    pub fn spawn_ipfs_nodes(&mut self, endpoint: EndpointId, labels: Vec<String>) -> Vec<usize> {
         self.pool
             .endpoint(endpoint)
-            .backstage(&BackstageOp::SpawnIpfsNode {
-                label: label.to_string(),
-            })
-            .into_u64() as usize
+            .backstage(&BackstageOp::SpawnIpfsNodes { labels })
+            .into_node_indices()
+            .into_iter()
+            .map(|node| node as usize)
+            .collect()
     }
 
     /// One endpoint's metering snapshot: per-method call counts and
@@ -841,6 +845,11 @@ impl World {
 /// retry budget and CID-read mode. A view touches nothing but its own
 /// endpoint, so views of different endpoints can work on different threads
 /// ([`World::fork_endpoints`]).
+///
+/// A view never sees its shard's chain grow: a block is mined only by
+/// [`World::mine_slot`], which needs the `&mut World` every view borrows,
+/// and no view method mines. So a view reads the shard's height at most
+/// once ([`Endpoint::height`]).
 pub struct Endpoint<'a> {
     provider: &'a mut dyn NodeProvider,
     /// How many times a transient (timed-out or rate-limited) request is
@@ -849,6 +858,8 @@ pub struct Endpoint<'a> {
     /// Whether the buyer's CID download batches its `getCid` reads
     /// ([`World::batch_cid_reads`]).
     pub(crate) batch_cid_reads: bool,
+    /// The shard's height, once this view has read it.
+    height: Option<u64>,
 }
 
 impl Endpoint<'_> {
@@ -973,17 +984,33 @@ impl Endpoint<'_> {
     }
 
     /// Backstage chain height (the driver's truth, unaffected by stale or
-    /// flaky client reads).
+    /// flaky client reads). The first call reads it; later calls on the
+    /// same view return that value, since nothing a view does mines (see
+    /// [`Endpoint`]).
     pub fn height(&mut self) -> u64 {
-        self.provider.backstage(&BackstageOp::Height).into_u64()
+        *self
+            .height
+            .get_or_insert_with(|| self.provider.backstage(&BackstageOp::Height).into_u64())
     }
 
-    /// Whether *any* node of the endpoint's swarm can still serve `cid`
-    /// (backstage).
-    pub fn swarm_has(&mut self, cid: &Cid) -> bool {
-        self.provider
-            .backstage(&BackstageOp::SwarmHas { cid: cid.clone() })
-            .into_flag()
+    /// The CIDs (text form) that some node of the endpoint's swarm can
+    /// still serve, in the order given — what a buyer retrieves, asked in
+    /// one backstage round trip. Text that is no CID is never served.
+    pub fn retrievable(&mut self, cids: &[String]) -> Vec<String> {
+        let (texts, cids): (Vec<&String>, Vec<Cid>) = cids
+            .iter()
+            .filter_map(|text| Cid::parse(text).ok().map(|cid| (text, cid)))
+            .unzip();
+        let served = self
+            .provider
+            .backstage(&BackstageOp::SwarmHas { cids })
+            .into_flags();
+        texts
+            .into_iter()
+            .zip(served)
+            .filter(|(_, served)| *served)
+            .map(|(text, _)| text.clone())
+            .collect()
     }
 
     /// Failure injection (backstage): unpin + garbage-collect `cid` on one

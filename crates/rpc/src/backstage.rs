@@ -65,10 +65,12 @@ pub enum BackstageOp {
     },
     /// The current base fee.
     BaseFee,
-    /// Spawn a new IPFS node into the backend's swarm, returning its index.
-    SpawnIpfsNode {
-        /// The node's peer id.
-        label: String,
+    /// Spawn one new IPFS node per label into the backend's swarm, in
+    /// label order, returning their indices — a market's buyer and owner
+    /// nodes come up in one round trip.
+    SpawnIpfsNodes {
+        /// The nodes' peer ids.
+        labels: Vec<String>,
     },
     /// Failure injection: unpin `cid` on `node` and garbage-collect, so no
     /// peer can serve the content any more.
@@ -78,10 +80,11 @@ pub enum BackstageOp {
         /// Root CID to drop.
         cid: Cid,
     },
-    /// Whether *any* node in the swarm can still serve `cid`.
+    /// Per CID, whether *any* node in the swarm can still serve it — a
+    /// buyer's whole finalize check in one round trip.
     SwarmHas {
-        /// Root CID queried.
-        cid: Cid,
+        /// Root CIDs queried.
+        cids: Vec<Cid>,
     },
 }
 
@@ -104,10 +107,14 @@ pub enum BackstageReply {
     Wei(U256),
     /// [`BackstageOp::ReceiptOf`]: the receipt, if mined.
     Receipt(Option<Receipt>),
-    /// [`BackstageOp::IsPending`] / [`BackstageOp::SwarmHas`]: a yes/no.
+    /// [`BackstageOp::IsPending`]: a yes/no.
     Flag(bool),
-    /// [`BackstageOp::SpawnIpfsNode`]: the new node's index.
-    NodeIndex(u64),
+    /// [`BackstageOp::SwarmHas`]: one yes/no per queried CID, in query
+    /// order.
+    Flags(Vec<bool>),
+    /// [`BackstageOp::SpawnIpfsNodes`]: the new nodes' indices, in label
+    /// order.
+    NodeIndices(Vec<u64>),
     /// [`BackstageOp::DropIpfsBlock`]: injection applied.
     Dropped,
 }
@@ -122,12 +129,10 @@ impl BackstageReply {
     }
 
     /// Unwraps a [`BackstageReply::Height`] / [`BackstageReply::MempoolLen`]
-    /// / [`BackstageReply::NodeIndex`] count.
+    /// count.
     pub fn into_u64(self) -> u64 {
         match self {
-            BackstageReply::Height(n)
-            | BackstageReply::MempoolLen(n)
-            | BackstageReply::NodeIndex(n) => n,
+            BackstageReply::Height(n) | BackstageReply::MempoolLen(n) => n,
             other => panic!("backstage reply shape mismatch: expected a count, got {other:?}"),
         }
     }
@@ -163,6 +168,22 @@ impl BackstageReply {
             other => panic!("backstage reply shape mismatch: expected Flag, got {other:?}"),
         }
     }
+
+    /// Unwraps a [`BackstageReply::Flags`] list.
+    pub fn into_flags(self) -> Vec<bool> {
+        match self {
+            BackstageReply::Flags(flags) => flags,
+            other => panic!("backstage reply shape mismatch: expected Flags, got {other:?}"),
+        }
+    }
+
+    /// Unwraps a [`BackstageReply::NodeIndices`] list.
+    pub fn into_node_indices(self) -> Vec<u64> {
+        match self {
+            BackstageReply::NodeIndices(nodes) => nodes,
+            other => panic!("backstage reply shape mismatch: expected NodeIndices, got {other:?}"),
+        }
+    }
 }
 
 /// Answers a backstage op against a provider's local chain/swarm — the
@@ -195,8 +216,11 @@ pub fn dispatch_local<P: NodeProvider + ?Sized>(
             BackstageReply::Wei(provider.chain().balance(address))
         }
         BackstageOp::BaseFee => BackstageReply::Wei(provider.chain().base_fee()),
-        BackstageOp::SpawnIpfsNode { label } => BackstageReply::NodeIndex(
-            provider.swarm_mut().add_node(IpfsNode::new(label.clone())) as u64,
+        BackstageOp::SpawnIpfsNodes { labels } => BackstageReply::NodeIndices(
+            labels
+                .iter()
+                .map(|label| provider.swarm_mut().add_node(IpfsNode::new(label.clone())) as u64)
+                .collect(),
         ),
         BackstageOp::DropIpfsBlock { node, cid } => {
             let store = provider.swarm_mut().node_mut(*node as usize).store_mut();
@@ -204,9 +228,13 @@ pub fn dispatch_local<P: NodeProvider + ?Sized>(
             store.gc();
             BackstageReply::Dropped
         }
-        BackstageOp::SwarmHas { cid } => {
+        BackstageOp::SwarmHas { cids } => {
             let swarm = provider.swarm();
-            BackstageReply::Flag((0..swarm.len()).any(|i| swarm.node(i).has_block(cid)))
+            BackstageReply::Flags(
+                cids.iter()
+                    .map(|cid| (0..swarm.len()).any(|i| swarm.node(i).has_block(cid)))
+                    .collect(),
+            )
         }
     }
 }
@@ -251,23 +279,32 @@ mod tests {
     #[test]
     fn swarm_ops_spawn_drop_and_query() {
         let mut provider = sim();
-        let a = provider
-            .backstage(&BackstageOp::SpawnIpfsNode { label: "a".into() })
-            .into_u64();
-        let b = provider
-            .backstage(&BackstageOp::SpawnIpfsNode { label: "b".into() })
-            .into_u64();
-        assert_eq!((a, b), (0, 1));
-        let cid = provider.swarm.node_mut(0).add(b"model").root;
-        assert!(provider
-            .backstage(&BackstageOp::SwarmHas { cid: cid.clone() })
-            .into_flag());
+        let nodes = provider
+            .backstage(&BackstageOp::SpawnIpfsNodes {
+                labels: vec!["a".into(), "b".into()],
+            })
+            .into_node_indices();
+        assert_eq!(nodes, [0, 1]);
+        let c = provider
+            .backstage(&BackstageOp::SpawnIpfsNodes {
+                labels: vec!["c".into()],
+            })
+            .into_node_indices();
+        assert_eq!(c, [2]);
+        let kept = provider.swarm.node_mut(0).add(b"model").root;
+        let dropped = provider.swarm.node_mut(1).add(b"other model").root;
+        let has = |provider: &mut SimProvider| {
+            provider
+                .backstage(&BackstageOp::SwarmHas {
+                    cids: vec![kept.clone(), dropped.clone()],
+                })
+                .into_flags()
+        };
+        assert_eq!(has(&mut provider), [true, true]);
         provider.backstage(&BackstageOp::DropIpfsBlock {
-            node: 0,
-            cid: cid.clone(),
+            node: 1,
+            cid: dropped.clone(),
         });
-        assert!(!provider
-            .backstage(&BackstageOp::SwarmHas { cid })
-            .into_flag());
+        assert_eq!(has(&mut provider), [true, false]);
     }
 }

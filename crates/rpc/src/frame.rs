@@ -77,7 +77,11 @@ pub const FRAME_MAGIC: u16 = 0x4F57;
 /// added the [`Frame::Stats`]/[`Frame::StatsReply`] admin introspection
 /// pair. v5 cut [`Frame::StatsReply`] to four daemon counters: the
 /// metrics list is gone and the accept counter is now `accept_errors`.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// v6 made two backstage ops list-form: [`BackstageOp::SwarmHas`] asks
+/// about many CIDs (answered by [`BackstageReply::Flags`]) and
+/// [`BackstageOp::SpawnIpfsNodes`] spawns many nodes (answered by
+/// [`BackstageReply::NodeIndices`]).
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Hard cap on one frame's payload. Large enough for any model upload the
 /// marketplace ships, small enough to reject allocation-bomb length
@@ -676,6 +680,23 @@ fn read_sub_event(r: &mut Reader<'_>) -> Result<SubEvent, CodecError> {
     })
 }
 
+/// Reads a `u64`-counted list. The count is untrusted: it is bounded by
+/// the bytes left (every element takes at least one) before anything is
+/// reserved, and the reservation itself is capped.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    reading: &'static str,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.u64(reading)?;
+    check_count(n, r, reading)?;
+    let mut items = bounded_vec(n);
+    for _ in 0..n {
+        items.push(read(r)?);
+    }
+    Ok(items)
+}
+
 fn write_backstage_op(w: &mut Writer, op: &BackstageOp) {
     match op {
         BackstageOp::MineSlot { slot_secs } => {
@@ -701,18 +722,24 @@ fn write_backstage_op(w: &mut Writer, op: &BackstageOp) {
             w.h160(address);
         }
         BackstageOp::BaseFee => w.u8(10),
-        BackstageOp::SpawnIpfsNode { label } => {
+        BackstageOp::SpawnIpfsNodes { labels } => {
             w.u8(11);
-            w.string(label);
+            w.u64(labels.len() as u64);
+            for label in labels {
+                w.string(label);
+            }
         }
         BackstageOp::DropIpfsBlock { node, cid } => {
             w.u8(12);
             w.u64(*node);
             write_cid(w, cid);
         }
-        BackstageOp::SwarmHas { cid } => {
+        BackstageOp::SwarmHas { cids } => {
             w.u8(13);
-            write_cid(w, cid);
+            w.u64(cids.len() as u64);
+            for cid in cids {
+                write_cid(w, cid);
+            }
         }
     }
 }
@@ -738,14 +765,18 @@ fn read_backstage_op(r: &mut Reader<'_>) -> Result<BackstageOp, CodecError> {
             address: r.h160("balance-of address")?,
         },
         10 => BackstageOp::BaseFee,
-        11 => BackstageOp::SpawnIpfsNode {
-            label: r.string("spawn node label")?,
+        11 => BackstageOp::SpawnIpfsNodes {
+            labels: read_list(r, "spawn node label count", |r| {
+                r.string("spawn node label")
+            })?,
         },
         12 => BackstageOp::DropIpfsBlock {
             node: r.u64("drop block node")?,
             cid: read_cid(r)?,
         },
-        13 => BackstageOp::SwarmHas { cid: read_cid(r)? },
+        13 => BackstageOp::SwarmHas {
+            cids: read_list(r, "swarm-has cid count", read_cid)?,
+        },
         tag => {
             return Err(CodecError::BadTag {
                 reading: "backstage op tag",
@@ -792,11 +823,21 @@ fn write_backstage_reply(w: &mut Writer, reply: &BackstageReply) {
             w.u8(7);
             w.u8(*flag as u8);
         }
-        BackstageReply::NodeIndex(n) => {
+        BackstageReply::NodeIndices(nodes) => {
             w.u8(8);
-            w.u64(*n);
+            w.u64(nodes.len() as u64);
+            for node in nodes {
+                w.u64(*node);
+            }
         }
         BackstageReply::Dropped => w.u8(9),
+        BackstageReply::Flags(flags) => {
+            w.u8(10);
+            w.u64(flags.len() as u64);
+            for flag in flags {
+                w.u8(*flag as u8);
+            }
+        }
     }
 }
 
@@ -810,8 +851,11 @@ fn read_backstage_reply(r: &mut Reader<'_>) -> Result<BackstageReply, CodecError
         5 => BackstageReply::Wei(r.u256("wei")?),
         6 => BackstageReply::Receipt(read_option(r, "receipt presence", |r, _| read_receipt(r))?),
         7 => BackstageReply::Flag(read_flag(r, "flag")?),
-        8 => BackstageReply::NodeIndex(r.u64("node index")?),
+        8 => {
+            BackstageReply::NodeIndices(read_list(r, "node index count", |r| r.u64("node index"))?)
+        }
         9 => BackstageReply::Dropped,
+        10 => BackstageReply::Flags(read_list(r, "flag count", |r| read_flag(r, "flag"))?),
         tag => {
             return Err(CodecError::BadTag {
                 reading: "backstage reply tag",
@@ -1337,8 +1381,8 @@ mod tests {
                 cid: cid_of(b"model"),
             },
             Frame::Backstage(BackstageOp::MineSlot { slot_secs: 24 }),
-            Frame::Backstage(BackstageOp::SpawnIpfsNode {
-                label: "owner-3".into(),
+            Frame::Backstage(BackstageOp::SpawnIpfsNodes {
+                labels: vec!["buyer".into(), "owner-3".into()],
             }),
             Frame::Shutdown,
             Frame::Provisioned,
@@ -1509,16 +1553,18 @@ mod tests {
                 address: H160::from_slice(&[9; 20]),
             },
             BackstageOp::BaseFee,
-            BackstageOp::SpawnIpfsNode {
-                label: "owner-7".into(),
+            BackstageOp::SpawnIpfsNodes {
+                labels: vec!["buyer".into(), "owner-7".into()],
             },
+            BackstageOp::SpawnIpfsNodes { labels: Vec::new() },
             BackstageOp::DropIpfsBlock {
                 node: 4,
                 cid: cid_of(b"weights"),
             },
             BackstageOp::SwarmHas {
-                cid: cid_of(b"weights"),
+                cids: vec![cid_of(b"weights"), cid_of(b"other weights")],
             },
+            BackstageOp::SwarmHas { cids: Vec::new() },
         ];
         for op in ops {
             let frame = Frame::Backstage(op);
@@ -1569,7 +1615,10 @@ mod tests {
             BackstageReply::Receipt(Some(receipt)),
             BackstageReply::Receipt(None),
             BackstageReply::Flag(false),
-            BackstageReply::NodeIndex(6),
+            BackstageReply::Flags(vec![true, false, true]),
+            BackstageReply::Flags(Vec::new()),
+            BackstageReply::NodeIndices(vec![6, 7]),
+            BackstageReply::NodeIndices(Vec::new()),
             BackstageReply::Dropped,
         ];
         for reply in replies {
@@ -1578,6 +1627,32 @@ mod tests {
             let (decoded, consumed) = Frame::decode(&wire).expect("decodes");
             assert_eq!(consumed, wire.len());
             assert_eq!(decoded, frame);
+        }
+    }
+
+    /// A list count is untrusted input: a frame claiming 2^40 elements
+    /// is a typed codec error, rejected before anything is reserved.
+    #[test]
+    fn huge_backstage_list_counts_are_typed_codec_errors() {
+        let huge = 1u64 << 40;
+        for frame in [
+            Frame::Backstage(BackstageOp::SwarmHas { cids: Vec::new() }),
+            Frame::Backstage(BackstageOp::SpawnIpfsNodes { labels: Vec::new() }),
+            Frame::BackstageReply(BackstageReply::Flags(Vec::new())),
+            Frame::BackstageReply(BackstageReply::NodeIndices(Vec::new())),
+        ] {
+            // An empty list ends the payload with its 8-byte count.
+            let mut payload = frame.encode_payload();
+            let count_at = payload.len() - 8;
+            payload[count_at..].copy_from_slice(&huge.to_le_bytes());
+            assert!(
+                matches!(
+                    Frame::decode_payload(&payload),
+                    Err(CodecError::LengthOverflow { declared, remaining: 0, .. })
+                        if declared == huge
+                ),
+                "{frame:?}"
+            );
         }
     }
 

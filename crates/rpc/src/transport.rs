@@ -193,8 +193,11 @@ impl MuxInner {
 /// parking replies destined for sibling sessions so interleaved traffic
 /// from several shards shares one socket without cross-talk. Handles
 /// share the connection behind a mutex, so sessions may live on
-/// different shard worker threads; each send or recv holds the lock for
-/// exactly one frame.
+/// different shard worker threads. A send holds the lock for the one
+/// frame it writes. A recv holds it from its first read until its own
+/// reply arrives: it blocks on the socket with the lock held, and every
+/// sibling reply (or push) that arrives first is parked along the way,
+/// so a sibling session's recv waits for the lock, not the wire.
 pub struct SessionMux {
     inner: Arc<Mutex<MuxInner>>,
 }
@@ -222,11 +225,12 @@ impl SessionMux {
     }
 }
 
-/// Locks the shared mux state, recovering from poisoning. The per-frame
-/// critical sections never leave `MuxInner` half-written (a send or recv
-/// either completes or returns before mutating), so if a sibling handle's
-/// thread panicked mid-hold the state is still coherent — and a transport
-/// must degrade with an error, never cascade a panic across sessions.
+/// Locks the shared mux state, recovering from poisoning. The critical
+/// sections never leave `MuxInner` half-written (each frame a send writes
+/// or a recv reads is either fully handled or returned before mutating),
+/// so if a sibling handle's thread panicked mid-hold the state is still
+/// coherent — and a transport must degrade with an error, never cascade
+/// a panic across sessions.
 fn lock_mux(inner: &Mutex<MuxInner>) -> std::sync::MutexGuard<'_, MuxInner> {
     inner
         .lock()

@@ -6,12 +6,14 @@
 use ofl_eth::block::{Block, Bloom, Header, Receipt, TxStatus};
 use ofl_eth::chain::{CallResult, FilteredLog, LogFilter, PendingTxEvent};
 use ofl_eth::evm::LogEntry;
+use ofl_ipfs::cid::Cid;
 use ofl_netsim::clock::SimDuration;
 use ofl_primitives::u256::U256;
 use ofl_rpc::frame::{Frame, FrameError, MAX_FRAME_BYTES};
 use ofl_rpc::{
-    CodecError, FrameTransport, RpcError, RpcMethod, RpcRequest, RpcResponse, RpcResult,
-    SessionMux, SessionTransport, StreamTransport, SubEvent, SubscriptionKind,
+    BackstageOp, BackstageReply, CodecError, FrameTransport, RpcError, RpcMethod, RpcRequest,
+    RpcResponse, RpcResult, SessionMux, SessionTransport, StreamTransport, SubEvent,
+    SubscriptionKind,
 };
 use ofl_w3_test_support::{h160_of, h256_of};
 use proptest::prelude::*;
@@ -709,6 +711,35 @@ proptest! {
         let (decoded, consumed) = Frame::decode(&wire).expect("stats reply decodes");
         prop_assert_eq!(consumed, wire.len());
         prop_assert_eq!(decoded, frame);
+    }
+
+    // ------------------------------------------------------------------
+    // List-form backstage frames (v6): one round trip per step group.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn list_form_backstage_frames_roundtrip(
+        contents in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..24),
+        labels in proptest::collection::vec("[a-z0-9/-]{0,24}", 0..24),
+        flags in proptest::collection::vec(any::<bool>(), 0..64),
+        nodes in proptest::collection::vec(any::<u64>(), 0..64),
+    ) {
+        // Any number of CIDs, labels, flags and node indices — none
+        // included — survives the wire in order.
+        let frames = vec![
+            Frame::Backstage(BackstageOp::SwarmHas {
+                cids: contents.iter().map(|data| Cid::v0_of(data)).collect(),
+            }),
+            Frame::Backstage(BackstageOp::SpawnIpfsNodes { labels }),
+            Frame::BackstageReply(BackstageReply::Flags(flags)),
+            Frame::BackstageReply(BackstageReply::NodeIndices(nodes)),
+        ];
+        for frame in frames {
+            let wire = frame.encode();
+            let (decoded, consumed) = Frame::decode(&wire).expect("backstage list frame decodes");
+            prop_assert_eq!(consumed, wire.len());
+            prop_assert_eq!(decoded, frame);
+        }
     }
 
     #[test]

@@ -720,6 +720,7 @@ mod tests {
     use super::*;
     use ofl_eth::chain::ChainConfig;
     use ofl_eth::wallet::Wallet;
+    use ofl_ipfs::cid::Cid;
     use ofl_primitives::u256::U256;
     use ofl_primitives::wei_per_eth;
     use ofl_rpc::{
@@ -811,30 +812,40 @@ mod tests {
     #[test]
     fn ipfs_round_trips_with_spawned_nodes() {
         let (mut socket, _) = provisioned_socket(1);
-        let n0 = socket
-            .backstage(&BackstageOp::SpawnIpfsNode { label: "a".into() })
-            .into_u64() as usize;
-        let n1 = socket
-            .backstage(&BackstageOp::SpawnIpfsNode { label: "b".into() })
-            .into_u64() as usize;
+        let nodes = socket
+            .backstage(&BackstageOp::SpawnIpfsNodes {
+                labels: vec!["a".into(), "b".into()],
+            })
+            .into_node_indices();
+        assert_eq!(nodes, [0, 1]);
+        let (n0, n1) = (0, 1);
         let added = socket.add(n0, b"model bytes").value;
         let (bytes, stats) = socket.cat(n1, &added.root).value.unwrap();
         assert_eq!(bytes, b"model bytes");
         assert!(stats.blocks_fetched >= 1);
         assert!(socket.pin(n1, &added.root).value.is_ok());
-        assert!(socket
-            .backstage(&BackstageOp::SwarmHas {
-                cid: added.root.clone()
-            })
-            .into_flag());
+        let missing = Cid::v0_of(b"never added");
+        assert_eq!(
+            socket
+                .backstage(&BackstageOp::SwarmHas {
+                    cids: vec![added.root.clone(), missing]
+                })
+                .into_flags(),
+            [true, false]
+        );
         socket.backstage(&BackstageOp::DropIpfsBlock {
             node: n0 as u64,
             cid: added.root.clone(),
         });
         // Node 1 pinned it, so the swarm still serves the content.
-        assert!(socket
-            .backstage(&BackstageOp::SwarmHas { cid: added.root })
-            .into_flag());
+        assert_eq!(
+            socket
+                .backstage(&BackstageOp::SwarmHas {
+                    cids: vec![added.root]
+                })
+                .into_flags(),
+            [true]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use ofl_w3::core::market::Marketplace;
 use ofl_w3::core::scenario::{
     ExecutionMode, FailurePlan, Scenario, ScenarioOutcome, ScenarioSuite,
 };
-use ofl_w3::rpc::{EndpointId, FaultProfile};
+use ofl_w3::rpc::{EndpointId, FaultProfile, StaleProfile};
 
 const SUITE_SEED: u64 = 7;
 
@@ -345,6 +345,63 @@ fn sharded_fault_regime_is_pinned_across_commits() {
     );
 }
 
+/// A finished buyer's payment receipts are the ones the slot polls
+/// delivered. Over a flaky provider (15% of requests fail) and a lagging
+/// replica (receipts hidden for up to 2 slots), every receipt in every
+/// session report still equals the chain's own receipt for that hash,
+/// read backstage after the run, and sits on its own payment's row: the
+/// buyer sends payment k with the k-th consecutive nonce, so the chain
+/// orders the rows' transactions by k.
+#[test]
+fn payment_receipts_from_the_slot_polls_equal_the_chains_own() {
+    let base = MarketConfig {
+        n_owners: 6,
+        n_train: 600,
+        n_test: 60,
+        partition: PartitionScheme::Iid,
+        seed: SUITE_SEED.wrapping_add(400),
+        rpc_faults: Some(FaultProfile::new(SUITE_SEED ^ 0xF1A5, 0.15)),
+        rpc_stale: Some(StaleProfile::new(SUITE_SEED ^ 0x57A1, 2)),
+        train: ofl_w3::fl::client::TrainConfig {
+            dims: vec![784, 8, 10],
+            epochs: 1,
+            ..ofl_w3::fl::client::TrainConfig::default()
+        },
+        ..MarketConfig::small_test()
+    };
+    let (mut mm, report) = MultiMarket::with_shards(MultiMarket::replica_configs(&base, 4, 2), 2)
+        .run(&EngineConfig::default(), &[])
+        .expect("the faulty sharded fleet completes");
+    assert!(
+        report.rpc.method("eth_getTransactionReceipt").errors > 0,
+        "the flaky provider must hit the receipt polls"
+    );
+    for (m, session) in report.sessions.iter().enumerate() {
+        assert_eq!(session.payments.len(), 6, "market {m}");
+        let placement = mm.sessions[m].placement;
+        let mut chain_order = Vec::new();
+        for (k, row) in session.payments.iter().enumerate() {
+            let hash = row.receipt.tx_hash;
+            let chain = mm.world.receipt_of(placement, &hash);
+            assert_eq!(chain.as_ref(), Some(&row.receipt), "market {m} payment {k}");
+            let block = mm
+                .world
+                .chain(placement)
+                .block(row.receipt.block_number)
+                .expect("the receipt's block exists");
+            let at = block.tx_hashes.iter().position(|h| *h == hash);
+            chain_order.push((
+                row.receipt.block_number,
+                at.expect("the block carries the tx"),
+            ));
+        }
+        assert!(
+            chain_order.windows(2).all(|w| w[0] < w[1]),
+            "market {m}: rows out of nonce order {chain_order:?}"
+        );
+    }
+}
+
 /// The headline acceptance scenario: 32 owners on the discrete-event
 /// engine. Their `uploadCid` transactions pile into the shared mempool and
 /// get mined into *shared* blocks — at least one block carries
@@ -592,7 +649,7 @@ mod remote_backend {
     use ofl_w3::core::world::{ShardConfig, ShardSpec, DEFAULT_TX_WIRE_BYTES};
     use ofl_w3::netsim::link::NetworkProfile;
     use ofl_w3::rpc::{provision_socket_provider, RemoteEndpoint};
-    use ofl_w3::rpcd::{DaemonOptions, PipeTransport};
+    use ofl_w3::rpcd::{DaemonOptions, DaemonStats, PipeTransport};
 
     /// Mounts one shard through the deterministic in-memory pipe: a real
     /// `rpcd` server connection, the full frame codec in both directions,
@@ -751,12 +808,13 @@ mod remote_backend {
     }
 
     /// Mounts every shard of a fleet over its own TCP connection to one
-    /// rpcd daemon and runs the engine.
+    /// rpcd daemon and runs the engine; returns the run's report and the
+    /// daemon's counters.
     fn tcp_fleet_run(
         configs: Vec<MarketConfig>,
         shards: usize,
         engine: &EngineConfig,
-    ) -> EngineReport {
+    ) -> (EngineReport, DaemonStats) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
@@ -786,7 +844,7 @@ mod remote_backend {
         drop(mm);
         let stats = server.join().expect("rpcd server thread exits");
         assert_eq!(stats.connections as usize, shards);
-        report
+        (report, stats)
     }
 
     /// The wire is invisible to the simulation: the 32-owner fleet run
@@ -801,9 +859,16 @@ mod remote_backend {
             .run(&EngineConfig::default(), &[])
             .expect("in-process 32-owner fleet");
 
-        let tcp = tcp_fleet_run(configs(), 2, &EngineConfig::default());
+        let (tcp, stats) = tcp_fleet_run(configs(), 2, &EngineConfig::default());
         assert_reports_identical(&local, &tcp);
         assert!(tcp.rpc_per_endpoint[1].total_calls() > 0);
+        // Every frame the daemon served, client and backstage. Backstage
+        // reads go one per step group: a shard's height once per
+        // same-instant run, a market's IPFS nodes spawned together, its
+        // CIDs checked together at finalize, and payment receipts taken
+        // from the slot polls. Read one item at a time, the same fleet
+        // took 376 frames.
+        assert_eq!(stats.frames_served, 222);
     }
 
     /// The push-streaming acceptance pin: with event watching on, the
@@ -836,7 +901,7 @@ mod remote_backend {
                 .run(&engine, &[])
                 .expect("pipe-backed watched fleet");
 
-        let tcp = tcp_fleet_run(configs(), 2, &engine);
+        let (tcp, _) = tcp_fleet_run(configs(), 2, &engine);
 
         assert_eq!(
             (local.events_observed, local.event_digest),
@@ -871,7 +936,7 @@ mod remote_backend {
         let owners: usize = local.sessions.iter().map(|s| s.payments.len()).sum();
         assert_eq!(owners, 1024);
 
-        let tcp = tcp_fleet_run(configs(), 4, &EngineConfig::default());
+        let (tcp, _) = tcp_fleet_run(configs(), 4, &EngineConfig::default());
         assert_reports_identical(&local, &tcp);
     }
 }
