@@ -31,25 +31,6 @@ struct Row {
 }
 
 #[derive(Serialize)]
-struct PollingRow {
-    mode: &'static str,
-    provider_round_trips: u64,
-    receipt_poll_requests: u64,
-    receipt_poll_virtual_secs: f64,
-    rpc_virtual_secs_total: f64,
-    session_secs: f64,
-}
-
-#[derive(Serialize)]
-struct CidReadRow {
-    mode: &'static str,
-    provider_round_trips: u64,
-    eth_call_requests: u64,
-    eth_call_virtual_secs: f64,
-    download_phase_secs: f64,
-}
-
-#[derive(Serialize)]
 struct BoundaryRow {
     backend: &'static str,
     provider_round_trips: u64,
@@ -71,8 +52,6 @@ struct ShardRow {
 struct Record {
     rows: Vec<Row>,
     multi_market_4x8_secs: f64,
-    receipt_polling_32_owners: Vec<PollingRow>,
-    cid_reads_32_owners: Vec<CidReadRow>,
     sharding_4x8: Vec<ShardRow>,
     backend_boundary_8_owners: Vec<BoundaryRow>,
 }
@@ -139,90 +118,6 @@ fn main() {
         multi.total_sim_seconds,
         multi.max_owners_sharing_block()
     );
-
-    // Batched vs per-call receipt polling for the 32-owner session: with
-    // batching, the engine's per-slot poll for every pending transaction is
-    // ONE provider round trip; without it, every pending hash pays its own.
-    println!("\nreceipt polling, 32 owners (EthApi::batch vs one request per hash):");
-    println!(
-        "{:>10} {:>13} {:>15} {:>17} {:>15} {:>13}",
-        "mode", "round trips", "poll requests", "poll virtual (s)", "rpc total (s)", "session (s)"
-    );
-    let polling: Vec<PollingRow> = [("batched", true), ("per-call", false)]
-        .into_iter()
-        .map(|(mode, batch_receipt_polls)| {
-            let engine = EngineConfig {
-                batch_receipt_polls,
-                ..EngineConfig::default()
-            };
-            let (_, report) = MultiMarket::new(vec![sweep_config(32)])
-                .run(&engine, &[])
-                .expect("event-driven session");
-            let polls = report.rpc.method("eth_getTransactionReceipt");
-            let row = PollingRow {
-                mode,
-                provider_round_trips: report.rpc.round_trips,
-                receipt_poll_requests: polls.calls,
-                receipt_poll_virtual_secs: polls.cost.as_secs_f64(),
-                rpc_virtual_secs_total: report.rpc.total_cost().as_secs_f64(),
-                session_secs: report.sessions[0].total_sim_seconds,
-            };
-            println!(
-                "{:>10} {:>13} {:>15} {:>17.3} {:>15.3} {:>13.1}",
-                row.mode,
-                row.provider_round_trips,
-                row.receipt_poll_requests,
-                row.receipt_poll_virtual_secs,
-                row.rpc_virtual_secs_total,
-                row.session_secs
-            );
-            row
-        })
-        .collect();
-
-    // Batched vs per-index CID downloads for the 32-owner session: the
-    // buyer's step-5 read (Fig 7b "download CIDs") is `cidCount` + ONE
-    // batched `getCid` round trip, against one `eth_call` per index.
-    println!("\nCID downloads, 32 owners (cidCount + one batch vs one eth_call per index):");
-    println!(
-        "{:>10} {:>13} {:>15} {:>17} {:>15}",
-        "mode", "round trips", "eth_call reqs", "call virtual (s)", "download (s)"
-    );
-    let cid_reads: Vec<CidReadRow> = [("batched", true), ("per-call", false)]
-        .into_iter()
-        .map(|(mode, batch_cid_reads)| {
-            let engine = EngineConfig {
-                batch_cid_reads,
-                ..EngineConfig::default()
-            };
-            let (_, report) = MultiMarket::new(vec![sweep_config(32)])
-                .run(&engine, &[])
-                .expect("event-driven session");
-            let calls = report.rpc.method("eth_call");
-            let download_phase_secs = report.sessions[0]
-                .buyer_breakdown
-                .iter()
-                .find(|(label, _, _)| label == "download CIDs")
-                .map(|(_, d, _)| d.as_secs_f64())
-                .unwrap_or(0.0);
-            let row = CidReadRow {
-                mode,
-                provider_round_trips: report.rpc.round_trips,
-                eth_call_requests: calls.calls,
-                eth_call_virtual_secs: calls.cost.as_secs_f64(),
-                download_phase_secs,
-            };
-            println!(
-                "{:>10} {:>13} {:>15} {:>17.3} {:>15.3}",
-                row.mode,
-                row.provider_round_trips,
-                row.eth_call_requests,
-                row.eth_call_virtual_secs,
-                row.download_phase_secs
-            );
-            row
-        })
-        .collect();
 
     // Same-shard vs cross-shard placement for the 4×8 fleet: one chain
     // carrying all 32 CID transactions, versus two or four chains carrying
@@ -326,8 +221,6 @@ backend boundary, 8 owners (in-process vs rpcd over the frame codec):"
     let record = Record {
         rows,
         multi_market_4x8_secs: multi.total_sim_seconds,
-        receipt_polling_32_owners: polling,
-        cid_reads_32_owners: cid_reads,
         sharding_4x8: sharding,
         backend_boundary_8_owners: boundary,
     };

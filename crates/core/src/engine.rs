@@ -93,14 +93,6 @@ impl Arrivals {
 pub struct EngineConfig {
     /// Owner arrival pattern (per market).
     pub arrivals: Arrivals,
-    /// Whether the per-slot receipt polls for every pending transaction
-    /// ride one batched provider round trip per shard (the default) or one
-    /// request per hash — the knob `bench_session_engine` sweeps.
-    pub batch_receipt_polls: bool,
-    /// Whether the buyer's step-5 CID download rides `cidCount` + one
-    /// batched `getCid` round trip (the default) or one `eth_call` per
-    /// index — the Fig 7b knob `bench_session_engine` sweeps.
-    pub batch_cid_reads: bool,
     /// Open push subscriptions (`newHeads`, all-logs, `pendingTxs`) on
     /// every shard and fold each delivery into
     /// [`EngineReport::event_digest`], keyed `(slot, shard, seq)` — the
@@ -113,8 +105,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             arrivals: Arrivals::Simultaneous,
-            batch_receipt_polls: true,
-            batch_cid_reads: true,
             watch_events: false,
         }
     }
@@ -262,16 +252,7 @@ impl MultiMarket {
                     .filter(|(_, c)| c.placement.0 == s)
                     .flat_map(|(b, _)| b.genesis().iter().cloned())
                     .collect();
-                mount(ShardConfig {
-                    chain: configs[0].chain.clone(),
-                    genesis,
-                    faults: configs[0].rpc_faults,
-                    rate_limit: configs[0].rpc_rate_limit,
-                    stale: configs[0].rpc_stale,
-                    spike: configs[0].rpc_spike,
-                    reorder: configs[0].rpc_reorder,
-                    sub_lag: configs[0].rpc_sub_lag,
-                })
+                mount(ShardConfig::for_market(&configs[0], genesis))
             })
             .collect();
         let mut world = World::from_shards(specs, configs[0].profile);
@@ -323,8 +304,6 @@ impl MultiMarket {
         engine: &EngineConfig,
         failures: &[FailurePlan],
     ) -> Result<(MultiMarket, EngineReport), MarketError> {
-        self.world.batch_receipt_polls = engine.batch_receipt_polls;
-        self.world.batch_cid_reads = engine.batch_cid_reads;
         let report = {
             let mut driver = Driver::new(&mut self.world, &mut self.sessions, engine, failures);
             driver.run()?
@@ -1119,9 +1098,8 @@ impl<'a> Driver<'a> {
         }
 
         // One receipt poll for every mined-but-undelivered tx — the pool
-        // fans the tagged batch out, one wire round trip per shard involved
-        // (or per-call polls when the engine config says so); every waiter
-        // wakes when its own shard's answer lands.
+        // fans the tagged batch out, one wire round trip per shard
+        // involved; every waiter wakes when its own shard's answer lands.
         let items: Vec<(EndpointId, H256)> = self
             .pending
             .iter()

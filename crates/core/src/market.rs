@@ -36,7 +36,6 @@ use ofl_fl::client::TrainedModel;
 use ofl_fl::pfnm::{self, PfnmConfig};
 use ofl_incentive::{allocate_payments, loo_coalitions, LooReport};
 use ofl_ipfs::cid::Cid;
-use ofl_ipfs::swarm::{IpfsNode, Swarm};
 use ofl_netsim::clock::{SimClock, SimDuration, SimInstant};
 use ofl_netsim::link::Link;
 use ofl_netsim::par::fork_join_mut;
@@ -387,18 +386,6 @@ impl SessionBlueprint {
         &self.config
     }
 
-    /// Spawns the market's IPFS nodes into `swarm` and assembles the
-    /// session state (in-process worlds; see
-    /// [`SessionBlueprint::instantiate_with`] for the general form).
-    pub fn instantiate(self, swarm: &mut Swarm) -> MarketSession {
-        self.instantiate_with(|labels| {
-            labels
-                .into_iter()
-                .map(|label| swarm.add_node(IpfsNode::new(label)))
-                .collect()
-        })
-    }
-
     /// Spawns the market's IPFS nodes through `spawn` (any backstage node
     /// spawner — a local swarm or a remote shard's wire channel), which
     /// gets every label at once (the buyer's first, then each owner's) and
@@ -619,11 +606,8 @@ impl MarketSession {
 
     /// **Step 5** — reads every CID from the contract through the typed
     /// binding (free `eth_call`s, transient provider failures retried) and
-    /// returns them with the total RPC time of the polling loop. With
-    /// [`World::batch_cid_reads`] set (the default) the whole download is
-    /// `cidCount` plus **one** batched `getCid` round trip; without it,
-    /// every index pays its own wire exchange — the Fig 7b knob
-    /// `bench_session_engine` sweeps.
+    /// returns them with the total RPC time of the read: `cidCount` plus
+    /// **one** batched `getCid` round trip.
     pub fn download_cids_computed(
         &self,
         endpoint: &mut Endpoint,
@@ -632,21 +616,8 @@ impl MarketSession {
             .contract
             .ok_or(MarketError::StepOrder("deploy before download"))?;
         let buyer = self.buyer.address;
-        if endpoint.batch_cid_reads {
-            let (cids, duration) = endpoint.eth_retry(|eth| contract.all_cids_batched(eth, &buyer));
-            return Ok((cids?, duration));
-        }
-        let mut duration = SimDuration::ZERO;
-        let (count, d) = endpoint.eth_retry(|eth| contract.cid_count(eth, &buyer));
-        duration = duration.saturating_add(d);
-        let count = count?;
-        let mut cids = Vec::with_capacity(count as usize);
-        for index in 0..count {
-            let (cid, d) = endpoint.eth_retry(|eth| contract.get_cid(eth, &buyer, index));
-            duration = duration.saturating_add(d);
-            cids.push(cid?);
-        }
-        Ok((cids, duration))
+        let (cids, duration) = endpoint.eth_retry(|eth| contract.all_cids_batched(eth, &buyer));
+        Ok((cids?, duration))
     }
 
     /// **Step 6** — fetches every model from the swarm, verifies integrity
@@ -964,16 +935,10 @@ impl Marketplace {
         };
         let blueprint = SessionBlueprint::new(config, "");
         let mut world = World::from_shards(
-            vec![ShardSpec::Local(ShardConfig {
-                chain: blueprint.config().chain.clone(),
-                genesis: blueprint.genesis().to_vec(),
-                faults: blueprint.config().rpc_faults,
-                rate_limit: blueprint.config().rpc_rate_limit,
-                stale: blueprint.config().rpc_stale,
-                spike: blueprint.config().rpc_spike,
-                reorder: blueprint.config().rpc_reorder,
-                sub_lag: blueprint.config().rpc_sub_lag,
-            })],
+            vec![ShardSpec::Local(ShardConfig::for_market(
+                blueprint.config(),
+                blueprint.genesis().to_vec(),
+            ))],
             blueprint.config().profile,
         );
         let session =

@@ -382,7 +382,6 @@ impl Scenario {
             &EngineConfig {
                 arrivals,
                 watch_events: self.watch_events,
-                ..EngineConfig::default()
             },
             &failures,
         )?;

@@ -37,6 +37,7 @@
 //!   and get mined into *shared* blocks at slot boundaries — or, with
 //!   markets placed on different shards, into different chains' blocks.
 
+use crate::config::MarketConfig;
 use ofl_eth::block::{Block, Receipt};
 use ofl_eth::chain::{CallResult, Chain, ChainConfig};
 use ofl_eth::wallet::{TxEnv, Wallet, WalletError};
@@ -49,8 +50,7 @@ use ofl_primitives::{H160, H256};
 use ofl_rpc::{
     build_provider, match_to_requests, provision_socket_provider, BackstageOp, Billed,
     EndpointFaults, EndpointId, FaultProfile, NodeProvider, ProviderMetrics, ProviderPool,
-    RateLimitProfile, RemoteEndpoint, ReorderProfile, Retryable, RpcError, RpcMethod, RpcRequest,
-    RpcResponse, RpcResult, SpikeProfile, StaleProfile, SubLagProfile,
+    RemoteEndpoint, Retryable, RpcError, RpcMethod, RpcRequest, RpcResponse, RpcResult,
 };
 use ofl_rpc::{Notification, SubscriptionKind};
 use std::collections::BTreeMap;
@@ -123,21 +123,10 @@ pub struct ShardConfig {
     pub chain: ChainConfig,
     /// Genesis balances funded on this shard.
     pub genesis: Vec<(H160, U256)>,
-    /// Seeded RPC fault injection for this endpoint (`None` = reliable).
-    pub faults: Option<FaultProfile>,
-    /// Seeded per-slot request quota for this endpoint (`None` = no 429s).
-    pub rate_limit: Option<RateLimitProfile>,
-    /// Seeded lagging-replica reads for this endpoint (`None` = always
-    /// fresh).
-    pub stale: Option<StaleProfile>,
-    /// Seeded slot-long latency spikes for this endpoint (`None` = steady).
-    pub spike: Option<SpikeProfile>,
-    /// Seeded shuffling of this endpoint's batch replies (`None` = in
-    /// order).
-    pub reorder: Option<ReorderProfile>,
-    /// Seeded per-subscription push-delivery lag (`None` = pushes land at
-    /// the slot boundary that produced them).
-    pub sub_lag: Option<SubLagProfile>,
+    /// The endpoint's seeded decorators: drops, quotas, stale reads,
+    /// spikes, batch reordering and push lag (the default is a clean,
+    /// reliable endpoint).
+    pub faults: EndpointFaults,
 }
 
 impl ShardConfig {
@@ -146,25 +135,30 @@ impl ShardConfig {
         ShardConfig {
             chain,
             genesis,
-            faults: None,
-            rate_limit: None,
-            stale: None,
-            spike: None,
-            reorder: None,
-            sub_lag: None,
+            faults: EndpointFaults::default(),
+        }
+    }
+
+    /// A shard funded with `genesis` that takes `market`'s chain
+    /// parameters and endpoint decorators.
+    pub fn for_market(market: &MarketConfig, genesis: Vec<(H160, U256)>) -> ShardConfig {
+        ShardConfig {
+            chain: market.chain.clone(),
+            genesis,
+            faults: EndpointFaults {
+                faults: market.rpc_faults,
+                rate_limit: market.rpc_rate_limit,
+                stale: market.rpc_stale,
+                spike: market.rpc_spike,
+                reorder: market.rpc_reorder,
+                sub_lag: market.rpc_sub_lag,
+            },
         }
     }
 
     /// The decorator knobs, in the shape the stack builders take.
     pub fn knobs(&self) -> EndpointFaults {
-        EndpointFaults {
-            faults: self.faults,
-            rate_limit: self.rate_limit,
-            stale: self.stale,
-            spike: self.spike,
-            reorder: self.reorder,
-            sub_lag: self.sub_lag,
-        }
+        self.faults
     }
 }
 
@@ -274,13 +268,6 @@ pub struct World {
     /// How many times a transient (timed-out or rate-limited) request is
     /// retried before the world gives up with [`WorldError::Rpc`].
     pub max_rpc_retries: u32,
-    /// Whether receipt polls for many hashes ride one batched round trip
-    /// (the default) or one request each — the knob the engine bench sweeps.
-    pub batch_receipt_polls: bool,
-    /// Whether the buyer's step-5 CID download rides `cidCount` + one
-    /// batched `getCid` round trip (the default) or one `eth_call` per
-    /// index — the other knob the engine bench sweeps (Fig 7b path).
-    pub batch_cid_reads: bool,
     /// Push notifications pumped out of every endpoint at slot boundaries,
     /// parked per `(endpoint, sub_id)` until a watcher takes them.
     inbox: BTreeMap<(EndpointId, u64), Vec<Notification>>,
@@ -307,14 +294,11 @@ impl World {
     ) -> World {
         World::from_shards(
             vec![ShardSpec::Local(ShardConfig {
-                chain: chain_config,
-                genesis: genesis.to_vec(),
-                faults,
-                rate_limit: None,
-                stale: None,
-                spike: None,
-                reorder: None,
-                sub_lag: None,
+                faults: EndpointFaults {
+                    faults,
+                    ..EndpointFaults::default()
+                },
+                ..ShardConfig::new(chain_config, genesis.to_vec())
             })],
             profile,
         )
@@ -361,8 +345,6 @@ impl World {
             profile,
             tx_wire_bytes: DEFAULT_TX_WIRE_BYTES,
             max_rpc_retries: 6,
-            batch_receipt_polls: true,
-            batch_cid_reads: true,
             inbox: BTreeMap::new(),
         }
     }
@@ -383,14 +365,13 @@ impl World {
     }
 
     /// One endpoint's client view: its provider stack with the world's
-    /// retry budget and CID-read mode — what every piece of a market's
+    /// retry budget — what every piece of a market's
     /// own traffic (signing reads, broadcasts, IPFS transfers, contract
     /// reads) goes through.
     pub fn endpoint(&mut self, endpoint: EndpointId) -> Endpoint<'_> {
         Endpoint {
             provider: self.pool.endpoint(endpoint),
             max_rpc_retries: self.max_rpc_retries,
-            batch_cid_reads: self.batch_cid_reads,
             height: None,
         }
     }
@@ -407,12 +388,11 @@ impl World {
         R: Send,
         F: Fn(&mut Endpoint<'_>, &mut T) -> R + Sync,
     {
-        let (max_rpc_retries, batch_cid_reads) = (self.max_rpc_retries, self.batch_cid_reads);
+        let max_rpc_retries = self.max_rpc_retries;
         self.pool.fork_endpoints(groups, |_, provider, group| {
             let mut endpoint = Endpoint {
                 provider,
                 max_rpc_retries,
-                batch_cid_reads,
                 height: None,
             };
             f(&mut endpoint, group)
@@ -558,9 +538,8 @@ impl World {
     // Non-blocking substrate steps (event-driven path).
     // ------------------------------------------------------------------
 
-    /// Polls receipts for `hashes` on one endpoint — one batched round trip
-    /// when [`World::batch_receipt_polls`] is set (N polls, one wire
-    /// exchange), else one request per hash. Timed-out entries come back
+    /// Polls receipts for `hashes` on one endpoint in one batched round
+    /// trip (N polls, one wire exchange). Timed-out entries come back
     /// `None`, to be re-polled after the next slot. The caller charges the
     /// cost.
     pub fn poll_receipts(
@@ -571,41 +550,26 @@ impl World {
         if hashes.is_empty() {
             return Billed::free(Vec::new());
         }
-        if self.batch_receipt_polls {
-            let requests: Vec<RpcRequest> = hashes
-                .iter()
-                .enumerate()
-                .map(|(i, h)| {
-                    RpcRequest::new(i as u64, RpcMethod::GetTransactionReceipt { hash: *h })
-                })
-                .collect();
-            // Tag-match the reply array so each hash gets *its* receipt
-            // even from a reordering endpoint.
-            let responses =
-                match_to_requests(&requests, self.pool.endpoint(endpoint).batch(&requests));
-            let cost = responses
-                .iter()
-                .fold(SimDuration::ZERO, |acc, r| acc.saturating_add(r.cost));
-            let value = responses.into_iter().map(receipt_of).collect();
-            Billed { value, cost }
-        } else {
-            let mut cost = SimDuration::ZERO;
-            let mut value = Vec::with_capacity(hashes.len());
-            for hash in hashes {
-                let billed = self.pool.endpoint(endpoint).get_transaction_receipt(*hash);
-                cost = cost.saturating_add(billed.cost);
-                value.push(billed.value.ok().flatten());
-            }
-            Billed { value, cost }
-        }
+        let requests: Vec<RpcRequest> = hashes
+            .iter()
+            .enumerate()
+            .map(|(i, h)| RpcRequest::new(i as u64, RpcMethod::GetTransactionReceipt { hash: *h }))
+            .collect();
+        // Tag-match the reply array so each hash gets *its* receipt even
+        // from a reordering endpoint.
+        let responses = match_to_requests(&requests, self.pool.endpoint(endpoint).batch(&requests));
+        let cost = responses
+            .iter()
+            .fold(SimDuration::ZERO, |acc, r| acc.saturating_add(r.cost));
+        let value = responses.into_iter().map(receipt_of).collect();
+        Billed { value, cost }
     }
 
     /// Polls receipts for hashes spread across **several** shards in one
     /// pass: the pool fans the tagged batch out, one wire round trip per
-    /// endpoint involved (per-request when [`World::batch_receipt_polls`]
-    /// is off). Returns per-item receipts in input order plus each
-    /// endpoint's summed poll cost, indexed by `EndpointId.0` — the engine
-    /// charges each shard's waiters their own bill.
+    /// endpoint involved. Returns per-item receipts in input order plus
+    /// each endpoint's summed poll cost, indexed by `EndpointId.0` — the
+    /// engine charges each shard's waiters their own bill.
     pub fn poll_receipts_sharded(
         &mut self,
         items: &[(EndpointId, H256)],
@@ -614,31 +578,21 @@ impl World {
         if items.is_empty() {
             return (Vec::new(), costs);
         }
-        if self.batch_receipt_polls {
-            let requests: Vec<(EndpointId, RpcRequest)> = items
-                .iter()
-                .enumerate()
-                .map(|(i, (ep, h))| {
-                    (
-                        *ep,
-                        RpcRequest::new(i as u64, RpcMethod::GetTransactionReceipt { hash: *h }),
-                    )
-                })
-                .collect();
-            let responses = self.pool.batch(&requests);
-            for ((ep, _), response) in items.iter().zip(&responses) {
-                costs[ep.0] = costs[ep.0].saturating_add(response.cost);
-            }
-            (responses.into_iter().map(receipt_of).collect(), costs)
-        } else {
-            let mut receipts = Vec::with_capacity(items.len());
-            for (ep, hash) in items {
-                let billed = self.pool.endpoint(*ep).get_transaction_receipt(*hash);
-                costs[ep.0] = costs[ep.0].saturating_add(billed.cost);
-                receipts.push(billed.value.ok().flatten());
-            }
-            (receipts, costs)
+        let requests: Vec<(EndpointId, RpcRequest)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, (ep, h))| {
+                (
+                    *ep,
+                    RpcRequest::new(i as u64, RpcMethod::GetTransactionReceipt { hash: *h }),
+                )
+            })
+            .collect();
+        let responses = self.pool.batch(&requests);
+        for ((ep, _), response) in items.iter().zip(&responses) {
+            costs[ep.0] = costs[ep.0].saturating_add(response.cost);
         }
+        (responses.into_iter().map(receipt_of).collect(), costs)
     }
 
     /// Advances the clock to the slot boundary at `slot_secs` and mines
@@ -842,7 +796,7 @@ impl World {
 
 /// One endpoint of a [`World`], borrowed for client traffic (see
 /// [`World::endpoint`]): the endpoint's provider stack plus the world's
-/// retry budget and CID-read mode. A view touches nothing but its own
+/// retry budget. A view touches nothing but its own
 /// endpoint, so views of different endpoints can work on different threads
 /// ([`World::fork_endpoints`]).
 ///
@@ -855,9 +809,6 @@ pub struct Endpoint<'a> {
     /// How many times a transient (timed-out or rate-limited) request is
     /// retried before giving up ([`World::max_rpc_retries`]).
     max_rpc_retries: u32,
-    /// Whether the buyer's CID download batches its `getCid` reads
-    /// ([`World::batch_cid_reads`]).
-    pub(crate) batch_cid_reads: bool,
     /// The shard's height, once this view has read it.
     height: Option<u64>,
 }
@@ -1072,6 +1023,7 @@ mod tests {
     use super::*;
     use ofl_eth::tx::{sign_tx, TxRequest};
     use ofl_primitives::wei_per_eth;
+    use ofl_rpc::RateLimitProfile;
 
     const EP: EndpointId = EndpointId(0);
 
@@ -1161,7 +1113,6 @@ mod tests {
         let metrics = world.rpc_metrics(EP);
         // Four signing reads, one wire round trip.
         assert_eq!(metrics.round_trips, 1);
-        assert_eq!(metrics.batched_requests, 4);
         for method in [
             "eth_chainId",
             "eth_getTransactionCount",
@@ -1328,11 +1279,17 @@ mod tests {
         assert!(batched.value.iter().all(Option::is_some));
         assert_eq!(world.rpc_metrics(EP).round_trips, before + 1);
 
-        world.batch_receipt_polls = false;
-        let per_call = world.poll_receipts(EP, &hashes);
+        // The same receipts asked for one direct request at a time: four
+        // round trips.
+        let mut per_call_cost = SimDuration::ZERO;
+        for (hash, receipt) in hashes.iter().zip(&batched.value) {
+            let billed = world.eth(EP).get_transaction_receipt(*hash);
+            per_call_cost = per_call_cost.saturating_add(billed.cost);
+            assert_eq!(&billed.value.unwrap(), receipt);
+        }
         assert_eq!(world.rpc_metrics(EP).round_trips, before + 1 + 4);
         // The batched bill is far cheaper than four separate round trips.
-        assert!(batched.cost.as_secs_f64() * 2.0 < per_call.cost.as_secs_f64());
+        assert!(batched.cost.as_secs_f64() * 2.0 < per_call_cost.as_secs_f64());
     }
 
     #[test]
@@ -1423,14 +1380,11 @@ mod tests {
         let genesis: Vec<(H160, U256)> = addrs.iter().map(|a| (*a, wei_per_eth())).collect();
         let mut world = World::from_shards(
             vec![ShardSpec::Local(ShardConfig {
-                chain: ChainConfig::default(),
-                genesis,
-                faults: None,
-                rate_limit: Some(RateLimitProfile::new(7, 2)),
-                stale: None,
-                spike: None,
-                reorder: None,
-                sub_lag: None,
+                faults: EndpointFaults {
+                    rate_limit: Some(RateLimitProfile::new(7, 2)),
+                    ..EndpointFaults::default()
+                },
+                ..ShardConfig::new(ChainConfig::default(), genesis)
             })],
             NetworkProfile::campus(),
         );

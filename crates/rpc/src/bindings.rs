@@ -596,7 +596,6 @@ mod tests {
         let metrics = metered.layer.snapshot();
         assert_eq!(metrics.round_trips, 2);
         assert_eq!(metrics.method("eth_call").calls, 5);
-        assert_eq!(metrics.batched_requests, 4);
     }
 
     #[test]

@@ -40,6 +40,7 @@ use ofl_netsim::link::NetworkProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
+use std::slice;
 
 /// The result of an IPFS fetch, as [`IpfsApi::cat`] bills it.
 type CatResult = Billed<Result<(Vec<u8>, FetchStats), IpfsError>>;
@@ -54,11 +55,11 @@ type PinResult = Billed<Result<(), IpfsError>>;
 /// passes straight through to it by default; a policy overrides only what
 /// it changes. `chain`/`swarm` access, backstage operations, and
 /// `subscribe` have no hook: no layer ever alters them.
+///
+/// Ethereum traffic has one hook, [`Layer::batch`]: a single request
+/// reaches it as a batch of one, so every policy prices, faults and meters
+/// one request exactly like a one-element batch.
 pub trait Layer: Send {
-    /// Answers one request (see [`EthApi::execute`]).
-    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
-        inner.execute(request)
-    }
     /// Answers a batch as one exchange (see [`EthApi::batch`]).
     fn batch<P: NodeProvider>(
         &mut self,
@@ -119,7 +120,10 @@ impl<L, P> Layered<L, P> {
 
 impl<L: Layer, P: NodeProvider> EthApi for Layered<L, P> {
     fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        self.layer.execute(&mut self.inner, request)
+        let mut responses = self.layer.batch(&mut self.inner, slice::from_ref(request));
+        responses
+            .pop()
+            .expect("a batch of one answers one response")
     }
     fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
         self.layer.batch(&mut self.inner, requests)
@@ -171,22 +175,17 @@ impl<L: Layer, P: NodeProvider> NodeProvider for Layered<L, P> {
     }
 }
 
-/// Refuses a single request: `error`, at `cost`.
-fn refuse(id: u64, error: RpcError, cost: SimDuration) -> RpcResponse {
-    RpcResponse {
-        id,
-        result: Err(error),
-        cost,
-    }
-}
-
 /// Refuses a whole batch as one HTTP request: every answer is `error`, and
 /// `cost` elapses once, riding the first response.
 fn refuse_batch(requests: &[RpcRequest], error: RpcError, cost: SimDuration) -> Vec<RpcResponse> {
     let mut cost = Some(cost);
     requests
         .iter()
-        .map(|r| refuse(r.id, error.clone(), cost.take().unwrap_or_default()))
+        .map(|r| RpcResponse {
+            id: r.id,
+            result: Err(error.clone()),
+            cost: cost.take().unwrap_or_default(),
+        })
         .collect()
 }
 
@@ -230,13 +229,6 @@ fn response_payload(response: &RpcResponse) -> u64 {
 }
 
 impl Layer for Latency {
-    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
-        let mut response = inner.execute(request);
-        let cost = self.price(request.method.payload_bytes(), response_payload(&response));
-        response.cost = response.cost.saturating_add(cost);
-        response
-    }
-
     fn batch<P: NodeProvider>(
         &mut self,
         inner: &mut P,
@@ -352,13 +344,6 @@ impl Flaky {
 }
 
 impl Layer for Flaky {
-    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
-        if self.drops_now() {
-            return refuse(request.id, RpcError::Timeout, FaultProfile::TIMEOUT);
-        }
-        inner.execute(request)
-    }
-
     fn batch<P: NodeProvider>(
         &mut self,
         inner: &mut P,
@@ -462,13 +447,6 @@ fn draw_allowance(rng: &mut StdRng, profile: &RateLimitProfile) -> u64 {
 }
 
 impl Layer for RateLimit {
-    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
-        if self.throttles_now() {
-            return refuse(request.id, RpcError::RateLimited, RateLimitProfile::BACKOFF);
-        }
-        inner.execute(request)
-    }
-
     fn batch<P: NodeProvider>(
         &mut self,
         inner: &mut P,
@@ -571,12 +549,6 @@ impl Spike {
 }
 
 impl Layer for Spike {
-    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
-        let mut response = inner.execute(request);
-        response.cost = self.stall_cost(response.cost);
-        response
-    }
-
     fn batch<P: NodeProvider>(
         &mut self,
         inner: &mut P,
@@ -803,12 +775,6 @@ fn canonical_head<P: EthApi>(backend: &mut P) -> Option<u64> {
 }
 
 impl Layer for StaleRead {
-    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
-        let mut response = inner.execute(request);
-        self.lag_response(inner, request, &mut response);
-        response
-    }
-
     fn batch<P: NodeProvider>(
         &mut self,
         inner: &mut P,
@@ -957,8 +923,6 @@ pub struct ProviderMetrics {
     /// Wire round trips: one per single request, one per whole batch, one
     /// per IPFS exchange.
     pub round_trips: u64,
-    /// Requests that travelled inside a batch.
-    pub batched_requests: u64,
 }
 
 impl ProviderMetrics {
@@ -1007,7 +971,6 @@ impl ProviderMetrics {
             mine.cost = mine.cost.saturating_add(stats.cost);
         }
         self.round_trips += other.round_trips;
-        self.batched_requests += other.batched_requests;
     }
 }
 
@@ -1027,17 +990,6 @@ impl Meter {
 }
 
 impl Layer for Meter {
-    fn execute<P: NodeProvider>(&mut self, inner: &mut P, request: &RpcRequest) -> RpcResponse {
-        let response = inner.execute(request);
-        self.metrics.round_trips += 1;
-        self.metrics.record(
-            request.method.name(),
-            response.cost,
-            response.result.is_err(),
-        );
-        response
-    }
-
     fn batch<P: NodeProvider>(
         &mut self,
         inner: &mut P,
@@ -1045,7 +997,6 @@ impl Layer for Meter {
     ) -> Vec<RpcResponse> {
         let responses = inner.batch(requests);
         self.metrics.round_trips += 1;
-        self.metrics.batched_requests += requests.len() as u64;
         for (request, response) in requests.iter().zip(&responses) {
             self.metrics.record(
                 request.method.name(),
@@ -1161,7 +1112,6 @@ mod tests {
         let batch_metrics = batched.layer.snapshot();
         assert_eq!(per_metrics.round_trips, 16);
         assert_eq!(batch_metrics.round_trips, 1);
-        assert_eq!(batch_metrics.batched_requests, 16);
         assert_eq!(batch_metrics.method("eth_getTransactionReceipt").calls, 16);
     }
 

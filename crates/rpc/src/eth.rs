@@ -5,7 +5,8 @@
 //! it, or (eventually) a real HTTP endpoint. The one required method is
 //! [`EthApi::execute`]; the typed convenience methods are default wrappers
 //! that build the envelope, dispatch it, and unwrap the matching result
-//! variant, so decorators only ever intercept one choke point.
+//! variant. Decorators intercept one choke point, [`EthApi::batch`]: a
+//! decorated provider answers `execute` as a batch of one.
 
 use crate::envelope::{RpcError, RpcMethod, RpcRequest, RpcResponse, RpcResult};
 use crate::Billed;
@@ -16,8 +17,9 @@ use ofl_primitives::{H160, H256};
 
 /// The Ethereum node API, shaped like the real JSON-RPC surface.
 pub trait EthApi {
-    /// Answers one request. This is the single choke point every decorator
-    /// wraps; all typed methods funnel through it.
+    /// Answers one request; all typed methods funnel through it. Decorators
+    /// answer it as a [`EthApi::batch`] of one, so `batch` is the single
+    /// choke point every decorator wraps.
     fn execute(&mut self, request: &RpcRequest) -> RpcResponse;
 
     /// Answers a batch of requests in **one provider round trip** — how N

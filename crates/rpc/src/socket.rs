@@ -2,10 +2,10 @@
 //!
 //! Implements the same [`EthApi`]/[`IpfsApi`]/[`NodeProvider`] surface as
 //! the in-process [`SimProvider`](crate::sim::SimProvider), but every call
-//! becomes one [`Frame`] round trip to an `rpcd` daemon: `execute` ships
-//! [`Frame::Execute`], `batch` ships the whole slice as **one**
-//! [`Frame::Batch`] (so batching semantics — and batch pricing by the
-//! decorators above — survive the process boundary unchanged), IPFS calls
+//! becomes one [`Frame`] round trip to an `rpcd` daemon: `batch` ships the
+//! whole slice as **one** [`Frame::Batch`] and `execute` ships a batch of
+//! one (so batching semantics — and batch pricing by the decorators above —
+//! survive the process boundary unchanged), IPFS calls
 //! ship their bytes, and the simulator's backstage ops travel as
 //! [`Frame::Backstage`].
 //!
@@ -37,6 +37,7 @@ use ofl_netsim::clock::SimDuration;
 use ofl_netsim::link::NetworkProfile;
 use ofl_primitives::u256::U256;
 use ofl_primitives::H160;
+use std::slice;
 
 /// How a [`SocketProvider`] ships a batch of requests over the wire. It has
 /// one discipline, so this enum exists only because the benchmark harness
@@ -132,26 +133,10 @@ impl SocketProvider {
 
 impl EthApi for SocketProvider {
     fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
-        match self.roundtrip(&Frame::Execute(request.clone())) {
-            Ok(Frame::Response(response)) => response,
-            Ok(Frame::Error(e)) => RpcResponse {
-                id: request.id,
-                result: Err(self.transport_error("execute", &FrameError::Protocol(e))),
-                cost: SimDuration::ZERO,
-            },
-            Ok(other) => RpcResponse {
-                id: request.id,
-                result: Err(RpcError::Transport(format!(
-                    "unexpected execute reply: {other:?}"
-                ))),
-                cost: SimDuration::ZERO,
-            },
-            Err(e) => RpcResponse {
-                id: request.id,
-                result: Err(self.transport_error("execute", &e)),
-                cost: SimDuration::ZERO,
-            },
-        }
+        let mut responses = self.batch(slice::from_ref(request));
+        responses
+            .pop()
+            .expect("a batch of one answers one response")
     }
 
     fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {

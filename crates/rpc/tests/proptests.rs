@@ -308,12 +308,13 @@ impl PermutedEcho {
     }
 }
 
-/// One `Execute` frame per method, each request numbered by position.
-fn execute_frames(methods: Vec<RpcMethod>) -> Vec<Frame> {
+/// One single-request `Batch` frame per method, each request numbered by
+/// position.
+fn request_frames(methods: Vec<RpcMethod>) -> Vec<Frame> {
     methods
         .into_iter()
         .enumerate()
-        .map(|(i, method)| Frame::Execute(RpcRequest::new(i as u64, method)))
+        .map(|(i, method)| Frame::Batch(vec![RpcRequest::new(i as u64, method)]))
         .collect()
 }
 
@@ -483,7 +484,8 @@ proptest! {
 
     #[test]
     fn single_request_frames_roundtrip(id in any::<u64>(), method in arb_method()) {
-        let frame = Frame::Execute(RpcRequest { id, method });
+        // A single request travels as a batch of one.
+        let frame = Frame::Batch(vec![RpcRequest { id, method }]);
         let wire = frame.encode();
         let (decoded, consumed) = Frame::decode(&wire).expect("frame decodes");
         prop_assert_eq!(consumed, wire.len());
@@ -529,7 +531,7 @@ proptest! {
 
     #[test]
     fn truncated_frames_never_decode(id in any::<u64>(), method in arb_method(), cut in 1usize..9) {
-        let wire = Frame::Execute(RpcRequest { id, method }).encode();
+        let wire = Frame::Batch(vec![RpcRequest { id, method }]).encode();
         let cut = cut.min(wire.len() - 1);
         // Any strict prefix fails: either the header is incomplete or the
         // length prefix promises more payload than remains.
@@ -575,7 +577,7 @@ proptest! {
         let request = Frame::Request {
             id,
             session,
-            frame: Box::new(Frame::Execute(RpcRequest { id, method })),
+            frame: Box::new(Frame::Batch(vec![RpcRequest { id, method }])),
         };
         let wire = request.encode();
         let (decoded, consumed) = Frame::decode(&wire).expect("request envelope decodes");
@@ -584,11 +586,11 @@ proptest! {
 
         let reply = Frame::Reply {
             id,
-            frame: Box::new(Frame::Response(RpcResponse {
+            frame: Box::new(Frame::BatchResponse(vec![RpcResponse {
                 id,
                 result: Ok(result),
                 cost: SimDuration::from_micros(cost_us),
-            })),
+            }])),
         };
         let wire = reply.encode();
         let (decoded, consumed) = Frame::decode(&wire).expect("reply envelope decodes");
@@ -612,7 +614,7 @@ proptest! {
             .map(|(i, (id, session, method))| Frame::Request {
                 id,
                 session,
-                frame: Box::new(Frame::Execute(RpcRequest::new(i as u64, method))),
+                frame: Box::new(Frame::Batch(vec![RpcRequest::new(i as u64, method)])),
             })
             .collect();
         let mut wire = Vec::new();
@@ -638,7 +640,7 @@ proptest! {
     ) {
         // Several sessions share one connection; however the daemon orders
         // its replies, the mux must hand each session *its own* answers.
-        let frames = execute_frames(methods);
+        let frames = request_frames(methods);
         let (mux, log) = PermutedEcho::new(rotate, reverse).mux();
         let (_, replies) = send_all_then_recv(&mux, sessions, &frames);
         // Every reply slots back to the frame that asked for it, regardless
@@ -754,7 +756,7 @@ proptest! {
         // them, permuted replies and all. The mux must still hand each
         // session its own answers AND park every push, in wire order,
         // under the session named on its Notify.
-        let frames = execute_frames(methods);
+        let frames = request_frames(methods);
         let (mux, log) = PermutedEcho::with_pushes(rotate, reverse, pushes_per_reply).mux();
         let (mut handles, replies) = send_all_then_recv(&mux, sessions, &frames);
         prop_assert_eq!(replies, frames.clone());

@@ -228,10 +228,6 @@ impl Connection {
                     Frame::Error(ProtocolError::NoSuchSession(target)),
                     |height| Frame::Attached { height },
                 ),
-            Frame::Execute(request) => match self.with_provider(session, |p| p.execute(&request)) {
-                Ok(response) => Frame::Response(response),
-                Err(error) => Frame::Error(error),
-            },
             Frame::Batch(requests) => match self.with_provider(session, |p| p.batch(&requests)) {
                 Ok(responses) => Frame::BatchResponse(responses),
                 Err(error) => Frame::Error(error),
@@ -724,8 +720,8 @@ mod tests {
     use ofl_primitives::u256::U256;
     use ofl_primitives::wei_per_eth;
     use ofl_rpc::{
-        BackstageOp, EthApi, IpfsApi, NodeProvider, RpcMethod, RpcRequest, RpcResult, SessionMux,
-        SocketProvider, SubEvent, SubscriptionKind,
+        BackstageOp, EthApi, IpfsApi, NodeProvider, RpcError, RpcMethod, RpcRequest, RpcResult,
+        SessionMux, SocketProvider, SubEvent, SubscriptionKind,
     };
 
     fn provisioned_socket(n_accounts: usize) -> (SocketProvider, Wallet) {
@@ -810,6 +806,26 @@ mod tests {
     }
 
     #[test]
+    fn a_single_request_before_provisioning_is_a_tagged_transport_error() {
+        let mut socket = SocketProvider::new(Box::new(PipeTransport::new()));
+        let refused = socket.execute(&RpcRequest::new(17, RpcMethod::BlockNumber));
+        assert_eq!(refused.id, 17, "the refusal answers its own request");
+        assert!(
+            matches!(&refused.result, Err(RpcError::Transport(msg)) if msg.contains("no backend")),
+            "{:?}",
+            refused.result
+        );
+        // The connection survives the refusal and serves the same socket
+        // once it is provisioned.
+        socket
+            .provision(ChainConfig::default(), vec![])
+            .expect("pipe provisions");
+        let served = socket.execute(&RpcRequest::new(18, RpcMethod::BlockNumber));
+        assert_eq!(served.id, 18);
+        assert!(matches!(served.result, Ok(RpcResult::BlockNumber(0))));
+    }
+
+    #[test]
     fn ipfs_round_trips_with_spawned_nodes() {
         let (mut socket, _) = provisioned_socket(1);
         let nodes = socket
@@ -852,7 +868,10 @@ mod tests {
     fn protocol_errors_keep_the_connection_alive() {
         let mut conn = Connection::new();
         // Request before provisioning → typed error, connection lives.
-        let (reply, done) = conn.handle(Frame::Execute(RpcRequest::new(0, RpcMethod::BlockNumber)));
+        let (reply, done) = conn.handle(Frame::Batch(vec![RpcRequest::new(
+            0,
+            RpcMethod::BlockNumber,
+        )]));
         assert_eq!(reply, Frame::Error(ProtocolError::Unprovisioned));
         assert!(!done);
         // Provision, then provision again → typed error again.
@@ -876,7 +895,10 @@ mod tests {
         let (reply, _) = conn.handle(Frame::Request {
             id: 1,
             session: 9,
-            frame: Box::new(Frame::Execute(RpcRequest::new(0, RpcMethod::BlockNumber))),
+            frame: Box::new(Frame::Batch(vec![RpcRequest::new(
+                0,
+                RpcMethod::BlockNumber,
+            )])),
         });
         assert_eq!(
             reply,
