@@ -47,8 +47,7 @@ fn parse_args() -> Result<Options, String> {
                     "ofl-lint: workspace determinism & robustness analysis\n\n\
                      usage: ofl-lint [--root PATH] [--deny-new] [--json] [--write-baseline]\n\n\
                      rules: D1 no-wall-clock, D2 no-unordered-iteration,\n\
-                     D3 no-ambient-randomness, R1 no-panic-in-daemon,\n\
-                     W1 codec-exhaustiveness"
+                     D3 no-ambient-randomness, R1 no-panic-in-daemon"
                 );
                 std::process::exit(0);
             }

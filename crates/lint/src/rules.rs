@@ -11,14 +11,13 @@
 //! | D2   | no unordered `HashMap`/`HashSet` iteration in digest crates |
 //! | D3   | no ambient (entropy-seeded) randomness anywhere |
 //! | R1   | no panic paths in daemon/transport non-test code |
-//! | W1   | codec enums exhaustive across encode, decode, and tests |
 
 use crate::scan::{find_word, ScannedFile};
 
 /// A single rule hit, reported as `rule path:line snippet`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Violation {
-    /// Rule id: `D1`, `D2`, `D3`, `R1`, `W1`.
+    /// Rule id: `D1`, `D2`, `D3`, `R1`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,

@@ -9,7 +9,6 @@
 //! determinism rules, `crates/rpcd/src/…` for R1).
 
 use ofl_lint::baseline::Baseline;
-use ofl_lint::codec::{w1_codec_exhaustiveness, CodecCheck};
 use ofl_lint::rules::{
     d1_wall_clock, d2_unordered_iteration, d3_ambient_randomness, r1_no_panic, Violation,
 };
@@ -112,46 +111,6 @@ fn r1_is_scoped_to_daemon_paths() {
     // Panic paths outside the daemon/transport are other crates' choice.
     let file = scan_fixture("r1_bad.rs", "crates/fl/src/fixture.rs");
     assert_eq!(fired_rules(&file), Vec::<&str>::new());
-}
-
-fn w1_check(path: &'static str) -> CodecCheck {
-    CodecCheck {
-        enum_name: "WireFrame",
-        decl_path: path,
-        codec_path: path,
-        encode_fns: &["encode"],
-        decode_fns: &["decode"],
-        test_paths: &[],
-    }
-}
-
-#[test]
-fn w1_bad_reports_missing_decode_arm_and_missing_test() {
-    let file = scan_fixture("w1_bad.rs", "crates/rpc/src/fixture.rs");
-    let violations = w1_codec_exhaustiveness(&w1_check("crates/rpc/src/fixture.rs"), &|path| {
-        (path == "crates/rpc/src/fixture.rs").then(|| file.clone())
-    });
-    assert_eq!(violations.len(), 2, "{violations:?}");
-    assert!(violations.iter().all(|v| v.rule == "W1"));
-    let ack = violations
-        .iter()
-        .find(|v| v.snippet == "WireFrame::Ack")
-        .expect("Ack reported");
-    assert!(ack.message.contains("decode"));
-    let blob = violations
-        .iter()
-        .find(|v| v.snippet == "WireFrame::Blob")
-        .expect("Blob reported");
-    assert!(blob.message.contains("round-trip tests"));
-}
-
-#[test]
-fn w1_good_is_clean() {
-    let file = scan_fixture("w1_good.rs", "crates/rpc/src/fixture.rs");
-    let violations = w1_codec_exhaustiveness(&w1_check("crates/rpc/src/fixture.rs"), &|path| {
-        (path == "crates/rpc/src/fixture.rs").then(|| file.clone())
-    });
-    assert!(violations.is_empty(), "{violations:?}");
 }
 
 #[test]

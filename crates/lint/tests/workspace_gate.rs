@@ -3,8 +3,8 @@
 //!
 //! This is the same check CI's `--deny-new` run performs, so a developer
 //! who never touches CI still cannot land a new wall-clock read, an
-//! unordered digest-path iteration, a daemon panic path, or a codec gap
-//! without either fixing it or consciously annotating/baselining it.
+//! unordered digest-path iteration, ambient randomness, or a daemon panic
+//! path without either fixing it or consciously annotating/baselining it.
 
 use ofl_lint::baseline::Baseline;
 use std::path::PathBuf;

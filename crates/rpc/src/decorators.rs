@@ -709,10 +709,14 @@ impl StaleRead {
         }
     }
 
-    /// Applies a seeded lag to one already-answered read.
+    /// Applies a seeded lag to one already-answered read. `head` caches
+    /// the canonical head for the rest of the batch: it is read from the
+    /// backend at most once, on the first receipt that needs it (no view
+    /// mines, so the head cannot move inside a batch).
     fn lag_response<P: NodeProvider>(
         &mut self,
         inner: &mut P,
+        head: &mut Option<Option<u64>>,
         request: &RpcRequest,
         response: &mut RpcResponse,
     ) {
@@ -739,7 +743,7 @@ impl StaleRead {
             }
             Ok(RpcResult::Receipt(opt)) => {
                 let hidden = match opt {
-                    Some(receipt) => match canonical_head(inner) {
+                    Some(receipt) => match *head.get_or_insert_with(|| canonical_head(inner)) {
                         // The replica's view ends `lag` slots before the
                         // head; a receipt past that view does not exist yet.
                         Some(head) => receipt.block_number.saturating_add(lag) > head,
@@ -783,8 +787,9 @@ impl Layer for StaleRead {
         let mut responses = inner.batch(requests);
         // Lag draws happen in request order, so a batch of N receipt polls
         // consumes N draws — deterministic whatever the transport.
+        let mut head = None;
         for (request, response) in requests.iter().zip(&mut responses) {
-            self.lag_response(inner, request, response);
+            self.lag_response(inner, &mut head, request, response);
         }
         responses
     }

@@ -9,11 +9,15 @@
 //! The envelopes also have a canonical wire encoding ([`RpcRequest::encode`]
 //! / [`RpcResponse::encode`]) standing in for the JSON framing of a real
 //! endpoint; the round-trip property tests in `tests/proptests.rs` pin it.
-//! Decoding returns a typed [`CodecError`] on malformed input, so the
-//! transport layer (and the `rpcd` daemon built on it) can answer garbage
-//! with a protocol error frame instead of dropping the connection.
+//! Its encoder and decoder are both generated from the wire tables at the
+//! end of this file — one [`wire_enum!`](crate::wire_enum) or
+//! [`wire_struct!`](crate::wire_struct) row per variant or field, naming
+//! its tag and the `reading` a decode error reports. Decoding returns a
+//! typed [`CodecError`] on malformed input, so the transport layer (and
+//! the `rpcd` daemon built on it) can answer garbage with a protocol error
+//! frame instead of dropping the connection.
 
-use crate::codec::{bounded_vec, check_count, read_option, CodecError, Reader, Writer};
+use crate::codec::{self, CodecError, Reader, Wire, Writer};
 use ofl_eth::block::{Receipt, TxStatus};
 use ofl_eth::chain::{CallResult, FilteredLog, LogFilter};
 use ofl_eth::evm::LogEntry;
@@ -233,410 +237,157 @@ impl core::fmt::Display for RpcError {
 impl std::error::Error for RpcError {}
 
 // ----------------------------------------------------------------------
-// Wire codec. A compact binary framing standing in for JSON-RPC's text
+// Wire tables. A compact binary framing standing in for JSON-RPC's text
 // framing: tag bytes, little-endian u64 lengths, raw hash/address bytes.
 // ----------------------------------------------------------------------
 
 impl RpcRequest {
     /// Canonical wire encoding.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.write(&mut w);
-        w.0
-    }
-
-    /// Canonical wire encoding into an existing buffer — `out` is
-    /// **replaced** but its allocation is reused, so per-message encode
-    /// stops allocating on hot paths.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        let mut w = Writer(std::mem::take(out));
-        self.write(&mut w);
-        *out = w.0;
-    }
-
-    pub(crate) fn write(&self, w: &mut Writer) {
-        w.u64(self.id);
-        match &self.method {
-            RpcMethod::SendRawTransaction { raw } => {
-                w.u8(0);
-                w.bytes(raw);
-            }
-            RpcMethod::GetTransactionReceipt { hash } => {
-                w.u8(1);
-                w.h256(hash);
-            }
-            RpcMethod::Call { from, to, data } => {
-                w.u8(2);
-                w.h160(from);
-                w.h160(to);
-                w.bytes(data);
-            }
-            RpcMethod::GetLogs { filter } => {
-                w.u8(3);
-                w.u64(filter.from_block);
-                w.u64(filter.to_block);
-                match &filter.address {
-                    Some(a) => {
-                        w.u8(1);
-                        w.h160(a);
-                    }
-                    None => w.u8(0),
-                }
-                match &filter.topic {
-                    Some(t) => {
-                        w.u8(1);
-                        w.h256(t);
-                    }
-                    None => w.u8(0),
-                }
-            }
-            RpcMethod::BlockNumber => w.u8(4),
-            RpcMethod::GetBalance { address } => {
-                w.u8(5);
-                w.h160(address);
-            }
-            RpcMethod::GetTransactionCount { address } => {
-                w.u8(6);
-                w.h160(address);
-            }
-            RpcMethod::EstimateGas { from, to, data } => {
-                w.u8(7);
-                w.h160(from);
-                match to {
-                    Some(to) => {
-                        w.u8(1);
-                        w.h160(to);
-                    }
-                    None => w.u8(0),
-                }
-                w.bytes(data);
-            }
-            RpcMethod::GasPrice => w.u8(8),
-            RpcMethod::ChainId => w.u8(9),
-        }
+        codec::encode(self)
     }
 
     /// Decodes a wire-encoded request; malformed or trailing data comes
     /// back as a typed [`CodecError`].
     pub fn decode(raw: &[u8]) -> Result<RpcRequest, CodecError> {
-        let mut r = Reader::new(raw);
-        let request = RpcRequest::read(&mut r)?;
-        r.finish()?;
-        Ok(request)
+        codec::decode(raw)
     }
-
-    pub(crate) fn read(r: &mut Reader<'_>) -> Result<RpcRequest, CodecError> {
-        let id = r.u64("request id")?;
-        let method = match r.u8("request method tag")? {
-            0 => RpcMethod::SendRawTransaction {
-                raw: r.bytes("raw transaction")?,
-            },
-            1 => RpcMethod::GetTransactionReceipt {
-                hash: r.h256("receipt hash")?,
-            },
-            2 => RpcMethod::Call {
-                from: r.h160("call from")?,
-                to: r.h160("call to")?,
-                data: r.bytes("call data")?,
-            },
-            3 => {
-                let from_block = r.u64("filter from_block")?;
-                let to_block = r.u64("filter to_block")?;
-                let address = read_option(r, "filter address", Reader::h160)?;
-                let topic = read_option(r, "filter topic", Reader::h256)?;
-                RpcMethod::GetLogs {
-                    filter: LogFilter {
-                        from_block,
-                        to_block,
-                        address,
-                        topic,
-                    },
-                }
-            }
-            4 => RpcMethod::BlockNumber,
-            5 => RpcMethod::GetBalance {
-                address: r.h160("balance address")?,
-            },
-            6 => RpcMethod::GetTransactionCount {
-                address: r.h160("nonce address")?,
-            },
-            7 => {
-                let from = r.h160("estimate from")?;
-                let to = read_option(r, "estimate to", Reader::h160)?;
-                RpcMethod::EstimateGas {
-                    from,
-                    to,
-                    data: r.bytes("estimate data")?,
-                }
-            }
-            8 => RpcMethod::GasPrice,
-            9 => RpcMethod::ChainId,
-            tag => {
-                return Err(CodecError::BadTag {
-                    reading: "request method tag",
-                    tag,
-                })
-            }
-        };
-        Ok(RpcRequest { id, method })
-    }
-}
-
-pub(crate) fn write_log_entry(w: &mut Writer, log: &LogEntry) {
-    w.h160(&log.address);
-    w.u64(log.topics.len() as u64);
-    for t in &log.topics {
-        w.h256(t);
-    }
-    w.bytes(&log.data);
-}
-
-pub(crate) fn read_log_entry(r: &mut Reader<'_>) -> Result<LogEntry, CodecError> {
-    let address = r.h160("log address")?;
-    let n = r.u64("log topic count")?;
-    if n > 4 {
-        // LOG0–LOG4: any larger count is a malformed payload, not a size
-        // problem — report the bogus count as the offending tag.
-        return Err(CodecError::BadTag {
-            reading: "log topic count (LOG0-LOG4)",
-            tag: n.min(u8::MAX as u64) as u8,
-        });
-    }
-    let mut topics = bounded_vec(n);
-    for _ in 0..n {
-        topics.push(r.h256("log topic")?);
-    }
-    Ok(LogEntry {
-        address,
-        topics,
-        data: r.bytes("log data")?,
-    })
-}
-
-pub(crate) fn write_receipt(w: &mut Writer, receipt: &Receipt) {
-    w.h256(&receipt.tx_hash);
-    w.u8(match receipt.status {
-        TxStatus::Success => 0,
-        TxStatus::Reverted => 1,
-        TxStatus::Failed => 2,
-    });
-    w.u64(receipt.gas_used);
-    w.u256(&receipt.effective_gas_price);
-    w.u256(&receipt.fee);
-    match &receipt.contract_address {
-        Some(a) => {
-            w.u8(1);
-            w.h160(a);
-        }
-        None => w.u8(0),
-    }
-    w.u64(receipt.logs.len() as u64);
-    for log in &receipt.logs {
-        write_log_entry(w, log);
-    }
-    w.u64(receipt.block_number);
-    w.bytes(&receipt.output);
-}
-
-pub(crate) fn read_receipt(r: &mut Reader<'_>) -> Result<Receipt, CodecError> {
-    let tx_hash = r.h256("receipt tx hash")?;
-    let status = match r.u8("receipt status")? {
-        0 => TxStatus::Success,
-        1 => TxStatus::Reverted,
-        2 => TxStatus::Failed,
-        tag => {
-            return Err(CodecError::BadTag {
-                reading: "receipt status",
-                tag,
-            })
-        }
-    };
-    let gas_used = r.u64("receipt gas used")?;
-    let effective_gas_price = r.u256("receipt gas price")?;
-    let fee = r.u256("receipt fee")?;
-    let contract_address = read_option(r, "receipt contract address", Reader::h160)?;
-    let n_logs = r.u64("receipt log count")?;
-    check_count(n_logs, r, "receipt log count")?;
-    let mut logs = bounded_vec(n_logs);
-    for _ in 0..n_logs {
-        logs.push(read_log_entry(r)?);
-    }
-    Ok(Receipt {
-        tx_hash,
-        status,
-        gas_used,
-        effective_gas_price,
-        fee,
-        contract_address,
-        logs,
-        block_number: r.u64("receipt block number")?,
-        output: r.bytes("receipt output")?,
-    })
 }
 
 impl RpcResponse {
     /// Canonical wire encoding.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.write(&mut w);
-        w.0
-    }
-
-    /// Canonical wire encoding into an existing buffer — `out` is
-    /// **replaced** but its allocation is reused (see
-    /// [`RpcRequest::encode_into`]).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        let mut w = Writer(std::mem::take(out));
-        self.write(&mut w);
-        *out = w.0;
-    }
-
-    pub(crate) fn write(&self, w: &mut Writer) {
-        w.u64(self.id);
-        w.u64(self.cost.as_micros());
-        match &self.result {
-            Ok(RpcResult::TxHash(h)) => {
-                w.u8(0);
-                w.h256(h);
-            }
-            Ok(RpcResult::Receipt(opt)) => {
-                w.u8(1);
-                match opt {
-                    Some(receipt) => {
-                        w.u8(1);
-                        write_receipt(w, receipt);
-                    }
-                    None => w.u8(0),
-                }
-            }
-            Ok(RpcResult::Call(c)) => {
-                w.u8(2);
-                w.u8(c.success as u8);
-                w.bytes(&c.output);
-                w.u64(c.gas_used);
-            }
-            Ok(RpcResult::Logs(logs)) => {
-                w.u8(3);
-                w.u64(logs.len() as u64);
-                for f in logs {
-                    w.u64(f.block_number);
-                    w.h256(&f.tx_hash);
-                    w.u64(f.log_index as u64);
-                    write_log_entry(w, &f.log);
-                }
-            }
-            Ok(RpcResult::BlockNumber(n)) => {
-                w.u8(4);
-                w.u64(*n);
-            }
-            Ok(RpcResult::Balance(b)) => {
-                w.u8(5);
-                w.u256(b);
-            }
-            Ok(RpcResult::TransactionCount(n)) => {
-                w.u8(6);
-                w.u64(*n);
-            }
-            Ok(RpcResult::GasEstimate(n)) => {
-                w.u8(7);
-                w.u64(*n);
-            }
-            Ok(RpcResult::GasPrice(p)) => {
-                w.u8(8);
-                w.u256(p);
-            }
-            Ok(RpcResult::ChainId(n)) => {
-                w.u8(9);
-                w.u64(*n);
-            }
-            Err(RpcError::Timeout) => w.u8(0x80),
-            Err(RpcError::Rejected(why)) => {
-                w.u8(0x81);
-                w.bytes(why.as_bytes());
-            }
-            Err(RpcError::UnexpectedResponse) => w.u8(0x82),
-            Err(RpcError::RateLimited) => w.u8(0x83),
-            Err(RpcError::Transport(why)) => {
-                w.u8(0x84);
-                w.bytes(why.as_bytes());
-            }
-        }
+        codec::encode(self)
     }
 
     /// Decodes a wire-encoded response; malformed or trailing data comes
     /// back as a typed [`CodecError`] — what lets a daemon answer garbage
     /// with a protocol error frame instead of hanging up.
     pub fn decode(raw: &[u8]) -> Result<RpcResponse, CodecError> {
-        let mut r = Reader::new(raw);
-        let response = RpcResponse::read(&mut r)?;
-        r.finish()?;
-        Ok(response)
-    }
-
-    pub(crate) fn read(r: &mut Reader<'_>) -> Result<RpcResponse, CodecError> {
-        let id = r.u64("response id")?;
-        let cost = SimDuration::from_micros(r.u64("response cost")?);
-        let result = match r.u8("response result tag")? {
-            0 => Ok(RpcResult::TxHash(r.h256("tx hash")?)),
-            1 => Ok(RpcResult::Receipt(read_option(
-                r,
-                "receipt presence",
-                |r, _| read_receipt(r),
-            )?)),
-            2 => {
-                let success = match r.u8("call success")? {
-                    0 => false,
-                    1 => true,
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            reading: "call success",
-                            tag,
-                        })
-                    }
-                };
-                Ok(RpcResult::Call(CallResult {
-                    success,
-                    output: r.bytes("call output")?,
-                    gas_used: r.u64("call gas used")?,
-                }))
-            }
-            3 => {
-                let n = r.u64("log list count")?;
-                check_count(n, r, "log list count")?;
-                let mut logs = bounded_vec(n);
-                for _ in 0..n {
-                    logs.push(FilteredLog {
-                        block_number: r.u64("filtered log block")?,
-                        tx_hash: r.h256("filtered log tx hash")?,
-                        log_index: r.u64("filtered log index")? as usize,
-                        log: read_log_entry(r)?,
-                    });
-                }
-                Ok(RpcResult::Logs(logs))
-            }
-            4 => Ok(RpcResult::BlockNumber(r.u64("block number")?)),
-            5 => Ok(RpcResult::Balance(r.u256("balance")?)),
-            6 => Ok(RpcResult::TransactionCount(r.u64("nonce")?)),
-            7 => Ok(RpcResult::GasEstimate(r.u64("gas estimate")?)),
-            8 => Ok(RpcResult::GasPrice(r.u256("gas price")?)),
-            9 => Ok(RpcResult::ChainId(r.u64("chain id")?)),
-            0x80 => Err(RpcError::Timeout),
-            0x81 => Err(RpcError::Rejected(r.string("rejection reason")?)),
-            0x82 => Err(RpcError::UnexpectedResponse),
-            0x83 => Err(RpcError::RateLimited),
-            0x84 => Err(RpcError::Transport(r.string("transport reason")?)),
-            tag => {
-                return Err(CodecError::BadTag {
-                    reading: "response result tag",
-                    tag,
-                })
-            }
-        };
-        Ok(RpcResponse { id, result, cost })
+        codec::decode(raw)
     }
 }
+
+crate::wire_struct! { RpcRequest { id = "request id", method = "request method tag" } }
+
+crate::wire_enum! { RpcMethod = "request method tag" {
+    0 => SendRawTransaction { raw = "raw transaction" },
+    1 => GetTransactionReceipt { hash = "receipt hash" },
+    2 => Call { from = "call from", to = "call to", data = "call data" },
+    3 => GetLogs { filter },
+    4 => BlockNumber,
+    5 => GetBalance { address = "balance address" },
+    6 => GetTransactionCount { address = "nonce address" },
+    7 => EstimateGas { from = "estimate from", to = "estimate to", data = "estimate data" },
+    8 => GasPrice,
+    9 => ChainId,
+}}
+
+crate::wire_struct! { LogFilter {
+    from_block = "filter from_block",
+    to_block = "filter to_block",
+    address = "filter address",
+    topic = "filter topic",
+}}
+
+crate::wire_struct! { RpcResponse { id = "response id", cost = "response cost", result } }
+
+crate::wire_enum! { RpcResult = "response result tag" {
+    0 => TxHash(hash = "tx hash"),
+    1 => Receipt(receipt = "receipt presence"),
+    2 => Call(call),
+    3 => Logs(logs = "log list count"),
+    4 => BlockNumber(n = "block number"),
+    5 => Balance(wei = "balance"),
+    6 => TransactionCount(n = "nonce"),
+    7 => GasEstimate(gas = "gas estimate"),
+    8 => GasPrice(wei = "gas price"),
+    9 => ChainId(id = "chain id"),
+}}
+
+crate::wire_enum! { RpcError = "response result tag" {
+    0x80 => Timeout,
+    0x81 => Rejected(why = "rejection reason"),
+    0x82 => UnexpectedResponse,
+    0x83 => RateLimited,
+    0x84 => Transport(why = "transport reason"),
+}}
+
+/// A response's outcome shares one tag byte between the two tables:
+/// results below `0x80`, errors from `0x80` up.
+impl Wire for Result<RpcResult, RpcError> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Ok(result) => result.put(w),
+            Err(error) => error.put(w),
+        }
+    }
+    fn get(r: &mut Reader<'_>, reading: &'static str) -> Result<Self, CodecError> {
+        match r.data.get(r.at) {
+            Some(&tag) if tag >= 0x80 => Ok(Err(RpcError::get(r, reading)?)),
+            _ => Ok(Ok(RpcResult::get(r, reading)?)),
+        }
+    }
+}
+
+crate::wire_struct! { CallResult {
+    success = "call success",
+    output = "call output",
+    gas_used = "call gas used",
+}}
+
+crate::wire_struct! { FilteredLog {
+    block_number = "filtered log block",
+    tx_hash = "filtered log tx hash",
+    log_index = "filtered log index",
+    log,
+}}
+
+/// LOG0–LOG4: a topic count past four is a malformed payload, not a size
+/// problem, so the bogus count is reported as the offending tag.
+impl Wire for LogEntry {
+    fn put(&self, w: &mut Writer) {
+        self.address.put(w);
+        self.topics.put(w);
+        self.data.put(w);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<LogEntry, CodecError> {
+        let address = H160::get(r, "log address")?;
+        let n = u64::get(r, "log topic count")?;
+        if n > 4 {
+            return Err(CodecError::BadTag {
+                reading: "log topic count (LOG0-LOG4)",
+                tag: n.min(u8::MAX as u64) as u8,
+            });
+        }
+        let topics = (0..n)
+            .map(|_| H256::get(r, "log topic"))
+            .collect::<Result<_, _>>()?;
+        Ok(LogEntry {
+            address,
+            topics,
+            data: Vec::get(r, "log data")?,
+        })
+    }
+}
+
+crate::wire_enum! { TxStatus = "receipt status" {
+    0 => Success,
+    1 => Reverted,
+    2 => Failed,
+}}
+
+crate::wire_struct! { Receipt {
+    tx_hash = "receipt tx hash",
+    status,
+    gas_used = "receipt gas used",
+    effective_gas_price = "receipt gas price",
+    fee = "receipt fee",
+    contract_address = "receipt contract address",
+    logs = "receipt log count",
+    block_number = "receipt block number",
+    output = "receipt output",
+}}
 
 /// Pairs a batch's responses back to request order by their correlation
 /// tags — what a JSON-RPC client does with a batch reply, whose array order
@@ -670,12 +421,14 @@ pub fn match_to_requests(requests: &[RpcRequest], responses: Vec<RpcResponse>) -
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::codec::assert_covers_tags;
 
-    #[test]
-    fn request_roundtrip_every_variant() {
-        let requests = vec![
+    /// The literals `request_roundtrip_every_variant` sends through the
+    /// wire.
+    pub(crate) fn roundtrip_requests() -> Vec<RpcRequest> {
+        vec![
             RpcRequest::new(
                 1,
                 RpcMethod::SendRawTransaction {
@@ -735,14 +488,21 @@ mod tests {
             ),
             RpcRequest::new(10, RpcMethod::GasPrice),
             RpcRequest::new(11, RpcMethod::ChainId),
-        ];
+        ]
+    }
+
+    #[test]
+    fn request_roundtrip_every_variant() {
+        let requests = roundtrip_requests();
+        assert_covers_tags(requests.iter().map(|request| &request.method));
         for req in requests {
             assert_eq!(RpcRequest::decode(&req.encode()), Ok(req));
         }
     }
 
-    #[test]
-    fn response_roundtrip_with_receipt_and_errors() {
+    /// The literals `response_roundtrip_with_receipt_and_errors` sends
+    /// through the wire.
+    pub(crate) fn roundtrip_responses() -> Vec<RpcResponse> {
         let receipt = Receipt {
             tx_hash: H256::from_bytes([9; 32]),
             status: TxStatus::Reverted,
@@ -758,7 +518,7 @@ mod tests {
             block_number: 42,
             output: vec![0x08, 0xc3],
         };
-        let responses = vec![
+        vec![
             RpcResponse {
                 id: 1,
                 result: Ok(RpcResult::Receipt(Some(receipt))),
@@ -804,7 +564,67 @@ mod tests {
                 result: Err(RpcError::Transport("connection reset".into())),
                 cost: SimDuration::ZERO,
             },
+        ]
+    }
+
+    #[test]
+    fn response_roundtrip_with_receipt_and_errors() {
+        let receipt = |status| Receipt {
+            tx_hash: H256::from_bytes([3; 32]),
+            status,
+            gas_used: 21_000,
+            effective_gas_price: U256::from(9u64),
+            fee: U256::from(189_000u64),
+            contract_address: None,
+            logs: Vec::new(),
+            block_number: 7,
+            output: Vec::new(),
+        };
+        let log = FilteredLog {
+            block_number: 7,
+            tx_hash: H256::from_bytes([3; 32]),
+            log_index: 1,
+            log: LogEntry {
+                address: H160::from_slice(&[4; 20]),
+                topics: vec![H256::from_bytes([5; 32]), H256::from_bytes([6; 32])],
+                data: vec![7],
+            },
+        };
+        let results = [
+            Ok(RpcResult::TxHash(H256::from_bytes([2; 32]))),
+            Ok(RpcResult::Receipt(Some(receipt(TxStatus::Success)))),
+            Ok(RpcResult::Receipt(Some(receipt(TxStatus::Failed)))),
+            Ok(RpcResult::Call(CallResult {
+                success: false,
+                output: vec![0x08, 0xc3],
+                gas_used: 30_000,
+            })),
+            Ok(RpcResult::Logs(vec![log])),
+            Ok(RpcResult::Logs(Vec::new())),
+            Ok(RpcResult::BlockNumber(12)),
+            Ok(RpcResult::Balance(U256::from(5u64))),
+            Ok(RpcResult::TransactionCount(3)),
+            Err(RpcError::UnexpectedResponse),
         ];
+        let responses: Vec<RpcResponse> = roundtrip_responses()
+            .into_iter()
+            .chain(
+                results
+                    .into_iter()
+                    .zip(10..)
+                    .map(|(result, id)| RpcResponse {
+                        id,
+                        result,
+                        cost: SimDuration::from_millis(id),
+                    }),
+            )
+            .collect();
+        assert_covers_tags(responses.iter().filter_map(|r| r.result.as_ref().ok()));
+        assert_covers_tags(responses.iter().filter_map(|r| r.result.as_ref().err()));
+        assert_covers_tags(responses.iter().filter_map(|r| match &r.result {
+            Ok(RpcResult::Receipt(Some(receipt))) => Some(&receipt.status),
+            _ => None,
+        }));
         for resp in responses {
             assert_eq!(RpcResponse::decode(&resp.encode()), Ok(resp));
         }

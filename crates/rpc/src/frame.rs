@@ -10,6 +10,13 @@
 //!  └───────────┴───────────┴──────────────┴───────────────────────┘
 //! ```
 //!
+//! A payload is a tag byte and then the variant's fields, in the order
+//! the `Frame` wire table in this file lists them; the compound types that
+//! ride in frames (blocks, backstage ops and replies, subscription kinds
+//! and events, IPFS results) have their tables beside it. Encoder and
+//! decoder are both generated from those tables (see [`crate::codec`]), so
+//! a tag is written down once.
+//!
 //! Every frame is self-delimiting, so a dispatch loop reads exactly one
 //! frame per request and answers with exactly one frame. Malformed payloads
 //! decode to a typed [`FrameError`] — the daemon answers those with a
@@ -45,13 +52,11 @@
 //! subscriber from a dead peer.
 
 use crate::backstage::{BackstageOp, BackstageReply};
-use crate::codec::{bounded_vec, check_count, read_flag, read_option, CodecError, Reader, Writer};
-use crate::envelope::{
-    read_log_entry, read_receipt, write_log_entry, write_receipt, RpcRequest, RpcResponse,
-};
+use crate::codec::{self, check_count, CodecError, Reader, Wire, Writer};
+use crate::envelope::{RpcRequest, RpcResponse};
 use crate::sub::{SubEvent, SubscriptionKind};
 use ofl_eth::block::{Block, Bloom, Header};
-use ofl_eth::chain::{ChainConfig, FilteredLog, LogFilter, PendingTxEvent};
+use ofl_eth::chain::{ChainConfig, PendingTxEvent};
 use ofl_ipfs::blockstore::BlockstoreError;
 use ofl_ipfs::cid::Cid;
 use ofl_ipfs::swarm::{AddResult, FetchStats, IpfsError};
@@ -364,540 +369,303 @@ pub enum Frame {
 }
 
 // ----------------------------------------------------------------------
-// Payload codecs for the compound types that ride in frames.
+// Wire tables for the frames and the compound types that ride in them.
 // ----------------------------------------------------------------------
 
-fn write_chain_config(w: &mut Writer, config: &ChainConfig) {
-    w.u64(config.chain_id);
-    w.u64(config.block_time);
-    w.u64(config.gas_limit);
-    w.u256(&config.initial_base_fee);
-    w.h160(&config.coinbase);
-    w.u64(config.max_wait_slots);
-}
+crate::wire_enum! { Frame = "frame tag" {
+    0 => Provision { chain, genesis = "genesis count" },
+    2 => Batch(requests = "batch count"),
+    3 => IpfsAdd { node = "ipfs add node", data = "ipfs add data" },
+    4 => IpfsCat { node = "ipfs cat node", cid },
+    5 => IpfsPin { node = "ipfs pin node", cid },
+    6 => Backstage(op),
+    7 => Shutdown,
+    8 => Request { id = "request id", session = "request session", frame = "request inner frame" },
+    9 => Attach { session = "attach session" },
+    10 => Subscribe { kind },
+    11 => Unsubscribe { sub_id = "unsubscribe id" },
+    12 => Stats,
+    0x80 => Provisioned,
+    0x82 => BatchResponse(responses = "batch response count"),
+    0x83 => IpfsAdded { cost = "ipfs add cost", result },
+    0x84 => IpfsCatted { cost = "ipfs cat cost", result = "ipfs cat outcome" },
+    0x85 => IpfsPinned { cost = "ipfs pin cost", result = "ipfs pin outcome" },
+    0x86 => BackstageReply(reply),
+    0x87 => Error(error),
+    0x88 => Goodbye,
+    0x89 => Reply { id = "reply id", frame = "reply inner frame" },
+    0x8A => Attached { height = "attached height" },
+    0x8B => Subscribed { sub_id = "subscribed id" },
+    0x8C => Notify {
+        session = "notify session",
+        sub_id = "notify sub id",
+        seq = "notify seq",
+        event,
+    },
+    0x8D => Unsubscribed { sub_id = "unsubscribed id" },
+    0x8E => Ping,
+    0x8F => StatsReply {
+        sessions = "stats sessions",
+        workers_reaped = "stats workers reaped",
+        accept_errors = "stats accept errors",
+        frames_served = "stats frames served",
+    },
+}}
 
-fn read_chain_config(r: &mut Reader<'_>) -> Result<ChainConfig, CodecError> {
-    Ok(ChainConfig {
-        chain_id: r.u64("chain id")?,
-        block_time: r.u64("block time")?,
-        gas_limit: r.u64("gas limit")?,
-        initial_base_fee: r.u256("initial base fee")?,
-        coinbase: r.h160("coinbase")?,
-        max_wait_slots: r.u64("max wait slots")?,
-    })
-}
-
-fn write_cid(w: &mut Writer, cid: &Cid) {
-    w.bytes(&cid.to_bytes());
-}
-
-fn read_cid(r: &mut Reader<'_>) -> Result<Cid, CodecError> {
-    let raw = r.bytes("cid")?;
-    Cid::from_bytes(&raw).map_err(|_| CodecError::BadTag {
-        reading: "cid",
-        tag: raw.first().copied().unwrap_or(0),
-    })
-}
-
-fn write_add_result(w: &mut Writer, result: &AddResult) {
-    write_cid(w, &result.root);
-    w.u64(result.blocks as u64);
-    w.u64(result.bytes_stored);
-    w.u64(result.file_size);
-}
-
-fn read_add_result(r: &mut Reader<'_>) -> Result<AddResult, CodecError> {
-    Ok(AddResult {
-        root: read_cid(r)?,
-        blocks: r.u64("add blocks")? as usize,
-        bytes_stored: r.u64("add bytes stored")?,
-        file_size: r.u64("add file size")?,
-    })
-}
-
-fn write_fetch_stats(w: &mut Writer, stats: &FetchStats) {
-    w.u64(stats.blocks_fetched as u64);
-    w.u64(stats.bytes_fetched);
-    w.u64(stats.rounds as u64);
-    // Deterministic wire order for the provider map.
-    let mut providers: Vec<(&String, &usize)> = stats.providers.iter().collect();
-    providers.sort();
-    w.u64(providers.len() as u64);
-    for (peer, blocks) in providers {
-        w.string(peer);
-        w.u64(*blocks as u64);
+/// The inner frame of the flat [`Frame::Request`]/[`Frame::Reply`]
+/// envelope: one plain frame's payload as a length-prefixed byte string.
+/// An envelope inside an envelope is refused by its tag before anything
+/// decodes, so a nested payload is a typed error, never recursion.
+impl Wire for Box<Frame> {
+    fn put(&self, w: &mut Writer) {
+        w.counted(|w| (**self).put(w));
     }
-}
-
-fn read_fetch_stats(r: &mut Reader<'_>) -> Result<FetchStats, CodecError> {
-    let blocks_fetched = r.u64("fetch blocks")? as usize;
-    let bytes_fetched = r.u64("fetch bytes")?;
-    let rounds = r.u64("fetch rounds")? as usize;
-    let n = r.u64("fetch provider count")?;
-    check_count(n, r, "fetch provider count")?;
-    let mut providers = std::collections::HashMap::new();
-    for _ in 0..n {
-        let peer = r.string("fetch provider peer")?;
-        let blocks = r.u64("fetch provider blocks")? as usize;
-        providers.insert(peer, blocks);
-    }
-    Ok(FetchStats {
-        blocks_fetched,
-        bytes_fetched,
-        rounds,
-        providers,
-    })
-}
-
-fn write_ipfs_error(w: &mut Writer, error: &IpfsError) {
-    match error {
-        IpfsError::BlockUnavailable(cid) => {
-            w.u8(0);
-            write_cid(w, cid);
-        }
-        IpfsError::CorruptDag(cid) => {
-            w.u8(1);
-            write_cid(w, cid);
-        }
-        IpfsError::Store(BlockstoreError::IntegrityMismatch) => w.u8(2),
-        IpfsError::Store(BlockstoreError::NotFound(cid)) => {
-            w.u8(3);
-            write_cid(w, cid);
-        }
-        IpfsError::UnknownPeer(peer) => {
-            w.u8(4);
-            w.string(peer);
-        }
-    }
-}
-
-fn read_ipfs_error(r: &mut Reader<'_>) -> Result<IpfsError, CodecError> {
-    Ok(match r.u8("ipfs error tag")? {
-        0 => IpfsError::BlockUnavailable(read_cid(r)?),
-        1 => IpfsError::CorruptDag(read_cid(r)?),
-        2 => IpfsError::Store(BlockstoreError::IntegrityMismatch),
-        3 => IpfsError::Store(BlockstoreError::NotFound(read_cid(r)?)),
-        4 => IpfsError::UnknownPeer(r.string("unknown peer")?),
-        tag => {
+    fn get(r: &mut Reader<'_>, reading: &'static str) -> Result<Self, CodecError> {
+        let inner = r.slice(reading)?;
+        // 8 and 0x89: the Request and Reply tags.
+        if let Some(&tag @ (8 | 0x89)) = inner.first() {
             return Err(CodecError::BadTag {
-                reading: "ipfs error tag",
+                reading: "frame tag",
                 tag,
-            })
+            });
         }
-    })
-}
-
-fn write_block(w: &mut Writer, block: &Block) {
-    let h = &block.header;
-    w.h256(&h.parent_hash);
-    w.u64(h.number);
-    w.u64(h.timestamp);
-    w.h160(&h.coinbase);
-    w.u64(h.gas_used);
-    w.u64(h.gas_limit);
-    w.u256(&h.base_fee);
-    w.h256(&h.tx_root);
-    w.raw(&h.bloom.0);
-    w.u64(block.tx_hashes.len() as u64);
-    for hash in &block.tx_hashes {
-        w.h256(hash);
+        Ok(Box::new(codec::decode(inner)?))
     }
 }
 
-fn read_block(r: &mut Reader<'_>) -> Result<Block, CodecError> {
-    let parent_hash = r.h256("block parent hash")?;
-    let number = r.u64("block number")?;
-    let timestamp = r.u64("block timestamp")?;
-    let coinbase = r.h160("block coinbase")?;
-    let gas_used = r.u64("block gas used")?;
-    let gas_limit = r.u64("block gas limit")?;
-    let base_fee = r.u256("block base fee")?;
-    let tx_root = r.h256("block tx root")?;
-    let mut bloom = Bloom::default();
-    bloom.0.copy_from_slice(r.take(256, "block bloom")?);
-    let n = r.u64("block tx count")?;
-    check_count(n, r, "block tx count")?;
-    let mut tx_hashes = bounded_vec(n);
-    for _ in 0..n {
-        tx_hashes.push(r.h256("block tx hash")?);
-    }
-    Ok(Block {
-        header: Header {
-            parent_hash,
-            number,
-            timestamp,
-            coinbase,
-            gas_used,
-            gas_limit,
-            base_fee,
-            tx_root,
-            bloom,
-        },
-        tx_hashes,
-    })
-}
+crate::wire_struct! { ChainConfig {
+    chain_id = "chain id",
+    block_time = "block time",
+    gas_limit = "gas limit",
+    initial_base_fee = "initial base fee",
+    coinbase,
+    max_wait_slots = "max wait slots",
+}}
 
-fn write_log_filter(w: &mut Writer, filter: &LogFilter) {
-    w.u64(filter.from_block);
-    w.u64(filter.to_block);
-    match &filter.address {
-        Some(a) => {
-            w.u8(1);
-            w.h160(a);
-        }
-        None => w.u8(0),
+/// One genesis allocation: an address and its balance.
+impl Wire for (H160, U256) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
     }
-    match &filter.topic {
-        Some(t) => {
-            w.u8(1);
-            w.h256(t);
-        }
-        None => w.u8(0),
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
+        Ok((
+            H160::get(r, "genesis address")?,
+            U256::get(r, "genesis amount")?,
+        ))
     }
 }
 
-fn read_log_filter(r: &mut Reader<'_>) -> Result<LogFilter, CodecError> {
-    Ok(LogFilter {
-        from_block: r.u64("filter from_block")?,
-        to_block: r.u64("filter to_block")?,
-        address: read_option(r, "filter address", Reader::h160)?,
-        topic: read_option(r, "filter topic", Reader::h256)?,
-    })
-}
+crate::wire_struct! { AddResult {
+    root = "cid",
+    blocks = "add blocks",
+    bytes_stored = "add bytes stored",
+    file_size = "add file size",
+}}
 
-fn write_sub_kind(w: &mut Writer, kind: &SubscriptionKind) {
-    match kind {
-        SubscriptionKind::NewHeads => w.u8(0),
-        SubscriptionKind::Logs { filter } => {
-            w.u8(1);
-            write_log_filter(w, filter);
-        }
-        SubscriptionKind::PendingTxs => w.u8(2),
-    }
-}
-
-fn read_sub_kind(r: &mut Reader<'_>) -> Result<SubscriptionKind, CodecError> {
-    Ok(match r.u8("subscription kind tag")? {
-        0 => SubscriptionKind::NewHeads,
-        1 => SubscriptionKind::Logs {
-            filter: read_log_filter(r)?,
-        },
-        2 => SubscriptionKind::PendingTxs,
-        tag => {
-            return Err(CodecError::BadTag {
-                reading: "subscription kind tag",
-                tag,
-            })
-        }
-    })
-}
-
-fn write_filtered_log(w: &mut Writer, fl: &FilteredLog) {
-    w.u64(fl.block_number);
-    w.h256(&fl.tx_hash);
-    w.u64(fl.log_index as u64);
-    write_log_entry(w, &fl.log);
-}
-
-fn read_filtered_log(r: &mut Reader<'_>) -> Result<FilteredLog, CodecError> {
-    Ok(FilteredLog {
-        block_number: r.u64("notify log block")?,
-        tx_hash: r.h256("notify log tx hash")?,
-        log_index: r.u64("notify log index")? as usize,
-        log: read_log_entry(r)?,
-    })
-}
-
-fn write_pending_tx(w: &mut Writer, p: &PendingTxEvent) {
-    w.h256(&p.hash);
-    w.h160(&p.sender);
-    match &p.to {
-        Some(to) => {
-            w.u8(1);
-            w.h160(to);
-        }
-        None => w.u8(0),
-    }
-    match &p.selector {
-        Some(sel) => {
-            w.u8(1);
-            w.raw(sel);
-        }
-        None => w.u8(0),
-    }
-    w.u256(&p.tip);
-    w.u64(p.nonce);
-}
-
-fn read_pending_tx(r: &mut Reader<'_>) -> Result<PendingTxEvent, CodecError> {
-    let hash = r.h256("pending tx hash")?;
-    let sender = r.h160("pending tx sender")?;
-    let to = read_option(r, "pending tx to", Reader::h160)?;
-    let selector = read_option(r, "pending tx selector", |r, what| {
-        let mut sel = [0u8; 4];
-        sel.copy_from_slice(r.take(4, what)?);
-        Ok(sel)
-    })?;
-    Ok(PendingTxEvent {
-        hash,
-        sender,
-        to,
-        selector,
-        tip: r.u256("pending tx tip")?,
-        nonce: r.u64("pending tx nonce")?,
-    })
-}
-
-fn write_sub_event(w: &mut Writer, event: &SubEvent) {
-    match event {
-        SubEvent::NewHead(block) => {
-            w.u8(0);
-            write_block(w, block);
-        }
-        SubEvent::Log(fl) => {
-            w.u8(1);
-            write_filtered_log(w, fl);
-        }
-        SubEvent::PendingTx(p) => {
-            w.u8(2);
-            write_pending_tx(w, p);
-        }
-    }
-}
-
-fn read_sub_event(r: &mut Reader<'_>) -> Result<SubEvent, CodecError> {
-    Ok(match r.u8("sub event tag")? {
-        0 => SubEvent::NewHead(Box::new(read_block(r)?)),
-        1 => SubEvent::Log(read_filtered_log(r)?),
-        2 => SubEvent::PendingTx(read_pending_tx(r)?),
-        tag => {
-            return Err(CodecError::BadTag {
-                reading: "sub event tag",
-                tag,
-            })
-        }
-    })
-}
-
-/// Reads a `u64`-counted list. The count is untrusted: it is bounded by
-/// the bytes left (every element takes at least one) before anything is
-/// reserved, and the reservation itself is capped.
-fn read_list<'a, T>(
-    r: &mut Reader<'a>,
-    reading: &'static str,
-    mut read: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    let n = r.u64(reading)?;
-    check_count(n, r, reading)?;
-    let mut items = bounded_vec(n);
-    for _ in 0..n {
-        items.push(read(r)?);
-    }
-    Ok(items)
-}
-
-fn write_backstage_op(w: &mut Writer, op: &BackstageOp) {
-    match op {
-        BackstageOp::MineSlot { slot_secs } => {
-            w.u8(0);
-            w.u64(*slot_secs);
-        }
-        BackstageOp::SlotElapsed => w.u8(1),
-        BackstageOp::Height => w.u8(2),
-        BackstageOp::Config => w.u8(3),
-        BackstageOp::MempoolLen => w.u8(4),
-        BackstageOp::TotalSupply => w.u8(5),
-        BackstageOp::Burned => w.u8(6),
-        BackstageOp::ReceiptOf { hash } => {
-            w.u8(7);
-            w.h256(hash);
-        }
-        BackstageOp::IsPending { hash } => {
-            w.u8(8);
-            w.h256(hash);
-        }
-        BackstageOp::BalanceOf { address } => {
-            w.u8(9);
-            w.h160(address);
-        }
-        BackstageOp::BaseFee => w.u8(10),
-        BackstageOp::SpawnIpfsNodes { labels } => {
-            w.u8(11);
-            w.u64(labels.len() as u64);
-            for label in labels {
-                w.string(label);
+/// The `IpfsCatted`/`IpfsPinned` outcome byte: `1` and the value, or `0`
+/// and the IPFS failure.
+impl<T: Wire> Wire for Result<T, IpfsError> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Ok(value) => {
+                w.u8(1);
+                value.put(w);
             }
-        }
-        BackstageOp::DropIpfsBlock { node, cid } => {
-            w.u8(12);
-            w.u64(*node);
-            write_cid(w, cid);
-        }
-        BackstageOp::SwarmHas { cids } => {
-            w.u8(13);
-            w.u64(cids.len() as u64);
-            for cid in cids {
-                write_cid(w, cid);
+            Err(error) => {
+                w.u8(0);
+                error.put(w);
             }
         }
     }
-}
-
-fn read_backstage_op(r: &mut Reader<'_>) -> Result<BackstageOp, CodecError> {
-    Ok(match r.u8("backstage op tag")? {
-        0 => BackstageOp::MineSlot {
-            slot_secs: r.u64("mine slot secs")?,
-        },
-        1 => BackstageOp::SlotElapsed,
-        2 => BackstageOp::Height,
-        3 => BackstageOp::Config,
-        4 => BackstageOp::MempoolLen,
-        5 => BackstageOp::TotalSupply,
-        6 => BackstageOp::Burned,
-        7 => BackstageOp::ReceiptOf {
-            hash: r.h256("receipt-of hash")?,
-        },
-        8 => BackstageOp::IsPending {
-            hash: r.h256("is-pending hash")?,
-        },
-        9 => BackstageOp::BalanceOf {
-            address: r.h160("balance-of address")?,
-        },
-        10 => BackstageOp::BaseFee,
-        11 => BackstageOp::SpawnIpfsNodes {
-            labels: read_list(r, "spawn node label count", |r| {
-                r.string("spawn node label")
-            })?,
-        },
-        12 => BackstageOp::DropIpfsBlock {
-            node: r.u64("drop block node")?,
-            cid: read_cid(r)?,
-        },
-        13 => BackstageOp::SwarmHas {
-            cids: read_list(r, "swarm-has cid count", read_cid)?,
-        },
-        tag => {
-            return Err(CodecError::BadTag {
-                reading: "backstage op tag",
-                tag,
-            })
-        }
-    })
-}
-
-fn write_backstage_reply(w: &mut Writer, reply: &BackstageReply) {
-    match reply {
-        BackstageReply::Mined(block) => {
-            w.u8(0);
-            write_block(w, block);
-        }
-        BackstageReply::SlotAcked => w.u8(1),
-        BackstageReply::Height(n) => {
-            w.u8(2);
-            w.u64(*n);
-        }
-        BackstageReply::Config(config) => {
-            w.u8(3);
-            write_chain_config(w, config);
-        }
-        BackstageReply::MempoolLen(n) => {
-            w.u8(4);
-            w.u64(*n);
-        }
-        BackstageReply::Wei(v) => {
-            w.u8(5);
-            w.u256(v);
-        }
-        BackstageReply::Receipt(opt) => {
-            w.u8(6);
-            match opt {
-                Some(receipt) => {
-                    w.u8(1);
-                    write_receipt(w, receipt);
-                }
-                None => w.u8(0),
-            }
-        }
-        BackstageReply::Flag(flag) => {
-            w.u8(7);
-            w.u8(*flag as u8);
-        }
-        BackstageReply::NodeIndices(nodes) => {
-            w.u8(8);
-            w.u64(nodes.len() as u64);
-            for node in nodes {
-                w.u64(*node);
-            }
-        }
-        BackstageReply::Dropped => w.u8(9),
-        BackstageReply::Flags(flags) => {
-            w.u8(10);
-            w.u64(flags.len() as u64);
-            for flag in flags {
-                w.u8(*flag as u8);
-            }
+    fn get(r: &mut Reader<'_>, reading: &'static str) -> Result<Self, CodecError> {
+        match r.u8(reading)? {
+            1 => Ok(Ok(T::get(r, reading)?)),
+            0 => Ok(Err(IpfsError::get(r, reading)?)),
+            tag => Err(CodecError::BadTag { reading, tag }),
         }
     }
 }
 
-fn read_backstage_reply(r: &mut Reader<'_>) -> Result<BackstageReply, CodecError> {
-    Ok(match r.u8("backstage reply tag")? {
-        0 => BackstageReply::Mined(Box::new(read_block(r)?)),
-        1 => BackstageReply::SlotAcked,
-        2 => BackstageReply::Height(r.u64("height")?),
-        3 => BackstageReply::Config(read_chain_config(r)?),
-        4 => BackstageReply::MempoolLen(r.u64("mempool len")?),
-        5 => BackstageReply::Wei(r.u256("wei")?),
-        6 => BackstageReply::Receipt(read_option(r, "receipt presence", |r, _| read_receipt(r))?),
-        7 => BackstageReply::Flag(read_flag(r, "flag")?),
-        8 => {
-            BackstageReply::NodeIndices(read_list(r, "node index count", |r| r.u64("node index"))?)
-        }
-        9 => BackstageReply::Dropped,
-        10 => BackstageReply::Flags(read_list(r, "flag count", |r| read_flag(r, "flag"))?),
-        tag => {
-            return Err(CodecError::BadTag {
-                reading: "backstage reply tag",
-                tag,
-            })
-        }
-    })
-}
-
-fn write_protocol_error(w: &mut Writer, error: &ProtocolError) {
-    match error {
-        ProtocolError::Malformed(why) => {
-            w.u8(0);
-            w.string(why);
-        }
-        ProtocolError::Unprovisioned => w.u8(1),
-        ProtocolError::AlreadyProvisioned => w.u8(2),
-        ProtocolError::Unsupported(what) => {
-            w.u8(3);
-            w.string(what);
-        }
-        ProtocolError::NoSuchSession(session) => {
-            w.u8(4);
-            w.u64(*session);
-        }
+/// A fetched file: its bytes, then the transfer stats.
+impl Wire for (Vec<u8>, FetchStats) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
+        Ok((Vec::get(r, "ipfs cat bytes")?, FetchStats::get(r, "")?))
     }
 }
 
-fn read_protocol_error(r: &mut Reader<'_>) -> Result<ProtocolError, CodecError> {
-    Ok(match r.u8("protocol error tag")? {
-        0 => ProtocolError::Malformed(r.string("malformed reason")?),
-        1 => ProtocolError::Unprovisioned,
-        2 => ProtocolError::AlreadyProvisioned,
-        3 => ProtocolError::Unsupported(r.string("unsupported what")?),
-        4 => ProtocolError::NoSuchSession(r.u64("missing session")?),
-        tag => {
-            return Err(CodecError::BadTag {
-                reading: "protocol error tag",
-                tag,
-            })
+/// The provider map travels sorted by peer, so its hash order never
+/// reaches the wire.
+impl Wire for FetchStats {
+    fn put(&self, w: &mut Writer) {
+        self.blocks_fetched.put(w);
+        self.bytes_fetched.put(w);
+        self.rounds.put(w);
+        let mut providers: Vec<(&String, &usize)> = self.providers.iter().collect();
+        providers.sort();
+        w.u64(providers.len() as u64);
+        for (peer, blocks) in providers {
+            peer.put(w);
+            blocks.put(w);
         }
-    })
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<FetchStats, CodecError> {
+        let blocks_fetched = usize::get(r, "fetch blocks")?;
+        let bytes_fetched = u64::get(r, "fetch bytes")?;
+        let rounds = usize::get(r, "fetch rounds")?;
+        let n = u64::get(r, "fetch provider count")?;
+        check_count(n, r, "fetch provider count")?;
+        let mut providers = std::collections::HashMap::new();
+        for _ in 0..n {
+            let peer = String::get(r, "fetch provider peer")?;
+            providers.insert(peer, usize::get(r, "fetch provider blocks")?);
+        }
+        Ok(FetchStats {
+            blocks_fetched,
+            bytes_fetched,
+            rounds,
+            providers,
+        })
+    }
 }
+
+/// `Store(..)` flattens the blockstore's two failures into the same tag
+/// byte as the swarm's own.
+impl Wire for IpfsError {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            IpfsError::BlockUnavailable(cid) => {
+                w.u8(0);
+                cid.put(w);
+            }
+            IpfsError::CorruptDag(cid) => {
+                w.u8(1);
+                cid.put(w);
+            }
+            IpfsError::Store(BlockstoreError::IntegrityMismatch) => w.u8(2),
+            IpfsError::Store(BlockstoreError::NotFound(cid)) => {
+                w.u8(3);
+                cid.put(w);
+            }
+            IpfsError::UnknownPeer(peer) => {
+                w.u8(4);
+                peer.put(w);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<IpfsError, CodecError> {
+        Ok(match r.u8("ipfs error tag")? {
+            0 => IpfsError::BlockUnavailable(Cid::get(r, "cid")?),
+            1 => IpfsError::CorruptDag(Cid::get(r, "cid")?),
+            2 => IpfsError::Store(BlockstoreError::IntegrityMismatch),
+            3 => IpfsError::Store(BlockstoreError::NotFound(Cid::get(r, "cid")?)),
+            4 => IpfsError::UnknownPeer(String::get(r, "unknown peer")?),
+            tag => {
+                return Err(CodecError::BadTag {
+                    reading: "ipfs error tag",
+                    tag,
+                })
+            }
+        })
+    }
+}
+
+crate::wire_struct! { Header {
+    parent_hash = "block parent hash",
+    number = "block number",
+    timestamp = "block timestamp",
+    coinbase = "block coinbase",
+    gas_used = "block gas used",
+    gas_limit = "block gas limit",
+    base_fee = "block base fee",
+    tx_root = "block tx root",
+    bloom = "block bloom",
+}}
+
+crate::wire_struct! { Block { header, tx_hashes = "block tx count" ["block tx hash"] } }
+
+/// 256 raw bytes.
+impl Wire for Bloom {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+    }
+    fn get(r: &mut Reader<'_>, reading: &'static str) -> Result<Bloom, CodecError> {
+        Ok(Bloom(<[u8; 256]>::get(r, reading)?))
+    }
+}
+
+impl Wire for Box<Block> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+    fn get(r: &mut Reader<'_>, reading: &'static str) -> Result<Self, CodecError> {
+        Ok(Box::new(Block::get(r, reading)?))
+    }
+}
+
+crate::wire_enum! { SubscriptionKind = "subscription kind tag" {
+    0 => NewHeads,
+    1 => Logs { filter },
+    2 => PendingTxs,
+}}
+
+crate::wire_enum! { SubEvent = "sub event tag" {
+    0 => NewHead(block),
+    1 => Log(log),
+    2 => PendingTx(tx),
+}}
+
+crate::wire_struct! { PendingTxEvent {
+    hash = "pending tx hash",
+    sender = "pending tx sender",
+    to = "pending tx to",
+    selector = "pending tx selector",
+    tip = "pending tx tip",
+    nonce = "pending tx nonce",
+}}
+
+crate::wire_enum! { BackstageOp = "backstage op tag" {
+    0 => MineSlot { slot_secs = "mine slot secs" },
+    1 => SlotElapsed,
+    2 => Height,
+    3 => Config,
+    4 => MempoolLen,
+    5 => TotalSupply,
+    6 => Burned,
+    7 => ReceiptOf { hash = "receipt-of hash" },
+    8 => IsPending { hash = "is-pending hash" },
+    9 => BalanceOf { address = "balance-of address" },
+    10 => BaseFee,
+    11 => SpawnIpfsNodes { labels = "spawn node label count" ["spawn node label"] },
+    12 => DropIpfsBlock { node = "drop block node", cid },
+    13 => SwarmHas { cids = "swarm-has cid count" ["cid"] },
+}}
+
+crate::wire_enum! { BackstageReply = "backstage reply tag" {
+    0 => Mined(block),
+    1 => SlotAcked,
+    2 => Height(n = "height"),
+    3 => Config(config),
+    4 => MempoolLen(n = "mempool len"),
+    5 => Wei(wei = "wei"),
+    6 => Receipt(receipt = "receipt presence"),
+    7 => Flag(flag = "flag"),
+    8 => NodeIndices(nodes = "node index count" ["node index"]),
+    9 => Dropped,
+    10 => Flags(flags = "flag count" ["flag"]),
+}}
+
+crate::wire_enum! { ProtocolError = "protocol error tag" {
+    0 => Malformed(why = "malformed reason"),
+    1 => Unprovisioned,
+    2 => AlreadyProvisioned,
+    3 => Unsupported(what = "unsupported what"),
+    4 => NoSuchSession(session = "missing session"),
+}}
 
 // ----------------------------------------------------------------------
 // Frame payload codec + stream framing.
@@ -906,162 +674,7 @@ fn read_protocol_error(r: &mut Reader<'_>) -> Result<ProtocolError, CodecError> 
 impl Frame {
     /// Encodes the frame payload (tag + body, without the stream header).
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.write_payload(&mut w);
-        w.0
-    }
-
-    /// Writes the frame payload (tag + body) into an existing writer — the
-    /// allocation-free core shared by [`Frame::encode_payload`] and the
-    /// buffer-reusing [`Frame::encode_into`].
-    fn write_payload(&self, w: &mut Writer) {
-        match self {
-            Frame::Provision { chain, genesis } => {
-                w.u8(0);
-                write_chain_config(w, chain);
-                w.u64(genesis.len() as u64);
-                for (address, amount) in genesis {
-                    w.h160(address);
-                    w.u256(amount);
-                }
-            }
-            Frame::Batch(requests) => {
-                w.u8(2);
-                w.u64(requests.len() as u64);
-                for request in requests {
-                    request.write(w);
-                }
-            }
-            Frame::IpfsAdd { node, data } => {
-                w.u8(3);
-                w.u64(*node);
-                w.bytes(data);
-            }
-            Frame::IpfsCat { node, cid } => {
-                w.u8(4);
-                w.u64(*node);
-                write_cid(w, cid);
-            }
-            Frame::IpfsPin { node, cid } => {
-                w.u8(5);
-                w.u64(*node);
-                write_cid(w, cid);
-            }
-            Frame::Backstage(op) => {
-                w.u8(6);
-                write_backstage_op(w, op);
-            }
-            Frame::Shutdown => w.u8(7),
-            Frame::Request { id, session, frame } => {
-                w.u8(8);
-                w.u64(*id);
-                w.u64(*session);
-                w.bytes(&frame.encode_payload());
-            }
-            Frame::Attach { session } => {
-                w.u8(9);
-                w.u64(*session);
-            }
-            Frame::Subscribe { kind } => {
-                w.u8(10);
-                write_sub_kind(w, kind);
-            }
-            Frame::Unsubscribe { sub_id } => {
-                w.u8(11);
-                w.u64(*sub_id);
-            }
-            Frame::Stats => w.u8(12),
-            Frame::Provisioned => w.u8(0x80),
-            Frame::BatchResponse(responses) => {
-                w.u8(0x82);
-                w.u64(responses.len() as u64);
-                for response in responses {
-                    response.write(w);
-                }
-            }
-            Frame::IpfsAdded { cost, result } => {
-                w.u8(0x83);
-                w.u64(cost.as_micros());
-                write_add_result(w, result);
-            }
-            Frame::IpfsCatted { cost, result } => {
-                w.u8(0x84);
-                w.u64(cost.as_micros());
-                match result {
-                    Ok((bytes, stats)) => {
-                        w.u8(1);
-                        w.bytes(bytes);
-                        write_fetch_stats(w, stats);
-                    }
-                    Err(error) => {
-                        w.u8(0);
-                        write_ipfs_error(w, error);
-                    }
-                }
-            }
-            Frame::IpfsPinned { cost, result } => {
-                w.u8(0x85);
-                w.u64(cost.as_micros());
-                match result {
-                    Ok(()) => w.u8(1),
-                    Err(error) => {
-                        w.u8(0);
-                        write_ipfs_error(w, error);
-                    }
-                }
-            }
-            Frame::BackstageReply(reply) => {
-                w.u8(0x86);
-                write_backstage_reply(w, reply);
-            }
-            Frame::Error(error) => {
-                w.u8(0x87);
-                write_protocol_error(w, error);
-            }
-            Frame::Goodbye => w.u8(0x88),
-            Frame::Reply { id, frame } => {
-                w.u8(0x89);
-                w.u64(*id);
-                w.bytes(&frame.encode_payload());
-            }
-            Frame::Attached { height } => {
-                w.u8(0x8A);
-                w.u64(*height);
-            }
-            Frame::Subscribed { sub_id } => {
-                w.u8(0x8B);
-                w.u64(*sub_id);
-            }
-            Frame::Notify {
-                session,
-                sub_id,
-                seq,
-                event,
-            } => {
-                w.u8(0x8C);
-                w.u64(*session);
-                w.u64(*sub_id);
-                w.u64(*seq);
-                write_sub_event(w, event);
-            }
-            Frame::Unsubscribed { sub_id } => {
-                w.u8(0x8D);
-                w.u64(*sub_id);
-            }
-            Frame::Ping => w.u8(0x8E),
-            Frame::StatsReply {
-                sessions,
-                workers_reaped,
-                accept_errors,
-                frames_served,
-            } => {
-                w.u8(0x8F);
-                w.u64(*sessions);
-                w.u64(*workers_reaped);
-                w.u64(*accept_errors);
-                w.u64(*frames_served);
-            }
-        }
+        codec::encode(self)
     }
 
     /// Decodes a frame payload (tag + body). Trailing bytes are an error.
@@ -1072,157 +685,7 @@ impl Frame {
             "frame.decode",
             "bytes" => payload.len(),
         );
-        Frame::decode_payload_at(payload, true)
-    }
-
-    /// The payload decoder proper. `envelope` gates the
-    /// [`Frame::Request`]/[`Frame::Reply`] wrapper tags: the protocol is
-    /// flat (an envelope carries exactly one plain frame), so nested
-    /// payloads decode with `envelope = false` and a wrapper-in-wrapper is
-    /// a typed codec error rather than unbounded recursion.
-    fn decode_payload_at(payload: &[u8], envelope: bool) -> Result<Frame, CodecError> {
-        let mut r = Reader::new(payload);
-        let frame = match r.u8("frame tag")? {
-            0 => {
-                let chain = read_chain_config(&mut r)?;
-                let n = r.u64("genesis count")?;
-                check_count(n, &r, "genesis count")?;
-                let mut genesis = bounded_vec(n);
-                for _ in 0..n {
-                    genesis.push((r.h160("genesis address")?, r.u256("genesis amount")?));
-                }
-                Frame::Provision { chain, genesis }
-            }
-            2 => {
-                let n = r.u64("batch count")?;
-                check_count(n, &r, "batch count")?;
-                let mut requests = bounded_vec(n);
-                for _ in 0..n {
-                    requests.push(RpcRequest::read(&mut r)?);
-                }
-                Frame::Batch(requests)
-            }
-            3 => Frame::IpfsAdd {
-                node: r.u64("ipfs add node")?,
-                data: r.bytes("ipfs add data")?,
-            },
-            4 => Frame::IpfsCat {
-                node: r.u64("ipfs cat node")?,
-                cid: read_cid(&mut r)?,
-            },
-            5 => Frame::IpfsPin {
-                node: r.u64("ipfs pin node")?,
-                cid: read_cid(&mut r)?,
-            },
-            6 => Frame::Backstage(read_backstage_op(&mut r)?),
-            7 => Frame::Shutdown,
-            8 if envelope => {
-                let id = r.u64("request id")?;
-                let session = r.u64("request session")?;
-                let inner = r.bytes("request inner frame")?;
-                Frame::Request {
-                    id,
-                    session,
-                    frame: Box::new(Frame::decode_payload_at(&inner, false)?),
-                }
-            }
-            9 => Frame::Attach {
-                session: r.u64("attach session")?,
-            },
-            10 => Frame::Subscribe {
-                kind: read_sub_kind(&mut r)?,
-            },
-            11 => Frame::Unsubscribe {
-                sub_id: r.u64("unsubscribe id")?,
-            },
-            12 => Frame::Stats,
-            0x80 => Frame::Provisioned,
-            0x82 => {
-                let n = r.u64("batch response count")?;
-                check_count(n, &r, "batch response count")?;
-                let mut responses = bounded_vec(n);
-                for _ in 0..n {
-                    responses.push(RpcResponse::read(&mut r)?);
-                }
-                Frame::BatchResponse(responses)
-            }
-            0x83 => Frame::IpfsAdded {
-                cost: SimDuration::from_micros(r.u64("ipfs add cost")?),
-                result: read_add_result(&mut r)?,
-            },
-            0x84 => {
-                let cost = SimDuration::from_micros(r.u64("ipfs cat cost")?);
-                let result = match r.u8("ipfs cat outcome")? {
-                    1 => {
-                        let bytes = r.bytes("ipfs cat bytes")?;
-                        Ok((bytes, read_fetch_stats(&mut r)?))
-                    }
-                    0 => Err(read_ipfs_error(&mut r)?),
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            reading: "ipfs cat outcome",
-                            tag,
-                        })
-                    }
-                };
-                Frame::IpfsCatted { cost, result }
-            }
-            0x85 => {
-                let cost = SimDuration::from_micros(r.u64("ipfs pin cost")?);
-                let result = match r.u8("ipfs pin outcome")? {
-                    1 => Ok(()),
-                    0 => Err(read_ipfs_error(&mut r)?),
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            reading: "ipfs pin outcome",
-                            tag,
-                        })
-                    }
-                };
-                Frame::IpfsPinned { cost, result }
-            }
-            0x86 => Frame::BackstageReply(read_backstage_reply(&mut r)?),
-            0x87 => Frame::Error(read_protocol_error(&mut r)?),
-            0x88 => Frame::Goodbye,
-            0x89 if envelope => {
-                let id = r.u64("reply id")?;
-                let inner = r.bytes("reply inner frame")?;
-                Frame::Reply {
-                    id,
-                    frame: Box::new(Frame::decode_payload_at(&inner, false)?),
-                }
-            }
-            0x8A => Frame::Attached {
-                height: r.u64("attached height")?,
-            },
-            0x8B => Frame::Subscribed {
-                sub_id: r.u64("subscribed id")?,
-            },
-            0x8C => Frame::Notify {
-                session: r.u64("notify session")?,
-                sub_id: r.u64("notify sub id")?,
-                seq: r.u64("notify seq")?,
-                event: read_sub_event(&mut r)?,
-            },
-            0x8D => Frame::Unsubscribed {
-                sub_id: r.u64("unsubscribed id")?,
-            },
-            0x8E => Frame::Ping,
-            0x8F => Frame::StatsReply {
-                sessions: r.u64("stats sessions")?,
-                workers_reaped: r.u64("stats workers reaped")?,
-                accept_errors: r.u64("stats accept errors")?,
-                frames_served: r.u64("stats frames served")?,
-            },
-            tag => {
-                return Err(CodecError::BadTag {
-                    reading: "frame tag",
-                    tag,
-                })
-            }
-        };
-        r.finish()?;
-        Ok(frame)
+        codec::decode(payload)
     }
 
     /// Encodes the complete wire form (magic, version, length, payload)
@@ -1240,7 +703,7 @@ impl Frame {
         // Serialize the payload straight after the header, then backpatch
         // the length — no intermediate payload vector.
         let mut w = Writer(std::mem::take(out));
-        self.write_payload(&mut w);
+        self.put(&mut w);
         *out = w.0;
         let payload_len = out.len() - 8;
         if payload_len > MAX_FRAME_BYTES as usize {
@@ -1258,13 +721,16 @@ impl Frame {
     }
 
     /// Encodes the complete wire form: magic, version, length, payload.
+    ///
+    /// # Panics
+    ///
+    /// When the payload exceeds [`MAX_FRAME_BYTES`]; a caller that may
+    /// build one that large uses [`Frame::encode_into`], which refuses it
+    /// with a typed error.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        self.encode_into(&mut out)
+            .expect("frame payload exceeds MAX_FRAME_BYTES");
         out
     }
 
@@ -1333,16 +799,19 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::assert_covers_tags;
     use crate::envelope::{RpcMethod, RpcResult};
+    use ofl_eth::chain::{FilteredLog, LogFilter};
     use ofl_primitives::H256;
 
     fn cid_of(data: &[u8]) -> Cid {
         Cid::v0_of(data)
     }
 
-    #[test]
-    fn frames_roundtrip_through_the_full_wire_form() {
-        let frames = vec![
+    /// The literals `frames_roundtrip_through_the_full_wire_form` sends
+    /// through the wire.
+    fn roundtrip_frames() -> Vec<Frame> {
+        vec![
             Frame::Provision {
                 chain: ChainConfig::default(),
                 genesis: vec![(H160::from_slice(&[3; 20]), U256::from(7u64))],
@@ -1513,21 +982,63 @@ mod tests {
                 accept_errors: 1,
                 frames_served: 900,
             },
-        ];
-        for frame in frames {
+        ]
+    }
+
+    #[test]
+    fn frames_roundtrip_through_the_full_wire_form() {
+        let frames: Vec<Frame> = roundtrip_frames()
+            .into_iter()
+            .chain([
+                Frame::IpfsPinned {
+                    cost: SimDuration::from_millis(1),
+                    result: Ok(()),
+                },
+                Frame::IpfsCatted {
+                    cost: SimDuration::ZERO,
+                    result: Err(IpfsError::CorruptDag(cid_of(b"dag"))),
+                },
+                Frame::IpfsCatted {
+                    cost: SimDuration::ZERO,
+                    result: Err(IpfsError::Store(BlockstoreError::IntegrityMismatch)),
+                },
+                Frame::IpfsCatted {
+                    cost: SimDuration::ZERO,
+                    result: Err(IpfsError::Store(BlockstoreError::NotFound(cid_of(b"gone")))),
+                },
+                Frame::IpfsPinned {
+                    cost: SimDuration::ZERO,
+                    result: Err(IpfsError::UnknownPeer("owner-9".into())),
+                },
+                Frame::Error(ProtocolError::Malformed("unknown tag 0xee".into())),
+                Frame::Error(ProtocolError::AlreadyProvisioned),
+                Frame::Error(ProtocolError::Unsupported("protocol v6".into())),
+            ])
+            .collect();
+        for frame in &frames {
             let wire = frame.encode();
             let (decoded, consumed) = Frame::decode(&wire).expect("decodes");
             assert_eq!(consumed, wire.len());
-            assert_eq!(decoded, frame);
+            assert_eq!(&decoded, frame);
         }
+        assert_covers_tags(&frames);
+        assert_covers_tags(frames.iter().filter_map(|frame| match frame {
+            Frame::Subscribe { kind } => Some(kind),
+            _ => None,
+        }));
+        assert_covers_tags(frames.iter().filter_map(|frame| match frame {
+            Frame::Notify { event, .. } => Some(event),
+            _ => None,
+        }));
+        assert_covers_tags(frames.iter().filter_map(|frame| match frame {
+            Frame::Error(error) => Some(error),
+            _ => None,
+        }));
     }
 
-    /// Every [`BackstageOp`] variant survives the wire. Keep this list
-    /// exhaustive — `ofl-lint` rule W1 checks each variant appears in a
-    /// round-trip test.
-    #[test]
-    fn every_backstage_op_roundtrips() {
-        let ops = vec![
+    /// Every [`BackstageOp`] variant survives the wire.
+    fn backstage_ops() -> Vec<BackstageOp> {
+        vec![
             BackstageOp::MineSlot { slot_secs: 36 },
             BackstageOp::SlotElapsed,
             BackstageOp::Height,
@@ -1557,8 +1068,13 @@ mod tests {
                 cids: vec![cid_of(b"weights"), cid_of(b"other weights")],
             },
             BackstageOp::SwarmHas { cids: Vec::new() },
-        ];
-        for op in ops {
+        ]
+    }
+
+    #[test]
+    fn every_backstage_op_roundtrips() {
+        assert_covers_tags(&backstage_ops());
+        for op in backstage_ops() {
             let frame = Frame::Backstage(op);
             let wire = frame.encode();
             let (decoded, consumed) = Frame::decode(&wire).expect("decodes");
@@ -1567,10 +1083,8 @@ mod tests {
         }
     }
 
-    /// Every [`BackstageReply`] variant survives the wire (W1-checked,
-    /// like the ops above).
-    #[test]
-    fn every_backstage_reply_roundtrips() {
+    /// Every [`BackstageReply`] variant survives the wire.
+    fn backstage_replies() -> Vec<BackstageReply> {
         use ofl_eth::block::{Receipt, TxStatus};
         let block = Block {
             header: Header {
@@ -1597,7 +1111,7 @@ mod tests {
             block_number: 12,
             output: vec![0xAA],
         };
-        let replies = vec![
+        vec![
             BackstageReply::Mined(Box::new(block)),
             BackstageReply::SlotAcked,
             BackstageReply::Height(12),
@@ -1612,14 +1126,47 @@ mod tests {
             BackstageReply::NodeIndices(vec![6, 7]),
             BackstageReply::NodeIndices(Vec::new()),
             BackstageReply::Dropped,
-        ];
-        for reply in replies {
+        ]
+    }
+
+    #[test]
+    fn every_backstage_reply_roundtrips() {
+        assert_covers_tags(&backstage_replies());
+        for reply in backstage_replies() {
             let frame = Frame::BackstageReply(reply);
             let wire = frame.encode();
             let (decoded, consumed) = Frame::decode(&wire).expect("decodes");
             assert_eq!(consumed, wire.len());
             assert_eq!(decoded, frame);
         }
+    }
+
+    /// The wire bytes of every round-trip literal in this module and in
+    /// the envelope tests, pinned by SHA-256: a codec change that moves
+    /// any byte of any literal fails here.
+    #[test]
+    fn round_trip_literals_keep_their_wire_bytes() {
+        use crate::envelope::tests::{roundtrip_requests, roundtrip_responses};
+        let mut wire = Vec::new();
+        for frame in roundtrip_frames() {
+            wire.extend(frame.encode());
+        }
+        for op in backstage_ops() {
+            wire.extend(Frame::Backstage(op).encode());
+        }
+        for reply in backstage_replies() {
+            wire.extend(Frame::BackstageReply(reply).encode());
+        }
+        for request in roundtrip_requests() {
+            wire.extend(request.encode());
+        }
+        for response in roundtrip_responses() {
+            wire.extend(response.encode());
+        }
+        assert_eq!(
+            ofl_primitives::hex::to_hex(&ofl_primitives::sha256(&wire)),
+            "796295bf471030361eb4037d035eefb67c240e81024823ad9c73c41518879e94"
+        );
     }
 
     /// A list count is untrusted input: a frame claiming 2^40 elements
@@ -1672,6 +1219,29 @@ mod tests {
                 declared: MAX_FRAME_BYTES + 1
             })
         );
+    }
+
+    /// `encode_into` refuses a payload one byte past the cap and frames
+    /// one exactly at it (the frame lives in memory: ~128 MB transient).
+    #[test]
+    fn encode_into_refuses_an_ipfs_add_one_byte_over_the_cap() {
+        // Tag, node and the data's length prefix take 17 payload bytes.
+        let mut frame = Frame::IpfsAdd {
+            node: 0,
+            data: vec![0; MAX_FRAME_BYTES as usize - 17 + 1],
+        };
+        let mut wire = Vec::new();
+        assert_eq!(
+            frame.encode_into(&mut wire),
+            Err(FrameError::TooLarge {
+                declared: MAX_FRAME_BYTES + 1
+            })
+        );
+        if let Frame::IpfsAdd { data, .. } = &mut frame {
+            data.pop();
+        }
+        assert_eq!(frame.encode_into(&mut wire), Ok(()));
+        assert_eq!(wire.len(), 8 + MAX_FRAME_BYTES as usize);
     }
 
     #[test]

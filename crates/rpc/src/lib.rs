@@ -6,6 +6,9 @@
 //!
 //! - [`envelope`]: typed [`RpcRequest`]/[`RpcResponse`] envelopes with a
 //!   canonical wire codec — the thin, decorator-friendly JSON-RPC shape.
+//! - [`codec`]: the [`Wire`](codec::Wire) trait every wire type implements
+//!   once, mostly through one [`wire_enum!`]/[`wire_struct!`] table per
+//!   type that generates both its encoder and its decoder.
 //! - [`eth`]: the [`EthApi`] trait (`send_raw_transaction`,
 //!   `get_transaction_receipt`, `call`, `get_logs`, `block_number`,
 //!   `get_balance`, …) plus [`EthApi::batch`], which answers N requests in

@@ -681,10 +681,13 @@ impl FrameTransport for PipeTransport {
         let (reply, _done) = self.conn.handle(decoded);
         // Same wire ordering as the stream loops: pushes caused by this
         // dispatch are queued before the reply, and `recv` diverts them.
-        for push in self.conn.drain_pushes() {
-            self.replies.push_back(push.encode());
+        // Each is framed as a socket frames it, so an oversized one is a
+        // typed `TooLarge` here too.
+        for frame in self.conn.drain_pushes().iter().chain([&reply]) {
+            let mut wire = Vec::new();
+            frame.encode_into(&mut wire)?;
+            self.replies.push_back(wire);
         }
-        self.replies.push_back(reply.encode());
         Ok(())
     }
 
@@ -823,6 +826,118 @@ mod tests {
         let served = socket.execute(&RpcRequest::new(18, RpcMethod::BlockNumber));
         assert_eq!(served.id, 18);
         assert!(matches!(served.result, Ok(RpcResult::BlockNumber(0))));
+    }
+
+    /// A pipe that counts the frames its client sends.
+    struct CountingPipe {
+        pipe: PipeTransport,
+        sent: Arc<AtomicU64>,
+    }
+
+    impl FrameTransport for CountingPipe {
+        fn send(&mut self, frame: &Frame) -> Result<(), FrameError> {
+            self.sent.fetch_add(1, Ordering::Relaxed);
+            self.pipe.send(frame)
+        }
+        fn recv(&mut self) -> Result<Frame, FrameError> {
+            self.pipe.recv()
+        }
+        fn drain_pushes(&mut self) -> Vec<Frame> {
+            self.pipe.drain_pushes()
+        }
+        fn peer(&self) -> String {
+            self.pipe.peer()
+        }
+    }
+
+    /// Stale reads over a socket shard read the canonical head once per
+    /// batch, not once per mined receipt: an 8-receipt poll is 2 frames
+    /// (it was 9), still one metered round trip, and hides exactly the
+    /// receipts the in-process stack hides.
+    #[test]
+    fn stale_receipt_polls_read_the_head_once_per_batch_over_the_pipe() {
+        use ofl_eth::tx::{sign_tx, TxRequest};
+        use ofl_netsim::link::NetworkProfile;
+        use ofl_rpc::{decorate, EndpointFaults, StaleProfile};
+
+        let wallet = Wallet::from_seed("rpcd-stale", 2);
+        let [a, b] = [wallet.addresses()[0], wallet.addresses()[1]];
+        let genesis = vec![(a, wei_per_eth()), (b, wei_per_eth())];
+        let knobs = EndpointFaults {
+            stale: Some(StaleProfile::new(11, 2)),
+            ..EndpointFaults::default()
+        };
+        let sent = Arc::new(AtomicU64::new(0));
+        let mut socket = SocketProvider::new(Box::new(CountingPipe {
+            pipe: PipeTransport::new(),
+            sent: Arc::clone(&sent),
+        }));
+        socket
+            .provision(ChainConfig::default(), genesis.clone())
+            .expect("pipe provisions");
+        let in_process =
+            SimProvider::new(Chain::new(ChainConfig::default(), &genesis), Swarm::new());
+        let mut stacks = [
+            Box::new(socket) as Box<dyn NodeProvider>,
+            Box::new(in_process),
+        ]
+        .map(|backend| decorate(backend, NetworkProfile::campus(), 250, knobs));
+
+        // 8 transfers mined two per slot, so the head ends 4 blocks up and
+        // the receipts sit at different depths below it.
+        let key = wallet.account(&a).unwrap().private_key;
+        let mut hashes = Vec::new();
+        for nonce in 0..8u64 {
+            let raw = sign_tx(
+                TxRequest {
+                    chain_id: ChainConfig::default().chain_id,
+                    nonce,
+                    max_priority_fee_per_gas: U256::from(1_500_000_000u64),
+                    max_fee_per_gas: U256::from(40_000_000_000u64),
+                    gas_limit: 21_000,
+                    to: Some(b),
+                    value: U256::from(5u64),
+                    data: Vec::new(),
+                },
+                &key,
+            )
+            .unwrap()
+            .encode();
+            let [remote_hash, local_hash] = stacks
+                .each_mut()
+                .map(|stack| stack.send_raw_transaction(&raw).value);
+            assert_eq!(remote_hash, local_hash);
+            hashes.push(remote_hash.unwrap());
+            if nonce % 2 == 1 {
+                for stack in &mut stacks {
+                    stack.backstage(&BackstageOp::MineSlot { slot_secs: 12 });
+                }
+            }
+        }
+        let polls: Vec<RpcRequest> = hashes
+            .iter()
+            .zip(100..)
+            .map(|(hash, id)| RpcRequest::new(id, RpcMethod::GetTransactionReceipt { hash: *hash }))
+            .collect();
+
+        let [remote, local] = &mut stacks;
+        let (frames, round_trips) = (
+            sent.load(Ordering::Relaxed),
+            remote.metrics().unwrap().round_trips,
+        );
+        let answers = remote.batch(&polls);
+        assert_eq!(
+            sent.load(Ordering::Relaxed) - frames,
+            2,
+            "poll + one head read"
+        );
+        assert_eq!(remote.metrics().unwrap().round_trips - round_trips, 1);
+        assert_eq!(answers, local.batch(&polls));
+        let shown = answers
+            .iter()
+            .filter(|answer| matches!(answer.result, Ok(RpcResult::Receipt(Some(_)))))
+            .count();
+        assert!(0 < shown && shown < 8, "{shown} of 8 receipts shown");
     }
 
     #[test]

@@ -79,12 +79,21 @@ fn suite_sweeps_partitions_and_failures_deterministically() {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
     // Run-vs-run equality cannot catch a change that reorders a seeded
-    // draw in every run alike, so the fault regimes and every regime the
-    // event engine drives are also pinned across commits. The fingerprint
-    // covers RPC round trips, errors, priced cost, and virtual time; a
-    // deliberate behaviour change re-records these.
+    // draw in every run alike, so every regime (serial, fault, and
+    // engine-driven) is also pinned across commits. The fingerprint covers
+    // RPC round trips, errors, priced cost, and virtual time; a deliberate
+    // behaviour change re-records these.
     let pinned = [
-        ("flaky-provider", 0x50af_6ca5_840e_3f8d_u64),
+        ("iid", 0x9efe_feb0_ddd0_fe49_u64),
+        ("dirichlet-0.5", 0xd64c_4989_f39c_6b02),
+        ("shards-2", 0xb487_abd6_be93_6c55),
+        ("label-skew-3", 0x0c3f_1927_b075_a03f),
+        ("dropped-ipfs-block", 0x5b2b_ca83_4ea1_49c5),
+        ("reverted-cid-tx", 0x885a_e05f_8f6a_266b),
+        ("freeloading-owner", 0xb6e0_6653_4bea_e948),
+        ("silent-dropout", 0x261b_d9e8_8d97_d1fe),
+        ("failure-storm", 0x1e19_3116_0a00_3db0),
+        ("flaky-provider", 0x50af_6ca5_840e_3f8d),
         ("rate-limited", 0x31bd_233a_6b69_4c98),
         ("stale-reads", 0xf514_9b69_8654_7efb),
         ("latency-spike", 0x2f56_c7f5_e934_3b5c),
@@ -97,15 +106,13 @@ fn suite_sweeps_partitions_and_failures_deterministically() {
         ("sharded-2x4", 0x7af0_de1b_6525_30fa),
         ("concurrent-dropout", 0x55b6_6eff_84a7_46eb),
     ];
-    // Every regime the engine drives is in the list.
+    // Every regime in the suite is in the list.
     for scenario in &suite.scenarios {
-        if scenario.mode != ExecutionMode::Serial {
-            assert!(
-                pinned.iter().any(|(name, _)| *name == scenario.name),
-                "{} is not pinned",
-                scenario.name
-            );
-        }
+        assert!(
+            pinned.iter().any(|(name, _)| *name == scenario.name),
+            "{} is not pinned",
+            scenario.name
+        );
     }
     for (name, expected) in pinned {
         let outcome = first
