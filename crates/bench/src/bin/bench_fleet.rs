@@ -51,7 +51,11 @@ struct EndpointRow {
 struct RunRow {
     backend: &'static str,
     wire_mode: String,
+    /// Wall seconds of the whole run, setup included.
     wall_secs: f64,
+    /// Wall seconds of building the world: blueprints, shards and IPFS
+    /// nodes.
+    setup_secs: f64,
     virtual_secs: f64,
     owners_per_virtual_sec: f64,
     owners_per_wall_sec: f64,
@@ -205,13 +209,14 @@ fn run_row(
     wire_mode: &str,
     owners: usize,
     report: &EngineReport,
-    wall_secs: f64,
+    (setup_secs, wall_secs): (f64, f64),
     counters: &[WireCounter],
 ) -> RunRow {
     RunRow {
         backend,
         wire_mode: wire_mode.to_string(),
         wall_secs,
+        setup_secs,
         virtual_secs: report.total_sim_seconds,
         owners_per_virtual_sec: owners as f64 / report.total_sim_seconds,
         owners_per_wall_sec: owners as f64 / wall_secs.max(1e-9),
@@ -240,8 +245,12 @@ fn run_row(
 
 /// One socket-backed fleet run: a real `rpcd` daemon on an ephemeral TCP
 /// port, every shard mounted over its own connection, wire counters
-/// watching each connection from the outside.
-fn socket_run(configs: Vec<MarketConfig>, shards: usize) -> (EngineReport, f64, Vec<WireCounter>) {
+/// watching each connection from the outside. Returns the report, the
+/// setup and whole-run walls, and the counters.
+fn socket_run(
+    configs: Vec<MarketConfig>,
+    shards: usize,
+) -> (EngineReport, (f64, f64), Vec<WireCounter>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind rpcd listener");
     let addr = listener.local_addr().unwrap().to_string();
     let server = std::thread::spawn(move || {
@@ -268,6 +277,7 @@ fn socket_run(configs: Vec<MarketConfig>, shards: usize) -> (EngineReport, f64, 
             .expect("provision over tcp"),
         )
     });
+    let setup = started.elapsed().as_secs_f64();
     let (mm, report) = mm
         .run(&EngineConfig::default(), &[])
         .expect("socket-backed fleet run");
@@ -276,7 +286,7 @@ fn socket_run(configs: Vec<MarketConfig>, shards: usize) -> (EngineReport, f64, 
     drop(mm);
     let stats = server.join().expect("rpcd server thread exits");
     assert_eq!(stats.connections as usize, shards);
-    (report, wall, counters)
+    (report, (setup, wall), counters)
 }
 
 fn main() {
@@ -307,10 +317,11 @@ fn main() {
     let configs = || MultiMarket::replica_configs(&base, args.markets, args.shards);
 
     println!(
-        "{:>12} {:>18} {:>10} {:>12} {:>13} {:>13} {:>12} {:>12}",
+        "{:>12} {:>18} {:>10} {:>10} {:>12} {:>13} {:>13} {:>12} {:>12}",
         "backend",
         "wire mode",
         "wall (s)",
+        "setup (s)",
         "virtual (s)",
         "owners/vs",
         "owners/ws",
@@ -319,10 +330,11 @@ fn main() {
     );
     let print = |row: &RunRow| {
         println!(
-            "{:>12} {:>18} {:>10.2} {:>12.1} {:>13.1} {:>13.1} {:>12} {:>12}",
+            "{:>12} {:>18} {:>10.2} {:>10.2} {:>12.1} {:>13.1} {:>13.1} {:>12} {:>12}",
             row.backend,
             row.wire_mode,
             row.wall_secs,
+            row.setup_secs,
             row.virtual_secs,
             row.owners_per_virtual_sec,
             row.owners_per_wall_sec,
@@ -343,7 +355,9 @@ fn main() {
     // Reference: every shard in-process, hot-path phase timers running.
     reset_phase_times();
     let started = std::time::Instant::now();
-    let (_, local) = MultiMarket::with_shards(configs(), args.shards)
+    let fleet = MultiMarket::with_shards(configs(), args.shards);
+    let local_setup = started.elapsed().as_secs_f64();
+    let (_, local) = fleet
         .run(&EngineConfig::default(), &[])
         .expect("in-process fleet run");
     let local_wall = started.elapsed().as_secs_f64();
@@ -353,7 +367,7 @@ fn main() {
         "local",
         owners,
         &local,
-        local_wall,
+        (local_setup, local_wall),
         &[],
     )];
     print(&runs[0]);
@@ -393,13 +407,13 @@ fn main() {
     // The socket leg: the same fleet over a live daemon, its own
     // hot-path breakdown (codec and wire now on the clock).
     reset_phase_times();
-    let (report, wall, counters) = socket_run(configs(), args.shards);
+    let (report, walls, counters) = socket_run(configs(), args.shards);
     assert_eq!(
         digest(&report),
         reference,
         "a socket backend must reproduce the in-process run bit-identically"
     );
-    let row = run_row("socket", "jumbo", owners, &report, wall, &counters);
+    let row = run_row("socket", "jumbo", owners, &report, walls, &counters);
     print(&row);
     runs.push(row);
 

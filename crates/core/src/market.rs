@@ -49,6 +49,7 @@ use ofl_tensor::nn::Mlp;
 use ofl_tensor::serialize::{decode_model, encode_model};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// Phase labels (owners), matching the paper's Fig 7a.
 pub mod owner_phase {
@@ -386,6 +387,14 @@ impl SessionBlueprint {
         &self.config
     }
 
+    /// Re-allocates the silos and the test set, the data a session keeps
+    /// for its whole run, on the calling thread's heap, and frees the
+    /// copies the blueprint was built with.
+    pub(crate) fn rehome_data(&mut self) {
+        self.silos = self.silos.clone();
+        self.test = self.test.clone();
+    }
+
     /// Spawns the market's IPFS nodes through `spawn` (any backstage node
     /// spawner — a local swarm or a remote shard's wire channel), which
     /// gets every label at once (the buyer's first, then each owner's) and
@@ -629,6 +638,15 @@ impl MarketSession {
         cids: &[String],
     ) -> Result<(usize, SimDuration), MarketError> {
         self.retrieved.clear();
+        // Each owner's CID in its text form, encoded once per call: a model
+        // is attributed to the first owner whose CID reads exactly as the
+        // contract's string.
+        let mut owner_by_cid: HashMap<String, usize> = HashMap::new();
+        for (i, owner) in self.owners.iter().enumerate() {
+            if let Some(cid) = &owner.cid {
+                owner_by_cid.entry(cid.to_string_form()).or_insert(i);
+            }
+        }
         let mut duration = SimDuration::ZERO;
         for cid_str in cids {
             let cid = Cid::parse(cid_str).map_err(|_| MarketError::ModelDecode)?;
@@ -638,10 +656,7 @@ impl MarketSession {
             let model = decode_model(&bytes).map_err(|_| MarketError::ModelDecode)?;
             // Attribute the model back to its owner by CID (for the data
             // weight and, later, the payment address).
-            let owner_index = self
-                .owners
-                .iter()
-                .position(|o| o.cid.as_ref().map(|c| c.to_string_form()) == Some(cid_str.clone()));
+            let owner_index = owner_by_cid.get(cid_str).copied();
             let weight = owner_index.map(|i| self.owners[i].data.len()).unwrap_or(1);
             self.retrieved.push(RetrievedModel {
                 model,

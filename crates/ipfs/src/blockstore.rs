@@ -48,6 +48,16 @@ impl Blockstore {
         Ok(())
     }
 
+    /// Inserts a block whose `cid` was computed from `data` by the caller
+    /// itself, without hashing it again. Only [`IpfsNode::add_chunked`]
+    /// stores blocks this way: everything from elsewhere, a peer's block
+    /// included, goes through [`Blockstore::put`].
+    ///
+    /// [`IpfsNode::add_chunked`]: crate::swarm::IpfsNode::add_chunked
+    pub(crate) fn put_built(&mut self, cid: Cid, data: Vec<u8>) {
+        self.blocks.insert(cid, data);
+    }
+
     /// Fetches a block.
     pub fn get(&self, cid: &Cid) -> Option<&[u8]> {
         self.blocks.get(cid).map(Vec::as_slice)

@@ -94,17 +94,17 @@ impl IpfsNode {
     /// Adds with an explicit chunk size (for tests and ablations).
     pub fn add_chunked(&mut self, data: &[u8], chunk_size: usize) -> AddResult {
         let dag = build_dag(data, chunk_size);
+        let blocks = dag.blocks.len();
         let mut bytes_stored = 0;
-        for block in &dag.blocks {
+        // `build_dag` derived every CID from its block's bytes just now.
+        for block in dag.blocks {
             bytes_stored += block.data.len() as u64;
-            self.store
-                .put(block.cid.clone(), block.data.clone())
-                .expect("freshly built blocks verify");
+            self.store.put_built(block.cid, block.data);
         }
         self.store.pin(dag.root.clone());
         AddResult {
             root: dag.root,
-            blocks: dag.blocks.len(),
+            blocks,
             bytes_stored,
             file_size: dag.file_size,
         }
@@ -289,6 +289,25 @@ mod tests {
         let (_, stats2) = swarm.fetch(2, &added.root).unwrap();
         assert_eq!(stats2.blocks_fetched, 0);
         assert_eq!(stats2.bytes_fetched, 0);
+    }
+
+    #[test]
+    fn fetch_refuses_a_tampered_block_from_a_peer() {
+        let mut swarm = Swarm::spawn("peer", 2);
+        let data = vec![0x5au8; 700 * 1024];
+        let added = swarm.node_mut(0).add(&data);
+        // Peer 0's copy of one leaf goes bad after the add.
+        let root = swarm.node(0).store().get(&added.root).unwrap();
+        let leaf = DagNode::from_bytes(root).unwrap().links[1].cid.clone();
+        swarm
+            .node_mut(0)
+            .store_mut()
+            .put_built(leaf.clone(), vec![0xffu8; 1024]);
+        assert_eq!(
+            swarm.fetch(1, &added.root),
+            Err(IpfsError::Store(BlockstoreError::IntegrityMismatch))
+        );
+        assert!(!swarm.node(1).has_block(&leaf));
     }
 
     #[test]
