@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 
 use ofl_w3::core::config::{MarketConfig, PartitionScheme};
 use ofl_w3::core::engine::{Arrivals, EngineConfig, MultiMarket};
-use ofl_w3::core::market::Marketplace;
+use ofl_w3::core::market::{Marketplace, SessionReport};
 use ofl_w3::core::scenario::{
     ExecutionMode, FailurePlan, Scenario, ScenarioOutcome, ScenarioSuite,
 };
@@ -644,6 +644,72 @@ fn same_seed_yields_identical_session_reports() {
     // Timing breakdowns agree phase by phase.
     assert_eq!(a.buyer_breakdown, b.buyer_breakdown);
     assert_eq!(a.owner_breakdowns, b.owner_breakdowns);
+}
+
+/// An order-sensitive FNV-1a digest of a whole `SessionReport`: every local
+/// accuracy, the aggregate, the LOO drops and contributions, each payment
+/// with its full receipt, the gas table, the owner and buyer phase
+/// breakdowns, the CIDs, the virtual time and the per-method provider
+/// metering.
+fn session_report_digest(report: &SessionReport) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    };
+    for values in [
+        &report.local_accuracies,
+        &vec![report.aggregated_accuracy],
+        &report.loo_drop_accuracies,
+        &report.contributions,
+    ] {
+        eat(&(values.len() as u64).to_le_bytes());
+        for x in values {
+            eat(&x.to_le_bytes());
+        }
+    }
+    eat(&(report.global_neurons as u64).to_le_bytes());
+    for p in &report.payments {
+        eat(format!("{:?} {:?} {:?}", p.address, p.amount_wei, p.receipt).as_bytes());
+    }
+    for g in &report.gas {
+        eat(format!("{} {} {:?}", g.label, g.gas_used, g.fee_wei).as_bytes());
+    }
+    for breakdown in report
+        .owner_breakdowns
+        .iter()
+        .chain(std::iter::once(&report.buyer_breakdown))
+    {
+        eat(&(breakdown.len() as u64).to_le_bytes());
+        for (label, duration, share) in breakdown {
+            eat(label.as_bytes());
+            eat(&duration.0.to_le_bytes());
+            eat(&share.to_le_bytes());
+        }
+    }
+    for cid in &report.cids {
+        eat(cid.as_bytes());
+    }
+    eat(&report.total_sim_seconds.to_le_bytes());
+    for (method, stats) in report.rpc.methods() {
+        eat(format!("{method} {stats:?}").as_bytes());
+    }
+    eat(&report.rpc.round_trips.to_le_bytes());
+    h
+}
+
+/// The serial paper session, pinned across commits: what fig4–fig7 and
+/// table1 print comes from this report, Fig 7's phase breakdowns and
+/// Fig 6's LOO vector included, which no scenario fingerprint covers.
+#[test]
+fn serial_session_report_is_pinned_across_commits() {
+    let (_, report) = Marketplace::run(MarketConfig::small_test()).expect("session completes");
+    let digest = session_report_digest(&report);
+    assert_eq!(
+        digest, 0x9235_f7af_d0f6_4fe3,
+        "session report moved (0x{digest:016x})"
+    );
 }
 
 // ----------------------------------------------------------------------
