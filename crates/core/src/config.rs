@@ -7,10 +7,7 @@ use ofl_netsim::link::NetworkProfile;
 use ofl_netsim::timing::ComputeModel;
 use ofl_primitives::u256::U256;
 use ofl_primitives::wei_per_eth;
-use ofl_rpc::{
-    EndpointId, FaultProfile, RateLimitProfile, ReorderProfile, SpikeProfile, StaleProfile,
-    SubLagProfile,
-};
+use ofl_rpc::{EndpointFaults, EndpointId};
 
 /// How the training data is split across model owners.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,25 +74,11 @@ pub struct MarketConfig {
     pub owner_compute: ComputeModel,
     /// Buyer's backend workstation (paper: 2×RTX A5000 server).
     pub buyer_compute: ComputeModel,
-    /// Seeded RPC fault injection for the market's endpoint (`None` =
-    /// reliable endpoint) — the infrastructure-fault scenario knob.
-    pub rpc_faults: Option<FaultProfile>,
-    /// Seeded per-slot request quota for the market's endpoint (`None` =
-    /// no 429s) — the rate-limit scenario knob.
-    pub rpc_rate_limit: Option<RateLimitProfile>,
-    /// Seeded lagging-replica reads for the market's endpoint (`None` =
-    /// always-fresh reads) — the stale-reads scenario knob.
-    pub rpc_stale: Option<StaleProfile>,
-    /// Seeded slot-long latency spikes for the market's endpoint (`None` =
-    /// steady latency) — the congested-provider scenario knob.
-    pub rpc_spike: Option<SpikeProfile>,
-    /// Seeded shuffling of the endpoint's batch replies (`None` = in-order
-    /// replies) — the out-of-order-server scenario knob.
-    pub rpc_reorder: Option<ReorderProfile>,
-    /// Seeded per-subscription push-delivery lag for the market's endpoint
-    /// (`None` = pushes land at the slot that produced them) — the
-    /// laggy-subscription scenario knob.
-    pub rpc_sub_lag: Option<SubLagProfile>,
+    /// Seeded decorators for the market's endpoint — drops, quotas, stale
+    /// reads, latency spikes, batch reordering and push lag, the
+    /// infrastructure-fault scenario knobs (the default is a clean,
+    /// reliable endpoint).
+    pub faults: EndpointFaults,
     /// Derive and fund one extra non-participant account (the
     /// mempool-watching adversary of the front-running scenario). Off by
     /// default so clean runs keep their exact genesis allocation.
@@ -129,12 +112,7 @@ impl Default for MarketConfig {
             profile: NetworkProfile::campus(),
             owner_compute: ComputeModel::rtx_a5000(),
             buyer_compute: ComputeModel::rtx_a5000(),
-            rpc_faults: None,
-            rpc_rate_limit: None,
-            rpc_stale: None,
-            rpc_spike: None,
-            rpc_reorder: None,
-            rpc_sub_lag: None,
+            faults: EndpointFaults::default(),
             fund_adversary: false,
             placement: EndpointId(0),
             finalize: FinalizePolicy::default(),

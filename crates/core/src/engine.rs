@@ -110,8 +110,10 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-session facts the engine observed that a [`SessionReport`] does not
-/// carry (the scenario layer distills outcomes from these).
+/// Per-session facts a driver observed that a [`SessionReport`] does not
+/// carry — the engine and the serial
+/// [`Marketplace::run_with`](crate::market::Marketplace::run_with) both
+/// fill it, and the scenario layer distills outcomes from it.
 #[derive(Debug, Clone, Default)]
 pub struct SessionDetail {
     /// Every CID the market's contract returned at finalize time.
@@ -477,23 +479,8 @@ fn prepare_step(
             Ok(Prepared::Took(duration))
         }
         Ev::OwnerSubmitCid { i, .. } => {
-            let (hash, preflight) = if run.failures.revert_cid_tx.contains(&i) {
-                // An unknown selector: the contract's dispatcher reverts,
-                // the owner pays intrinsic+execution gas, no CID lands.
-                let contract = session
-                    .contract
-                    .ok_or(MarketError::StepOrder("deploy before sending CIDs"))?;
-                let from = session.owners[i].address;
-                endpoint.submit_tx(
-                    &session.wallet,
-                    &from,
-                    Some(contract.address),
-                    U256::ZERO,
-                    vec![0xde, 0xad, 0xbe, 0xef],
-                )?
-            } else {
-                session.submit_cid(endpoint, i)?
-            };
+            let data = run.failures.cid_tx_calldata(session, i)?;
+            let (hash, preflight) = session.submit_cid(endpoint, i, data)?;
             let height = endpoint.height();
             Ok(Prepared::Sent {
                 hash,
@@ -502,13 +489,7 @@ fn prepare_step(
             })
         }
         Ev::BuyerFinalize { .. } => {
-            // Availability failure: after the CIDs are public, the blocks
-            // vanish.
-            for &i in &run.failures.drop_ipfs_blocks {
-                if let Some(cid) = &session.owners[i].cid {
-                    endpoint.drop_ipfs_block(session.owners[i].ipfs_node, cid);
-                }
-            }
+            run.failures.drop_blocks(session, endpoint);
             let (cids_onchain, download) = session.download_cids_computed(endpoint)?;
             // A production client gives up on unfetchable CIDs; retrieve
             // only content some peer on the market's shard can still serve.
@@ -601,10 +582,6 @@ enum Wake {
         i: usize,
         phase_start: SimInstant,
     },
-    OwnerRevert {
-        m: usize,
-        i: usize,
-    },
     /// Market `m`'s payment `k` (its index in the broadcast order).
     Payment {
         m: usize,
@@ -638,7 +615,6 @@ struct MarketRun {
     /// Owners whose CID is ready but whose contract isn't deployed yet.
     parked: Vec<usize>,
     owners_unresolved: usize,
-    reverted_tx_count: usize,
     payment_phase_start: SimInstant,
     outstanding_payments: usize,
     paid: Vec<(H160, U256)>,
@@ -652,7 +628,6 @@ struct MarketRun {
     /// Locally-tracked adversary nonce: several junk registrations can be
     /// broadcast within one slot, before any of them confirms.
     adversary_nonce: u64,
-    front_runs: usize,
     detail: SessionDetail,
     report: Option<SessionReport>,
 }
@@ -699,6 +674,7 @@ impl<'a> Driver<'a> {
         let markets = (0..sessions.len())
             .map(|m| {
                 let failures = failures.get(m).cloned().unwrap_or_default();
+                failures.shrink_freeloaders(&mut sessions[m]);
                 let freeload_sub = (failures.mempool_front_run && sessions[m].adversary.is_some())
                     .then(|| world.subscribe(sessions[m].placement, SubscriptionKind::PendingTxs));
                 MarketRun {
@@ -709,7 +685,6 @@ impl<'a> Driver<'a> {
                     contract_ready: false,
                     parked: Vec::new(),
                     owners_unresolved: sessions[m].owners.len(),
-                    reverted_tx_count: 0,
                     payment_phase_start: SimInstant(0),
                     outstanding_payments: 0,
                     paid: Vec::new(),
@@ -717,7 +692,6 @@ impl<'a> Driver<'a> {
                     finalize: None,
                     freeload_sub,
                     adversary_nonce: 0,
-                    front_runs: 0,
                     detail: SessionDetail::default(),
                     report: None,
                 }
@@ -774,9 +748,6 @@ impl<'a> Driver<'a> {
             .iter_mut()
             .map(|run| run.report.take().expect("every market completed"))
             .collect();
-        for run in self.markets.iter_mut() {
-            run.detail.front_run_count = run.front_runs;
-        }
         let details: Vec<SessionDetail> =
             self.markets.iter().map(|run| run.detail.clone()).collect();
         let cid_txs_per_block = self.cid_block_occupancy();
@@ -808,14 +779,10 @@ impl<'a> Driver<'a> {
     /// RPC transfer runs from there, and the mempool sees the transaction
     /// when it completes.
     fn schedule_cid_submit(&mut self, m: usize, i: usize, now: SimInstant) {
-        let data_len = if self.markets[m].failures.revert_cid_tx.contains(&i) {
-            4 // the bogus selector
-        } else {
-            match self.sessions[m].cid_calldata(i) {
-                Ok(data) => data.len(),
-                Err(_) => 4,
-            }
-        };
+        let data_len = self.markets[m]
+            .failures
+            .cid_tx_calldata(&self.sessions[m], i)
+            .map_or(4, |data| data.len());
         let rpc = self.world.tx_submit_time(data_len);
         let timeline = &mut self.markets[m].owner_timelines[i];
         let phase_start = timeline.advance_to(now);
@@ -867,7 +834,7 @@ impl<'a> Driver<'a> {
                 (&*config, owners.iter_mut().map(Some).collect())
             })
             .collect();
-        let mut work: Vec<(&MarketConfig, &mut OwnerState, usize, bool)> = run
+        let mut work: Vec<(&MarketConfig, &mut OwnerState, usize)> = run
             .iter()
             .map(|ev| {
                 let Ev::OwnerArrive { m, i } = *ev else {
@@ -875,25 +842,11 @@ impl<'a> Driver<'a> {
                 };
                 let (config, slots) = &mut owners[m];
                 let owner = slots[i].take().expect("each owner arrives once");
-                (
-                    *config,
-                    owner,
-                    i,
-                    self.markets[m].failures.freeload.contains(&i),
-                )
+                (*config, owner, i)
             })
             .collect();
-        fork_join_mut(&mut work, |_, (config, owner, i, freeload)| {
-            traced(ctx, || {
-                if *freeload {
-                    // Shrink the silo to (at most) 3 examples before
-                    // training; the owner still goes through the whole
-                    // honest protocol.
-                    let keep: Vec<usize> = (0..owner.data.len().min(3)).collect();
-                    owner.data = owner.data.subset(&keep);
-                }
-                Ok(Prepared::Took(owner.train(config, *i)))
-            })
+        fork_join_mut(&mut work, |_, (config, owner, i)| {
+            traced(ctx, || Ok(Prepared::Took(owner.train(config, *i))))
         })
     }
 
@@ -1003,14 +956,10 @@ impl<'a> Driver<'a> {
                     height,
                 },
             ) => {
-                let wake = if self.markets[m].failures.revert_cid_tx.contains(&i) {
-                    Wake::OwnerRevert { m, i }
-                } else {
-                    Wake::OwnerCid { m, i, phase_start }
-                };
                 // The signing reads ride the owner's own timeline; the
                 // receipt wake advances past them.
                 self.markets[m].owner_timelines[i].advance(preflight);
+                let wake = Wake::OwnerCid { m, i, phase_start };
                 self.push_pending(m, hash, height, wake, t);
             }
             (Ev::Mine { slot_secs }, Prepared::Nothing) => self.on_mine(slot_secs)?,
@@ -1140,19 +1089,15 @@ impl<'a> Driver<'a> {
             match p.wake {
                 Wake::Deploy { m } => self.on_deploy_confirmed(m, &receipt, wake_at)?,
                 Wake::OwnerCid { m, i, phase_start } => {
-                    self.sessions[m].finish_cid(i, &receipt)?;
-                    self.sessions[m].owner_recorders[i]
-                        .add(owner_phase::SEND_CID, wake_at.since(phase_start));
-                    self.markets[m].owner_timelines[i].advance_to(wake_at);
-                    self.resolve_owner(m, wake_at);
-                }
-                Wake::OwnerRevert { m, i } => {
-                    if receipt.is_success() {
-                        return Err(MarketError::TxFailed(format!(
-                            "injected revert for owner {i} unexpectedly succeeded"
-                        )));
+                    let run = &mut self.markets[m];
+                    let session = &mut self.sessions[m];
+                    if run.failures.settle_cid_tx(session, i, &receipt)? {
+                        run.detail.reverted_tx_count += 1;
+                    } else {
+                        session.owner_recorders[i]
+                            .add(owner_phase::SEND_CID, wake_at.since(phase_start));
+                        run.owner_timelines[i].advance_to(wake_at);
                     }
-                    self.markets[m].reverted_tx_count += 1;
                     self.resolve_owner(m, wake_at);
                 }
                 Wake::Payment { m, k } => {
@@ -1267,7 +1212,7 @@ impl<'a> Driver<'a> {
                 let Some(contract) = p.to else { continue };
                 // Deliberately unparseable as a CID, unique per victim so
                 // each junk registration occupies its own contract slot.
-                let junk = format!("junk-{}", self.markets[m].front_runs);
+                let junk = format!("junk-{}", self.markets[m].detail.front_run_count);
                 let request = TxRequest {
                     chain_id,
                     // Tracked locally: several junk broadcasts can share a
@@ -1285,7 +1230,7 @@ impl<'a> Driver<'a> {
                 let (result, _cost) = self.world.endpoint(ep).broadcast_raw(&tx.encode());
                 result.map_err(|e| MarketError::TxFailed(format!("front-run broadcast: {e}")))?;
                 self.markets[m].adversary_nonce += 1;
-                self.markets[m].front_runs += 1;
+                self.markets[m].detail.front_run_count += 1;
             }
         }
         Ok(())
@@ -1362,7 +1307,6 @@ impl<'a> Driver<'a> {
             .buyer_recorder
             .add(buyer_phase::PAYMENT, t.since(run.payment_phase_start));
         let (agg, loo) = run.finalize.take().expect("finalize state present");
-        run.detail.reverted_tx_count = run.reverted_tx_count;
         let total_secs = run.buyer_timeline.now().0 as f64 / 1e6;
         run.report = Some(session.assemble_report(
             &agg,

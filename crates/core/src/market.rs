@@ -20,11 +20,14 @@
 //!
 //! - [`Marketplace`] owns a private `World` and runs the steps serially,
 //!   blocking in virtual time on each confirmation (the original workflow).
+//!   [`Marketplace::run_with`] injects a scenario's [`FailurePlan`].
 //! - `ofl_core::engine` shares one `World` among many sessions and drives
 //!   the same primitives from a discrete-event queue, so owners act
 //!   concurrently and their transactions share blocks.
 
 use crate::config::{FinalizePolicy, MarketConfig, PartitionScheme};
+use crate::engine::SessionDetail;
+use crate::scenario::FailurePlan;
 use crate::world::{Endpoint, ShardConfig, ShardSpec, World, WorldError};
 use ofl_data::dataset::Dataset;
 use ofl_data::{mnist, partition};
@@ -408,7 +411,7 @@ impl SessionBlueprint {
             buyer_addr,
             owner_addrs,
             adversary,
-            genesis: _,
+            genesis,
             silos,
             test,
         } = self;
@@ -469,6 +472,9 @@ impl SessionBlueprint {
         let n = config.n_owners;
         let placement = config.placement;
         MarketSession {
+            genesis_wei: genesis
+                .iter()
+                .fold(U256::ZERO, |acc, (_, wei)| acc.wrapping_add(wei)),
             placement,
             config,
             wallet,
@@ -496,6 +502,10 @@ pub struct MarketSession {
     /// The world endpoint (shard) every piece of this market's client
     /// traffic is pinned to (copied from [`MarketConfig::placement`]).
     pub placement: EndpointId,
+    /// Wei the market's genesis allocation funded (buyer, owners, and the
+    /// adversary when there is one) — what ETH conservation checks live
+    /// balances plus burn against.
+    pub(crate) genesis_wei: U256,
     /// Session configuration.
     pub config: MarketConfig,
     /// Keystore holding the buyer's and every owner's keys (each user's
@@ -549,8 +559,7 @@ impl MarketSession {
         Ok((billed.value.root, billed.cost))
     }
 
-    /// Calldata for owner `i`'s `uploadCid` call — the event engine needs
-    /// its length to schedule the RPC broadcast before submitting.
+    /// Calldata for owner `i`'s `uploadCid` call.
     pub fn cid_calldata(&self, i: usize) -> Result<Vec<u8>, MarketError> {
         if self.contract.is_none() {
             return Err(MarketError::StepOrder("deploy before sending CIDs"));
@@ -565,18 +574,19 @@ impl MarketSession {
     }
 
     /// **Step 4 (submit half)** — broadcasts owner `i`'s CID transaction
-    /// into the placement shard's mempool without blocking, returning the
-    /// hash plus the wallet's signing-preflight cost (the caller charges
-    /// it). Pair with [`MarketSession::finish_cid`].
+    /// carrying `data` into the placement shard's mempool without
+    /// blocking, returning the hash plus the wallet's signing-preflight
+    /// cost (the caller charges it). Pair with
+    /// [`MarketSession::finish_cid`].
     pub fn submit_cid(
         &self,
         endpoint: &mut Endpoint,
         i: usize,
+        data: Vec<u8>,
     ) -> Result<(H256, SimDuration), MarketError> {
         let contract = self
             .contract
             .ok_or(MarketError::StepOrder("deploy before sending CIDs"))?;
-        let data = self.cid_calldata(i)?;
         let from = self.owners[i].address;
         Ok(endpoint.submit_tx(
             &self.wallet,
@@ -1001,9 +1011,25 @@ impl Marketplace {
 
     /// **Step 4** — owner `i` sends its CID to the contract.
     pub fn owner_send_cid(&mut self, i: usize) -> Result<Receipt, MarketError> {
+        self.send_cid_tx(&FailurePlan::clean(), i)
+            .map(|(receipt, _)| receipt)
+    }
+
+    /// Owner `i` sends the CID transaction `plan` gives it and blocks until
+    /// it confirms. Returns the receipt and whether it was an injected
+    /// revert; only a real `uploadCid` charges the owner's blockchain
+    /// phase.
+    fn send_cid_tx(
+        &mut self,
+        plan: &FailurePlan,
+        i: usize,
+    ) -> Result<(Receipt, bool), MarketError> {
         let start = self.world.clock.now();
-        let data = self.session.cid_calldata(i)?;
-        let contract = self.session.contract.expect("checked by cid_calldata");
+        let data = plan.cid_tx_calldata(&self.session, i)?;
+        let contract = self
+            .session
+            .contract
+            .ok_or(MarketError::StepOrder("deploy before sending CIDs"))?;
         let from = self.session.owners[i].address;
         let receipt = self.world.send_and_confirm(
             self.session.placement,
@@ -1013,10 +1039,12 @@ impl Marketplace {
             U256::ZERO,
             data,
         )?;
-        self.session.finish_cid(i, &receipt)?;
-        self.session.owner_recorders[i]
-            .add(owner_phase::SEND_CID, self.world.clock.now().since(start));
-        Ok(receipt)
+        let reverted = plan.settle_cid_tx(&mut self.session, i, &receipt)?;
+        if !reverted {
+            self.session.owner_recorders[i]
+                .add(owner_phase::SEND_CID, self.world.clock.now().since(start));
+        }
+        Ok((receipt, reverted))
     }
 
     /// **Step 5** — the buyer downloads every CID from the contract. Free:
@@ -1134,17 +1162,39 @@ impl Marketplace {
 
     /// Runs the complete seven-step workflow.
     pub fn run(config: MarketConfig) -> Result<(Marketplace, SessionReport), MarketError> {
+        let (market, report, _) = Marketplace::run_with(config, &FailurePlan::clean())?;
+        Ok((market, report))
+    }
+
+    /// Runs the complete seven-step workflow, one participant at a time,
+    /// with `plan`'s failures injected: freeloaders' silos shrink before
+    /// the deploy, dropouts never send their CID, reverting owners send a
+    /// call the contract rejects, and the planned blocks vanish before the
+    /// buyer downloads. Like a production client, the buyer retrieves only
+    /// the CIDs some peer can still serve.
+    pub fn run_with(
+        config: MarketConfig,
+        plan: &FailurePlan,
+    ) -> Result<(Marketplace, SessionReport, SessionDetail), MarketError> {
         let mut market = Marketplace::new(config);
+        plan.shrink_freeloaders(&mut market.session);
         market.deploy_contract()?;
+        let mut detail = SessionDetail::default();
         for i in 0..market.session.owners.len() {
             market.owner_train(i);
             market.owner_upload_model(i)?;
-            market.owner_send_cid(i)?;
+            if !plan.dropout.contains(&i) {
+                let (_, reverted) = market.send_cid_tx(plan, i)?;
+                detail.reverted_tx_count += reverted as usize;
+            }
         }
-        let cids = market.buyer_download_cids()?;
-        market.buyer_retrieve_models(&cids)?;
+        let ep = market.session.placement;
+        plan.drop_blocks(&market.session, &mut market.world.endpoint(ep));
+        detail.cids_onchain = market.buyer_download_cids()?;
+        detail.cids_retrieved = market.world.endpoint(ep).retrievable(&detail.cids_onchain);
+        market.buyer_retrieve_models(&detail.cids_retrieved)?;
         let report = market.buyer_aggregate_and_pay()?;
-        Ok((market, report))
+        Ok((market, report, detail))
     }
 }
 

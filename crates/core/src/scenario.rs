@@ -5,22 +5,24 @@
 //! and before this module each caller hand-rolled the session loop. A
 //! [`Scenario`] bundles a [`MarketConfig`] (owner count, partition scheme,
 //! seed) with a [`FailurePlan`] (dropped IPFS blocks, reverted transactions,
-//! freeloading owners, silent dropouts) and an [`ExecutionMode`] (serial
-//! workflow, event-driven concurrent owners, or several markets sharing one
-//! chain), and executes the workflow step by step, injecting the failures
-//! at the layer where they would really occur:
+//! freeloading owners, silent dropouts) and an [`ExecutionMode`] (the
+//! paper's serial workflow, or one or more markets sharing one world on
+//! the event engine), and runs the workflow with the failures injected at
+//! the layer where they would really occur. Each injection is one
+//! [`FailurePlan`] method that both drivers call:
 //!
 //! - **Freeloaders** train on a 3-example silo, so their "model" is noise —
-//!   the incentive layer should price them near zero.
+//!   the incentive layer should price them near zero. Their silos shrink
+//!   once, before any step runs.
 //! - **Dropouts** train and upload to IPFS but never send their CID, so the
 //!   chain (and therefore the buyer) never learns about them.
 //! - **Reverted transactions** replace the owner's `uploadCid` call with an
 //!   unknown-selector call the contract rejects; the owner pays gas, the
 //!   CID never lands on-chain.
 //! - **Dropped IPFS blocks** garbage-collect the owner's model *after* its
-//!   CID was registered on-chain — the buyer sees the CID but no peer can
-//!   serve the content, the classic availability failure of
-//!   content-addressed storage.
+//!   CID was registered on-chain, just before the buyer downloads — the
+//!   buyer sees the CID but no peer can serve the content, the classic
+//!   availability failure of content-addressed storage.
 //!
 //! Every session produces a [`ScenarioOutcome`] carrying the quantities the
 //! paper's figures compare (accuracy, payments, gas, timing) plus
@@ -31,7 +33,9 @@
 
 use crate::config::{MarketConfig, PartitionScheme};
 use crate::engine::{Arrivals, EngineConfig, MultiMarket};
-use crate::market::{MarketError, Marketplace};
+use crate::market::{MarketError, MarketSession, Marketplace};
+use crate::world::Endpoint;
+use ofl_eth::block::Receipt;
 use ofl_netsim::clock::SimDuration;
 use ofl_primitives::u256::U256;
 use ofl_primitives::{format_eth, H160};
@@ -75,23 +79,79 @@ impl FailurePlan {
     fn is_offchain(&self, owner: usize) -> bool {
         self.revert_cid_tx.contains(&owner) || self.dropout.contains(&owner)
     }
+
+    /// Shrinks every freeloader's silo to (at most) 3 examples, before any
+    /// step runs; the owner still goes through the whole honest protocol.
+    pub(crate) fn shrink_freeloaders(&self, session: &mut MarketSession) {
+        for &i in &self.freeload {
+            if let Some(owner) = session.owners.get_mut(i) {
+                let keep: Vec<usize> = (0..owner.data.len().min(3)).collect();
+                owner.data = owner.data.subset(&keep);
+            }
+        }
+    }
+
+    /// The calldata owner `i`'s CID transaction carries: for an owner whose
+    /// transaction the plan reverts, an unknown selector the contract's
+    /// dispatcher rejects (the owner pays intrinsic + execution gas, no CID
+    /// lands); otherwise the real `uploadCid` call.
+    pub(crate) fn cid_tx_calldata(
+        &self,
+        session: &MarketSession,
+        i: usize,
+    ) -> Result<Vec<u8>, MarketError> {
+        if self.revert_cid_tx.contains(&i) {
+            Ok(vec![0xde, 0xad, 0xbe, 0xef])
+        } else {
+            session.cid_calldata(i)
+        }
+    }
+
+    /// Settles owner `i`'s mined CID transaction. An injected revert must
+    /// have reverted on-chain, and yields `true`; any other receipt is the
+    /// owner's `uploadCid` ([`MarketSession::finish_cid`]) and yields
+    /// `false`.
+    pub(crate) fn settle_cid_tx(
+        &self,
+        session: &mut MarketSession,
+        i: usize,
+        receipt: &Receipt,
+    ) -> Result<bool, MarketError> {
+        if !self.revert_cid_tx.contains(&i) {
+            session.finish_cid(i, receipt)?;
+            return Ok(false);
+        }
+        if receipt.is_success() {
+            return Err(MarketError::TxFailed(format!(
+                "injected revert for owner {i} unexpectedly succeeded"
+            )));
+        }
+        Ok(true)
+    }
+
+    /// Unpins and garbage-collects every planned owner's model on its IPFS
+    /// node — called once the CIDs are public, before the buyer downloads.
+    pub(crate) fn drop_blocks(&self, session: &MarketSession, endpoint: &mut Endpoint) {
+        for &i in &self.drop_ipfs_blocks {
+            let owner = &session.owners[i];
+            if let Some(cid) = &owner.cid {
+                endpoint.drop_ipfs_block(owner.ipfs_node, cid);
+            }
+        }
+    }
 }
 
 /// How a scenario's session(s) are driven.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecutionMode {
-    /// The original workflow: one participant at a time on one clock.
+    /// The paper's workflow: one participant at a time on one clock
+    /// ([`Marketplace::run_with`]).
     Serial,
-    /// The discrete-event engine: owners act concurrently, transactions
-    /// share blocks.
-    Concurrent {
-        /// Owner arrival pattern.
-        arrivals: Arrivals,
-    },
     /// `markets` replicated sessions sharing one world, all driven by the
-    /// event engine. With `shards == 1` every market contends for one
-    /// chain's blocks; with more, markets are spread round-robin across
-    /// the pool's endpoints and contend only with same-shard siblings.
+    /// event engine: owners act concurrently and transactions share
+    /// blocks. With `shards == 1` every market contends for one chain's
+    /// blocks; with more, markets are spread round-robin across the pool's
+    /// endpoints and contend only with same-shard siblings.
     MultiMarket {
         /// How many concurrent marketplace sessions.
         markets: usize,
@@ -153,7 +213,7 @@ impl Scenario {
     /// infrastructure-fault regime (timeouts and retries instead of
     /// misbehaving participants).
     pub fn with_rpc_faults(mut self, faults: FaultProfile) -> Scenario {
-        self.config.rpc_faults = Some(faults);
+        self.config.faults.faults = Some(faults);
         self
     }
 
@@ -161,7 +221,7 @@ impl Scenario {
     /// rate-limit regime (429s and back-off retries instead of misbehaving
     /// participants).
     pub fn with_rate_limit(mut self, quota: RateLimitProfile) -> Scenario {
-        self.config.rpc_rate_limit = Some(quota);
+        self.config.faults.rate_limit = Some(quota);
         self
     }
 
@@ -169,7 +229,7 @@ impl Scenario {
     /// stale-reads regime (head and receipt reads served late; clients
     /// re-poll through the inconsistency instead of failing).
     pub fn with_stale_reads(mut self, stale: StaleProfile) -> Scenario {
-        self.config.rpc_stale = Some(stale);
+        self.config.faults.stale = Some(stale);
         self
     }
 
@@ -177,7 +237,7 @@ impl Scenario {
     /// latency-spike regime (whole slots where every exchange stalls;
     /// sessions finish late but intact).
     pub fn with_latency_spikes(mut self, spike: SpikeProfile) -> Scenario {
-        self.config.rpc_spike = Some(spike);
+        self.config.faults.spike = Some(spike);
         self
     }
 
@@ -185,7 +245,7 @@ impl Scenario {
     /// arrays — the reordered-batch regime (clients must pair answers by
     /// correlation tag, never by position).
     pub fn with_reordered_batches(mut self, reorder: ReorderProfile) -> Scenario {
-        self.config.rpc_reorder = Some(reorder);
+        self.config.faults.reorder = Some(reorder);
         self
     }
 
@@ -193,7 +253,7 @@ impl Scenario {
     /// the laggy-subscription regime (each subscription's deliveries slip a
     /// seeded number of slots; pollers are unaffected).
     pub fn with_sub_lag(mut self, lag: SubLagProfile) -> Scenario {
-        self.config.rpc_sub_lag = Some(lag);
+        self.config.faults.sub_lag = Some(lag);
         self
     }
 
@@ -224,175 +284,53 @@ impl Scenario {
         self
     }
 
-    /// Shorthand: event-driven, all owners arriving at once.
+    /// Shorthand: one event-driven market, all owners arriving at once.
     pub fn concurrent(self) -> Scenario {
-        self.with_mode(ExecutionMode::Concurrent {
+        self.with_mode(ExecutionMode::MultiMarket {
+            markets: 1,
             arrivals: Arrivals::Simultaneous,
+            shards: 1,
         })
     }
 
     /// Executes the workflow under this scenario's mode and injections and
-    /// distills the session into a comparable outcome.
+    /// distills every market's session into one comparable record
+    /// (accuracies averaged, payments/gas/CIDs concatenated in market
+    /// order).
     pub fn run(&self) -> Result<ScenarioOutcome, MarketError> {
-        match self.mode {
-            ExecutionMode::Serial => self.run_serial(),
-            ExecutionMode::Concurrent { arrivals } => self.run_event_driven(1, arrivals, 1),
+        let (mut world, sessions, reports, details, total_sim_seconds) = match self.mode {
+            ExecutionMode::Serial => {
+                let (market, report, detail) =
+                    Marketplace::run_with(self.config.clone(), &self.failures)?;
+                let secs = report.total_sim_seconds;
+                let Marketplace { world, session } = market;
+                (world, vec![session], vec![report], vec![detail], secs)
+            }
             ExecutionMode::MultiMarket {
                 markets,
                 arrivals,
                 shards,
-            } => self.run_event_driven(markets.max(1), arrivals, shards.max(1)),
-        }
-    }
-
-    /// The original serial driver: one owner at a time, one tx per block.
-    fn run_serial(&self) -> Result<ScenarioOutcome, MarketError> {
-        let ep = EndpointId(0);
-        let mut market = Marketplace::new(self.config.clone());
-        let n = market.owners.len();
-        // Nothing is burned yet, so this *is* the genesis allocation —
-        // captured here so the conservation check below tracks whatever
-        // funding policy `Marketplace::new` uses.
-        let genesis_supply = market.world.total_supply(ep);
-        market.deploy_contract()?;
-
-        let mut reverted_tx_count = 0usize;
-        for i in 0..n {
-            if self.failures.freeload.contains(&i) {
-                // Shrink the silo to (at most) 3 examples before training;
-                // the owner still goes through the whole honest protocol.
-                let len = market.owners[i].data.len();
-                let keep: Vec<usize> = (0..len.min(3)).collect();
-                market.owners[i].data = market.owners[i].data.subset(&keep);
+            } => {
+                let markets = markets.max(1);
+                let engine = EngineConfig {
+                    arrivals,
+                    watch_events: self.watch_events,
+                };
+                let failures = vec![self.failures.clone(); markets];
+                let (mm, report) = MultiMarket::replicated_sharded(&self.config, markets, shards)
+                    .run(&engine, &failures)?;
+                let MultiMarket { world, sessions } = mm;
+                let secs = report.total_sim_seconds;
+                (world, sessions, report.sessions, report.details, secs)
             }
-            market.owner_train(i);
-            market.owner_upload_model(i)?;
-            if self.failures.dropout.contains(&i) {
-                continue;
-            }
-            if self.failures.revert_cid_tx.contains(&i) {
-                // An unknown selector: the contract's dispatcher reverts,
-                // the owner pays intrinsic+execution gas, no CID lands.
-                let contract = market.contract.expect("deployed above");
-                let from = market.owners[i].address;
-                let Marketplace { world, session } = &mut market;
-                let receipt = world.send_and_confirm(
-                    session.placement,
-                    &session.wallet,
-                    &from,
-                    Some(contract.address),
-                    U256::ZERO,
-                    vec![0xde, 0xad, 0xbe, 0xef],
-                )?;
-                if receipt.is_success() {
-                    return Err(MarketError::TxFailed(format!(
-                        "injected revert for owner {i} unexpectedly succeeded"
-                    )));
-                }
-                reverted_tx_count += 1;
-                continue;
-            }
-            market.owner_send_cid(i)?;
-        }
-
-        // Availability failure: after the CIDs are public, the blocks vanish.
-        for &i in &self.failures.drop_ipfs_blocks {
-            if let Some(cid) = market.owners[i].cid.clone() {
-                let node_index = market.owners[i].ipfs_node;
-                market.world.endpoint(ep).drop_ipfs_block(node_index, &cid);
-            }
-        }
-
-        let cids_onchain = market.buyer_download_cids()?;
-        let expected_onchain = (0..n).filter(|&i| !self.failures.is_offchain(i)).count();
-        assert_eq!(
-            cids_onchain.len(),
-            expected_onchain,
-            "{}: injected off-chain failures must match the contract state",
-            self.name
-        );
-        // A production client gives up on unfetchable CIDs; model that by
-        // retrieving only content some peer can still serve.
-        let cids_retrieved = market.world.endpoint(ep).retrievable(&cids_onchain);
-        market.buyer_retrieve_models(&cids_retrieved)?;
-        let report = market.buyer_aggregate_and_pay()?;
-
-        // ETH conservation: genesis supply == live balances + EIP-1559 burn.
-        let live = market.world.total_supply(ep);
-        let burned = market.world.burned(ep);
-        let eth_conserved = live.wrapping_add(&burned) == genesis_supply;
-
-        let rpc = market.world.rpc_metrics(ep);
-        Ok(ScenarioOutcome {
-            name: self.name.clone(),
-            seed: self.config.seed,
-            n_owners: n,
-            n_models_aggregated: cids_retrieved.len(),
-            aggregated_accuracy: report.aggregated_accuracy,
-            total_paid_wei: report.total_paid(),
-            local_accuracies: report.local_accuracies,
-            payments: report
-                .payments
-                .iter()
-                .map(|p| (p.address, p.amount_wei))
-                .collect(),
-            budget_wei: self.config.budget_wei,
-            gas_rows: report
-                .gas
-                .iter()
-                .map(|g| (g.label.clone(), g.gas_used))
-                .collect(),
-            total_gas: report.gas.iter().map(|g| g.gas_used).sum(),
-            reverted_tx_count,
-            eth_conserved,
-            cids_onchain,
-            cids_retrieved,
-            total_sim_seconds: report.total_sim_seconds,
-            rpc_round_trips: rpc.round_trips,
-            rpc_timeouts: rpc.total_errors(),
-            rpc_cost_micros: rpc.total_cost().as_micros(),
-        })
-    }
-
-    /// The event-driven driver: one world (of `shards` chains), `markets`
-    /// sessions, concurrent owners. Per-market outcomes are merged into
-    /// one comparable record (accuracies averaged, payments/gas/CIDs
-    /// concatenated in market order).
-    fn run_event_driven(
-        &self,
-        markets: usize,
-        arrivals: Arrivals,
-        shards: usize,
-    ) -> Result<ScenarioOutcome, MarketError> {
-        let mut mm = if markets <= 1 {
-            MultiMarket::new(vec![self.config.clone()])
-        } else {
-            MultiMarket::replicated_sharded(&self.config, markets, shards)
         };
-        let supply_and_burn = |mm: &mut MultiMarket| {
-            (0..mm.world.endpoints()).fold((U256::ZERO, U256::ZERO), |(s, b), i| {
-                let supply = mm.world.total_supply(EndpointId(i));
-                let burned = mm.world.burned(EndpointId(i));
-                (s.wrapping_add(&supply), b.wrapping_add(&burned))
-            })
-        };
-        let (genesis_supply, _) = supply_and_burn(&mut mm);
-        let failures: Vec<FailurePlan> = (0..markets).map(|_| self.failures.clone()).collect();
-        let (mut mm, engine_report) = mm.run(
-            &EngineConfig {
-                arrivals,
-                watch_events: self.watch_events,
-            },
-            &failures,
-        )?;
 
         let honest = (0..self.config.n_owners)
             .filter(|&i| !self.failures.is_offchain(i))
             .count();
-        for detail in &engine_report.details {
+        for detail in &details {
             // The front-runner shadows every honest registration with a
             // junk one, doubling the contract's CID list.
-            let per_market_expected = honest + detail.front_run_count;
             if self.failures.mempool_front_run {
                 assert_eq!(
                     detail.front_run_count, honest,
@@ -402,15 +340,24 @@ impl Scenario {
             }
             assert_eq!(
                 detail.cids_onchain.len(),
-                per_market_expected,
+                honest + detail.front_run_count,
                 "{}: injected off-chain failures must match the contract state",
                 self.name
             );
         }
 
-        // ETH conservation holds shard by shard, so it holds for the sums.
-        let (live, burned) = supply_and_burn(&mut mm);
-        let eth_conserved = live.wrapping_add(&burned) == genesis_supply;
+        // ETH conservation: what the markets' genesis allocations funded ==
+        // live balances + EIP-1559 burn, summed over the world's shards.
+        let genesis = sessions
+            .iter()
+            .fold(U256::ZERO, |acc, s| acc.wrapping_add(&s.genesis_wei));
+        let held = (0..world.endpoints())
+            .map(EndpointId)
+            .fold(U256::ZERO, |acc, ep| {
+                let supply = world.total_supply(ep);
+                acc.wrapping_add(&supply).wrapping_add(&world.burned(ep))
+            });
+        let eth_conserved = held == genesis;
 
         let mut local_accuracies = Vec::new();
         let mut payments = Vec::new();
@@ -421,12 +368,7 @@ impl Scenario {
         let mut budget = U256::ZERO;
         let mut accuracy_sum = 0.0;
         let mut reverted_tx_count = 0;
-        for (m, (report, detail)) in engine_report
-            .sessions
-            .iter()
-            .zip(&engine_report.details)
-            .enumerate()
-        {
+        for (m, (report, detail)) in reports.iter().zip(&details).enumerate() {
             local_accuracies.extend_from_slice(&report.local_accuracies);
             payments.extend(report.payments.iter().map(|p| (p.address, p.amount_wei)));
             // Market 0 stays unprefixed, matching the blueprint labels.
@@ -448,8 +390,8 @@ impl Scenario {
             accuracy_sum += report.aggregated_accuracy;
             reverted_tx_count += detail.reverted_tx_count;
         }
-        let n_sessions = engine_report.sessions.len().max(1);
-        let rpc = &engine_report.rpc;
+        let n_sessions = reports.len().max(1);
+        let rpc = world.rpc_metrics_merged();
         Ok(ScenarioOutcome {
             name: self.name.clone(),
             seed: self.config.seed,
@@ -466,7 +408,7 @@ impl Scenario {
             eth_conserved,
             cids_onchain,
             cids_retrieved,
-            total_sim_seconds: engine_report.total_sim_seconds,
+            total_sim_seconds,
             rpc_round_trips: rpc.round_trips,
             rpc_timeouts: rpc.total_errors(),
             rpc_cost_micros: rpc.total_cost().as_micros(),
@@ -759,8 +701,10 @@ impl ScenarioSuite {
             .push(Scenario::new("concurrent-8", eight_owners).concurrent())
             .push(
                 Scenario::small("staggered-4", PartitionScheme::Iid, seed.wrapping_add(1))
-                    .with_mode(ExecutionMode::Concurrent {
+                    .with_mode(ExecutionMode::MultiMarket {
+                        markets: 1,
                         arrivals: Arrivals::Staggered(SimDuration::from_secs(10)),
+                        shards: 1,
                     }),
             )
             .push(
@@ -836,6 +780,7 @@ impl ScenarioSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofl_rpc::EndpointFaults;
 
     fn quick(partition: PartitionScheme, seed: u64) -> Scenario {
         let mut scenario = Scenario::small("quick", partition, seed);
@@ -915,6 +860,68 @@ mod tests {
         assert_eq!(a.cids_onchain, serial.cids_onchain);
         assert!(a.total_sim_seconds < serial.total_sim_seconds);
         assert!(a.eth_conserved && a.budget_exhausted());
+
+        // Both drivers inject each failure through the same plan methods,
+        // so under every plan they agree on what landed, what the buyer
+        // could fetch, and what it aggregated and paid.
+        let storm = FailurePlan {
+            drop_ipfs_blocks: vec![1],
+            revert_cid_tx: vec![2],
+            freeload: vec![0],
+            dropout: vec![3],
+            ..FailurePlan::clean()
+        };
+        let plans = [
+            FailurePlan {
+                drop_ipfs_blocks: storm.drop_ipfs_blocks.clone(),
+                ..FailurePlan::clean()
+            },
+            FailurePlan {
+                revert_cid_tx: storm.revert_cid_tx.clone(),
+                ..FailurePlan::clean()
+            },
+            FailurePlan {
+                freeload: storm.freeload.clone(),
+                ..FailurePlan::clean()
+            },
+            FailurePlan {
+                dropout: storm.dropout.clone(),
+                ..FailurePlan::clean()
+            },
+            storm.clone(),
+        ];
+        let sorted = |cids: &[String]| {
+            let mut cids = cids.to_vec();
+            cids.sort();
+            cids
+        };
+        for plan in plans {
+            let run = |scenario: Scenario| scenario.with_failures(plan.clone()).run();
+            let serial = run(quick(PartitionScheme::Iid, 11)).expect("serial runs");
+            let event = run(quick(PartitionScheme::Iid, 11).concurrent()).expect("engine runs");
+            // The engine orders a shared block by tip, so only the on-chain
+            // set has to agree.
+            assert_eq!(
+                sorted(&serial.cids_onchain),
+                sorted(&event.cids_onchain),
+                "{plan:?}"
+            );
+            assert_eq!(serial.cids_retrieved, event.cids_retrieved, "{plan:?}");
+            assert_eq!(
+                serial.n_models_aggregated, event.n_models_aggregated,
+                "{plan:?}"
+            );
+            assert_eq!(
+                serial.reverted_tx_count, event.reverted_tx_count,
+                "{plan:?}"
+            );
+            assert_eq!(serial.local_accuracies, event.local_accuracies, "{plan:?}");
+            assert_eq!(serial.payments, event.payments, "{plan:?}");
+            assert_eq!(
+                serial.aggregated_accuracy, event.aggregated_accuracy,
+                "{plan:?}"
+            );
+        }
     }
 
     #[test]
@@ -946,37 +953,19 @@ mod tests {
         assert!(failures.scenarios.len() >= 2);
         // Every regime injects *something*: misbehaving participants or a
         // faulty (flaky or throttling) provider.
-        assert!(failures.scenarios.iter().all(|s| !s.failures.is_clean()
-            || s.config.rpc_faults.is_some()
-            || s.config.rpc_rate_limit.is_some()
-            || s.config.rpc_stale.is_some()
-            || s.config.rpc_spike.is_some()
-            || s.config.rpc_reorder.is_some()
-            || s.config.rpc_sub_lag.is_some()));
         assert!(failures
             .scenarios
             .iter()
-            .any(|s| s.config.rpc_faults.is_some()));
-        assert!(failures
-            .scenarios
-            .iter()
-            .any(|s| s.config.rpc_rate_limit.is_some()));
-        assert!(failures
-            .scenarios
-            .iter()
-            .any(|s| s.config.rpc_stale.is_some()));
-        assert!(failures
-            .scenarios
-            .iter()
-            .any(|s| s.config.rpc_spike.is_some()));
-        assert!(failures
-            .scenarios
-            .iter()
-            .any(|s| s.config.rpc_reorder.is_some()));
-        assert!(failures
-            .scenarios
-            .iter()
-            .any(|s| s.config.rpc_sub_lag.is_some()));
+            .all(|s| !s.failures.is_clean() || s.config.faults != EndpointFaults::default()));
+        let any = |knob: fn(&EndpointFaults) -> bool| {
+            failures.scenarios.iter().any(|s| knob(&s.config.faults))
+        };
+        assert!(any(|f| f.faults.is_some()));
+        assert!(any(|f| f.rate_limit.is_some()));
+        assert!(any(|f| f.stale.is_some()));
+        assert!(any(|f| f.spike.is_some()));
+        assert!(any(|f| f.reorder.is_some()));
+        assert!(any(|f| f.sub_lag.is_some()));
         assert!(failures
             .scenarios
             .iter()

@@ -145,14 +145,7 @@ impl ShardConfig {
         ShardConfig {
             chain: market.chain.clone(),
             genesis,
-            faults: EndpointFaults {
-                faults: market.rpc_faults,
-                rate_limit: market.rpc_rate_limit,
-                stale: market.rpc_stale,
-                spike: market.rpc_spike,
-                reorder: market.rpc_reorder,
-                sub_lag: market.rpc_sub_lag,
-            },
+            faults: market.faults,
         }
     }
 

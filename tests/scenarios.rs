@@ -11,7 +11,7 @@ use ofl_w3::core::market::{Marketplace, SessionReport};
 use ofl_w3::core::scenario::{
     ExecutionMode, FailurePlan, Scenario, ScenarioOutcome, ScenarioSuite,
 };
-use ofl_w3::rpc::{EndpointId, FaultProfile, StaleProfile};
+use ofl_w3::rpc::{EndpointFaults, EndpointId, FaultProfile, StaleProfile};
 
 const SUITE_SEED: u64 = 7;
 
@@ -248,7 +248,10 @@ fn flaky_provider_sessions_are_bit_identical_by_seed() {
         seed: 4321,
         n_train: 500,
         n_test: 150,
-        rpc_faults: Some(FaultProfile::new(0xBEEF, 0.2)),
+        faults: EndpointFaults {
+            faults: Some(FaultProfile::new(0xBEEF, 0.2)),
+            ..EndpointFaults::default()
+        },
         ..MarketConfig::small_test()
     };
     let (_, r1) = Marketplace::run(config()).expect("first flaky run");
@@ -268,7 +271,7 @@ fn flaky_provider_sessions_are_bit_identical_by_seed() {
     // A clean run with the same market seed differs only in infrastructure:
     // same CIDs, fewer round trips.
     let clean = MarketConfig {
-        rpc_faults: None,
+        faults: EndpointFaults::default(),
         ..config()
     };
     let (_, r3) = Marketplace::run(clean).expect("clean run");
@@ -367,8 +370,11 @@ fn payment_receipts_from_the_slot_polls_equal_the_chains_own() {
         n_test: 60,
         partition: PartitionScheme::Iid,
         seed: SUITE_SEED.wrapping_add(400),
-        rpc_faults: Some(FaultProfile::new(SUITE_SEED ^ 0xF1A5, 0.15)),
-        rpc_stale: Some(StaleProfile::new(SUITE_SEED ^ 0x57A1, 2)),
+        faults: EndpointFaults {
+            faults: Some(FaultProfile::new(SUITE_SEED ^ 0xF1A5, 0.15)),
+            stale: Some(StaleProfile::new(SUITE_SEED ^ 0x57A1, 2)),
+            ..EndpointFaults::default()
+        },
         train: ofl_w3::fl::client::TrainConfig {
             dims: vec![784, 8, 10],
             epochs: 1,
