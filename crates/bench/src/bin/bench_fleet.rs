@@ -27,7 +27,7 @@
 //!       [--owners 1024] [--markets N] [--shards 4] \
 //!       [--serial] [--subscribe] [--trace] [--json]`
 
-use ofl_bench::{header, write_bench};
+use ofl_bench::{header, repo_path, write_bench};
 use ofl_core::config::MarketConfig;
 use ofl_core::engine::{EngineConfig, EngineReport, MultiMarket};
 use ofl_core::world::{ShardConfig, ShardSpec, DEFAULT_TX_WIRE_BYTES};
@@ -475,7 +475,7 @@ fn main() {
         leg
     });
 
-    // The traced leg: the same fleet with the ofl-trace collector running.
+    // The traced leg: the same fleet with an ofl-trace tracer installed.
     // Two invariants ride on it — tracing must not perturb the simulation
     // (digest unchanged), and the JSONL artifact is a pure function of the
     // seed (the gzip container uses MTIME=0 stored blocks, so the .gz
@@ -493,17 +493,15 @@ fn main() {
             reference,
             "tracing must not perturb the simulation"
         );
-        assert_eq!(trace.dropped, 0, "collector lanes must not overflow");
+        assert_eq!(trace.dropped, 0, "the trace store must not overflow");
         assert!(!trace.events.is_empty(), "a traced fleet run emits events");
         let jsonl = trace.to_jsonl();
         let gz = ofl_trace::gzip::gzip_stored(jsonl.as_bytes());
-        let path =
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../TRACE_fleet.jsonl.gz");
-        std::fs::write(&path, &gz).expect("write trace artifact");
+        let rel = "TRACE_fleet.jsonl.gz";
+        std::fs::write(repo_path(rel), &gz).expect("write trace artifact");
         println!(
-            "\ntraced leg: {} events, 0 dropped, {wall:.2}s, digest unchanged -> {}",
+            "\ntraced leg: {} events, 0 dropped, {wall:.2}s, digest unchanged -> {rel}",
             trace.events.len(),
-            path.display()
         );
     }
 

@@ -15,19 +15,32 @@
 use serde::Serialize;
 use std::path::PathBuf;
 
+/// Where experiment JSON records are written, relative to the repository root.
+const EXPERIMENTS: &str = "target/experiments";
+
+/// Resolves `rel`, a path relative to the repository root. Printing `rel`
+/// rather than the resolved path keeps a commit's stdout the same in any
+/// checkout.
+pub fn repo_path(rel: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel)
+}
+
 /// Where experiment JSON records are written.
 pub fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
+    let dir = repo_path(EXPERIMENTS);
     std::fs::create_dir_all(&dir).expect("create experiments dir");
     dir
 }
 
 /// Writes a JSON record for an experiment.
 pub fn write_record<T: Serialize>(name: &str, record: &T) {
-    let path = experiments_dir().join(format!("{name}.json"));
+    experiments_dir(); // creates the directory on first use
+    let rel = format!("{EXPERIMENTS}/{name}.json");
     let json = serde_json::to_string_pretty(record).expect("serializable record");
-    std::fs::write(&path, json).expect("write experiment record");
-    println!("\n[record written to {}]", path.display());
+    std::fs::write(repo_path(&rel), json).expect("write experiment record");
+    println!("\n[record written to {rel}]");
 }
 
 /// Writes the durable perf-trajectory record `BENCH_<name>.json` at the
@@ -35,10 +48,10 @@ pub fn write_record<T: Serialize>(name: &str, record: &T) {
 /// bench, overwritten per run, so the repo carries a machine-readable
 /// performance trajectory instead of anecdotes.
 pub fn write_bench<T: Serialize>(name: &str, record: &T) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"));
+    let rel = format!("BENCH_{name}.json");
     let json = serde_json::to_string_pretty(record).expect("serializable bench record");
-    std::fs::write(&path, json).expect("write bench record");
-    println!("[bench record written to {}]", path.display());
+    std::fs::write(repo_path(&rel), json).expect("write bench record");
+    println!("[bench record written to {rel}]");
 }
 
 /// Prints a section header.

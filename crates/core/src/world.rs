@@ -853,23 +853,18 @@ impl Endpoint<'_> {
             ),
             RpcRequest::new(3, RpcMethod::GasPrice),
         ];
-        let mut total = SimDuration::ZERO;
-        let mut attempt = 0u32;
-        loop {
+        let (env, cost) = self.eth_retry(|eth| {
             // Tag-match the reply array: a reordering endpoint shuffles it,
             // and the four sub-results here are decoded by position.
-            let responses = match_to_requests(&requests, self.provider.batch(&requests));
-            total = responses
-                .iter()
-                .fold(total, |acc, r| acc.saturating_add(r.cost));
-            match decode_tx_env(&responses) {
-                Ok(env) => return Ok((env, total)),
-                Err(e) if e.is_transient() && attempt < self.max_rpc_retries => {
-                    attempt += 1;
-                }
-                Err(e) => return Err(WorldError::Rpc(e)),
+            let responses = match_to_requests(&requests, eth.batch(&requests));
+            Billed {
+                cost: responses
+                    .iter()
+                    .fold(SimDuration::ZERO, |acc, r| acc.saturating_add(r.cost)),
+                value: decode_tx_env(&responses),
             }
-        }
+        });
+        Ok((env.map_err(WorldError::Rpc)?, cost))
     }
 
     /// Signs a transaction (environment from [`Endpoint::tx_env`]) and

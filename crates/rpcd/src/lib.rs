@@ -29,13 +29,12 @@
 //! connection can provision and serve several independent shard backends
 //! concurrently (each request's reply carries the correlation id back).
 //!
-//! By default sessions are **private** to their connection and die with
-//! it. A daemon started with [`DaemonOptions::sessions`] (the `--persist`
-//! flag) instead keeps sessions in a store shared across connections:
-//! provision once, reconnect later, [`Frame::Attach`] to the same live
-//! backend. A daemon can also be started around a pre-built provider stack
-//! ([`Connection::with_backend`]) when the operator wants decorators to
-//! run server-side.
+//! Every connection keeps its sessions in a [`SessionStore`]. By default
+//! ([`Connection::new`]) the store is the connection's own, so its
+//! sessions are **private** and die with it. A daemon started with
+//! [`DaemonOptions::sessions`] (the `--persist` flag) instead hands every
+//! connection the same store ([`Connection::sharing`]): provision once,
+//! reconnect later, [`Frame::Attach`] to the same live backend.
 //!
 //! ## Error handling
 //!
@@ -77,9 +76,9 @@ struct DaemonCounters {
     frames_served: AtomicU64,
 }
 
-/// Session backends shared across connections by a persistent daemon:
-/// session id → live provider. Provision once, attach from any later
-/// connection.
+/// A connection's session backends: session id → live provider. A
+/// persistent daemon shares one across connections — provision once,
+/// attach from any later connection.
 pub type SessionStore = Arc<Mutex<BTreeMap<u64, Box<dyn NodeProvider + Send>>>>;
 
 /// A fresh, empty [`SessionStore`].
@@ -100,18 +99,10 @@ fn lock_sessions(
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Where a connection's session backends live.
-enum Backends {
-    /// Sessions owned by this connection alone; they die with it.
-    Private(BTreeMap<u64, Box<dyn NodeProvider>>),
-    /// Sessions in a daemon-wide store that outlives connections.
-    Shared(SessionStore),
-}
-
 /// One client's server-side state: the session backends it can reach and
 /// the dispatch logic.
 pub struct Connection {
-    backends: Backends,
+    sessions: SessionStore,
     /// Frames dispatched so far (diagnostics).
     pub frames_served: u64,
     /// Live subscription count per session *this connection* opened. Push
@@ -133,26 +124,15 @@ impl Connection {
     /// A connection that waits for [`Frame::Provision`]; its sessions are
     /// private and die with it.
     pub fn new() -> Connection {
-        Connection::over(Backends::Private(BTreeMap::new()))
-    }
-
-    /// A connection serving a pre-built provider stack (sim + any
-    /// decorators the operator mounted) as session 0.
-    /// [`Frame::Provision`] for session 0 is refused.
-    pub fn with_backend(provider: Box<dyn NodeProvider>) -> Connection {
-        Connection::over(Backends::Private(BTreeMap::from([(0, provider)])))
+        Connection::sharing(new_session_store())
     }
 
     /// A connection onto a persistent daemon's shared [`SessionStore`]:
     /// sessions it provisions outlive it, and sessions earlier
     /// connections provisioned are reachable by [`Frame::Attach`].
-    pub fn sharing(store: SessionStore) -> Connection {
-        Connection::over(Backends::Shared(store))
-    }
-
-    fn over(backends: Backends) -> Connection {
+    pub fn sharing(sessions: SessionStore) -> Connection {
         Connection {
-            backends,
+            sessions,
             frames_served: 0,
             subs: BTreeMap::new(),
             daemon: Arc::default(),
@@ -202,23 +182,11 @@ impl Connection {
                     ))
                 };
                 use std::collections::btree_map::Entry;
-                match &mut self.backends {
-                    Backends::Private(sessions) => match sessions.entry(session) {
-                        Entry::Occupied(_) => Frame::Error(ProtocolError::AlreadyProvisioned),
-                        Entry::Vacant(slot) => {
-                            slot.insert(fresh());
-                            Frame::Provisioned
-                        }
-                    },
-                    Backends::Shared(store) => {
-                        let mut sessions = lock_sessions(store);
-                        match sessions.entry(session) {
-                            Entry::Occupied(_) => Frame::Error(ProtocolError::AlreadyProvisioned),
-                            Entry::Vacant(slot) => {
-                                slot.insert(fresh());
-                                Frame::Provisioned
-                            }
-                        }
+                match lock_sessions(&self.sessions).entry(session) {
+                    Entry::Occupied(_) => Frame::Error(ProtocolError::AlreadyProvisioned),
+                    Entry::Vacant(slot) => {
+                        slot.insert(fresh());
+                        Frame::Provisioned
                     }
                 }
             }
@@ -292,7 +260,7 @@ impl Connection {
             // counters, so an operator can watch daemon health without
             // attaching a debugger.
             Frame::Stats => Frame::StatsReply {
-                sessions: self.session_count(),
+                sessions: lock_sessions(&self.sessions).len() as u64,
                 workers_reaped: self.daemon.workers_reaped.load(Ordering::Relaxed),
                 accept_errors: self.daemon.accept_errors.load(Ordering::Relaxed),
                 frames_served: self.daemon.frames_served.load(Ordering::Relaxed),
@@ -309,16 +277,6 @@ impl Connection {
             ))),
         };
         (reply, false)
-    }
-
-    /// How many live session backends this connection can reach — the
-    /// shared store's census for a persistent daemon, this connection's
-    /// own sessions otherwise.
-    fn session_count(&self) -> u64 {
-        match &self.backends {
-            Backends::Private(sessions) => sessions.len() as u64,
-            Backends::Shared(store) => lock_sessions(store).len() as u64,
-        }
     }
 
     /// True when this connection holds at least one live subscription —
@@ -349,7 +307,7 @@ impl Connection {
         pushes
     }
 
-    /// Runs `f` against `session`'s provider, whichever store it lives in.
+    /// Runs `f` against `session`'s provider.
     fn with_provider<R>(
         &mut self,
         session: u64,
@@ -362,16 +320,10 @@ impl Connection {
                 ProtocolError::NoSuchSession(session)
             }
         };
-        match &mut self.backends {
-            Backends::Private(sessions) => sessions
-                .get_mut(&session)
-                .map(|p| f(p.as_mut()))
-                .ok_or_else(missing),
-            Backends::Shared(store) => lock_sessions(store)
-                .get_mut(&session)
-                .map(|p| f(p.as_mut()))
-                .ok_or_else(missing),
-        }
+        lock_sessions(&self.sessions)
+            .get_mut(&session)
+            .map(|p| f(p.as_mut()))
+            .ok_or_else(missing)
     }
 
     /// Like [`Connection::with_provider`], additionally bounds-checking
@@ -654,13 +606,8 @@ pub struct PipeTransport {
 impl PipeTransport {
     /// A pipe to a fresh provisionable server connection.
     pub fn new() -> PipeTransport {
-        PipeTransport::over(Connection::new())
-    }
-
-    /// A pipe to a server connection with a pre-mounted backend.
-    pub fn over(conn: Connection) -> PipeTransport {
         PipeTransport {
-            conn,
+            conn: Connection::new(),
             replies: VecDeque::new(),
             pushes: VecDeque::new(),
             wire: Vec::new(),
@@ -1029,6 +976,50 @@ mod tests {
         let (reply, done) = conn.handle(Frame::Shutdown);
         assert_eq!(reply, Frame::Goodbye);
         assert!(done);
+    }
+
+    #[test]
+    fn new_connections_keep_their_sessions_private() {
+        let provision = |conn: &mut Connection, session| {
+            let (reply, _) = conn.handle(Frame::Request {
+                id: session,
+                session,
+                frame: Box::new(Frame::Provision {
+                    chain: ChainConfig::default(),
+                    genesis: vec![],
+                }),
+            });
+            assert_eq!(
+                reply,
+                Frame::Reply {
+                    id: session,
+                    frame: Box::new(Frame::Provisioned),
+                }
+            );
+        };
+        let sessions = |conn: &mut Connection| match conn.handle(Frame::Stats).0 {
+            Frame::StatsReply { sessions, .. } => sessions,
+            other => panic!("expected a stats reply, got {other:?}"),
+        };
+        let (mut a, mut b) = (Connection::new(), Connection::new());
+        provision(&mut a, 1);
+        provision(&mut b, 2);
+        provision(&mut b, 3);
+        // Each connection reaches its own sessions and nobody else's.
+        assert!(matches!(
+            a.handle(Frame::Attach { session: 1 }).0,
+            Frame::Attached { .. }
+        ));
+        assert_eq!(
+            b.handle(Frame::Attach { session: 1 }).0,
+            Frame::Error(ProtocolError::NoSuchSession(1))
+        );
+        assert_eq!(
+            a.handle(Frame::Attach { session: 2 }).0,
+            Frame::Error(ProtocolError::NoSuchSession(2))
+        );
+        assert_eq!(sessions(&mut a), 1);
+        assert_eq!(sessions(&mut b), 2);
     }
 
     #[test]

@@ -1,206 +1,77 @@
-//! The off-thread collector: per-source ring buffers drained by a
-//! dedicated collector thread, merged deterministically at the end.
+//! The trace store: one locked buffer every recording thread appends to,
+//! put in a deterministic order when the trace is finished.
 //!
-//! Workers (the engine thread, shard-executor workers, daemon sessions)
-//! append events to one of a fixed set of lanes — a short per-lane lock,
-//! never contended by more than a handful of sources. A collector thread
-//! wakes when a lane fills past a threshold and sweeps everything into the
-//! central store, so steady-state aggregation costs the hot threads
-//! nothing. [`Tracer::flush`] sweeps synchronously (no event recorded
-//! before the call can be lost), and [`Tracer::finish`] shuts the thread
-//! down, performs a final sweep, and sorts the merged stream by
-//! `(ts_us, source, seq)` — a total order that is a pure function of the
-//! simulation, not of thread scheduling.
+//! Recording is synchronous — an event is in the store once
+//! [`Recorder::record`] returns — so there is nothing to flush. Worker-side
+//! engine events are captured thread-locally and replayed on the engine
+//! thread (`ofl_trace::capture`), so the one lock is rarely contended.
+//! [`Tracer::finish`] sorts the stream by `(ts_us, source, seq)`: a total
+//! order that is a pure function of the simulation, not of thread
+//! scheduling.
 
 use crate::sink::Trace;
 use crate::{Recorder, TraceEvent};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Number of independently locked buffers. Sources hash to lanes by
-/// `source % LANES`; 16 keeps contention negligible for fleets of a few
-/// dozen shards without allocating per-source.
-const LANES: usize = 16;
-
-/// Ring capacity per lane. Past this the lane drops (and counts) events
-/// rather than growing without bound — a stalled collector must not OOM
-/// the engine.
-const LANE_CAP: usize = 1 << 20;
-
-/// The collector wakes the drain thread every time a lane grows past a
-/// multiple of this many events.
-const DRAIN_BATCH: usize = 4096;
+/// Most events one tracer keeps. Past this it drops (and counts) events
+/// rather than growing without bound.
+const MAX_EVENTS: usize = 1 << 20;
 
 #[derive(Default)]
-struct Lane {
+struct Store {
     events: Vec<TraceEvent>,
     /// Per-source sequence counters. A source is only ever touched by one
     /// thread at a time, so its sequence reflects program order — the same
     /// under serial and parallel execution.
     seqs: BTreeMap<u32, u64>,
+    dropped: u64,
 }
 
-#[derive(Default)]
-struct Signal {
-    shutdown: bool,
-    wakeups: u64,
-}
-
-struct Shared {
-    lanes: Vec<Mutex<Lane>>,
-    signal: Mutex<Signal>,
-    cv: Condvar,
-    drained: Mutex<Vec<TraceEvent>>,
-    dropped: AtomicU64,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-impl Shared {
-    /// Moves every buffered event into the central store.
-    fn sweep(&self) {
-        let mut swept: Vec<TraceEvent> = Vec::new();
-        for lane in &self.lanes {
-            let mut lane = lock(lane);
-            swept.append(&mut lane.events);
-        }
-        if !swept.is_empty() {
-            lock(&self.drained).append(&mut swept);
-        }
-    }
-}
-
-/// The worker-facing half: implements [`Recorder`] by appending to the
-/// owning tracer's lanes.
-struct LaneRecorder {
-    shared: Arc<Shared>,
-}
-
-impl Recorder for LaneRecorder {
+impl Recorder for Mutex<Store> {
     fn record(&self, mut ev: TraceEvent) {
-        let shared = &self.shared;
-        let lane_ix = ev.source as usize % LANES;
-        let wake = {
-            let mut lane = lock(&shared.lanes[lane_ix]);
-            if lane.events.len() >= LANE_CAP {
-                shared.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let seq = lane.seqs.entry(ev.source).or_insert(0);
-            ev.seq = *seq;
-            *seq += 1;
-            lane.events.push(ev);
-            lane.events.len().is_multiple_of(DRAIN_BATCH)
-        };
-        if wake {
-            lock(&shared.signal).wakeups += 1;
-            shared.cv.notify_one();
+        let mut store = self.lock().unwrap_or_else(PoisonError::into_inner);
+        if store.events.len() >= MAX_EVENTS {
+            store.dropped += 1;
+            return;
         }
-    }
-
-    fn flush(&self) {
-        self.shared.sweep();
+        let seq = store.seqs.entry(ev.source).or_insert(0);
+        ev.seq = *seq;
+        *seq += 1;
+        store.events.push(ev);
     }
 }
 
-/// Owns the collector thread and the merged trace. Create with
-/// [`Tracer::start`], hand [`Tracer::recorder`] to `ofl_trace::install`,
-/// and call [`Tracer::finish`] to get the ordered [`Trace`] back.
-/// Dropping a tracer without finishing shuts the thread down cleanly
-/// (no deadlock) and discards the events.
+/// Owns the trace store. Create with [`Tracer::start`], hand
+/// [`Tracer::recorder`] to `ofl_trace::install`, and call
+/// [`Tracer::finish`] to get the ordered [`Trace`] back.
 pub struct Tracer {
-    shared: Arc<Shared>,
-    handle: Option<JoinHandle<()>>,
+    store: Arc<Mutex<Store>>,
 }
 
 impl Tracer {
-    /// Spawns the collector thread and returns the handle.
+    /// An empty tracer.
     pub fn start() -> Tracer {
-        let shared = Arc::new(Shared {
-            lanes: (0..LANES).map(|_| Mutex::new(Lane::default())).collect(),
-            signal: Mutex::new(Signal::default()),
-            cv: Condvar::new(),
-            drained: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-        });
-        let worker = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("ofl-trace-collector".into())
-            .spawn(move || loop {
-                let shutdown = {
-                    let mut sig = lock(&worker.signal);
-                    while !sig.shutdown && sig.wakeups == 0 {
-                        sig = match worker.cv.wait(sig) {
-                            Ok(g) => g,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                    }
-                    sig.wakeups = 0;
-                    sig.shutdown
-                };
-                worker.sweep();
-                if shutdown {
-                    break;
-                }
-            })
-            .ok();
-        Tracer { shared, handle }
+        Tracer {
+            store: Arc::default(),
+        }
     }
 
     /// A [`Recorder`] feeding this tracer, for `ofl_trace::install`.
     pub fn recorder(&self) -> Arc<dyn Recorder> {
-        Arc::new(LaneRecorder {
-            shared: self.shared.clone(),
-        })
+        self.store.clone()
     }
 
-    /// Synchronous barrier: every event recorded before this call is in
-    /// the central store afterwards, whatever the collector thread is
-    /// doing.
-    pub fn flush(&self) {
-        self.shared.sweep();
-    }
-
-    /// Events dropped so far because a lane ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
-    }
-
-    fn shutdown(&mut self) {
-        {
-            let mut sig = lock(&self.shared.signal);
-            sig.shutdown = true;
-        }
-        self.shared.cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Stops the collector thread, sweeps the last events, and returns the
-    /// merged trace sorted by `(ts_us, source, seq)`.
-    pub fn finish(mut self) -> Trace {
-        self.shutdown();
-        self.shared.sweep();
-        let mut events = std::mem::take(&mut *lock(&self.shared.drained));
+    /// Returns the recorded events sorted by `(ts_us, source, seq)`, with
+    /// the count of those dropped past the cap.
+    pub fn finish(self) -> Trace {
+        let store = std::mem::take(&mut *self.store.lock().unwrap_or_else(PoisonError::into_inner));
+        let mut events = store.events;
         events.sort_by_key(|a| (a.ts_us, a.source, a.seq));
         Trace {
             events,
-            dropped: self.shared.dropped.load(Ordering::Relaxed),
+            dropped: store.dropped,
         }
-    }
-}
-
-impl Drop for Tracer {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -222,7 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_loses_nothing_under_concurrent_recording() {
+    fn concurrent_recording_loses_nothing() {
         let tracer = Tracer::start();
         let recorder = tracer.recorder();
         const THREADS: u32 = 8;
@@ -239,7 +110,6 @@ mod tests {
                 });
             }
         });
-        tracer.flush();
         let trace = tracer.finish();
         assert_eq!(trace.dropped, 0);
         assert_eq!(trace.events.len(), (THREADS as u64 * PER_THREAD) as usize);
@@ -249,9 +119,9 @@ mod tests {
     fn finish_orders_by_ts_then_source_then_seq() {
         let tracer = Tracer::start();
         let recorder = tracer.recorder();
-        // Record out of timestamp order, across sources sharing a lane.
+        // Record out of timestamp order, across two sources.
         recorder.record(ev(50, 3, "c"));
-        recorder.record(ev(10, 19, "b")); // 19 % 16 == 3: same lane as source 3
+        recorder.record(ev(10, 19, "b"));
         recorder.record(ev(10, 3, "a"));
         recorder.record(ev(10, 3, "a2"));
         let trace = tracer.finish();
@@ -282,28 +152,14 @@ mod tests {
     }
 
     #[test]
-    fn drop_without_finish_does_not_deadlock() {
+    fn cap_drops_and_counts_instead_of_growing() {
         let tracer = Tracer::start();
         let recorder = tracer.recorder();
-        recorder.record(ev(1, 0, "orphan"));
-        drop(tracer); // must join the collector thread and return
-    }
-
-    #[test]
-    fn lane_cap_drops_and_counts_instead_of_growing() {
-        let tracer = Tracer::start();
-        // Bypass the collector by never waking it: record into one lane
-        // past its cap in one burst, counting the overflow.
-        let recorder = tracer.recorder();
-        let burst = (super::LANE_CAP + 10) as u64;
-        for i in 0..burst {
+        for i in 0..(super::MAX_EVENTS + 10) as u64 {
             recorder.record(ev(i, 1, "burst"));
         }
-        // The collector may have swept mid-burst (making room), so the
-        // only guarantee is conservation: kept + dropped == burst.
-        tracer.flush();
-        let dropped = tracer.dropped();
         let trace = tracer.finish();
-        assert_eq!(trace.events.len() as u64 + dropped, burst);
+        assert_eq!(trace.events.len(), super::MAX_EVENTS);
+        assert_eq!(trace.dropped, 10);
     }
 }

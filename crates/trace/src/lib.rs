@@ -15,9 +15,9 @@
 //!    single relaxed atomic load when tracing is disabled; a [`Recorder`]
 //!    trait (no-op by default — nothing installed) receives events when it
 //!    is.
-//! 2. **Off-thread collector** — [`Tracer`] hands workers per-source ring
-//!    buffers; a collector thread drains them off the engine thread and
-//!    [`Tracer::finish`] merges everything in deterministic
+//! 2. **One trace store** — [`Tracer`] appends every event to one locked
+//!    buffer, numbering each source's events in record order, and
+//!    [`Tracer::finish`] sorts them in deterministic
 //!    `(timestamp, source, seq)` order into a [`Trace`] with JSONL and
 //!    Chrome-trace (`chrome://tracing`) exporters.
 //!
@@ -46,7 +46,7 @@ pub mod gzip;
 mod sink;
 
 pub use collector::Tracer;
-pub use sink::{ChromeSink, JsonlSink, Trace, TraceSink};
+pub use sink::Trace;
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -222,9 +222,6 @@ pub trait Recorder: Send + Sync {
     /// Record one event. Must not panic; must not block on the caller's
     /// own locks (it is called from engine and worker threads).
     fn record(&self, ev: TraceEvent);
-    /// Best-effort barrier: all events recorded before the call are
-    /// durable once it returns.
-    fn flush(&self) {}
 }
 
 /// True when a recorder is installed. The fast path of every macro.
@@ -280,7 +277,7 @@ pub fn start_tracing() -> Tracer {
 }
 
 /// Uninstalls the global recorder and finishes `tracer`, returning the
-/// merged, deterministically ordered [`Trace`].
+/// deterministically ordered [`Trace`].
 pub fn stop_tracing(tracer: Tracer) -> Trace {
     uninstall();
     tracer.finish()

@@ -11,39 +11,14 @@
 
 use crate::{EventKind, FieldValue, TraceEvent};
 
-/// A finished, merged, `(ts, source, seq)`-ordered trace.
+/// A finished, `(ts, source, seq)`-ordered trace.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Events in deterministic order.
     pub events: Vec<TraceEvent>,
-    /// Events lost to lane-ring overflow (0 in any healthy run; the
-    /// determinism tests assert on it).
+    /// Events the tracer dropped past its cap of `1 << 20` (0 in any
+    /// healthy run; the determinism tests assert on it).
     pub dropped: u64,
-}
-
-/// Renders a merged trace to one of the export formats.
-pub trait TraceSink {
-    /// Serializes the trace.
-    fn export(&self, trace: &Trace) -> String;
-}
-
-/// The deterministic JSONL format: one meta line, then one event per line.
-pub struct JsonlSink;
-
-/// The Chrome-trace format (open via `chrome://tracing` or
-/// <https://ui.perfetto.dev>).
-pub struct ChromeSink;
-
-impl TraceSink for JsonlSink {
-    fn export(&self, trace: &Trace) -> String {
-        trace.to_jsonl()
-    }
-}
-
-impl TraceSink for ChromeSink {
-    fn export(&self, trace: &Trace) -> String {
-        trace.to_chrome_trace()
-    }
 }
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
@@ -210,15 +185,6 @@ mod tests {
         assert!(out.contains("\"ph\":\"i\""));
         assert!(out.contains("\"clock\":\"virtual-us\""));
         assert!(out.contains("\"exported_unix_ms\":"));
-    }
-
-    #[test]
-    fn sinks_delegate_to_the_formats() {
-        let t = sample();
-        assert_eq!(JsonlSink.export(&t), t.to_jsonl());
-        // Chrome export stamps wall time; compare the deterministic prefix.
-        let a = ChromeSink.export(&t);
-        assert!(a.starts_with("{\"traceEvents\":["));
     }
 
     #[test]

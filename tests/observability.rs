@@ -51,7 +51,7 @@ fn traced_run(f: impl FnOnce() -> EngineReport) -> (EngineReport, String) {
     let tracer = ofl_w3::trace::start_tracing();
     let report = f();
     let trace = ofl_w3::trace::stop_tracing(tracer);
-    assert_eq!(trace.dropped, 0, "collector lanes must not overflow");
+    assert_eq!(trace.dropped, 0, "the trace store must not overflow");
     assert!(!trace.events.is_empty(), "a traced run emits events");
     (report, trace.to_jsonl())
 }
@@ -173,9 +173,9 @@ fn same_seed_traces_are_byte_identical_across_runs_and_backends() {
     );
 }
 
-/// The off-thread collector merges per-source lanes in `(ts, source, seq)`
-/// order, so flipping the shard executor — serial closures on the caller
-/// thread vs fork/join worker threads — changes nothing in the export.
+/// The tracer sorts its store in `(ts, source, seq)` order, so flipping
+/// the shard executor — serial closures on the caller thread vs fork/join
+/// worker threads — changes nothing in the export.
 #[test]
 fn serial_and_parallel_executors_merge_identical_traces() {
     let _guard = trace_lock();
