@@ -56,7 +56,7 @@ use crate::market::{
     PaymentRow, SessionBlueprint, SessionReport,
 };
 use crate::scenario::FailurePlan;
-use crate::world::{Endpoint, ShardConfig, ShardSpec, World, WorldError};
+use crate::world::{Endpoint, PendingTx, ShardConfig, ShardSpec, World};
 use ofl_eth::block::Receipt;
 use ofl_eth::chain::LogFilter;
 use ofl_eth::tx::{sign_tx, TxRequest};
@@ -589,19 +589,6 @@ enum Wake {
     },
 }
 
-struct PendingTx {
-    /// Which shard the transaction was broadcast to.
-    endpoint: EndpointId,
-    hash: H256,
-    submitted_height: u64,
-    wake: Wake,
-    /// Set once the hash appears in a mined block — only then does the
-    /// per-slot receipt poll spend client RPC traffic on it. A mined
-    /// transaction whose poll misses (flaky drop, stale replica) stays
-    /// flagged and is re-polled next slot.
-    mined: bool,
-}
-
 /// Per-market run state.
 struct MarketRun {
     failures: FailurePlan,
@@ -637,7 +624,7 @@ struct Driver<'a> {
     sessions: &'a mut [MarketSession],
     arrivals: Arrivals,
     queue: EventQueue<Ev>,
-    pending: Vec<PendingTx>,
+    pending: Vec<PendingTx<Wake>>,
     scheduled_slots: BTreeSet<u64>,
     markets: Vec<MarketRun>,
     /// The engine's own watchers (one `newHeads` + all-logs + `pendingTxs`
@@ -1022,13 +1009,9 @@ impl<'a> Driver<'a> {
     /// Parks market `m`'s transaction broadcast at `t` until its receipt is
     /// polled, and makes sure the next slot mines.
     fn push_pending(&mut self, m: usize, hash: H256, height: u64, wake: Wake, t: SimInstant) {
-        self.pending.push(PendingTx {
-            endpoint: self.sessions[m].placement,
-            hash,
-            submitted_height: height,
-            wake,
-            mined: false,
-        });
+        let endpoint = self.sessions[m].placement;
+        self.pending
+            .push(PendingTx::new(endpoint, hash, height, wake));
         let slot = self.world.next_slot_secs(t);
         self.schedule_mine(slot);
     }
@@ -1044,43 +1027,10 @@ impl<'a> Driver<'a> {
         self.harvest_watched_events(slot_secs);
         let now = self.world.clock.now();
 
-        // Index the slot's blocks: a pending transaction becomes poll-worthy
-        // ("mined") only once its hash lands in a block on its shard. The
-        // per-slot client poll then covers mined-but-undelivered txs only —
-        // a tx waiting out mempool congestion on one shard stops costing a
-        // receipt poll on every other slot of the run.
-        let mined_this_slot: Vec<std::collections::BTreeSet<H256>> = blocks
-            .iter()
-            .map(|b| b.tx_hashes.iter().copied().collect())
-            .collect();
-        for p in &mut self.pending {
-            if !p.mined && mined_this_slot[p.endpoint.0].contains(&p.hash) {
-                p.mined = true;
-            }
-        }
-
-        // One receipt poll for every mined-but-undelivered tx — the pool
-        // fans the tagged batch out, one wire round trip per shard
-        // involved; every waiter wakes when its own shard's answer lands.
-        let items: Vec<(EndpointId, H256)> = self
-            .pending
-            .iter()
-            .filter(|p| p.mined)
-            .map(|p| (p.endpoint, p.hash))
-            .collect();
-        let (receipts, poll_costs) = self.world.poll_receipts_sharded(&items);
-
-        // Deliver receipts to whoever was waiting on this block. Polled and
-        // unpolled entries interleave in `pending`; the receipt list covers
-        // the polled (mined) ones in order.
-        let pending = std::mem::take(&mut self.pending);
-        let mut polled = receipts.into_iter();
-        for p in pending {
-            let receipt = if p.mined {
-                polled.next().expect("one poll answer per mined tx")
-            } else {
-                None
-            };
+        // Poll what the slot's blocks carried; every waiter wakes when its
+        // own shard's answer lands.
+        let (answers, poll_costs) = self.world.poll_mined(&blocks, &mut self.pending);
+        for (p, receipt) in answers {
             let Some(receipt) = receipt else {
                 self.pending.push(p);
                 continue;
@@ -1109,52 +1059,9 @@ impl<'a> Driver<'a> {
                 }
             }
         }
-
-        // Anything still unmined: detect evictions and enforce the
-        // configurable confirmation cap per shard (same budget as the
-        // serial `World::mine_until`: give up once `max_wait_slots` slots
-        // have been mined since submission, reporting the actual count).
-        let mut timed_out = Vec::new();
-        let mut slots_mined = 0u64;
-        let unmined: Vec<(EndpointId, H256, u64)> = self
-            .pending
-            .iter()
-            .map(|p| (p.endpoint, p.hash, p.submitted_height))
-            .collect();
-        // One height read per endpoint involved (on a remote shard each
-        // backstage op is a wire round trip), not one per transaction.
-        let mut heights: std::collections::BTreeMap<EndpointId, u64> =
-            std::collections::BTreeMap::new();
-        for (ep, hash, submitted_height) in unmined {
-            // Backstage check (not client traffic): a transaction neither
-            // mined nor pending was silently evicted, while a mined one a
-            // flaky or stale poll merely missed will be re-polled next slot.
-            if self.world.receipt_of(ep, &hash).is_some() {
-                continue; // mined; the client poll just missed it this slot
-            }
-            if !self.world.is_pending(ep, &hash) {
-                return Err(MarketError::World(WorldError::TxDropped(hash)));
-            }
-            let height = match heights.get(&ep) {
-                Some(height) => *height,
-                None => {
-                    let height = self.world.endpoint(ep).height();
-                    heights.insert(ep, height);
-                    height
-                }
-            };
-            let waited = height.saturating_sub(submitted_height);
-            if waited >= self.world.chain_config(ep).max_wait_slots {
-                timed_out.push(hash);
-                slots_mined = slots_mined.max(waited);
-            }
-        }
-        if !timed_out.is_empty() {
-            return Err(MarketError::World(WorldError::ConfirmationTimeout {
-                slots_mined,
-                pending: timed_out,
-            }));
-        }
+        // Anything still undelivered: evicted, timed out, or re-polled next
+        // slot.
+        self.world.check_unconfirmed(&self.pending)?;
 
         // Keep slots coming while work is queued on any shard — or while a
         // flaky poll left receipts undelivered (the next slot's poll
@@ -1358,6 +1265,22 @@ mod tests {
             },
             ..MarketConfig::small_test()
         }
+    }
+
+    /// Both drivers confirm through one slot poll: each of the small
+    /// market's nine transactions (deploy, four `uploadCid`, four
+    /// payments) has its receipt read once, serial or event-driven.
+    #[test]
+    fn serial_and_event_driven_runs_read_each_receipt_once() {
+        let config = MarketConfig::small_test();
+        let (_, serial) = Marketplace::run(config.clone()).expect("serial run");
+        let (_, event) = MultiMarket::new(vec![config])
+            .run(&EngineConfig::default(), &[])
+            .expect("event-driven run");
+        let receipt_reads = |rpc: &ProviderMetrics| rpc.method("eth_getTransactionReceipt").calls;
+        assert_eq!(receipt_reads(&serial.rpc), 9);
+        assert_eq!(receipt_reads(&event.rpc), 9);
+        assert_eq!(serial.rpc.round_trips, 31);
     }
 
     #[test]

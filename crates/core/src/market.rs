@@ -1135,16 +1135,15 @@ impl Marketplace {
             hashes.push(hash);
             paid.push((address, amount));
         }
-        self.world.mine_until(ep, &hashes)?;
-        let mut payments = Vec::with_capacity(hashes.len());
-        for ((address, amount), hash) in paid.iter().zip(&hashes) {
-            let receipt = self.world.receipt_of(ep, hash).expect("mined above");
-            payments.push(PaymentRow {
-                address: *address,
-                amount_wei: *amount,
+        let payments = paid
+            .into_iter()
+            .zip(self.world.confirm(ep, &hashes)?)
+            .map(|((address, amount_wei), receipt)| PaymentRow {
+                address,
+                amount_wei,
                 receipt,
-            });
-        }
+            })
+            .collect();
         self.session.buyer_recorder.add(
             buyer_phase::PAYMENT,
             self.world.clock.now().since(pay_start),

@@ -26,16 +26,21 @@
 //! slot boundary, which is where the paper's Fig 7 "blockchain
 //! interactions dominate" observation comes from.
 //!
-//! Two ways to drive it:
+//! Two ways to drive it, with one confirmation policy: after each mined
+//! slot, poll the receipts of the pending transactions that slot's blocks
+//! carried, and ask backstage about the rest (evicted, or waited out
+//! [`ChainConfig::max_wait_slots`]).
 //!
-//! - **Serial** ([`World::send_and_confirm`]): submit, then block (in
-//!   virtual time) until mined — one participant at a time.
-//! - **Event-driven** ([`Endpoint::submit_tx`] / [`World::await_receipt`] plus
-//!   the slot helpers): submission and confirmation are separate steps, so
-//!   the session engine in `ofl_core::engine` can let many owners' (and
-//!   many markets') transactions land in their shard's mempool together
-//!   and get mined into *shared* blocks at slot boundaries — or, with
-//!   markets placed on different shards, into different chains' blocks.
+//! - **Serial** ([`World::send_and_confirm`] / [`World::confirm`]): submit,
+//!   then block (in virtual time) slot by slot until confirmed — one
+//!   participant at a time.
+//! - **Event-driven** ([`Endpoint::submit_tx`] plus [`World::mine_slot`]):
+//!   submission and confirmation are separate steps, so the session engine
+//!   in `ofl_core::engine` can let many owners' (and many markets')
+//!   transactions land in their shard's mempool together and get mined
+//!   into *shared* blocks at slot boundaries — or, with markets placed on
+//!   different shards, into different chains' blocks. It runs the same
+//!   slot poll once per `Mine` event.
 
 use crate::config::MarketConfig;
 use ofl_eth::block::{Block, Receipt};
@@ -53,7 +58,7 @@ use ofl_rpc::{
     RemoteEndpoint, Retryable, RpcError, RpcMethod, RpcRequest, RpcResponse, RpcResult,
 };
 use ofl_rpc::{Notification, SubscriptionKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Errors surfaced by world operations.
 #[derive(Debug)]
@@ -469,14 +474,6 @@ impl World {
             .into_wei()
     }
 
-    /// Backstage balance read (invariant checks, not client traffic).
-    pub fn balance_of(&mut self, endpoint: EndpointId, address: &H160) -> U256 {
-        self.pool
-            .endpoint(endpoint)
-            .backstage(&BackstageOp::BalanceOf { address: *address })
-            .into_wei()
-    }
-
     /// Spawns one IPFS node per label into one shard's swarm, in label
     /// order, returning their indices — how a session's nodes come up on
     /// a shard wherever it runs, in one backstage round trip.
@@ -528,65 +525,8 @@ impl World {
     }
 
     // ------------------------------------------------------------------
-    // Non-blocking substrate steps (event-driven path).
+    // Slots.
     // ------------------------------------------------------------------
-
-    /// Polls receipts for `hashes` on one endpoint in one batched round
-    /// trip (N polls, one wire exchange). Timed-out entries come back
-    /// `None`, to be re-polled after the next slot. The caller charges the
-    /// cost.
-    pub fn poll_receipts(
-        &mut self,
-        endpoint: EndpointId,
-        hashes: &[H256],
-    ) -> Billed<Vec<Option<Receipt>>> {
-        if hashes.is_empty() {
-            return Billed::free(Vec::new());
-        }
-        let requests: Vec<RpcRequest> = hashes
-            .iter()
-            .enumerate()
-            .map(|(i, h)| RpcRequest::new(i as u64, RpcMethod::GetTransactionReceipt { hash: *h }))
-            .collect();
-        // Tag-match the reply array so each hash gets *its* receipt even
-        // from a reordering endpoint.
-        let responses = match_to_requests(&requests, self.pool.endpoint(endpoint).batch(&requests));
-        let cost = responses
-            .iter()
-            .fold(SimDuration::ZERO, |acc, r| acc.saturating_add(r.cost));
-        let value = responses.into_iter().map(receipt_of).collect();
-        Billed { value, cost }
-    }
-
-    /// Polls receipts for hashes spread across **several** shards in one
-    /// pass: the pool fans the tagged batch out, one wire round trip per
-    /// endpoint involved. Returns per-item receipts in input order plus
-    /// each endpoint's summed poll cost, indexed by `EndpointId.0` — the
-    /// engine charges each shard's waiters their own bill.
-    pub fn poll_receipts_sharded(
-        &mut self,
-        items: &[(EndpointId, H256)],
-    ) -> (Vec<Option<Receipt>>, Vec<SimDuration>) {
-        let mut costs = vec![SimDuration::ZERO; self.pool.len()];
-        if items.is_empty() {
-            return (Vec::new(), costs);
-        }
-        let requests: Vec<(EndpointId, RpcRequest)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, (ep, h))| {
-                (
-                    *ep,
-                    RpcRequest::new(i as u64, RpcMethod::GetTransactionReceipt { hash: *h }),
-                )
-            })
-            .collect();
-        let responses = self.pool.batch(&requests);
-        for ((ep, _), response) in items.iter().zip(&responses) {
-            costs[ep.0] = costs[ep.0].saturating_add(response.cost);
-        }
-        (responses.into_iter().map(receipt_of).collect(), costs)
-    }
 
     /// Advances the clock to the slot boundary at `slot_secs` and mines
     /// that slot's block on **every** shard (backstage: the networks
@@ -657,54 +597,166 @@ impl World {
     }
 
     // ------------------------------------------------------------------
-    // Serial path.
+    // Confirmation: one slot-poll policy, run by the event engine once per
+    // mined slot and by the serial driver through `confirm`.
     // ------------------------------------------------------------------
 
-    /// Blocks (in virtual time) until `hash` is mined on `endpoint`, then
-    /// charges one receipt poll and returns the receipt — the blocking half
-    /// of [`World::send_and_confirm`].
-    pub fn await_receipt(
+    /// Polls receipts for hashes spread across **several** shards in one
+    /// pass: the pool fans the tagged batch out, one wire round trip per
+    /// endpoint involved. Returns per-item receipts in input order plus
+    /// each endpoint's summed poll cost, indexed by `EndpointId.0`.
+    fn poll_receipts_sharded(
         &mut self,
-        endpoint: EndpointId,
-        hash: H256,
-    ) -> Result<Receipt, WorldError> {
-        self.mine_until(endpoint, &[hash])?;
-        let max_wait_slots = self.chain_config(endpoint).max_wait_slots;
-        let mut extra_slots = 0u64;
-        loop {
-            let (result, cost) = self
-                .endpoint(endpoint)
-                .eth_retry(|eth| eth.get_transaction_receipt(hash));
-            self.clock.advance(cost);
-            match result {
-                Ok(Some(receipt)) => return Ok(receipt),
-                Ok(None) => {
-                    // `None` from the client poll is ambiguous: a lagging
-                    // replica hides freshly-mined receipts exactly like a
-                    // dropped transaction. Backstage tells them apart.
-                    if self.receipt_of(endpoint, &hash).is_none() {
-                        return Err(WorldError::TxDropped(hash));
-                    }
-                    if extra_slots >= max_wait_slots {
-                        return Err(WorldError::ConfirmationTimeout {
-                            slots_mined: extra_slots,
-                            pending: vec![hash],
-                        });
-                    }
-                    // Mined but not yet visible to the replica: wait out a
-                    // slot (the replica's view advances with the head) and
-                    // re-poll, exactly as a production client would.
-                    let slot = self.next_slot_secs(self.clock.now());
-                    self.mine_slot(slot);
-                    extra_slots += 1;
-                }
-                Err(e) => return Err(WorldError::Rpc(e)),
+        items: &[(EndpointId, H256)],
+    ) -> (Vec<Option<Receipt>>, Vec<SimDuration>) {
+        let mut costs = vec![SimDuration::ZERO; self.pool.len()];
+        if items.is_empty() {
+            return (Vec::new(), costs);
+        }
+        let requests: Vec<(EndpointId, RpcRequest)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, (ep, h))| {
+                (
+                    *ep,
+                    RpcRequest::new(i as u64, RpcMethod::GetTransactionReceipt { hash: *h }),
+                )
+            })
+            .collect();
+        let responses = self.pool.batch(&requests);
+        for ((ep, _), response) in items.iter().zip(&responses) {
+            costs[ep.0] = costs[ep.0].saturating_add(response.cost);
+        }
+        (responses.into_iter().map(receipt_of).collect(), costs)
+    }
+
+    /// The slot poll, run once after each mined slot: marks every pending
+    /// transaction that the slot's `blocks` (one per endpoint, as
+    /// [`World::mine_slot`] returns them) carried, then polls the
+    /// mined-but-undelivered ones in one sharded pass, one wire round trip
+    /// per endpoint involved. A transaction still waiting out mempool
+    /// congestion costs no poll. Takes every pending transaction and hands
+    /// each back, in order, with its receipt or `None` (unmined, or the
+    /// poll missed it); the caller keeps the `None`s pending. Also returns
+    /// each endpoint's summed poll cost, indexed by `EndpointId.0`, for the
+    /// caller to charge.
+    pub(crate) fn poll_mined<W>(
+        &mut self,
+        blocks: &[Block],
+        pending: &mut Vec<PendingTx<W>>,
+    ) -> (
+        impl Iterator<Item = (PendingTx<W>, Option<Receipt>)>,
+        Vec<SimDuration>,
+    ) {
+        let carried: Vec<BTreeSet<H256>> = blocks
+            .iter()
+            .map(|b| b.tx_hashes.iter().copied().collect())
+            .collect();
+        for p in pending.iter_mut() {
+            p.mined |= carried[p.endpoint.0].contains(&p.hash);
+        }
+        let items: Vec<(EndpointId, H256)> = pending
+            .iter()
+            .filter(|p| p.mined)
+            .map(|p| (p.endpoint, p.hash))
+            .collect();
+        let (receipts, costs) = self.poll_receipts_sharded(&items);
+        // The answers cover the mined entries, in order.
+        let mut polled = receipts.into_iter();
+        let answers = std::mem::take(pending).into_iter().map(move |p| {
+            let receipt = if p.mined {
+                polled.next().expect("one poll answer per mined tx")
+            } else {
+                None
+            };
+            (p, receipt)
+        });
+        (answers, costs)
+    }
+
+    /// The backstage verdict on transactions the slot poll left pending.
+    /// One a flaky or stale poll merely missed has a receipt and is
+    /// re-polled next slot. One neither mined nor in its mempool was
+    /// evicted ([`WorldError::TxDropped`]). One still queued times out
+    /// ([`WorldError::ConfirmationTimeout`]) once its shard has mined
+    /// [`ChainConfig::max_wait_slots`] blocks since the broadcast. Each
+    /// endpoint's height is read once, not once per transaction: on a
+    /// remote shard every backstage op is a wire round trip.
+    pub(crate) fn check_unconfirmed<W>(
+        &mut self,
+        pending: &[PendingTx<W>],
+    ) -> Result<(), WorldError> {
+        let mut heights = BTreeMap::new();
+        let mut timed_out = Vec::new();
+        let mut slots_mined = 0u64;
+        for p in pending {
+            if self.receipt_of(p.endpoint, &p.hash).is_some() {
+                continue;
             }
+            if !self.is_pending(p.endpoint, &p.hash) {
+                return Err(WorldError::TxDropped(p.hash));
+            }
+            let height = *heights
+                .entry(p.endpoint)
+                .or_insert_with(|| self.endpoint(p.endpoint).height());
+            let waited = height.saturating_sub(p.submitted_height);
+            if waited >= self.chain_config(p.endpoint).max_wait_slots {
+                timed_out.push(p.hash);
+                slots_mined = slots_mined.max(waited);
+            }
+        }
+        if timed_out.is_empty() {
+            Ok(())
+        } else {
+            Err(WorldError::ConfirmationTimeout {
+                slots_mined,
+                pending: timed_out,
+            })
         }
     }
 
+    /// Blocks (in virtual time) until every hash, just broadcast to
+    /// `endpoint`, is confirmed, and returns the receipts in `hashes`
+    /// order. It runs the event engine's policy one slot at a time: mine
+    /// the next slot, poll the receipts of what it carried, charge the
+    /// poll, and ask backstage about the rest. An evicted transaction
+    /// fails with [`WorldError::TxDropped`]; one still queued after
+    /// [`ChainConfig::max_wait_slots`] blocks with
+    /// [`WorldError::ConfirmationTimeout`]. No hashes return at once, with
+    /// no slot mined and no request sent.
+    pub fn confirm(
+        &mut self,
+        endpoint: EndpointId,
+        hashes: &[H256],
+    ) -> Result<Vec<Receipt>, WorldError> {
+        if hashes.is_empty() {
+            return Ok(Vec::new());
+        }
+        let submitted_height = self.endpoint(endpoint).height();
+        let mut pending: Vec<PendingTx<usize>> = hashes
+            .iter()
+            .enumerate()
+            .map(|(k, &hash)| PendingTx::new(endpoint, hash, submitted_height, k))
+            .collect();
+        let mut receipts = vec![None; hashes.len()];
+        while !pending.is_empty() {
+            let slot = self.next_slot_secs(self.clock.now());
+            let blocks = self.mine_slot(slot);
+            let (answers, costs) = self.poll_mined(&blocks, &mut pending);
+            self.clock.advance(costs[endpoint.0]);
+            for (p, receipt) in answers {
+                match receipt {
+                    Some(receipt) => receipts[p.wake] = Some(receipt),
+                    None => pending.push(p),
+                }
+            }
+            self.check_unconfirmed(&pending)?;
+        }
+        Ok(receipts.into_iter().flatten().collect())
+    }
+
     /// Submits a transaction via a wallet and blocks (in virtual time) until
-    /// it is mined, driving 12-second slot production. Returns the receipt.
+    /// it is mined ([`World::confirm`]). Returns the receipt.
     pub fn send_and_confirm(
         &mut self,
         endpoint: EndpointId,
@@ -720,54 +772,7 @@ impl World {
             .endpoint(endpoint)
             .submit_tx(wallet, from, to, value, data)?;
         self.clock.advance(preflight);
-        self.await_receipt(endpoint, hash)
-    }
-
-    /// Advances slot by slot until every hash has a receipt on `endpoint`,
-    /// giving up with a typed [`WorldError::ConfirmationTimeout`] after
-    /// [`ChainConfig::max_wait_slots`] slots. Each wait polls the endpoint
-    /// once per slot (batched when several hashes are pending).
-    pub fn mine_until(&mut self, endpoint: EndpointId, hashes: &[H256]) -> Result<(), WorldError> {
-        let max_wait_slots = self.chain_config(endpoint).max_wait_slots;
-        let mut slots_mined = 0u64;
-        loop {
-            let Billed {
-                value: receipts,
-                cost,
-            } = self.poll_receipts(endpoint, hashes);
-            self.clock.advance(cost);
-            if receipts.iter().all(Option::is_some) {
-                return Ok(());
-            }
-            if slots_mined >= max_wait_slots {
-                break;
-            }
-            let slot = self.next_slot_secs(self.clock.now());
-            self.mine_slot(slot);
-            slots_mined += 1;
-        }
-        // A final backstage check: flaky or stale polls can miss receipts
-        // that are actually there.
-        let mut pending = Vec::new();
-        for hash in hashes {
-            if self.receipt_of(endpoint, hash).is_none() {
-                pending.push(*hash);
-            }
-        }
-        if pending.is_empty() {
-            return Ok(());
-        }
-        // Distinguish "still queued" from "silently evicted": a vanished
-        // transaction will never confirm no matter how long we wait.
-        for hash in &pending {
-            if !self.is_pending(endpoint, hash) {
-                return Err(WorldError::TxDropped(*hash));
-            }
-        }
-        Err(WorldError::ConfirmationTimeout {
-            slots_mined,
-            pending,
-        })
+        Ok(self.confirm(endpoint, &[hash])?.remove(0))
     }
 
     /// A free read (`eth_call`-style) through the endpoint, with the priced
@@ -784,6 +789,38 @@ impl World {
             .eth_retry(|eth| eth.call(from, to, data.clone()));
         self.clock.advance(cost);
         result.map_err(WorldError::Rpc)
+    }
+}
+
+/// A broadcast transaction waiting for its receipt under the slot poll
+/// ([`World::poll_mined`]), with whoever waits on it.
+pub(crate) struct PendingTx<W> {
+    /// Which shard the transaction was broadcast to.
+    pub(crate) endpoint: EndpointId,
+    hash: H256,
+    /// The shard's height right after the broadcast; the confirmation
+    /// timeout counts blocks from here.
+    submitted_height: u64,
+    /// Set once the hash appears in a mined block: only then does the
+    /// per-slot receipt poll spend client RPC traffic on it. A mined
+    /// transaction whose poll misses (flaky drop, stale replica) stays
+    /// flagged and is re-polled next slot.
+    mined: bool,
+    /// Who waits on the receipt; the world only hands it back.
+    pub(crate) wake: W,
+}
+
+impl<W> PendingTx<W> {
+    /// A transaction just broadcast to `endpoint` at shard height
+    /// `submitted_height`, not yet seen in a block.
+    pub(crate) fn new(endpoint: EndpointId, hash: H256, submitted_height: u64, wake: W) -> Self {
+        PendingTx {
+            endpoint,
+            hash,
+            submitted_height,
+            mined: false,
+            wake,
+        }
     }
 }
 
@@ -1136,7 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn mine_until_timeout_is_typed_and_configurable() {
+    fn confirm_timeout_is_typed_and_configurable() {
         let wallet = Wallet::from_seed("world-test-5", 1);
         let a = wallet.addresses()[0];
         let config = ChainConfig {
@@ -1160,7 +1197,7 @@ mod tests {
             .chain_mut(EP)
             .submit(sign_tx(req, &key).unwrap())
             .unwrap();
-        match world.mine_until(EP, &[hash]) {
+        match world.confirm(EP, &[hash]) {
             Err(WorldError::ConfirmationTimeout {
                 slots_mined,
                 pending,
@@ -1171,6 +1208,133 @@ mod tests {
             other => panic!("expected ConfirmationTimeout, got {other:?}"),
         }
         assert_eq!(world.chain(EP).height(), 3);
+    }
+
+    #[test]
+    fn confirm_reports_an_evicted_same_nonce_transfer_after_one_slot() {
+        let wallet = Wallet::from_seed("world-evict", 2);
+        let [a, b]: [H160; 2] = wallet.addresses().try_into().unwrap();
+        let mut world = World::new(
+            ChainConfig::default(),
+            &[(a, wei_per_eth())],
+            NetworkProfile::campus(),
+        );
+        // Both transfers read nonce 0 before either is mined; the first one
+        // mined takes it, and the builder evicts the second.
+        let (first, _) = world
+            .endpoint(EP)
+            .submit_tx(&wallet, &a, Some(b), U256::ONE, vec![])
+            .unwrap();
+        let (second, _) = world
+            .endpoint(EP)
+            .submit_tx(&wallet, &a, Some(b), U256::from(2u64), vec![])
+            .unwrap();
+        assert_ne!(first, second);
+        match world.confirm(EP, &[second]) {
+            Err(WorldError::TxDropped(hash)) => assert_eq!(hash, second),
+            other => panic!("expected TxDropped, got {other:?}"),
+        }
+        assert_eq!(
+            world.chain(EP).height(),
+            1,
+            "one slot tells evicted from slow"
+        );
+        assert!(world.chain(EP).receipt(&first).is_some());
+    }
+
+    /// A provider stack that counts the backstage ops passing through it.
+    struct CountBackstage {
+        inner: Box<dyn NodeProvider>,
+        ops: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl ofl_rpc::EthApi for CountBackstage {
+        fn execute(&mut self, request: &RpcRequest) -> RpcResponse {
+            self.inner.execute(request)
+        }
+        fn batch(&mut self, requests: &[RpcRequest]) -> Vec<RpcResponse> {
+            self.inner.batch(requests)
+        }
+    }
+
+    impl ofl_rpc::IpfsApi for CountBackstage {
+        fn add(&mut self, node: usize, data: &[u8]) -> Billed<AddResult> {
+            self.inner.add(node, data)
+        }
+        fn cat(
+            &mut self,
+            node: usize,
+            cid: &Cid,
+        ) -> Billed<Result<(Vec<u8>, FetchStats), ofl_ipfs::swarm::IpfsError>> {
+            self.inner.cat(node, cid)
+        }
+        fn pin(
+            &mut self,
+            node: usize,
+            cid: &Cid,
+        ) -> Billed<Result<(), ofl_ipfs::swarm::IpfsError>> {
+            self.inner.pin(node, cid)
+        }
+    }
+
+    impl NodeProvider for CountBackstage {
+        fn chain(&self) -> &Chain {
+            self.inner.chain()
+        }
+        fn chain_mut(&mut self) -> &mut Chain {
+            self.inner.chain_mut()
+        }
+        fn swarm(&self) -> &Swarm {
+            self.inner.swarm()
+        }
+        fn swarm_mut(&mut self) -> &mut Swarm {
+            self.inner.swarm_mut()
+        }
+        fn metrics(&self) -> Option<ProviderMetrics> {
+            self.inner.metrics()
+        }
+        fn on_slot(&mut self) {
+            self.inner.on_slot()
+        }
+        fn backstage(&mut self, op: &BackstageOp) -> ofl_rpc::BackstageReply {
+            self.ops.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.backstage(op)
+        }
+        fn subscribe(&mut self, kind: SubscriptionKind) -> u64 {
+            self.inner.subscribe(kind)
+        }
+        fn unsubscribe(&mut self, sub_id: u64) -> bool {
+            self.inner.unsubscribe(sub_id)
+        }
+        fn drain_notifications(&mut self) -> Vec<Notification> {
+            self.inner.drain_notifications()
+        }
+    }
+
+    #[test]
+    fn confirm_with_no_hashes_returns_at_once() {
+        use std::sync::atomic::Ordering;
+        let ops = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let profile = NetworkProfile::campus();
+        let stack = ShardSpec::new(ChainConfig::default(), Vec::new())
+            .into_endpoint(profile, DEFAULT_TX_WIRE_BYTES);
+        let mut world = World::from_endpoints(
+            vec![Box::new(CountBackstage {
+                inner: stack,
+                ops: ops.clone(),
+            })],
+            profile,
+        );
+        let ops_before = ops.load(Ordering::Relaxed);
+        assert!(
+            ops_before > 0,
+            "the counter sees the mount-time config read"
+        );
+        assert!(world.confirm(EP, &[]).unwrap().is_empty());
+        assert_eq!(world.clock.now(), SimInstant(0), "no slot mined");
+        assert_eq!(world.chain(EP).height(), 0);
+        assert_eq!(world.rpc_metrics(EP).round_trips, 0, "no request sent");
+        assert_eq!(ops.load(Ordering::Relaxed), ops_before, "no backstage read");
     }
 
     #[test]
@@ -1261,23 +1425,24 @@ mod tests {
                     .0
             })
             .collect();
-        world.mine_slot(12);
+        // `confirm` mines the 12 s slot, then polls all four receipts.
         let before = world.rpc_metrics(EP).round_trips;
-        let batched = world.poll_receipts(EP, &hashes);
-        assert!(batched.value.iter().all(Option::is_some));
+        let batched = world.confirm(EP, &hashes).unwrap();
+        let batched_cost = world.clock.now().since(SimInstant(12_000_000));
+        assert_eq!(batched.len(), 4);
         assert_eq!(world.rpc_metrics(EP).round_trips, before + 1);
 
         // The same receipts asked for one direct request at a time: four
         // round trips.
         let mut per_call_cost = SimDuration::ZERO;
-        for (hash, receipt) in hashes.iter().zip(&batched.value) {
+        for (hash, receipt) in hashes.iter().zip(&batched) {
             let billed = world.eth(EP).get_transaction_receipt(*hash);
             per_call_cost = per_call_cost.saturating_add(billed.cost);
-            assert_eq!(&billed.value.unwrap(), receipt);
+            assert_eq!(billed.value.unwrap().as_ref(), Some(receipt));
         }
         assert_eq!(world.rpc_metrics(EP).round_trips, before + 1 + 4);
         // The batched bill is far cheaper than four separate round trips.
-        assert!(batched.cost.as_secs_f64() * 2.0 < per_call_cost.as_secs_f64());
+        assert!(batched_cost.as_secs_f64() * 2.0 < per_call_cost.as_secs_f64());
     }
 
     #[test]
@@ -1369,15 +1534,15 @@ mod tests {
         let mut world = World::from_shards(
             vec![ShardSpec::Local(ShardConfig {
                 faults: EndpointFaults {
-                    rate_limit: Some(RateLimitProfile::new(7, 2)),
+                    rate_limit: Some(RateLimitProfile::new(7, 1)),
                     ..EndpointFaults::default()
                 },
                 ..ShardConfig::new(ChainConfig::default(), genesis)
             })],
             NetworkProfile::campus(),
         );
-        // The signing preflight + broadcast + polls blow a 2-request budget;
-        // back-off retries still land the transfer.
+        // The signing preflight and the broadcast blow a 1-request budget
+        // within one slot window; back-off retries still land the transfer.
         let receipt = world
             .send_and_confirm(EP, &wallet, &addrs[0], Some(addrs[1]), U256::ONE, vec![])
             .unwrap();

@@ -28,9 +28,10 @@ pub struct ChainConfig {
     pub initial_base_fee: U256,
     /// PoA block producer / fee recipient.
     pub coinbase: H160,
-    /// How many slots a confirmation wait may mine before giving up with a
-    /// typed timeout (the old behaviour hardcoded 64 deep inside
-    /// `World::mine_until`).
+    /// How many blocks a shard may mine after a transaction's broadcast
+    /// while it still waits in the mempool, before the confirmation wait
+    /// gives up with a typed timeout (`ofl_core`'s one confirm path, which
+    /// both the serial driver's `World::confirm` and the event engine run).
     pub max_wait_slots: u64,
 }
 

@@ -19,13 +19,6 @@ pub struct Account {
     pub storage: HashMap<H256, U256>,
 }
 
-impl Account {
-    /// True iff this account has contract code.
-    pub fn is_contract(&self) -> bool {
-        !self.code.is_empty()
-    }
-}
-
 /// Errors from balance mutations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateError {

@@ -93,11 +93,6 @@ impl Blockstore {
         self.pins.remove(cid)
     }
 
-    /// Whether a CID is directly pinned.
-    pub fn is_pinned(&self, cid: &Cid) -> bool {
-        self.pins.contains(cid)
-    }
-
     /// All pinned roots.
     pub fn pins(&self) -> impl Iterator<Item = &Cid> {
         self.pins.iter()

@@ -69,15 +69,6 @@ impl U256 {
         }
     }
 
-    /// Returns `Some(self as u128)` when the value fits.
-    pub fn to_u128(&self) -> Option<u128> {
-        if self.0[2] == 0 && self.0[3] == 0 {
-            Some(self.low_u128())
-        } else {
-            None
-        }
-    }
-
     /// Number of significant bits (0 for zero).
     pub fn bits(&self) -> u32 {
         for i in (0..4).rev() {

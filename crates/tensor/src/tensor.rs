@@ -37,16 +37,6 @@ impl Tensor {
         Tensor { data, rows, cols }
     }
 
-    /// A 1×n row vector.
-    pub fn row_vector(data: Vec<f32>) -> Tensor {
-        let cols = data.len();
-        Tensor {
-            data,
-            rows: 1,
-            cols,
-        }
-    }
-
     /// Gaussian-initialized tensor with the given standard deviation.
     pub fn randn(rows: usize, cols: usize, std: f32, rng: &mut impl Rng) -> Tensor {
         // Box–Muller from the uniform generator; avoids needing rand_distr.

@@ -242,11 +242,6 @@ pub fn set_category_mask(mask: u32) {
     CATEGORY_MASK.store(mask, Ordering::Relaxed);
 }
 
-/// Current category mask.
-pub fn category_mask() -> u32 {
-    CATEGORY_MASK.load(Ordering::Relaxed)
-}
-
 fn recorder_slot() -> std::sync::MutexGuard<'static, Option<Arc<dyn Recorder>>> {
     match RECORDER.lock() {
         Ok(g) => g,
