@@ -4,7 +4,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ofl_eth::chain::{Chain, ChainConfig};
-use ofl_eth::contracts::{cid_storage_init_code, cid_storage_runtime, CidStorage};
+use ofl_eth::contracts::{
+    cid_count_calldata, cid_storage_init_code, cid_storage_runtime, decode_cid_count,
+    decode_get_cid, get_cid_calldata, upload_cid_calldata,
+};
 use ofl_eth::secp256k1::{public_key, recover, sign, verify};
 use ofl_eth::tx::{sign_tx, SignedTx, TxRequest};
 use ofl_eth::wallet::Wallet;
@@ -49,7 +52,7 @@ fn bench_tx(c: &mut Criterion) {
         gas_limit: 100_000,
         to: Some(H160::from_slice(&[0x42; 20])),
         value: U256::from(1u64),
-        data: CidStorage::upload_cid_calldata("QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG"),
+        data: upload_cid_calldata("QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG"),
     };
     group.bench_function("sign_encode", |b| {
         b.iter(|| sign_tx(black_box(req.clone()), &key).unwrap().encode())
@@ -68,19 +71,19 @@ fn bench_tx(c: &mut Criterion) {
 
 /// Deploys `CidStorage` from `owner` and stores one CID in it, so `getCid`
 /// has work to do.
-fn deploy_cid_storage(chain: &mut Chain, wallet: &Wallet, owner: &H160) -> CidStorage {
+fn deploy_cid_storage(chain: &mut Chain, wallet: &Wallet, owner: &H160) -> H160 {
     let hash = wallet
         .send(chain, owner, None, U256::ZERO, cid_storage_init_code())
         .unwrap();
     chain.mine_block(12 * (chain.height() + 1));
-    let contract = CidStorage::at(chain.receipt(&hash).unwrap().contract_address.unwrap());
+    let contract = chain.receipt(&hash).unwrap().contract_address.unwrap();
     wallet
         .send(
             chain,
             owner,
-            Some(contract.address),
+            Some(contract),
             U256::ZERO,
-            CidStorage::upload_cid_calldata("QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG"),
+            upload_cid_calldata("QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG"),
         )
         .unwrap();
     chain.mine_block(12 * (chain.height() + 1));
@@ -95,19 +98,24 @@ fn deploy_cid_storage(chain: &mut Chain, wallet: &Wallet, owner: &H160) -> CidSt
 fn bench_evm(c: &mut Criterion) {
     let wallet = Wallet::from_seed("bench", 1);
     let owner = wallet.addresses()[0];
-    let upload = CidStorage::upload_cid_calldata("QmBenchmarkCidBenchmarkCidBenchmarkCidBench");
+    let upload = upload_cid_calldata("QmBenchmarkCidBenchmarkCidBenchmarkCidBench");
 
     let mut chain = Chain::new(ChainConfig::default(), &[(owner, wei_per_eth())]);
     let contract = deploy_cid_storage(&mut chain, &wallet, &owner);
     let mut group = c.benchmark_group("evm");
     group.bench_function("eth_call_getCid", |b| {
-        b.iter(|| contract.get_cid(black_box(&chain), &owner, 0).unwrap())
+        b.iter(|| {
+            decode_get_cid(&black_box(&chain).call(&owner, &contract, get_cid_calldata(0))).unwrap()
+        })
     });
     group.bench_function("eth_call_cidCount", |b| {
-        b.iter(|| contract.cid_count(black_box(&chain), &owner).unwrap())
+        b.iter(|| {
+            decode_cid_count(&black_box(&chain).call(&owner, &contract, cid_count_calldata()))
+                .unwrap()
+        })
     });
     group.bench_function("estimate_gas_uploadCid", |b| {
-        b.iter(|| chain.estimate_gas(&owner, Some(&contract.address), black_box(&upload)))
+        b.iter(|| chain.estimate_gas(&owner, Some(&contract), black_box(&upload)))
     });
     group.finish();
 
@@ -132,10 +140,12 @@ fn bench_evm(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("evm_shard_state");
     group.bench_function("eth_call_getCid", |b| {
-        b.iter(|| contract.get_cid(black_box(&shard), &owner, 0).unwrap())
+        b.iter(|| {
+            decode_get_cid(&black_box(&shard).call(&owner, &contract, get_cid_calldata(0))).unwrap()
+        })
     });
     group.bench_function("estimate_gas_uploadCid", |b| {
-        b.iter(|| shard.estimate_gas(&owner, Some(&contract.address), black_box(&upload)))
+        b.iter(|| shard.estimate_gas(&owner, Some(&contract), black_box(&upload)))
     });
     group.finish();
 }

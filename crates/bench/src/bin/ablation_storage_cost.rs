@@ -13,7 +13,7 @@
 
 use ofl_bench::{header, write_record};
 use ofl_eth::chain::{Chain, ChainConfig};
-use ofl_eth::contracts::{cid_storage_init_code, CidStorage};
+use ofl_eth::contracts::{cid_storage_init_code, upload_cid_calldata};
 use ofl_eth::wallet::Wallet;
 use ofl_primitives::u256::U256;
 use ofl_primitives::{format_eth, wei_per_eth};
@@ -76,7 +76,7 @@ fn main() {
                 &owner,
                 Some(contract),
                 U256::ZERO,
-                CidStorage::upload_cid_calldata(&blob),
+                upload_cid_calldata(&blob),
             )
             .expect("upload blob");
         *time += 12;

@@ -115,9 +115,8 @@ fn main() {
     // signs from — not a local chain read.
     let owner = market.owners[0].address;
     let contract = market.contract.expect("deployed").address;
-    let data = ofl_eth::contracts::CidStorage::upload_cid_calldata(
-        "QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG",
-    );
+    let data =
+        ofl_eth::contracts::upload_cid_calldata("QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG");
     let (env, _rpc_cost) = market
         .world
         .endpoint(EndpointId(0))

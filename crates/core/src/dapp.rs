@@ -151,9 +151,8 @@ impl OwnerApp {
 ///   typed binding's `LogFilter::in_blocks` range.
 ///
 /// In both modes repeated polls never rescan — and never re-yield — blocks
-/// already seen. Compare the whole-chain scan of
-/// [`Marketplace::buyer_watch_upload_events`], which rereads everything
-/// on every call.
+/// already seen: a fresh cursor's first poll reads from genesis, later
+/// polls read only what was mined since.
 pub struct CidWatcher {
     contract: ModelMarketContract,
     endpoint: EndpointId,
@@ -395,7 +394,7 @@ impl BuyerApp {
     /// last poll, never re-yielding one. If the stream degrades, the
     /// watcher falls back to cursor polling from the same block, so the
     /// sequence the buyer sees is identical either way. Production DApps
-    /// run this in a loop instead of whole-chain scans.
+    /// run this in a loop instead of rereading every CID on each click.
     pub fn watch_cids(&mut self, market: &mut Marketplace) -> Result<String, MarketError> {
         if self.watcher.is_none() {
             let contract = market

@@ -59,6 +59,7 @@ use crate::scenario::FailurePlan;
 use crate::world::{Endpoint, PendingTx, ShardConfig, ShardSpec, World};
 use ofl_eth::block::Receipt;
 use ofl_eth::chain::LogFilter;
+use ofl_eth::contracts::upload_cid_selector;
 use ofl_eth::tx::{sign_tx, TxRequest};
 use ofl_netsim::clock::{SimDuration, SimInstant};
 use ofl_netsim::link::Link;
@@ -1092,9 +1093,7 @@ impl<'a> Driver<'a> {
         // post-mine pump inside `mine_slot` continues from here, so watched
         // streams see the same deliveries whether or not anyone front-runs.
         self.world.pump_notifications();
-        let selector: [u8; 4] = ModelMarketContract::upload_cid_calldata("")[..4]
-            .try_into()
-            .expect("calldata starts with a 4-byte selector");
+        let selector = upload_cid_selector();
         for m in 0..self.markets.len() {
             let Some(sub) = self.markets[m].freeload_sub else {
                 continue;

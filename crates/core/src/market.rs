@@ -39,10 +39,9 @@ use ofl_fl::client::TrainedModel;
 use ofl_fl::pfnm::{self, PfnmConfig};
 use ofl_incentive::{allocate_payments, loo_coalitions, LooReport};
 use ofl_ipfs::cid::Cid;
-use ofl_netsim::clock::{SimClock, SimDuration, SimInstant};
+use ofl_netsim::clock::SimDuration;
 use ofl_netsim::link::Link;
 use ofl_netsim::par::fork_join_mut;
-use ofl_netsim::service::{Response, Service};
 use ofl_netsim::timing::{ComputeModel, PhaseRecorder};
 use ofl_primitives::hotpath::{HotPhase, PhaseTimer};
 use ofl_primitives::u256::U256;
@@ -434,41 +433,6 @@ impl SessionBlueprint {
             })
             .collect();
 
-        // The buyer's backend server (Flask role): /aggregate and /loo.
-        // Route processing times follow the finalize policy: PFNM+LOO is
-        // quadratic in owners, FedAvg+proportional stays linear so fleet
-        // cells price realistically at thousands of owners.
-        let mut backend = Service::new(format!("{label}buyer-backend"));
-        let agg_time = match config.finalize {
-            FinalizePolicy::PfnmLoo => aggregation_time(
-                &config.buyer_compute,
-                config.n_owners,
-                *config.train.dims.get(1).unwrap_or(&100),
-                config.n_test,
-            ),
-            FinalizePolicy::FedAvgProportional => fedavg_time(
-                &config.buyer_compute,
-                config.n_owners,
-                &config.train.dims,
-                config.n_test,
-            ),
-        };
-        backend.route("/aggregate", move |_req| {
-            Response::ok(b"aggregated".to_vec()).with_processing(agg_time)
-        });
-        let loo_time = match config.finalize {
-            FinalizePolicy::PfnmLoo => {
-                SimDuration::from_secs_f64(agg_time.as_secs_f64() * config.n_owners as f64)
-            }
-            // Splitting the budget by data weight is one linear pass.
-            FinalizePolicy::FedAvgProportional => {
-                SimDuration::from_secs_f64(0.01 + config.n_owners as f64 * 1e-6)
-            }
-        };
-        backend.route("/loo", move |_req| {
-            Response::ok(b"loo-scores".to_vec()).with_processing(loo_time)
-        });
-
         let n = config.n_owners;
         let placement = config.placement;
         MarketSession {
@@ -488,7 +452,6 @@ impl SessionBlueprint {
             deploy_receipt: None,
             owner_recorders: vec![PhaseRecorder::new(); n],
             buyer_recorder: PhaseRecorder::new(),
-            backend,
             adversary,
             retrieved: Vec::new(),
         }
@@ -523,8 +486,6 @@ pub struct MarketSession {
     pub owner_recorders: Vec<PhaseRecorder>,
     /// Buyer timing.
     pub buyer_recorder: PhaseRecorder,
-    /// The buyer's Flask-like backend service.
-    pub backend: Service,
     /// The funded non-participant adversary account (only when
     /// [`MarketConfig::fund_adversary`] asked for one) — the engine's
     /// mempool-watching front-runner signs with this key.
@@ -635,7 +596,7 @@ impl MarketSession {
             .contract
             .ok_or(MarketError::StepOrder("deploy before download"))?;
         let buyer = self.buyer.address;
-        let (cids, duration) = endpoint.eth_retry(|eth| contract.all_cids_batched(eth, &buyer));
+        let (cids, duration) = endpoint.eth_retry(|eth| contract.all_cids(eth, &buyer));
         Ok((cids?, duration))
     }
 
@@ -698,11 +659,6 @@ impl MarketSession {
             .iter()
             .map(|r| r.owner_index.map(|i| self.owners[i].address))
             .collect();
-        // The Flask call's network + processing time, measured on a scratch
-        // clock so the caller can charge it to any timeline.
-        let scratch = SimClock::new();
-        self.backend
-            .call(&scratch, lan, "/aggregate", b"models".to_vec());
         let full = match self.config.finalize {
             FinalizePolicy::PfnmLoo => aggregate_subset(
                 &models,
@@ -727,9 +683,11 @@ impl MarketSession {
         };
         let test = &self.buyer.test;
         let accuracy = full.model.accuracy(&test.images, &test.labels);
-        let duration = scratch
-            .now()
-            .since(SimInstant(0))
+        // The backend call: a 6-byte request, a 10-byte reply, and the
+        // route's processing time.
+        let duration = lan
+            .rpc_round_trip(6, 10)
+            .saturating_add(aggregate_route_time(&self.config))
             .saturating_add(self.config.buyer_compute.inference_time(test.len()));
         Ok((
             Aggregation {
@@ -752,8 +710,11 @@ impl MarketSession {
         agg: &Aggregation,
     ) -> (LooPayments, SimDuration) {
         let _t = PhaseTimer::start(HotPhase::Aggregate);
-        let scratch = SimClock::new();
-        self.backend.call(&scratch, lan, "/loo", b"loo".to_vec());
+        // The backend call: a 3-byte request, a 10-byte reply, and the
+        // route's processing time.
+        let duration = lan
+            .rpc_round_trip(3, 10)
+            .saturating_add(loo_route_time(&self.config));
         if self.config.finalize == FinalizePolicy::FedAvgProportional {
             // Linear-time pricing: each owner's contribution is the data
             // weight it brought; no leave-one-out coalitions are rerun.
@@ -766,7 +727,7 @@ impl MarketSession {
                     contributions,
                     amounts,
                 },
-                scratch.now().since(SimInstant(0)),
+                duration,
             );
         }
         // Each coalition is a pure function of (models, weights, subset,
@@ -790,7 +751,7 @@ impl MarketSession {
                 contributions: report.contributions,
                 amounts,
             },
-            scratch.now().since(SimInstant(0)),
+            duration,
         )
     }
 
@@ -1059,32 +1020,6 @@ impl Marketplace {
         Ok(cids)
     }
 
-    /// Event-driven alternative to Step 5: reads the `CidUploaded` log
-    /// stream (what a production DApp subscribes to) instead of polling
-    /// `cidCount`/`getCid`. Free, like all reads; the typed binding's
-    /// range query scans genesis through the current head in one
-    /// `eth_getLogs` round trip. (`ofl_core::dapp::CidWatcher` wraps the
-    /// same query in a resumable cursor for incremental watching.)
-    pub fn buyer_watch_upload_events(&mut self) -> Result<Vec<String>, MarketError> {
-        let ep = self.session.placement;
-        let contract = self
-            .session
-            .contract
-            .ok_or(MarketError::StepOrder("deploy before watching events"))?;
-        let (head, d_head) = self.world.endpoint(ep).eth_retry(|eth| eth.block_number());
-        self.world.clock.advance(d_head);
-        let head = head.map_err(WorldError::Rpc)?;
-        let (cids, duration) = self
-            .world
-            .endpoint(ep)
-            .eth_retry(|eth| contract.uploaded_cids_in(eth, 1, head));
-        self.world.clock.advance(duration);
-        self.session
-            .buyer_recorder
-            .add(buyer_phase::DOWNLOAD_CIDS, duration);
-        Ok(cids?)
-    }
-
     /// **Step 6** — the buyer retrieves every model from IPFS and verifies
     /// integrity (the CID *is* the hash).
     pub fn buyer_retrieve_models(&mut self, cids: &[String]) -> Result<usize, MarketError> {
@@ -1214,6 +1149,40 @@ fn aggregate_subset(
     }
     let mut rng = StdRng::seed_from_u64(seed ^ subset_tag);
     pfnm::aggregate(&sub_models, &sub_weights, config, &mut rng)
+}
+
+/// Processing time of the buyer backend's `/aggregate` route (the paper's
+/// Flask server). It follows the finalize policy: PFNM+LOO is quadratic in
+/// owners, FedAvg+proportional stays linear so fleet cells price
+/// realistically at thousands of owners.
+fn aggregate_route_time(config: &MarketConfig) -> SimDuration {
+    match config.finalize {
+        FinalizePolicy::PfnmLoo => aggregation_time(
+            &config.buyer_compute,
+            config.n_owners,
+            *config.train.dims.get(1).unwrap_or(&100),
+            config.n_test,
+        ),
+        FinalizePolicy::FedAvgProportional => fedavg_time(
+            &config.buyer_compute,
+            config.n_owners,
+            &config.train.dims,
+            config.n_test,
+        ),
+    }
+}
+
+/// Processing time of the buyer backend's `/loo` route.
+fn loo_route_time(config: &MarketConfig) -> SimDuration {
+    match config.finalize {
+        FinalizePolicy::PfnmLoo => SimDuration::from_secs_f64(
+            aggregate_route_time(config).as_secs_f64() * config.n_owners as f64,
+        ),
+        // Splitting the budget by data weight is one linear pass.
+        FinalizePolicy::FedAvgProportional => {
+            SimDuration::from_secs_f64(0.01 + config.n_owners as f64 * 1e-6)
+        }
+    }
 }
 
 /// Estimated backend time for one PFNM aggregation: Hungarian matching over
@@ -1383,7 +1352,9 @@ mod tests {
             market.owner_send_cid(i).unwrap();
         }
         let polled = market.buyer_download_cids().unwrap();
-        let watched = market.buyer_watch_upload_events().unwrap();
+        let contract = market.contract.unwrap();
+        let mut watcher = crate::dapp::CidWatcher::new(contract, market.session.placement);
+        let (watched, _) = watcher.poll(&mut market.world).unwrap();
         assert_eq!(polled, watched);
         assert_eq!(watched.len(), market.owners.len());
     }

@@ -36,22 +36,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Extracts a `string`, if that is the variant.
-    pub fn as_string(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Extracts an `address`, if that is the variant.
-    pub fn as_address(&self) -> Option<H160> {
-        match self {
-            Value::Address(a) => Some(*a),
-            _ => None,
-        }
-    }
 }
 
 /// ABI type descriptors used for decoding.
@@ -102,7 +86,7 @@ impl core::fmt::Display for AbiError {
 impl std::error::Error for AbiError {}
 
 /// Computes a 4-byte function selector from a canonical signature like
-/// `"uploadCid(string)"`.
+/// `"transfer(address,uint256)"`.
 pub fn selector(signature: &str) -> [u8; 4] {
     let digest = keccak256(signature.as_bytes());
     [digest[0], digest[1], digest[2], digest[3]]
@@ -268,7 +252,7 @@ mod tests {
         assert_eq!(U256::from_be_slice(&enc[32..64]), U256::from(96u64));
         let dec = decode(&[Type::Uint, Type::String, Type::Bool], &enc).unwrap();
         assert_eq!(dec[0].as_uint().unwrap(), U256::from(7u64));
-        assert_eq!(dec[1].as_string().unwrap(), "abc");
+        assert_eq!(dec[1], Value::String("abc".into()));
         assert_eq!(dec[2], Value::Bool(true));
     }
 
@@ -344,7 +328,7 @@ mod tests {
     fn empty_string_roundtrip() {
         let enc = encode(&[Value::String(String::new())]);
         let dec = decode(&[Type::String], &enc).unwrap();
-        assert_eq!(dec[0].as_string().unwrap(), "");
+        assert_eq!(dec[0], Value::String(String::new()));
     }
 
     #[test]
@@ -353,6 +337,6 @@ mod tests {
         let cid = "QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG";
         let enc = encode(&[Value::String(cid.into())]);
         let dec = decode(&[Type::String], &enc).unwrap();
-        assert_eq!(dec[0].as_string().unwrap(), cid);
+        assert_eq!(dec[0], Value::String(cid.into()));
     }
 }

@@ -24,21 +24,22 @@
 //! Strings use Solidity's storage encoding: values ≤ 31 bytes pack into the
 //! main slot with `2·len` in the low byte; longer values store `2·len + 1`
 //! in the main slot and the payload at `keccak256(main_slot)` onward.
+//!
+//! This module is the one place that knows the contract's ABI: the
+//! calldata builders, the `CidUploaded` topic, and the decoders of every
+//! return and of the event data. Clients send those bytes over whatever
+//! reaches the chain (`Chain::call` here, a provider in `ofl-rpc`).
 
-use crate::abi::{self, Type, Value};
+use crate::abi::{self, AbiError, Type, Value};
 use crate::asm::{assemble, deployment_code, Op};
-use crate::chain::{CallResult, Chain};
+use crate::chain::CallResult;
 use ofl_primitives::u256::U256;
-use ofl_primitives::{H160, H256};
+use ofl_primitives::H256;
 
-/// Canonical signature of the upload function.
-pub const UPLOAD_CID_SIG: &str = "uploadCid(string)";
-/// Canonical signature of the indexed read.
-pub const GET_CID_SIG: &str = "getCid(uint256)";
-/// Canonical signature of the counter read.
-pub const CID_COUNT_SIG: &str = "cidCount()";
-/// Canonical signature of the upload event.
-pub const CID_UPLOADED_EVENT: &str = "CidUploaded(string)";
+const UPLOAD_CID_SIG: &str = "uploadCid(string)";
+const GET_CID_SIG: &str = "getCid(uint256)";
+const CID_COUNT_SIG: &str = "cidCount()";
+const CID_UPLOADED_EVENT: &str = "CidUploaded(string)";
 
 /// Builds the CidStorage runtime bytecode.
 pub fn cid_storage_runtime() -> Vec<u8> {
@@ -371,83 +372,96 @@ pub fn cid_storage_init_code() -> Vec<u8> {
     deployment_code(&cid_storage_runtime())
 }
 
-/// Typed client for a deployed CidStorage contract: encodes calls, decodes
-/// results, and reads via free `eth_call`s.
-#[derive(Debug, Clone, Copy)]
-pub struct CidStorage {
-    /// Deployed contract address.
-    pub address: H160,
+/// Calldata for `cidCount()`.
+pub fn cid_count_calldata() -> Vec<u8> {
+    abi::encode_call(CID_COUNT_SIG, &[])
 }
 
-impl CidStorage {
-    /// Wraps an already-deployed address.
-    pub fn at(address: H160) -> CidStorage {
-        CidStorage { address }
-    }
-
-    /// Calldata for `uploadCid(cid)` — submitted as a transaction.
-    pub fn upload_cid_calldata(cid: &str) -> Vec<u8> {
-        abi::encode_call(UPLOAD_CID_SIG, &[Value::String(cid.to_string())])
-    }
-
-    /// Reads `cidCount()` (free).
-    pub fn cid_count(&self, chain: &Chain, from: &H160) -> Result<u64, ContractError> {
-        let result = chain.call(from, &self.address, abi::encode_call(CID_COUNT_SIG, &[]));
-        let values = decode_ok(&result, &[Type::Uint])?;
-        values[0]
-            .as_uint()
-            .and_then(|u| u.to_u64())
-            .ok_or(ContractError::BadReturnData)
-    }
-
-    /// Reads `getCid(index)` (free).
-    pub fn get_cid(&self, chain: &Chain, from: &H160, index: u64) -> Result<String, ContractError> {
-        let data = abi::encode_call(GET_CID_SIG, &[Value::Uint(U256::from(index))]);
-        let result = chain.call(from, &self.address, data);
-        let values = decode_ok(&result, &[Type::String])?;
-        values[0]
-            .as_string()
-            .map(str::to_string)
-            .ok_or(ContractError::BadReturnData)
-    }
-
-    /// Reads every stored CID (free), in upload order.
-    pub fn all_cids(&self, chain: &Chain, from: &H160) -> Result<Vec<String>, ContractError> {
-        let n = self.cid_count(chain, from)?;
-        (0..n).map(|i| self.get_cid(chain, from, i)).collect()
-    }
-
-    /// The topic hash a `CidUploaded` log carries.
-    pub fn uploaded_topic() -> H256 {
-        H256::from_bytes(abi::event_topic(CID_UPLOADED_EVENT))
-    }
+/// Calldata for `getCid(index)`.
+pub fn get_cid_calldata(index: u64) -> Vec<u8> {
+    abi::encode_call(GET_CID_SIG, &[Value::Uint(U256::from(index))])
 }
 
-/// Errors from contract interaction.
+/// Calldata for `uploadCid(cid)` — submitted as a transaction.
+pub fn upload_cid_calldata(cid: &str) -> Vec<u8> {
+    abi::encode_call(UPLOAD_CID_SIG, &[Value::String(cid.to_string())])
+}
+
+/// The 4-byte selector `uploadCid` calldata starts with.
+pub fn upload_cid_selector() -> [u8; 4] {
+    abi::selector(UPLOAD_CID_SIG)
+}
+
+/// The topic hash a `CidUploaded` log carries.
+pub fn cid_uploaded_topic() -> H256 {
+    H256::from_bytes(abi::event_topic(CID_UPLOADED_EVENT))
+}
+
+/// Decodes a `cidCount()` call's result.
+pub fn decode_cid_count(result: &CallResult) -> Result<u64, ContractError> {
+    returned(result, Type::Uint)?
+        .as_uint()
+        .and_then(|u| u.to_u64())
+        .ok_or(ContractError::TypeMismatch)
+}
+
+/// Decodes a `getCid(index)` call's result.
+pub fn decode_get_cid(result: &CallResult) -> Result<String, ContractError> {
+    string(returned(result, Type::String)?)
+}
+
+/// Decodes a `CidUploaded` log's (unindexed) data payload.
+pub fn decode_cid_uploaded(data: &[u8]) -> Result<String, ContractError> {
+    string(decode_one(Type::String, data)?)
+}
+
+/// Errors from reading the contract: a revert, or returndata that does not
+/// decode as the ABI promises.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContractError {
-    /// The call reverted.
-    Reverted,
-    /// Return data did not decode as expected.
-    BadReturnData,
+    /// The call executed and reverted; carries the revert payload.
+    Reverted(Vec<u8>),
+    /// Returndata failed ABI decoding (truncated, trailing garbage, …).
+    Decode(AbiError),
+    /// Returndata decoded, but not into the expected Rust type (a
+    /// `uint256` counter that does not fit `u64`), or a deployment receipt
+    /// without a contract address.
+    TypeMismatch,
 }
 
 impl core::fmt::Display for ContractError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            ContractError::Reverted => write!(f, "contract call reverted"),
-            ContractError::BadReturnData => write!(f, "contract returned malformed data"),
+            ContractError::Reverted(data) => write!(
+                f,
+                "contract call reverted ({} bytes of revert data)",
+                data.len()
+            ),
+            ContractError::Decode(e) => write!(f, "returndata decode: {e}"),
+            ContractError::TypeMismatch => write!(f, "returndata does not fit the bound type"),
         }
     }
 }
 
 impl std::error::Error for ContractError {}
 
-fn decode_ok(result: &CallResult, types: &[Type]) -> Result<Vec<Value>, ContractError> {
+fn returned(result: &CallResult, ty: Type) -> Result<Value, ContractError> {
     if !result.success {
-        return Err(ContractError::Reverted);
+        return Err(ContractError::Reverted(result.output.clone()));
     }
-    abi::decode(types, &result.output).map_err(|_| ContractError::BadReturnData)
+    decode_one(ty, &result.output)
+}
+
+fn decode_one(ty: Type, data: &[u8]) -> Result<Value, ContractError> {
+    let mut values = abi::decode(&[ty], data).map_err(ContractError::Decode)?;
+    Ok(values.remove(0))
+}
+
+fn string(value: Value) -> Result<String, ContractError> {
+    match value {
+        Value::String(s) => Ok(s),
+        _ => Err(ContractError::TypeMismatch),
+    }
 }
 
 #[cfg(test)]
@@ -456,11 +470,11 @@ mod tests {
     use crate::chain::{Chain, ChainConfig};
     use crate::secp256k1;
     use crate::tx::{sign_tx, TxRequest};
-    use ofl_primitives::wei_per_eth;
+    use ofl_primitives::{wei_per_eth, H160};
 
     struct Fixture {
         chain: Chain,
-        contract: CidStorage,
+        contract: H160,
         caller: H160,
         key: U256,
         time: u64,
@@ -491,7 +505,7 @@ mod tests {
             chain.mine_block(12);
             let receipt = chain.receipt(&hash).unwrap();
             assert!(receipt.is_success(), "deploy failed: {:?}", receipt.status);
-            let contract = CidStorage::at(receipt.contract_address.unwrap());
+            let contract = receipt.contract_address.unwrap();
             Fixture {
                 chain,
                 contract,
@@ -508,25 +522,116 @@ mod tests {
                 max_priority_fee_per_gas: U256::from(1_500_000_000u64),
                 max_fee_per_gas: U256::from(40_000_000_000u64),
                 gas_limit: 300_000,
-                to: Some(self.contract.address),
+                to: Some(self.contract),
                 value: U256::ZERO,
-                data: CidStorage::upload_cid_calldata(cid),
+                data: upload_cid_calldata(cid),
             };
             let hash = self.chain.submit(sign_tx(req, &self.key).unwrap()).unwrap();
             self.time += 12;
             self.chain.mine_block(self.time);
             self.chain.receipt(&hash).unwrap().clone()
         }
+
+        fn read(&self, data: Vec<u8>) -> CallResult {
+            self.chain.call(&self.caller, &self.contract, data)
+        }
+
+        fn cid_count(&self) -> Result<u64, ContractError> {
+            decode_cid_count(&self.read(cid_count_calldata()))
+        }
+
+        fn get_cid(&self, index: u64) -> Result<String, ContractError> {
+            decode_get_cid(&self.read(get_cid_calldata(index)))
+        }
+
+        fn all_cids(&self) -> Result<Vec<String>, ContractError> {
+            (0..self.cid_count()?).map(|i| self.get_cid(i)).collect()
+        }
+    }
+
+    #[test]
+    fn abi_bytes_are_pinned() {
+        let hex = |bytes: &[u8]| ofl_primitives::hex::to_hex(bytes);
+        assert_eq!(hex(&cid_count_calldata()), "1dccdb8e");
+        assert_eq!(
+            hex(&get_cid_calldata(3)),
+            "3beaa6ab0000000000000000000000000000000000000000000000000000000000000003"
+        );
+        assert_eq!(
+            hex(&upload_cid_calldata(
+                "QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG"
+            )),
+            "af8a99ab\
+             0000000000000000000000000000000000000000000000000000000000000020\
+             000000000000000000000000000000000000000000000000000000000000002e\
+             516d597741504a7a7635435a736e4136323573335866326e656d7459675070\
+             486457457a37396f6a576e50626447000000000000000000000000000000000000"
+        );
+        assert_eq!(upload_cid_selector(), [0xaf, 0x8a, 0x99, 0xab]);
+        assert_eq!(
+            hex(cid_uploaded_topic().as_bytes()),
+            "1eab3fda3e34383fd3de56a7b3d1282cc77364c30f38cb63b9117ea3eaed58bb"
+        );
+    }
+
+    #[test]
+    fn corrupt_returndata_is_a_decode_error_not_a_truncation() {
+        // Returndata with trailing garbage must surface
+        // AbiError::TrailingData, not decode the prefix.
+        let mut output = abi::encode(&[Value::Uint(U256::from(3u64))]);
+        output.push(0xAA);
+        let corrupt = CallResult {
+            success: true,
+            output,
+            gas_used: 0,
+        };
+        assert_eq!(
+            decode_cid_count(&corrupt),
+            Err(ContractError::Decode(AbiError::TrailingData))
+        );
+    }
+
+    #[test]
+    fn type_mismatch_is_surfaced() {
+        // A uint256 that cannot fit u64.
+        let result = CallResult {
+            success: true,
+            output: abi::encode(&[Value::Uint(U256::MAX)]),
+            gas_used: 0,
+        };
+        assert_eq!(decode_cid_count(&result), Err(ContractError::TypeMismatch));
+    }
+
+    #[test]
+    fn chain_read_of_trailing_garbage_is_a_decode_error() {
+        // A contract whose `cidCount()` answers one word plus one stray
+        // byte: the eth-level read surfaces the ABI error itself.
+        let mut f = Fixture::new();
+        let runtime = assemble(&[
+            Op::Push(U256::from(3u64)),
+            Op::Push(U256::ZERO),
+            Op::MStore,
+            Op::Push(U256::from(0x21u64)),
+            Op::Push(U256::ZERO),
+            Op::Return,
+        ])
+        .unwrap();
+        let garbage = H160::from_slice(&[0x77; 20]);
+        f.chain.state_mut().account_mut(&garbage).code = runtime;
+        let result = f.chain.call(&f.caller, &garbage, cid_count_calldata());
+        assert!(result.success);
+        assert_eq!(result.output.len(), 33);
+        assert_eq!(
+            decode_cid_count(&result),
+            Err(ContractError::Decode(AbiError::TrailingData))
+        );
     }
 
     #[test]
     fn starts_empty() {
         let f = Fixture::new();
-        assert_eq!(f.contract.cid_count(&f.chain, &f.caller).unwrap(), 0);
-        assert_eq!(
-            f.contract.get_cid(&f.chain, &f.caller, 0),
-            Err(ContractError::Reverted)
-        );
+        assert_eq!(f.cid_count().unwrap(), 0);
+        assert_eq!(f.get_cid(0), Err(ContractError::Reverted(Vec::new())));
     }
 
     #[test]
@@ -536,8 +641,8 @@ mod tests {
         let cid = "QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG";
         let receipt = f.upload(cid);
         assert!(receipt.is_success());
-        assert_eq!(f.contract.cid_count(&f.chain, &f.caller).unwrap(), 1);
-        assert_eq!(f.contract.get_cid(&f.chain, &f.caller, 0).unwrap(), cid);
+        assert_eq!(f.cid_count().unwrap(), 1);
+        assert_eq!(f.get_cid(0).unwrap(), cid);
     }
 
     #[test]
@@ -547,7 +652,7 @@ mod tests {
         let cid = "short-cid-123";
         let receipt = f.upload(cid);
         assert!(receipt.is_success());
-        assert_eq!(f.contract.get_cid(&f.chain, &f.caller, 0).unwrap(), cid);
+        assert_eq!(f.get_cid(0).unwrap(), cid);
     }
 
     #[test]
@@ -555,7 +660,7 @@ mod tests {
         let mut f = Fixture::new();
         let cid = "ab".repeat(16); // 32 bytes
         f.upload(&cid);
-        assert_eq!(f.contract.get_cid(&f.chain, &f.caller, 0).unwrap(), cid);
+        assert_eq!(f.get_cid(0).unwrap(), cid);
     }
 
     #[test]
@@ -567,8 +672,8 @@ mod tests {
         for c in &cids {
             assert!(f.upload(c).is_success());
         }
-        assert_eq!(f.contract.cid_count(&f.chain, &f.caller).unwrap(), 10);
-        let all = f.contract.all_cids(&f.chain, &f.caller).unwrap();
+        assert_eq!(f.cid_count().unwrap(), 10);
+        let all = f.all_cids().unwrap();
         assert_eq!(all, cids);
     }
 
@@ -579,11 +684,10 @@ mod tests {
         let receipt = f.upload(cid);
         assert_eq!(receipt.logs.len(), 1);
         let log = &receipt.logs[0];
-        assert_eq!(log.address, f.contract.address);
-        assert_eq!(log.topics, vec![CidStorage::uploaded_topic()]);
+        assert_eq!(log.address, f.contract);
+        assert_eq!(log.topics, vec![cid_uploaded_topic()]);
         // Data is the ABI-encoded string.
-        let decoded = abi::decode(&[Type::String], &log.data).unwrap();
-        assert_eq!(decoded[0].as_string().unwrap(), cid);
+        assert_eq!(decode_cid_uploaded(&log.data).unwrap(), cid);
     }
 
     #[test]
@@ -593,7 +697,7 @@ mod tests {
         let height = f.chain.height();
         let balance = f.chain.balance(&f.caller);
         for _ in 0..5 {
-            f.contract.all_cids(&f.chain, &f.caller).unwrap();
+            f.all_cids().unwrap();
         }
         assert_eq!(f.chain.height(), height);
         assert_eq!(f.chain.balance(&f.caller), balance);
@@ -608,23 +712,21 @@ mod tests {
             max_priority_fee_per_gas: U256::from(1_500_000_000u64),
             max_fee_per_gas: U256::from(40_000_000_000u64),
             gas_limit: 300_000,
-            to: Some(f.contract.address),
+            to: Some(f.contract),
             value: U256::ONE,
-            data: CidStorage::upload_cid_calldata("QmX"),
+            data: upload_cid_calldata("QmX"),
         };
         let hash = f.chain.submit(sign_tx(req, &f.key).unwrap()).unwrap();
         f.chain.mine_block(100);
         let receipt = f.chain.receipt(&hash).unwrap();
         assert_eq!(receipt.status, crate::block::TxStatus::Reverted);
-        assert_eq!(f.contract.cid_count(&f.chain, &f.caller).unwrap(), 0);
+        assert_eq!(f.cid_count().unwrap(), 0);
     }
 
     #[test]
     fn unknown_selector_reverts() {
         let f = Fixture::new();
-        let result = f
-            .chain
-            .call(&f.caller, &f.contract.address, vec![0xde, 0xad, 0xbe, 0xef]);
+        let result = f.read(vec![0xde, 0xad, 0xbe, 0xef]);
         assert!(!result.success);
     }
 
@@ -643,13 +745,12 @@ mod tests {
         // Filter by contract + event topic over the whole chain.
         let logs = f.chain.get_logs(
             &LogFilter::all()
-                .at_address(f.contract.address)
-                .with_topic(CidStorage::uploaded_topic()),
+                .at_address(f.contract)
+                .with_topic(cid_uploaded_topic()),
         );
         assert_eq!(logs.len(), 3);
         for (log, expected) in logs.iter().zip(cids) {
-            let decoded = abi::decode(&[Type::String], &log.log.data).unwrap();
-            assert_eq!(decoded[0].as_string().unwrap(), expected);
+            assert_eq!(decode_cid_uploaded(&log.log.data).unwrap(), expected);
         }
         // Block numbers are increasing (one upload per block).
         assert!(logs
@@ -658,7 +759,7 @@ mod tests {
         // A topic that never fired matches nothing (bloom short-circuits).
         let none = f.chain.get_logs(
             &LogFilter::all()
-                .at_address(f.contract.address)
+                .at_address(f.contract)
                 .with_topic(H256::from_bytes(abi::event_topic("Nope()"))),
         );
         assert!(none.is_empty());
@@ -668,14 +769,14 @@ mod tests {
         let only_first = f.chain.get_logs(
             &LogFilter::all()
                 .in_blocks(first_block, first_block)
-                .at_address(f.contract.address),
+                .at_address(f.contract),
         );
         assert_eq!(only_first.len(), 1);
         // A later window excludes the first upload.
         let rest = f.chain.get_logs(
             &LogFilter::all()
                 .in_blocks(first_block + 1, f.chain.height())
-                .at_address(f.contract.address),
+                .at_address(f.contract),
         );
         assert_eq!(rest.len(), 2);
     }
@@ -687,18 +788,15 @@ mod tests {
         let cid = "QmYwAPJzv5CZsnA625s3Xf2nemtYgPpHdWEz79ojWnPbdG"; // 46 bytes
         f.upload(cid);
         // slot 0 = cidCount = 1
-        assert_eq!(f.chain.storage(&f.contract.address, &H256::ZERO), U256::ONE);
+        assert_eq!(f.chain.storage(&f.contract, &H256::ZERO), U256::ONE);
         // main slot = keccak(uint256(0) ‖ uint256(1)) holds 2·46+1 = 93
         let mut preimage = [0u8; 64];
         preimage[63] = 1;
         let main_slot = H256::from_bytes(keccak256(&preimage));
-        assert_eq!(
-            f.chain.storage(&f.contract.address, &main_slot),
-            U256::from(93u64)
-        );
+        assert_eq!(f.chain.storage(&f.contract, &main_slot), U256::from(93u64));
         // data at keccak(main_slot): first 32 bytes of the cid.
         let data_slot = H256::from_bytes(keccak256(main_slot.as_bytes()));
-        let word = f.chain.storage(&f.contract.address, &data_slot);
+        let word = f.chain.storage(&f.contract, &data_slot);
         assert_eq!(&word.to_be_bytes()[..], cid.as_bytes()[..32].as_ref());
     }
 

@@ -11,8 +11,8 @@
 //! - [`evm`]: a metered EVM interpreter (arithmetic, control flow, memory,
 //!   storage with warm/cold pricing, logs).
 //! - [`asm`]: an EVM assembler with labels, used to author contracts.
-//! - [`contracts`]: the `CidStorage` contract from the paper's Fig 2, plus a
-//!   typed Rust client.
+//! - [`contracts`]: the `CidStorage` contract from the paper's Fig 2 and
+//!   its ABI: calldata builders, the event topic, and returndata decoders.
 //! - [`state`]: the account/world state, which the EVM only reads.
 //! - [`block`] / [`chain`]: receipts, bloom filters, the mempool, PoA block
 //!   production on 12-second slots, and EIP-1559 base-fee dynamics.
@@ -23,7 +23,10 @@
 //!
 //! ```
 //! use ofl_eth::chain::{Chain, ChainConfig};
-//! use ofl_eth::contracts::{cid_storage_init_code, CidStorage};
+//! use ofl_eth::contracts::{
+//!     cid_count_calldata, cid_storage_init_code, decode_cid_count, decode_get_cid,
+//!     get_cid_calldata, upload_cid_calldata,
+//! };
 //! use ofl_eth::wallet::Wallet;
 //! use ofl_primitives::u256::U256;
 //! use ofl_primitives::wei_per_eth;
@@ -37,18 +40,21 @@
 //!     .send(&mut chain, &owner, None, U256::ZERO, cid_storage_init_code())
 //!     .unwrap();
 //! chain.mine_block(12);
-//! let contract = CidStorage::at(chain.receipt(&hash).unwrap().contract_address.unwrap());
+//! let contract = chain.receipt(&hash).unwrap().contract_address.unwrap();
 //! wallet
 //!     .send(
 //!         &mut chain,
 //!         &owner,
-//!         Some(contract.address),
+//!         Some(contract),
 //!         U256::ZERO,
-//!         CidStorage::upload_cid_calldata("QmExample"),
+//!         upload_cid_calldata("QmExample"),
 //!     )
 //!     .unwrap();
 //! chain.mine_block(24);
-//! assert_eq!(contract.all_cids(&chain, &owner).unwrap(), vec!["QmExample"]);
+//! let count = chain.call(&owner, &contract, cid_count_calldata());
+//! assert_eq!(decode_cid_count(&count), Ok(1));
+//! let cid = chain.call(&owner, &contract, get_cid_calldata(0));
+//! assert_eq!(decode_get_cid(&cid).unwrap(), "QmExample");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,5 +72,4 @@ pub mod tx;
 pub mod wallet;
 
 pub use chain::{Chain, ChainConfig};
-pub use contracts::CidStorage;
 pub use wallet::{TxEnv, Wallet};

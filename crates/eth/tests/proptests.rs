@@ -322,7 +322,7 @@ mod state_equivalence {
     use super::*;
     use ofl_eth::block::TxStatus;
     use ofl_eth::chain::{Chain, ChainConfig};
-    use ofl_eth::contracts::{cid_storage_runtime, CidStorage};
+    use ofl_eth::contracts::{cid_storage_runtime, upload_cid_calldata};
     use ofl_eth::state::State;
     use ofl_primitives::H256;
 
@@ -413,7 +413,7 @@ mod state_equivalence {
                     Kind::OversizedCreate => (None, OVERSIZED.to_vec(), value, TxStatus::Failed),
                     Kind::Upload => {
                         let cid = format!("Qm{}", "x".repeat((value % 60) as usize));
-                        let data = CidStorage::upload_cid_calldata(&cid);
+                        let data = upload_cid_calldata(&cid);
                         (Some(cid_storage), data, 0, TxStatus::Success)
                     }
                 };

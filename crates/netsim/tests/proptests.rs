@@ -1,11 +1,10 @@
 //! Property-based tests for the virtual-time substrate: the clock only
 //! moves forward, link timing is ordered the way physics says it must be,
-//! services respond deterministically, and phase accounting balances.
+//! and phase accounting balances.
 
 use ofl_netsim::clock::{SimClock, SimDuration, SimInstant};
 use ofl_netsim::link::{Link, NetworkProfile};
 use ofl_netsim::sched::EventQueue;
-use ofl_netsim::service::{Response, Service};
 use ofl_netsim::timing::{ComputeModel, PhaseRecorder};
 use proptest::prelude::*;
 
@@ -110,51 +109,6 @@ proptest! {
         let campus = NetworkProfile::campus();
         let wan = NetworkProfile::wan();
         prop_assert!(campus.lan.transfer_time(bytes) <= wan.lan.transfer_time(bytes));
-    }
-
-    #[test]
-    fn service_responses_and_timing_are_deterministic(
-        payload in proptest::collection::vec(any::<u8>(), 0..2048),
-        processing_us in 0u64..5_000_000,
-        latency_us in 1u64..100_000,
-    ) {
-        let run = || {
-            let clock = SimClock::new();
-            let link = Link::new(SimDuration::from_micros(latency_us), 1e6);
-            let mut service = Service::new("backend");
-            let processing = SimDuration::from_micros(processing_us);
-            service.route("/echo", move |req| {
-                Response::ok(req.body.clone()).with_processing(processing)
-            });
-            let response = service.call(&clock, &link, "/echo", payload.clone());
-            (response.status, response.body, clock.now(), service.access_log().len())
-        };
-        let (status_a, body_a, t_a, log_a) = run();
-        let (status_b, body_b, t_b, log_b) = run();
-        prop_assert_eq!(status_a, 200u16);
-        prop_assert_eq!(&body_a, &payload);
-        prop_assert_eq!(status_a, status_b);
-        prop_assert_eq!(body_a, body_b);
-        prop_assert_eq!(t_a, t_b);
-        prop_assert_eq!(log_a, log_b);
-        // Two link traversals plus processing are all charged.
-        prop_assert!(
-            t_a >= SimInstant(2 * latency_us + processing_us),
-            "call under-charged the clock"
-        );
-    }
-
-    #[test]
-    fn unknown_routes_404_without_processing_charge(
-        path in "/[a-z]{1,12}",
-        latency_us in 1u64..10_000,
-    ) {
-        let clock = SimClock::new();
-        let link = Link::new(SimDuration::from_micros(latency_us), 1e9);
-        let mut service = Service::new("empty");
-        let response = service.call(&clock, &link, &path, vec![]);
-        prop_assert_eq!(response.status, 404u16);
-        prop_assert_eq!(service.access_log().len(), 1);
     }
 
     #[test]

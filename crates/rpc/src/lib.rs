@@ -28,9 +28,9 @@
 //!   [`StaleRead`] serves lagging-replica reads, [`SubLag`] delays push
 //!   deliveries, and [`Meter`] counts per-method calls and virtual-time
 //!   totals.
-//! - [`bindings`]: the [`contract_bindings!`] macro and the generated
-//!   [`ModelMarketContract`] handle — typed contract calls with typed
-//!   decode errors, no raw selector strings.
+//! - [`bindings`]: [`ModelMarketContract`], the one client of the paper's
+//!   `CidStorage` contract — it sends the ABI bytes `ofl_eth::contracts`
+//!   builds through any [`EthApi`] and returns typed errors.
 //! - [`backstage`]: the simulator's side channel (mining, invariant reads,
 //!   failure injection) as wire-able [`BackstageOp`] values instead of
 //!   reference accessors.
@@ -71,7 +71,7 @@ pub mod sub;
 pub mod transport;
 
 pub use backstage::{BackstageOp, BackstageReply};
-pub use bindings::{AbiArg, AbiRet, BindingError, ModelMarketContract};
+pub use bindings::{BindingError, ModelMarketContract};
 pub use codec::CodecError;
 pub use decorators::{
     FaultProfile, Flaky, Latency, Layer, Layered, Meter, MethodStats, ProviderMetrics, RateLimit,

@@ -8,7 +8,10 @@
 //! Run with: `cargo run --release --example gas_audit`
 
 use ofl_w3::eth::chain::{Chain, ChainConfig};
-use ofl_w3::eth::contracts::{cid_storage_init_code, CidStorage};
+use ofl_w3::eth::contracts::{
+    cid_count_calldata, cid_storage_init_code, decode_cid_count, decode_get_cid, get_cid_calldata,
+    upload_cid_calldata,
+};
 use ofl_w3::eth::wallet::Wallet;
 use ofl_w3::primitives::u256::U256;
 use ofl_w3::primitives::{format_eth, wei_per_eth};
@@ -44,10 +47,10 @@ fn main() {
         .expect("deploy accepted");
     chain.mine_block(12);
     let receipt = chain.receipt(&hash).expect("mined").clone();
-    let contract = CidStorage::at(receipt.contract_address.expect("created"));
+    let contract = receipt.contract_address.expect("created");
     println!(
         "deployed at {} | gas {} | fee {} ETH | base fee now {} gwei",
-        contract.address.to_checksum(),
+        contract.to_checksum(),
         receipt.gas_used,
         format_eth(&receipt.fee, 8),
         chain.base_fee().div_rem(&U256::from(1_000_000_000u64)).0
@@ -62,11 +65,11 @@ fn main() {
         ),
         (bob, "bob", "QmBobModelV1BobModelV1BobModelV1BobModelV1B"),
     ] {
-        let data = CidStorage::upload_cid_calldata(cid);
-        let summary = wallet.summarize(&chain, &who, Some(&contract.address), &U256::ZERO, &data);
+        let data = upload_cid_calldata(cid);
+        let summary = wallet.summarize(&chain, &who, Some(&contract), &U256::ZERO, &data);
         println!("\n[{name}] MetaMask says:\n{}", summary.display());
         let h = wallet
-            .send(&mut chain, &who, Some(contract.address), U256::ZERO, data)
+            .send(&mut chain, &who, Some(contract), U256::ZERO, data)
             .expect("upload accepted");
         chain.mine_block(24);
         let r = chain.receipt(&h).expect("mined");
@@ -80,12 +83,13 @@ fn main() {
     }
 
     println!("\n=== free reads ===");
-    let count = contract.cid_count(&chain, &deployer).expect("reads");
+    let count =
+        decode_cid_count(&chain.call(&deployer, &contract, cid_count_calldata())).expect("reads");
     println!("cidCount() = {count} (no gas charged, no block mined)");
     for i in 0..count {
         println!(
             "getCid({i}) = {}",
-            contract.get_cid(&chain, &deployer, i).expect("reads")
+            decode_get_cid(&chain.call(&deployer, &contract, get_cid_calldata(i))).expect("reads")
         );
     }
 

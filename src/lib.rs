@@ -10,9 +10,9 @@
 //! - [`ofl_data`] — synthetic MNIST and non-IID partitioners
 //! - [`ofl_fl`] — one-shot FL algorithms (PFNM, ensemble, averaging) and FedAvg
 //! - [`ofl_incentive`] — Leave-one-out / Shapley payment mechanisms
-//! - [`ofl_netsim`] — simulated clock, links, and Flask-like services
+//! - [`ofl_netsim`] — simulated clock, links, and event scheduling
 //! - [`ofl_rpc`] — the node-API boundary: provider traits, typed RPC
-//!   envelopes with batching, contract bindings, provider decorators, and
+//!   envelopes with batching, the contract client, provider decorators, and
 //!   the frame protocol + socket client for out-of-process backends
 //! - [`ofl_rpcd`] — the node daemon serving that protocol over TCP/Unix
 //!   sockets (plus the in-memory pipe transport tests mount)

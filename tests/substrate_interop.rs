@@ -3,7 +3,10 @@
 
 use ofl_w3::data::mnist;
 use ofl_w3::eth::chain::{Chain, ChainConfig};
-use ofl_w3::eth::contracts::{cid_storage_init_code, CidStorage};
+use ofl_w3::eth::contracts::{
+    cid_count_calldata, cid_storage_init_code, decode_cid_count, decode_get_cid, get_cid_calldata,
+    upload_cid_calldata,
+};
 use ofl_w3::eth::wallet::Wallet;
 use ofl_w3::fl::client::{train_local, TrainConfig};
 use ofl_w3::ipfs::cid::Cid;
@@ -50,27 +53,24 @@ fn model_roundtrips_through_ipfs_and_chain() {
         )
         .expect("deploy");
     chain.mine_block(12);
-    let contract = CidStorage::at(
-        chain
-            .receipt(&hash)
-            .expect("mined")
-            .contract_address
-            .expect("created"),
-    );
+    let contract = chain
+        .receipt(&hash)
+        .expect("mined")
+        .contract_address
+        .expect("created");
     wallet
         .send(
             &mut chain,
             &owner_addr,
-            Some(contract.address),
+            Some(contract),
             U256::ZERO,
-            CidStorage::upload_cid_calldata(&cid_str),
+            upload_cid_calldata(&cid_str),
         )
         .expect("upload");
     chain.mine_block(24);
 
     // Buyer reads the CID from the chain and fetches from IPFS.
-    let read_back = contract
-        .get_cid(&chain, &buyer_addr, 0)
+    let read_back = decode_get_cid(&chain.call(&buyer_addr, &contract, get_cid_calldata(0)))
         .expect("stored string survives the EVM");
     assert_eq!(read_back, cid_str);
     let parsed = Cid::parse(&read_back).expect("chain preserved a valid CID");
@@ -106,13 +106,11 @@ fn contract_handles_many_writers_and_duplicates() {
         )
         .expect("deploy");
     chain.mine_block(12);
-    let contract = CidStorage::at(
-        chain
-            .receipt(&hash)
-            .expect("mined")
-            .contract_address
-            .expect("created"),
-    );
+    let contract = chain
+        .receipt(&hash)
+        .expect("mined")
+        .contract_address
+        .expect("created");
     let mut expected: Vec<String> = Vec::new();
     let mut t = 12;
     for (i, who) in wallet.addresses().into_iter().enumerate() {
@@ -126,19 +124,21 @@ fn contract_handles_many_writers_and_duplicates() {
             .send(
                 &mut chain,
                 &who,
-                Some(contract.address),
+                Some(contract),
                 U256::ZERO,
-                CidStorage::upload_cid_calldata(&cid),
+                upload_cid_calldata(&cid),
             )
             .expect("upload");
         t += 12;
         chain.mine_block(t);
         expected.push(cid);
     }
-    assert_eq!(
-        contract.all_cids(&chain, &deployer).expect("reads"),
-        expected
-    );
+    let read = |data| chain.call(&deployer, &contract, data);
+    let count = decode_cid_count(&read(cid_count_calldata())).expect("reads");
+    let stored: Vec<String> = (0..count)
+        .map(|i| decode_get_cid(&read(get_cid_calldata(i))).expect("reads"))
+        .collect();
+    assert_eq!(stored, expected);
 }
 
 /// FL models of different hidden sizes coexist on IPFS; PFNM rejects the
