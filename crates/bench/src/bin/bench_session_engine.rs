@@ -1,11 +1,13 @@
-//! **Engine bench** — serial workflow vs the discrete-event session engine.
+//! **Engine bench** — the paper's serial workflow vs concurrent owners,
+//! both on the discrete-event session engine.
 //!
-//! The serial driver pays one ~12 s blockchain confirmation *per owner*
-//! because every participant acts alone on one clock. The event engine
-//! lets owners train, upload, and broadcast concurrently, so their
+//! The serial workflow (owners arriving one at a time) pays one ~12 s
+//! blockchain confirmation *per owner*, because each owner starts only
+//! once the previous one's transaction has confirmed. Owners arriving
+//! together train, upload, and broadcast concurrently, so their
 //! `uploadCid` transactions share 12-second blocks and the whole session
 //! collapses toward a handful of slots. This bench sweeps the owner count
-//! and reports both engines' total *virtual* session time, the speedup,
+//! and reports both schedules' total *virtual* session time, the speedup,
 //! and how many distinct owners the fullest block carried.
 //!
 //! Run: `cargo run -p ofl-bench --release --bin bench_session_engine`

@@ -1,11 +1,7 @@
-//! The discrete-event session engine: concurrent owners, shared blocks,
-//! multi-market worlds.
+//! The discrete-event session engine, the one driver of every market
+//! session: concurrent owners, shared blocks, multi-market worlds.
 //!
-//! The serial [`Marketplace`](crate::market::Marketplace) advances one
-//! global clock through every participant's actions in turn, so a
-//! 20-owner session pays 20× the blockchain wait it should and every block
-//! carries exactly one transaction. This engine drives the same
-//! [`MarketSession`] primitives from an [`EventQueue`] instead:
+//! It drives the [`MarketSession`] primitives from an [`EventQueue`]:
 //!
 //! - Each owner is a **state machine** (Train → Upload → SendCid → Done)
 //!   whose steps fire as events on the owner's own timeline; the world
@@ -22,6 +18,13 @@
 //!   single-chain world; markets placed on different shards land their CID
 //!   transactions in different chains' blocks, which is how the engine
 //!   compares same-shard against cross-shard contention.
+//!
+//! The paper's serial workflow
+//! ([`Marketplace::run`](crate::market::Marketplace::run)) is one market
+//! whose owners arrive [`Arrivals::OneAtATime`]: owner 0 when the deploy
+//! confirms, each next owner when the previous one is resolved. So a
+//! 20-owner session pays 20 blockchain waits, and every block carries one
+//! transaction.
 //!
 //! Same-instant runs: the engine pops every consecutive event of one step
 //! kind due at the same instant (all owners arriving at t = 0, every
@@ -78,13 +81,20 @@ pub enum Arrivals {
     Simultaneous,
     /// Owner `i` arrives at `i × interval` (a rolling-admission session).
     Staggered(SimDuration),
+    /// The paper's serial workflow: owner 0 arrives when the deploy
+    /// confirms, owner `i + 1` when owner `i` is resolved (confirmed,
+    /// reverted, or dropped out).
+    OneAtATime,
 }
 
 impl Arrivals {
-    fn offset(&self, owner_index: usize) -> SimDuration {
+    /// When owner `i` arrives, counted from t = 0; `None` when its arrival
+    /// waits on the session's progress instead.
+    fn offset(&self, owner_index: usize) -> Option<SimDuration> {
         match self {
-            Arrivals::Simultaneous => SimDuration::ZERO,
-            Arrivals::Staggered(interval) => SimDuration(interval.0 * owner_index as u64),
+            Arrivals::Simultaneous => Some(SimDuration::ZERO),
+            Arrivals::Staggered(interval) => Some(SimDuration(interval.0 * owner_index as u64)),
+            Arrivals::OneAtATime => None,
         }
     }
 }
@@ -111,10 +121,8 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-session facts a driver observed that a [`SessionReport`] does not
-/// carry — the engine and the serial
-/// [`Marketplace::run_with`](crate::market::Marketplace::run_with) both
-/// fill it, and the scenario layer distills outcomes from it.
+/// Per-session facts the engine observed that a [`SessionReport`] does
+/// not carry; the scenario layer distills outcomes from it.
 #[derive(Debug, Clone, Default)]
 pub struct SessionDetail {
     /// Every CID the market's contract returned at finalize time.
@@ -162,7 +170,7 @@ pub struct EngineReport {
 
 impl EngineReport {
     /// The largest number of distinct owners sharing one block (on any
-    /// shard) — ≥ 2 is the contention the serial engine could never
+    /// shard) — ≥ 2 is the contention one-at-a-time arrivals never
     /// produce.
     pub fn max_owners_sharing_block(&self) -> usize {
         self.cid_txs_per_block
@@ -197,10 +205,9 @@ impl MultiMarket {
     /// Builds a shared world from explicit per-market configurations, with
     /// exactly as many shards as the largest placement requires. The first
     /// market's chain parameters, network profile, and fault/quota knobs
-    /// govern every shard; market 0 derives exactly like a solo
-    /// [`Marketplace`](crate::market::Marketplace) (so serial-vs-event
-    /// comparisons are apples to apples), later markets are namespaced
-    /// `m1/`, `m2/`, …
+    /// govern every shard; market 0 derives unlabelled (a solo
+    /// [`Marketplace`](crate::market::Marketplace) is market 0 of a
+    /// one-market world), later markets are namespaced `m1/`, `m2/`, …
     pub fn new(configs: Vec<MarketConfig>) -> MultiMarket {
         let shards = configs
             .iter()
@@ -710,10 +717,10 @@ impl<'a> Driver<'a> {
             self.queue
                 .schedule(SimInstant(deploy_rpc.0), Ev::SubmitDeploy { m });
             for i in 0..self.sessions[m].owners.len() {
-                self.queue.schedule(
-                    SimInstant(self.arrivals.offset(i).0),
-                    Ev::OwnerArrive { m, i },
-                );
+                if let Some(offset) = self.arrivals.offset(i) {
+                    self.queue
+                        .schedule(SimInstant(offset.0), Ev::OwnerArrive { m, i });
+                }
             }
         }
 
@@ -779,12 +786,17 @@ impl<'a> Driver<'a> {
             .schedule(submit_at, Ev::OwnerSubmitCid { m, i, phase_start });
     }
 
-    /// Marks owner `i` finished (confirmed, reverted, or dropped out); the
+    /// Marks an owner finished (confirmed, reverted, or dropped out); the
+    /// next owner arrives now when owners come one at a time, and the
     /// buyer finalizes once every owner is resolved.
     fn resolve_owner(&mut self, m: usize, at: SimInstant) {
-        self.markets[m].owners_unresolved -= 1;
-        if self.markets[m].owners_unresolved == 0 {
+        let run = &mut self.markets[m];
+        run.owners_unresolved -= 1;
+        if run.owners_unresolved == 0 {
             self.queue.schedule(at, Ev::BuyerFinalize { m });
+        } else if self.arrivals == Arrivals::OneAtATime {
+            let i = self.sessions[m].owners.len() - run.owners_unresolved;
+            self.queue.schedule(at, Ev::OwnerArrive { m, i });
         }
     }
 
@@ -1191,6 +1203,9 @@ impl<'a> Driver<'a> {
         for i in parked {
             self.schedule_cid_submit(m, i, wake_at);
         }
+        if self.arrivals == Arrivals::OneAtATime {
+            self.queue.schedule(wake_at, Ev::OwnerArrive { m, i: 0 });
+        }
         Ok(())
     }
 
@@ -1266,9 +1281,9 @@ mod tests {
         }
     }
 
-    /// Both drivers confirm through one slot poll: each of the small
-    /// market's nine transactions (deploy, four `uploadCid`, four
-    /// payments) has its receipt read once, serial or event-driven.
+    /// Each of the small market's nine transactions (deploy, four
+    /// `uploadCid`, four payments) has its receipt read once, whether the
+    /// owners arrive one at a time or all at once.
     #[test]
     fn serial_and_event_driven_runs_read_each_receipt_once() {
         let config = MarketConfig::small_test();

@@ -11,9 +11,10 @@
 //!   plus their IPFS swarms, one virtual clock.
 //! - [`market`]: the 7-step workflow and the [`market::SessionReport`] that
 //!   feeds every figure/table of the paper.
-//! - [`engine`]: the discrete-event session engine — concurrent owners,
-//!   shared blocks, and [`engine::MultiMarket`] worlds (N sessions placed
-//!   on one or many shards).
+//! - [`engine`]: the discrete-event session engine that drives every
+//!   session — the paper's one-owner-at-a-time workflow, concurrent
+//!   owners sharing blocks, and [`engine::MultiMarket`] worlds (N sessions
+//!   placed on one or many shards).
 //! - [`dapp`]: the button-level React/Flask DApp facade of Fig 3.
 //! - [`scenario`]: parameterized sessions with failure injection — the
 //!   engine behind the regime sweeps in `tests/scenarios.rs` and the

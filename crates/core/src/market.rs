@@ -15,20 +15,19 @@
 //! The session state lives in [`MarketSession`], which is deliberately
 //! substrate-free: every step is a primitive that either does pure host
 //! compute and *returns* the virtual time it would take, or touches the
-//! market's [`Endpoint`] of a world, passed in by the caller. Two drivers
-//! compose the primitives:
+//! market's [`Endpoint`] of a world, passed in by the caller. One driver
+//! runs whole sessions: `ofl_core::engine` drives the primitives from a
+//! discrete-event queue over a shared `World`. [`Marketplace::run`] is the
+//! paper's serial workflow on it, one market whose owners arrive one at a
+//! time ([`Arrivals::OneAtATime`]).
 //!
-//! - [`Marketplace`] owns a private `World` and runs the steps serially,
-//!   blocking in virtual time on each confirmation (the original workflow).
-//!   [`Marketplace::run_with`] injects a scenario's [`FailurePlan`].
-//! - `ofl_core::engine` shares one `World` among many sessions and drives
-//!   the same primitives from a discrete-event queue, so owners act
-//!   concurrently and their transactions share blocks.
+//! [`Marketplace`] also exposes each step as a blocking method on its own
+//! `World`, which the DApp screens (`ofl_core::dapp`, the paper's Fig 3)
+//! call one click at a time.
 
 use crate::config::{FinalizePolicy, MarketConfig, PartitionScheme};
-use crate::engine::SessionDetail;
-use crate::scenario::FailurePlan;
-use crate::world::{Endpoint, ShardConfig, ShardSpec, World, WorldError};
+use crate::engine::{Arrivals, EngineConfig, MultiMarket};
+use crate::world::{Endpoint, World, WorldError};
 use ofl_data::dataset::Dataset;
 use ofl_data::{mnist, partition};
 use ofl_eth::block::Receipt;
@@ -384,11 +383,6 @@ impl SessionBlueprint {
         &self.genesis
     }
 
-    /// The configuration this blueprint was derived from.
-    pub fn config(&self) -> &MarketConfig {
-        &self.config
-    }
-
     /// Re-allocates the silos and the test set, the data a session keeps
     /// for its whole run, on the calling thread's heap, and frees the
     /// copies the blueprint was built with.
@@ -459,8 +453,9 @@ impl SessionBlueprint {
 }
 
 /// One marketplace session's participants and progress, independent of the
-/// substrate it runs on. See the module docs for how [`Marketplace`]
-/// (serial) and `ofl_core::engine` (event-driven, shared world) drive it.
+/// substrate it runs on. See the module docs for how `ofl_core::engine`
+/// (whole sessions) and [`Marketplace`]'s step methods (one click at a
+/// time) drive it.
 pub struct MarketSession {
     /// The world endpoint (shard) every piece of this market's client
     /// traffic is pinned to (copied from [`MarketConfig::placement`]).
@@ -885,10 +880,10 @@ impl MarketSession {
     }
 }
 
-/// The serial marketplace driver: one private [`World`], participants
-/// acting strictly one at a time, blocking in virtual time on each
-/// confirmation. Field access passes through to the inner
-/// [`MarketSession`].
+/// One market on a private [`World`]: the paper's serial workflow
+/// ([`Marketplace::run`]) and the DApp's step-at-a-time path, whose step
+/// methods block in virtual time on each confirmation. Field access
+/// passes through to the inner [`MarketSession`].
 pub struct Marketplace {
     /// Blockchain + IPFS + clock.
     pub world: World,
@@ -912,24 +907,23 @@ impl std::ops::DerefMut for Marketplace {
 impl Marketplace {
     /// Sets up the world: funds wallets, partitions data, spawns IPFS
     /// nodes, and builds the single-shard provider pool (with fault/quota
-    /// injection when the config asks for it). A solo serial market always
-    /// runs on shard 0, whatever placement the config names.
+    /// injection when the config asks for it), as a one-market
+    /// [`MultiMarket`]. A solo market always runs on shard 0, whatever
+    /// placement the config names.
     pub fn new(config: MarketConfig) -> Marketplace {
         let config = MarketConfig {
             placement: EndpointId(0),
             ..config
         };
-        let blueprint = SessionBlueprint::new(config, "");
-        let mut world = World::from_shards(
-            vec![ShardSpec::Local(ShardConfig::for_market(
-                blueprint.config(),
-                blueprint.genesis().to_vec(),
-            ))],
-            blueprint.config().profile,
-        );
-        let session =
-            blueprint.instantiate_with(|labels| world.spawn_ipfs_nodes(EndpointId(0), labels));
-        Marketplace { world, session }
+        Marketplace::from_solo(MultiMarket::new(vec![config]))
+    }
+
+    /// The one market of a one-market world.
+    fn from_solo(mut market: MultiMarket) -> Marketplace {
+        Marketplace {
+            session: market.sessions.remove(0),
+            world: market.world,
+        }
     }
 
     /// **Step 1** — the buyer deploys `CidStorage`.
@@ -970,23 +964,11 @@ impl Marketplace {
         Ok(cid)
     }
 
-    /// **Step 4** — owner `i` sends its CID to the contract.
+    /// **Step 4** — owner `i` sends its CID to the contract and blocks
+    /// until it confirms.
     pub fn owner_send_cid(&mut self, i: usize) -> Result<Receipt, MarketError> {
-        self.send_cid_tx(&FailurePlan::clean(), i)
-            .map(|(receipt, _)| receipt)
-    }
-
-    /// Owner `i` sends the CID transaction `plan` gives it and blocks until
-    /// it confirms. Returns the receipt and whether it was an injected
-    /// revert; only a real `uploadCid` charges the owner's blockchain
-    /// phase.
-    fn send_cid_tx(
-        &mut self,
-        plan: &FailurePlan,
-        i: usize,
-    ) -> Result<(Receipt, bool), MarketError> {
         let start = self.world.clock.now();
-        let data = plan.cid_tx_calldata(&self.session, i)?;
+        let data = self.session.cid_calldata(i)?;
         let contract = self
             .session
             .contract
@@ -1000,12 +982,10 @@ impl Marketplace {
             U256::ZERO,
             data,
         )?;
-        let reverted = plan.settle_cid_tx(&mut self.session, i, &receipt)?;
-        if !reverted {
-            self.session.owner_recorders[i]
-                .add(owner_phase::SEND_CID, self.world.clock.now().since(start));
-        }
-        Ok((receipt, reverted))
+        self.session.finish_cid(i, &receipt)?;
+        self.session.owner_recorders[i]
+            .add(owner_phase::SEND_CID, self.world.clock.now().since(start));
+        Ok(receipt)
     }
 
     /// **Step 5** — the buyer downloads every CID from the contract. Free:
@@ -1094,41 +1074,22 @@ impl Marketplace {
         ))
     }
 
-    /// Runs the complete seven-step workflow.
+    /// Runs the complete seven-step workflow on the event engine: the
+    /// buyer deploys, then each owner in turn trains, uploads and sends
+    /// its CID once the previous owner's transaction has confirmed, then
+    /// the buyer downloads, retrieves, aggregates and pays.
     pub fn run(config: MarketConfig) -> Result<(Marketplace, SessionReport), MarketError> {
-        let (market, report, _) = Marketplace::run_with(config, &FailurePlan::clean())?;
-        Ok((market, report))
-    }
-
-    /// Runs the complete seven-step workflow, one participant at a time,
-    /// with `plan`'s failures injected: freeloaders' silos shrink before
-    /// the deploy, dropouts never send their CID, reverting owners send a
-    /// call the contract rejects, and the planned blocks vanish before the
-    /// buyer downloads. Like a production client, the buyer retrieves only
-    /// the CIDs some peer can still serve.
-    pub fn run_with(
-        config: MarketConfig,
-        plan: &FailurePlan,
-    ) -> Result<(Marketplace, SessionReport, SessionDetail), MarketError> {
-        let mut market = Marketplace::new(config);
-        plan.shrink_freeloaders(&mut market.session);
-        market.deploy_contract()?;
-        let mut detail = SessionDetail::default();
-        for i in 0..market.session.owners.len() {
-            market.owner_train(i);
-            market.owner_upload_model(i)?;
-            if !plan.dropout.contains(&i) {
-                let (_, reverted) = market.send_cid_tx(plan, i)?;
-                detail.reverted_tx_count += reverted as usize;
-            }
+        let Marketplace { world, session } = Marketplace::new(config);
+        let engine = EngineConfig {
+            arrivals: Arrivals::OneAtATime,
+            ..EngineConfig::default()
+        };
+        let (market, mut report) = MultiMarket {
+            world,
+            sessions: vec![session],
         }
-        let ep = market.session.placement;
-        plan.drop_blocks(&market.session, &mut market.world.endpoint(ep));
-        detail.cids_onchain = market.buyer_download_cids()?;
-        detail.cids_retrieved = market.world.endpoint(ep).retrievable(&detail.cids_onchain);
-        market.buyer_retrieve_models(&detail.cids_retrieved)?;
-        let report = market.buyer_aggregate_and_pay()?;
-        Ok((market, report, detail))
+        .run(&engine, &[])?;
+        Ok((Marketplace::from_solo(market), report.sessions.remove(0)))
     }
 }
 

@@ -5,11 +5,12 @@
 //! and before this module each caller hand-rolled the session loop. A
 //! [`Scenario`] bundles a [`MarketConfig`] (owner count, partition scheme,
 //! seed) with a [`FailurePlan`] (dropped IPFS blocks, reverted transactions,
-//! freeloading owners, silent dropouts) and an [`ExecutionMode`] (the
-//! paper's serial workflow, or one or more markets sharing one world on
-//! the event engine), and runs the workflow with the failures injected at
-//! the layer where they would really occur. Each injection is one
-//! [`FailurePlan`] method that both drivers call:
+//! freeloading owners, silent dropouts) and an [`ExecutionMode`] (how many
+//! markets share one world, on how many shards, and how their owners
+//! arrive — one at a time for the paper's serial workflow), and runs the
+//! workflow on the event engine with the failures injected at the layer
+//! where they would really occur. Each injection is one [`FailurePlan`]
+//! method, called in one place by the engine:
 //!
 //! - **Freeloaders** train on a 3-example silo, so their "model" is noise —
 //!   the incentive layer should price them near zero. Their silos shrink
@@ -33,7 +34,7 @@
 
 use crate::config::{MarketConfig, PartitionScheme};
 use crate::engine::{Arrivals, EngineConfig, MultiMarket};
-use crate::market::{MarketError, MarketSession, Marketplace};
+use crate::market::{MarketError, MarketSession};
 use crate::world::Endpoint;
 use ofl_eth::block::Receipt;
 use ofl_netsim::clock::SimDuration;
@@ -131,9 +132,13 @@ impl FailurePlan {
 
     /// Unpins and garbage-collects every planned owner's model on its IPFS
     /// node — called once the CIDs are public, before the buyer downloads.
+    /// Like every other injection, an index past the owner list names
+    /// nobody.
     pub(crate) fn drop_blocks(&self, session: &MarketSession, endpoint: &mut Endpoint) {
         for &i in &self.drop_ipfs_blocks {
-            let owner = &session.owners[i];
+            let Some(owner) = session.owners.get(i) else {
+                continue;
+            };
             if let Some(cid) = &owner.cid {
                 endpoint.drop_ipfs_block(owner.ipfs_node, cid);
             }
@@ -141,25 +146,29 @@ impl FailurePlan {
     }
 }
 
-/// How a scenario's session(s) are driven.
+/// How a scenario's session(s) are driven: `markets` replicated sessions
+/// sharing one world on the event engine. With `shards == 1` every market
+/// contends for one chain's blocks; with more, markets are spread
+/// round-robin across the pool's endpoints and contend only with
+/// same-shard siblings.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ExecutionMode {
-    /// The paper's workflow: one participant at a time on one clock
-    /// ([`Marketplace::run_with`]).
-    Serial,
-    /// `markets` replicated sessions sharing one world, all driven by the
-    /// event engine: owners act concurrently and transactions share
-    /// blocks. With `shards == 1` every market contends for one chain's
-    /// blocks; with more, markets are spread round-robin across the pool's
-    /// endpoints and contend only with same-shard siblings.
-    MultiMarket {
-        /// How many concurrent marketplace sessions.
-        markets: usize,
-        /// Owner arrival pattern (per market).
-        arrivals: Arrivals,
-        /// How many chains the world's provider pool fronts.
-        shards: usize,
-    },
+pub struct ExecutionMode {
+    /// How many concurrent marketplace sessions.
+    pub markets: usize,
+    /// Owner arrival pattern (per market).
+    pub arrivals: Arrivals,
+    /// How many chains the world's provider pool fronts.
+    pub shards: usize,
+}
+
+impl ExecutionMode {
+    /// The paper's workflow: one market on one chain, its owners arriving
+    /// one at a time.
+    pub const SERIAL: ExecutionMode = ExecutionMode {
+        markets: 1,
+        arrivals: Arrivals::OneAtATime,
+        shards: 1,
+    };
 }
 
 /// One parameterized marketplace session.
@@ -171,10 +180,9 @@ pub struct Scenario {
     pub config: MarketConfig,
     /// Injected failures.
     pub failures: FailurePlan,
-    /// Serial workflow or event-driven concurrency.
+    /// Markets, shards and owner arrivals.
     pub mode: ExecutionMode,
-    /// Open the engine's event watchers in event-driven modes (ignored by
-    /// the serial driver, which never subscribes).
+    /// Open the engine's event watchers.
     pub watch_events: bool,
 }
 
@@ -185,7 +193,7 @@ impl Scenario {
             name: name.into(),
             config,
             failures: FailurePlan::clean(),
-            mode: ExecutionMode::Serial,
+            mode: ExecutionMode::SERIAL,
             watch_events: false,
         }
     }
@@ -266,13 +274,13 @@ impl Scenario {
     }
 
     /// Funds a mempool-watching adversary and lets it front-run every
-    /// `uploadCid` broadcast — the push-streaming attack regime. Only the
-    /// event engine races the slot boundary, so this implies a concurrent
-    /// execution mode.
+    /// `uploadCid` broadcast — the push-streaming attack regime. The attack
+    /// targets a contended mempool, so the serial mode becomes one
+    /// concurrent market.
     pub fn with_mempool_freeloader(mut self) -> Scenario {
         self.config.fund_adversary = true;
         self.failures.mempool_front_run = true;
-        if self.mode == ExecutionMode::Serial {
+        if self.mode == ExecutionMode::SERIAL {
             self = self.concurrent();
         }
         self
@@ -284,12 +292,11 @@ impl Scenario {
         self
     }
 
-    /// Shorthand: one event-driven market, all owners arriving at once.
+    /// Shorthand: one market, all owners arriving at once.
     pub fn concurrent(self) -> Scenario {
-        self.with_mode(ExecutionMode::MultiMarket {
-            markets: 1,
+        self.with_mode(ExecutionMode {
             arrivals: Arrivals::Simultaneous,
-            shards: 1,
+            ..ExecutionMode::SERIAL
         })
     }
 
@@ -298,37 +305,24 @@ impl Scenario {
     /// (accuracies averaged, payments/gas/CIDs concatenated in market
     /// order).
     pub fn run(&self) -> Result<ScenarioOutcome, MarketError> {
-        let (mut world, sessions, reports, details, total_sim_seconds) = match self.mode {
-            ExecutionMode::Serial => {
-                let (market, report, detail) =
-                    Marketplace::run_with(self.config.clone(), &self.failures)?;
-                let secs = report.total_sim_seconds;
-                let Marketplace { world, session } = market;
-                (world, vec![session], vec![report], vec![detail], secs)
-            }
-            ExecutionMode::MultiMarket {
-                markets,
-                arrivals,
-                shards,
-            } => {
-                let markets = markets.max(1);
-                let engine = EngineConfig {
-                    arrivals,
-                    watch_events: self.watch_events,
-                };
-                let failures = vec![self.failures.clone(); markets];
-                let (mm, report) = MultiMarket::replicated_sharded(&self.config, markets, shards)
-                    .run(&engine, &failures)?;
-                let MultiMarket { world, sessions } = mm;
-                let secs = report.total_sim_seconds;
-                (world, sessions, report.sessions, report.details, secs)
-            }
+        let ExecutionMode {
+            markets,
+            arrivals,
+            shards,
+        } = self.mode;
+        let markets = markets.max(1);
+        let engine = EngineConfig {
+            arrivals,
+            watch_events: self.watch_events,
         };
+        let failures = vec![self.failures.clone(); markets];
+        let (mut mm, report) = MultiMarket::replicated_sharded(&self.config, markets, shards)
+            .run(&engine, &failures)?;
 
         let honest = (0..self.config.n_owners)
             .filter(|&i| !self.failures.is_offchain(i))
             .count();
-        for detail in &details {
+        for detail in &report.details {
             // The front-runner shadows every honest registration with a
             // junk one, doubling the contract's CID list.
             if self.failures.mempool_front_run {
@@ -348,14 +342,15 @@ impl Scenario {
 
         // ETH conservation: what the markets' genesis allocations funded ==
         // live balances + EIP-1559 burn, summed over the world's shards.
-        let genesis = sessions
+        let genesis = mm
+            .sessions
             .iter()
             .fold(U256::ZERO, |acc, s| acc.wrapping_add(&s.genesis_wei));
-        let held = (0..world.endpoints())
+        let held = (0..mm.world.endpoints())
             .map(EndpointId)
             .fold(U256::ZERO, |acc, ep| {
-                let supply = world.total_supply(ep);
-                acc.wrapping_add(&supply).wrapping_add(&world.burned(ep))
+                let supply = mm.world.total_supply(ep);
+                acc.wrapping_add(&supply).wrapping_add(&mm.world.burned(ep))
             });
         let eth_conserved = held == genesis;
 
@@ -368,9 +363,9 @@ impl Scenario {
         let mut budget = U256::ZERO;
         let mut accuracy_sum = 0.0;
         let mut reverted_tx_count = 0;
-        for (m, (report, detail)) in reports.iter().zip(&details).enumerate() {
-            local_accuracies.extend_from_slice(&report.local_accuracies);
-            payments.extend(report.payments.iter().map(|p| (p.address, p.amount_wei)));
+        for (m, (session, detail)) in report.sessions.iter().zip(&report.details).enumerate() {
+            local_accuracies.extend_from_slice(&session.local_accuracies);
+            payments.extend(session.payments.iter().map(|p| (p.address, p.amount_wei)));
             // Market 0 stays unprefixed, matching the blueprint labels.
             let prefix = if m == 0 {
                 String::new()
@@ -378,20 +373,20 @@ impl Scenario {
                 format!("m{m}/")
             };
             gas_rows.extend(
-                report
+                session
                     .gas
                     .iter()
                     .map(|g| (format!("{prefix}{}", g.label), g.gas_used)),
             );
             cids_onchain.extend_from_slice(&detail.cids_onchain);
             cids_retrieved.extend_from_slice(&detail.cids_retrieved);
-            total_paid = total_paid.wrapping_add(&report.total_paid());
+            total_paid = total_paid.wrapping_add(&session.total_paid());
             budget = budget.wrapping_add(&self.config.budget_wei);
-            accuracy_sum += report.aggregated_accuracy;
+            accuracy_sum += session.aggregated_accuracy;
             reverted_tx_count += detail.reverted_tx_count;
         }
-        let n_sessions = reports.len().max(1);
-        let rpc = world.rpc_metrics_merged();
+        let n_sessions = report.sessions.len().max(1);
+        let rpc = mm.world.rpc_metrics_merged();
         Ok(ScenarioOutcome {
             name: self.name.clone(),
             seed: self.config.seed,
@@ -408,7 +403,7 @@ impl Scenario {
             eth_conserved,
             cids_onchain,
             cids_retrieved,
-            total_sim_seconds,
+            total_sim_seconds: report.total_sim_seconds,
             rpc_round_trips: rpc.round_trips,
             rpc_timeouts: rpc.total_errors(),
             rpc_cost_micros: rpc.total_cost().as_micros(),
@@ -701,7 +696,7 @@ impl ScenarioSuite {
             .push(Scenario::new("concurrent-8", eight_owners).concurrent())
             .push(
                 Scenario::small("staggered-4", PartitionScheme::Iid, seed.wrapping_add(1))
-                    .with_mode(ExecutionMode::MultiMarket {
+                    .with_mode(ExecutionMode {
                         markets: 1,
                         arrivals: Arrivals::Staggered(SimDuration::from_secs(10)),
                         shards: 1,
@@ -713,7 +708,7 @@ impl ScenarioSuite {
                     PartitionScheme::Dirichlet { alpha: 0.5 },
                     seed.wrapping_add(2),
                 )
-                .with_mode(ExecutionMode::MultiMarket {
+                .with_mode(ExecutionMode {
                     markets: 2,
                     arrivals: Arrivals::Simultaneous,
                     shards: 1,
@@ -728,7 +723,7 @@ impl ScenarioSuite {
                     PartitionScheme::Dirichlet { alpha: 0.5 },
                     seed.wrapping_add(4),
                 )
-                .with_mode(ExecutionMode::MultiMarket {
+                .with_mode(ExecutionMode {
                     markets: 2,
                     arrivals: Arrivals::Simultaneous,
                     shards: 2,
@@ -861,9 +856,9 @@ mod tests {
         assert!(a.total_sim_seconds < serial.total_sim_seconds);
         assert!(a.eth_conserved && a.budget_exhausted());
 
-        // Both drivers inject each failure through the same plan methods,
-        // so under every plan they agree on what landed, what the buyer
-        // could fetch, and what it aggregated and paid.
+        // Both arrival patterns inject each failure through the same plan
+        // methods, so under every plan they agree on what landed, what the
+        // buyer could fetch, and what it aggregated and paid.
         let storm = FailurePlan {
             drop_ipfs_blocks: vec![1],
             revert_cid_tx: vec![2],
@@ -926,7 +921,7 @@ mod tests {
 
     #[test]
     fn multi_market_outcome_merges_sessions() {
-        let mut scenario = quick(PartitionScheme::Iid, 12).with_mode(ExecutionMode::MultiMarket {
+        let mut scenario = quick(PartitionScheme::Iid, 12).with_mode(ExecutionMode {
             markets: 2,
             arrivals: Arrivals::Simultaneous,
             shards: 1,
@@ -973,14 +968,11 @@ mod tests {
         let concurrency = ScenarioSuite::concurrency_sweep(1);
         assert!(concurrency.scenarios.len() >= 3);
         // The sweep exercises both same-shard and cross-shard placement.
+        assert!(concurrency.scenarios.iter().any(|s| s.mode.shards > 1));
         assert!(concurrency
             .scenarios
             .iter()
-            .any(|s| matches!(s.mode, ExecutionMode::MultiMarket { shards, .. } if shards > 1)));
-        assert!(concurrency
-            .scenarios
-            .iter()
-            .all(|s| s.mode != ExecutionMode::Serial));
+            .all(|s| s.mode != ExecutionMode::SERIAL));
         let full = ScenarioSuite::full(1);
         assert_eq!(
             full.scenarios.len(),
@@ -1143,6 +1135,31 @@ mod tests {
         assert_eq!(a.cids_onchain, clean.cids_onchain);
         assert_eq!(a.total_sim_seconds, clean.total_sim_seconds);
         assert!(a.eth_conserved && a.budget_exhausted());
+    }
+
+    #[test]
+    fn out_of_range_owners_are_skipped_by_every_injection() {
+        // Owner 9 of a 4-owner market: no block is dropped, no silo
+        // shrinks, no transaction reverts, nobody drops out.
+        let past_the_end = FailurePlan {
+            drop_ipfs_blocks: vec![9],
+            revert_cid_tx: vec![9],
+            freeload: vec![9],
+            dropout: vec![9],
+            ..FailurePlan::clean()
+        };
+        for scenario in [
+            quick(PartitionScheme::Iid, 23),
+            quick(PartitionScheme::Iid, 23).concurrent(),
+        ] {
+            let clean = scenario.run().expect("clean run");
+            let outcome = scenario
+                .with_failures(past_the_end.clone())
+                .run()
+                .expect("an out-of-range plan completes");
+            assert_eq!(outcome.cids_retrieved.len(), 4);
+            assert_eq!(outcome, clean);
+        }
     }
 
     #[test]

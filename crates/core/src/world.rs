@@ -26,25 +26,25 @@
 //! slot boundary, which is where the paper's Fig 7 "blockchain
 //! interactions dominate" observation comes from.
 //!
-//! Two ways to drive it, with one confirmation policy: after each mined
-//! slot, poll the receipts of the pending transactions that slot's blocks
-//! carried, and ask backstage about the rest (evicted, or waited out
-//! [`ChainConfig::max_wait_slots`]).
+//! One confirmation policy: after each mined slot, poll the receipts of
+//! the pending transactions that slot's blocks carried, and ask backstage
+//! about the rest (evicted, or waited out [`ChainConfig::max_wait_slots`]).
+//! Two callers run it:
 //!
-//! - **Serial** ([`World::send_and_confirm`] / [`World::confirm`]): submit,
-//!   then block (in virtual time) slot by slot until confirmed — one
-//!   participant at a time.
-//! - **Event-driven** ([`Endpoint::submit_tx`] plus [`World::mine_slot`]):
-//!   submission and confirmation are separate steps, so the session engine
-//!   in `ofl_core::engine` can let many owners' (and many markets')
-//!   transactions land in their shard's mempool together and get mined
-//!   into *shared* blocks at slot boundaries — or, with markets placed on
-//!   different shards, into different chains' blocks. It runs the same
-//!   slot poll once per `Mine` event.
+//! - **The session engine** (`ofl_core::engine`, every market session):
+//!   [`Endpoint::submit_tx`] and [`World::mine_slot`] are separate steps,
+//!   so many owners' (and many markets') transactions can land in their
+//!   shard's mempool together and get mined into *shared* blocks at slot
+//!   boundaries — or, with markets placed on different shards, into
+//!   different chains' blocks. It runs the slot poll once per `Mine`
+//!   event.
+//! - **The DApp's blocking clicks** ([`World::send_and_confirm`] /
+//!   [`World::confirm`]): submit, then block (in virtual time) slot by
+//!   slot until confirmed.
 
 use crate::config::MarketConfig;
 use ofl_eth::block::{Block, Receipt};
-use ofl_eth::chain::{CallResult, Chain, ChainConfig};
+use ofl_eth::chain::{Chain, ChainConfig};
 use ofl_eth::wallet::{TxEnv, Wallet, WalletError};
 use ofl_ipfs::cid::Cid;
 use ofl_ipfs::swarm::{AddResult, FetchStats, Swarm};
@@ -598,7 +598,7 @@ impl World {
 
     // ------------------------------------------------------------------
     // Confirmation: one slot-poll policy, run by the event engine once per
-    // mined slot and by the serial driver through `confirm`.
+    // mined slot and by the DApp's blocking clicks through `confirm`.
     // ------------------------------------------------------------------
 
     /// Polls receipts for hashes spread across **several** shards in one
@@ -774,22 +774,6 @@ impl World {
         self.clock.advance(preflight);
         Ok(self.confirm(endpoint, &[hash])?.remove(0))
     }
-
-    /// A free read (`eth_call`-style) through the endpoint, with the priced
-    /// RPC cost charged to the global clock and transient failures retried.
-    pub fn read_call(
-        &mut self,
-        endpoint: EndpointId,
-        from: &H160,
-        to: &H160,
-        data: Vec<u8>,
-    ) -> Result<CallResult, WorldError> {
-        let (result, cost) = self
-            .endpoint(endpoint)
-            .eth_retry(|eth| eth.call(from, to, data.clone()));
-        self.clock.advance(cost);
-        result.map_err(WorldError::Rpc)
-    }
 }
 
 /// A broadcast transaction waiting for its receipt under the slot poll
@@ -907,10 +891,11 @@ impl Endpoint<'_> {
     /// Signs a transaction (environment from [`Endpoint::tx_env`]) and
     /// broadcasts it (`eth_sendRawTransaction`) without waiting for it to
     /// be mined — the non-blocking half of [`World::send_and_confirm`].
-    /// The successful broadcast itself is never charged here (the caller
-    /// prices it; serial: [`World::tx_submit_time`], engine: the owner's
-    /// timeline); the returned duration is the signing preflight plus any
-    /// wasted retried round trips, for the caller to charge.
+    /// The successful broadcast itself is never charged here: the caller
+    /// prices it from [`World::tx_submit_time`], a blocking click on the
+    /// global clock, the engine on the owner's timeline. The returned
+    /// duration is the signing preflight plus any wasted retried round
+    /// trips, for the caller to charge.
     pub fn submit_tx(
         &mut self,
         wallet: &Wallet,
@@ -1349,24 +1334,6 @@ mod tests {
         assert_eq!(world.next_slot_secs(SimInstant(0)), 12);
         assert_eq!(world.next_slot_secs(SimInstant(11_999_999)), 12);
         assert_eq!(world.next_slot_secs(SimInstant(12_000_000)), 24);
-    }
-
-    #[test]
-    fn read_call_costs_time_but_no_gas() {
-        let wallet = Wallet::from_seed("world-test-3", 1);
-        let a = wallet.addresses()[0];
-        let mut world = World::new(
-            ChainConfig::default(),
-            &[(a, wei_per_eth())],
-            NetworkProfile::campus(),
-        );
-        let before_balance = world.chain(EP).balance(&a);
-        let before_time = world.clock.elapsed_secs();
-        world
-            .read_call(EP, &a, &H160::from_slice(&[7; 20]), vec![])
-            .unwrap();
-        assert_eq!(world.chain(EP).balance(&a), before_balance);
-        assert!(world.clock.elapsed_secs() > before_time);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct ChainConfig {
     /// How many blocks a shard may mine after a transaction's broadcast
     /// while it still waits in the mempool, before the confirmation wait
     /// gives up with a typed timeout (`ofl_core`'s one confirm path, which
-    /// both the serial driver's `World::confirm` and the event engine run).
+    /// both the DApp's blocking `World::confirm` and the event engine run).
     pub max_wait_slots: u64,
 }
 

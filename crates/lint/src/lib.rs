@@ -19,13 +19,11 @@
 //! - **R1 no-panic-in-daemon** — `unwrap`/`expect`/`panic!` banned in
 //!   `rpcd` and `rpc::transport` non-test code.
 //!
-//! Violations check against `crates/lint/baseline.txt`; `--deny-new`
-//! fails on any hit not already baselined, so the set can only shrink.
-//! Run it with `cargo run -p ofl-lint -- [--deny-new] [--json]`.
+//! The gate fails on any violation: fix it, or annotate it with the
+//! rule's reasoned escape. Run it with `cargo run -p ofl-lint -- [--json]`.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod config;
 pub mod rules;
 pub mod scan;
@@ -114,12 +112,10 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 
 /// Renders violations as a JSON array (hand-rolled — the pass must stay
 /// dependency-free). Stable field order, sorted input preserved.
-pub fn to_json(report: &Report, new_count: usize, baselined_count: usize) -> String {
+pub fn to_json(report: &Report) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
     out.push_str(&format!("  \"total\": {},\n", report.violations.len()));
-    out.push_str(&format!("  \"new\": {new_count},\n"));
-    out.push_str(&format!("  \"baselined\": {baselined_count},\n"));
     out.push_str("  \"violations\": [");
     for (i, v) in report.violations.iter().enumerate() {
         if i > 0 {
@@ -175,7 +171,7 @@ mod tests {
             violations: Vec::new(),
             files_scanned: 3,
         };
-        let json = to_json(&report, 0, 0);
+        let json = to_json(&report);
         assert!(json.contains("\"violations\": []"));
         assert!(json.contains("\"files_scanned\": 3"));
     }

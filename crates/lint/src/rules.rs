@@ -23,9 +23,7 @@ pub struct Violation {
     pub path: String,
     /// 1-based line number (best effort for structural rules).
     pub line: usize,
-    /// The offending source line, trimmed — shown to the user and used
-    /// (normalized) as the baseline key, so line drift does not churn
-    /// the baseline.
+    /// The offending source line, trimmed.
     pub snippet: String,
     /// Human explanation of what to do instead.
     pub message: String,
@@ -45,19 +43,6 @@ impl Violation {
             snippet,
             message,
         }
-    }
-
-    /// The baseline identity of this violation: rule, path, and the
-    /// whitespace-normalized snippet. Deliberately excludes the line
-    /// number so unrelated edits above a baselined hit do not invalidate
-    /// the baseline.
-    pub fn baseline_key(&self) -> String {
-        let normalized: String = self
-            .snippet
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join(" ");
-        format!("{}|{}|{}", self.rule, self.path, normalized)
     }
 }
 
@@ -404,14 +389,5 @@ mod tests {
         );
         assert!(r1_no_panic(&f).is_empty());
         assert!(d1_wall_clock(&f).is_empty());
-    }
-
-    #[test]
-    fn baseline_key_ignores_line_numbers() {
-        let f1 = scan("let t = Instant::now();\n");
-        let f2 = scan("\n\n\nlet t  =  Instant::now();\n");
-        let k1 = d1_wall_clock(&f1)[0].baseline_key();
-        let k2 = d1_wall_clock(&f2)[0].baseline_key();
-        assert_eq!(k1, k2);
     }
 }

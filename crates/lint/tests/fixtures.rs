@@ -1,6 +1,5 @@
 //! Fixture tests: every rule proven against a known-bad snippet (tripping
-//! exactly its own rule id) and a known-good twin (clean), plus a
-//! baseline round-trip over real fixture violations.
+//! exactly its own rule id) and a known-good twin (clean).
 //!
 //! Fixtures live in `tests/fixtures/` — a directory the workspace pass
 //! skips, because the bad twins contain violations on purpose. Each
@@ -8,7 +7,6 @@
 //! the same rule scoping the real tree would (`crates/eth/src/…` for the
 //! determinism rules, `crates/rpcd/src/…` for R1).
 
-use ofl_lint::baseline::Baseline;
 use ofl_lint::rules::{
     d1_wall_clock, d2_unordered_iteration, d3_ambient_randomness, r1_no_panic, Violation,
 };
@@ -111,27 +109,4 @@ fn r1_is_scoped_to_daemon_paths() {
     // Panic paths outside the daemon/transport are other crates' choice.
     let file = scan_fixture("r1_bad.rs", "crates/fl/src/fixture.rs");
     assert_eq!(fired_rules(&file), Vec::<&str>::new());
-}
-
-#[test]
-fn baseline_round_trips_real_fixture_violations() {
-    let bad = scan_fixture("r1_bad.rs", "crates/rpcd/src/fixture.rs");
-    let violations = r1_no_panic(&bad);
-    assert!(!violations.is_empty());
-
-    // Accept them all; a re-run is then all-baselined, nothing new.
-    let baseline = Baseline::from_violations(&violations);
-    let reparsed = Baseline::parse(&baseline.format());
-    assert_eq!(baseline, reparsed);
-    let (new, baselined) = reparsed.partition(&violations);
-    assert!(new.is_empty());
-    assert_eq!(baselined.len(), violations.len());
-
-    // A fresh violation from another fixture is still new.
-    let other = scan_fixture("d1_bad.rs", "crates/eth/src/fixture.rs");
-    let fresh = d1_wall_clock(&other);
-    let (new, _) = reparsed.partition(&fresh);
-    assert_eq!(new.len(), fresh.len());
-    // And fixing everything leaves only stale keys to delete.
-    assert_eq!(reparsed.stale(&fresh).len(), reparsed.len());
 }

@@ -1,16 +1,15 @@
 //! The gate, enforced by `cargo test` itself: the real workspace must
-//! carry zero violations that are not in the checked-in baseline.
+//! carry zero violations.
 //!
-//! This is the same check CI's `--deny-new` run performs, so a developer
+//! This is the same check CI's `ofl-lint` run performs, so a developer
 //! who never touches CI still cannot land a new wall-clock read, an
 //! unordered digest-path iteration, ambient randomness, or a daemon panic
-//! path without either fixing it or consciously annotating/baselining it.
+//! path without either fixing it or annotating it with a reasoned escape.
 
-use ofl_lint::baseline::Baseline;
 use std::path::PathBuf;
 
 #[test]
-fn workspace_has_no_unbaselined_violations() {
+fn workspace_has_no_violations() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
@@ -21,16 +20,12 @@ fn workspace_has_no_unbaselined_violations() {
         "suspiciously few files scanned ({}) — is the walker broken?",
         report.files_scanned
     );
-
-    let baseline = std::fs::read_to_string(root.join("crates/lint/baseline.txt"))
-        .map(|text| Baseline::parse(&text))
-        .unwrap_or_default();
-    let (new, _baselined) = baseline.partition(&report.violations);
     assert!(
-        new.is_empty(),
-        "new lint violations (fix them, annotate with a reasoned escape, \
-         or — only for pre-existing debt — add to crates/lint/baseline.txt):\n{}",
-        new.iter()
+        report.violations.is_empty(),
+        "lint violations (fix them, or annotate with a reasoned escape):\n{}",
+        report
+            .violations
+            .iter()
             .map(|v| format!("  {} {}:{} {}", v.rule, v.path, v.line, v.snippet))
             .collect::<Vec<_>>()
             .join("\n")

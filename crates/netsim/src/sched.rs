@@ -90,11 +90,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules `event` at `now + delay`.
-    pub fn schedule_after(&mut self, now: SimInstant, delay: SimDuration, event: E) {
-        self.schedule(SimInstant(now.0 + delay.0), event);
-    }
-
     /// Removes and returns the earliest event with its firing instant.
     pub fn pop(&mut self) -> Option<(SimInstant, E)> {
         let _t = PhaseTimer::start(HotPhase::Queue);
@@ -122,11 +117,6 @@ impl<E> EventQueue<E> {
         Some((at, run))
     }
 
-    /// Firing instant of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimInstant> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -146,11 +136,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// A timeline starting at `start`.
-    pub fn starting_at(start: SimInstant) -> Timeline {
-        Timeline { now: start }
-    }
-
     /// The participant's local time.
     pub fn now(&self) -> SimInstant {
         self.now
@@ -238,13 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_offsets_from_now() {
-        let mut q = EventQueue::new();
-        q.schedule_after(SimInstant(100), SimDuration(50), "x");
-        assert_eq!(q.peek_time(), Some(SimInstant(150)));
-    }
-
-    #[test]
     #[should_panic(expected = "before current time")]
     fn scheduling_into_the_past_panics() {
         let mut q = EventQueue::new();
@@ -267,7 +245,8 @@ mod tests {
     #[test]
     fn timelines_are_independent() {
         let mut a = Timeline::default();
-        let mut b = Timeline::starting_at(SimInstant(500));
+        let mut b = Timeline::default();
+        b.advance_to(SimInstant(500));
         a.advance(SimDuration(100));
         assert_eq!(a.now(), SimInstant(100));
         assert_eq!(b.now(), SimInstant(500));

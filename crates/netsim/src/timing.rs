@@ -2,7 +2,7 @@
 //! distribution (owners: train / upload / send-CID; buyers: deploy /
 //! download-CIDs / retrieve / aggregate+pay).
 
-use crate::clock::{SimClock, SimDuration, SimInstant};
+use crate::clock::SimDuration;
 use std::collections::BTreeMap;
 
 /// Accumulates named phase durations on a virtual clock.
@@ -25,14 +25,6 @@ impl PhaseRecorder {
         }
         let entry = self.phases.entry(phase.to_string()).or_default();
         *entry = entry.saturating_add(duration);
-    }
-
-    /// Runs `f`, charging the elapsed virtual time to `phase`.
-    pub fn measure<T>(&mut self, clock: &SimClock, phase: &str, f: impl FnOnce() -> T) -> T {
-        let start: SimInstant = clock.now();
-        let out = f();
-        self.add(phase, clock.now().since(start));
-        out
     }
 
     /// Duration of one phase (zero if absent).
@@ -142,18 +134,6 @@ mod tests {
         assert!((total_share - 1.0).abs() < 1e-9);
         assert_eq!(rows[0].0, "a"); // first-use order preserved
         assert!((rows[1].2 - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn measure_charges_clock_delta() {
-        let clock = SimClock::new();
-        let mut rec = PhaseRecorder::new();
-        let out = rec.measure(&clock, "work", || {
-            clock.advance(SimDuration::from_secs(7));
-            42
-        });
-        assert_eq!(out, 42);
-        assert_eq!(rec.get("work"), SimDuration::from_secs(7));
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn main() {
         report.max_owners_sharing_block()
     );
 
-    // Compare one of those markets against the serial engine.
+    // Compare one of those markets against the serial workflow.
     let serial = Scenario::new("serial-8", base_config())
         .run()
         .expect("serial baseline completes");

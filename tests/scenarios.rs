@@ -63,7 +63,7 @@ fn suite_sweeps_partitions_and_failures_deterministically() {
     let concurrent = suite
         .scenarios
         .iter()
-        .filter(|s| s.mode != ofl_w3::core::scenario::ExecutionMode::Serial)
+        .filter(|s| s.mode != ExecutionMode::SERIAL)
         .count();
     assert!(clean >= 4, "partition regimes: {clean}");
     assert!(faulty >= 2, "failure regimes: {faulty}");
@@ -331,7 +331,7 @@ fn sharded_faulty_regime() -> Scenario {
         drop_ipfs_blocks: vec![6],
         ..FailurePlan::clean()
     })
-    .with_mode(ExecutionMode::MultiMarket {
+    .with_mode(ExecutionMode {
         markets: 3,
         arrivals: Arrivals::Simultaneous,
         shards: 2,
@@ -425,7 +425,7 @@ fn payment_receipts_from_the_slot_polls_equal_the_chains_own() {
 /// engine. Their `uploadCid` transactions pile into the shared mempool and
 /// get mined into *shared* blocks — at least one block carries
 /// transactions from ≥ 2 distinct owners (in fact all of them) — and the
-/// session's total virtual time is strictly less than the serial engine's
+/// session's total virtual time is strictly less than the serial workflow's
 /// for the same configuration.
 #[test]
 fn thirty_two_concurrent_owners_share_blocks_and_beat_serial() {
@@ -466,7 +466,7 @@ fn thirty_two_concurrent_owners_share_blocks_and_beat_serial() {
     assert_eq!(packed, 32, "every owner's CID landed");
 
     // Strictly less virtual time than the serial schedule for the same
-    // config (the serial engine pays ~12 s of blockchain wait per owner).
+    // config (the serial workflow pays ~12 s of blockchain wait per owner).
     assert!(
         report.sessions[0].total_sim_seconds < serial.total_sim_seconds,
         "event-driven {} s vs serial {} s",
@@ -721,6 +721,32 @@ fn serial_session_report_is_pinned_across_commits() {
     assert_eq!(
         digest, 0xf6b6_b4e2_62cd_8720,
         "session report moved (0x{digest:016x})"
+    );
+}
+
+/// The DApp's click path — each `Marketplace` step method called in turn
+/// on the market's own world, blocking on every confirmation — yields the
+/// report of the engine's serial run, pinned above.
+#[test]
+fn dapp_click_path_report_equals_the_engine_run() {
+    let mut market = Marketplace::new(MarketConfig::small_test());
+    market.deploy_contract().expect("deploy");
+    for i in 0..market.owners.len() {
+        market.owner_train(i);
+        market.owner_upload_model(i).expect("upload");
+        market.owner_send_cid(i).expect("send CID");
+    }
+    let cids = market.buyer_download_cids().expect("download CIDs");
+    market
+        .buyer_retrieve_models(&cids)
+        .expect("retrieve models");
+    let clicked = market.buyer_aggregate_and_pay().expect("aggregate and pay");
+    let (_, run) = Marketplace::run(MarketConfig::small_test()).expect("session completes");
+    let digest = session_report_digest(&clicked);
+    assert_eq!(digest, session_report_digest(&run));
+    assert_eq!(
+        digest, 0xf6b6_b4e2_62cd_8720,
+        "click-path report moved (0x{digest:016x})"
     );
 }
 
