@@ -303,6 +303,8 @@ pub struct BuyerApp {
     events: Vec<UiEvent>,
     cids: Vec<String>,
     watcher: Option<CidWatcher>,
+    /// How many CIDs the watcher has yielded since genesis.
+    watched: usize,
 }
 
 impl BuyerApp {
@@ -312,6 +314,7 @@ impl BuyerApp {
             events: Vec::new(),
             cids: Vec::new(),
             watcher: None,
+            watched: 0,
         }
     }
 
@@ -395,6 +398,10 @@ impl BuyerApp {
     /// watcher falls back to cursor polling from the same block, so the
     /// sequence the buyer sees is identical either way. Production DApps
     /// run this in a loop instead of rereading every CID on each click.
+    ///
+    /// The contract's list is append-only and its events arrive in list
+    /// order, so the buyer's list is always a prefix of it: a watched CID
+    /// that "Download CIDs" already fetched is not appended again.
     pub fn watch_cids(&mut self, market: &mut Marketplace) -> Result<String, MarketError> {
         if self.watcher.is_none() {
             let contract = market
@@ -411,13 +418,16 @@ impl BuyerApp {
         match watcher.poll(&mut market.world) {
             Ok((fresh, duration)) => {
                 market.world.clock.advance(duration);
+                let held = self.cids.len().saturating_sub(self.watched);
+                self.watched += fresh.len();
+                let before = self.cids.len();
+                self.cids.extend(fresh.into_iter().skip(held));
                 let msg = format!(
                     "Watched {} new CIDs through block {} ({} total, no gas fee)",
-                    fresh.len(),
+                    self.cids.len() - before,
                     watcher.last_seen_block,
-                    self.cids.len() + fresh.len()
+                    self.cids.len()
                 );
-                self.cids.extend(fresh);
                 self.log(msg.clone());
                 Ok(msg)
             }
@@ -591,6 +601,43 @@ mod tests {
         buyer_app.retrieve_models(&mut market).unwrap();
         let report = buyer_app.aggregate_and_pay(&mut market).unwrap();
         assert_eq!(report.payments.len(), market.owners.len());
+    }
+
+    #[test]
+    fn download_and_watch_in_any_order_pay_each_owner_once() {
+        let mut market = Marketplace::new(MarketConfig::small_test());
+        let n = market.owners.len();
+        let mut buyer_app = BuyerApp::new();
+        buyer_app.deploy_contract(&mut market).unwrap();
+        let publish = |market: &mut Marketplace, owners: std::ops::Range<usize>| {
+            for i in owners {
+                let mut app = OwnerApp::new(i);
+                app.train_model(market);
+                app.upload_model(market).unwrap();
+                app.send_cid(market).unwrap();
+            }
+        };
+
+        // Download, then Watch: the watch's catch-up from genesis re-reads
+        // what the download already holds.
+        publish(&mut market, 0..2);
+        buyer_app.download_cids(&mut market).unwrap();
+        buyer_app.watch_cids(&mut market).unwrap();
+        assert_eq!(buyer_app.cids, market.buyer_download_cids().unwrap());
+        // A watch after more uploads appends only the fresh CID.
+        publish(&mut market, 2..3);
+        buyer_app.watch_cids(&mut market).unwrap();
+        assert_eq!(buyer_app.cids, market.buyer_download_cids().unwrap());
+        // Watch, more uploads, Download, then Watch.
+        publish(&mut market, 3..n);
+        buyer_app.download_cids(&mut market).unwrap();
+        buyer_app.watch_cids(&mut market).unwrap();
+        assert_eq!(buyer_app.cids, market.buyer_download_cids().unwrap());
+        assert_eq!(buyer_app.cids.len(), n);
+
+        buyer_app.retrieve_models(&mut market).unwrap();
+        let report = buyer_app.aggregate_and_pay(&mut market).unwrap();
+        assert_eq!(report.payments.len(), n, "one payment per owner");
     }
 
     #[test]

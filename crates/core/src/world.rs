@@ -18,8 +18,10 @@
 //! timelines) charges the bill.
 //!
 //! Backstage simulation work — mining slots, conservation checks, failure
-//! injection — reaches a shard's backend through [`World::chain`] /
-//! [`World::swarm_mut`]: those are the simulator's hands, not the client's.
+//! injection — reaches a shard's backend as a [`BackstageOp`], which works
+//! the same for in-process and remote shards: those are the simulator's
+//! hands, not the client's. [`World::chain`] and [`World::swarm_mut`] hand
+//! out an in-process shard's backend directly, for tests and local tools.
 //!
 //! Block production is clock-driven and happens on **every** shard:
 //! transactions wait in their shard's mempool until the next 12-second

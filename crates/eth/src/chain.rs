@@ -544,7 +544,6 @@ impl Chain {
                 self.publish(event);
             }
         }
-        // lint: ordered-ok(receipts here is the per-block Vec in execution order, not the receipts map)
         for r in receipts {
             self.receipts.insert(r.tx_hash, r);
         }

@@ -144,7 +144,11 @@ impl State {
     /// Total wei across all accounts (conservation checks in tests).
     pub fn total_supply(&self) -> U256 {
         let mut total = U256::ZERO;
-        // lint: ordered-ok(checked_add is commutative and associative; the sum is order-independent)
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "checked_add is commutative and associative; the sum is order-independent"
+        )]
         for acct in self.accounts.values() {
             total = total
                 .checked_add(&acct.balance)
@@ -161,6 +165,7 @@ impl State {
     /// Iterates over all (address, account) pairs in address order, so
     /// callers can fold the walk into a digest without re-sorting.
     pub fn iter(&self) -> impl Iterator<Item = (&H160, &Account)> {
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut pairs: Vec<(&H160, &Account)> = self.accounts.iter().collect();
         pairs.sort_by_key(|(address, _)| **address);
         pairs.into_iter()

@@ -1,5 +1,6 @@
-//! Transaction types: EIP-1559 dynamic-fee transactions (the default on
-//! Sepolia, which the paper uses) and legacy EIP-155 transactions.
+//! Transaction types: EIP-1559 dynamic-fee transactions, the default on
+//! Sepolia, which the paper uses. [`SignedTx::decode`] rejects every other
+//! transaction type.
 //!
 //! Signing hashes, RLP envelopes, and sender recovery follow the Ethereum
 //! specifications so that a transaction round-trips
@@ -206,95 +207,6 @@ pub fn sign_tx(request: TxRequest, private_key: &U256) -> Result<SignedTx, Ecdsa
     Ok(request.into_signed(signature))
 }
 
-/// A legacy (pre-EIP-1559) transaction with EIP-155 replay protection.
-///
-/// Kept for wire-format completeness: older tooling still produces these,
-/// and the chain accepts them via [`LegacyTx::into_dynamic_fee`], which maps
-/// `gas_price` onto `max_fee = max_priority_fee = gas_price` — exactly how
-/// EIP-1559 clients interpret legacy transactions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LegacyTx {
-    /// Chain id (EIP-155).
-    pub chain_id: u64,
-    /// Sender nonce.
-    pub nonce: u64,
-    /// Single gas price, in wei.
-    pub gas_price: U256,
-    /// Gas limit.
-    pub gas_limit: u64,
-    /// Recipient; `None` creates a contract.
-    pub to: Option<H160>,
-    /// Wei transferred.
-    pub value: U256,
-    /// Calldata or init code.
-    pub data: Vec<u8>,
-}
-
-impl LegacyTx {
-    /// The EIP-155 signing hash:
-    /// `keccak256(rlp([nonce, gas_price, gas, to, value, data, chain_id, 0, 0]))`.
-    pub fn signing_hash(&self) -> H256 {
-        let item = Item::List(vec![
-            Item::u64(self.nonce),
-            Item::uint(&self.gas_price),
-            Item::u64(self.gas_limit),
-            match &self.to {
-                Some(addr) => Item::bytes(addr.as_bytes()),
-                None => Item::bytes([]),
-            },
-            Item::uint(&self.value),
-            Item::bytes(&self.data),
-            Item::u64(self.chain_id),
-            Item::u64(0),
-            Item::u64(0),
-        ]);
-        H256::from_bytes(keccak256(&rlp::encode(&item)))
-    }
-
-    /// The EIP-155 `v` value for a recovery id: `35 + 2·chain_id + parity`.
-    pub fn v(&self, recovery_id: u8) -> u64 {
-        35 + 2 * self.chain_id + recovery_id as u64
-    }
-
-    /// Extracts the recovery id from an EIP-155 `v`; `None` when `v` does
-    /// not belong to this chain.
-    pub fn recovery_id_from_v(chain_id: u64, v: u64) -> Option<u8> {
-        let base = 35 + 2 * chain_id;
-        match v.checked_sub(base) {
-            Some(0) => Some(0),
-            Some(1) => Some(1),
-            _ => None,
-        }
-    }
-
-    /// Signs and converts to the EIP-1559 representation the chain executes.
-    pub fn sign_as_dynamic_fee(self, private_key: &U256) -> Result<SignedTx, EcdsaError> {
-        sign_tx(self.into_dynamic_fee(), private_key)
-    }
-
-    /// Maps onto a [`TxRequest`] (`max_fee = tip = gas_price`).
-    pub fn into_dynamic_fee(self) -> TxRequest {
-        TxRequest {
-            chain_id: self.chain_id,
-            nonce: self.nonce,
-            max_priority_fee_per_gas: self.gas_price,
-            max_fee_per_gas: self.gas_price,
-            gas_limit: self.gas_limit,
-            to: self.to,
-            value: self.value,
-            data: self.data,
-        }
-    }
-
-    /// Recovers the sender of a raw `(v, r, s)`-signed legacy transaction.
-    pub fn recover_sender(&self, v: u64, r: U256, s: U256) -> Result<H160, TxError> {
-        let recovery_id =
-            Self::recovery_id_from_v(self.chain_id, v).ok_or(TxError::MalformedBody)?;
-        let sig = Signature { r, s, recovery_id };
-        Ok(secp256k1::recover_address(&self.signing_hash().0, &sig)?)
-    }
-}
-
 /// The deterministic contract address for a CREATE by `sender` at `nonce`:
 /// `keccak256(rlp([sender, nonce]))[12..]`.
 pub fn create_address(sender: &H160, nonce: u64) -> H160 {
@@ -413,67 +325,6 @@ mod tests {
         let mut raw = vec![0x02];
         raw.extend(rlp::encode(&item));
         assert_eq!(SignedTx::decode(&raw), Err(TxError::MalformedBody));
-    }
-
-    #[test]
-    fn legacy_eip155_signing_and_recovery() {
-        let legacy = LegacyTx {
-            chain_id: 11155111,
-            nonce: 2,
-            gas_price: U256::from(20_000_000_000u64),
-            gas_limit: 21_000,
-            to: Some(H160::from_slice(&[0x11; 20])),
-            value: U256::from(999u64),
-            data: vec![],
-        };
-        let key = U256::from(0xc0ffeeu64);
-        let sender = secp256k1::public_key(&key)
-            .unwrap()
-            .to_eth_address()
-            .unwrap();
-        let sig = secp256k1::sign(&key, &legacy.signing_hash().0).unwrap();
-        let v = legacy.v(sig.recovery_id);
-        assert!(v == 35 + 2 * 11155111 || v == 36 + 2 * 11155111);
-        assert_eq!(legacy.recover_sender(v, sig.r, sig.s).unwrap(), sender);
-        // Wrong chain's v is rejected.
-        assert!(legacy.recover_sender(27, sig.r, sig.s).is_err());
-        assert_eq!(LegacyTx::recovery_id_from_v(1, 37), Some(0));
-        assert_eq!(LegacyTx::recovery_id_from_v(1, 38), Some(1));
-        assert_eq!(LegacyTx::recovery_id_from_v(1, 39), None);
-    }
-
-    #[test]
-    fn legacy_converts_to_dynamic_fee_and_executes_equivalently() {
-        let legacy = LegacyTx {
-            chain_id: 11155111,
-            nonce: 0,
-            gas_price: U256::from(15_000_000_000u64),
-            gas_limit: 30_000,
-            to: Some(H160::from_slice(&[0x22; 20])),
-            value: U256::from(5u64),
-            data: vec![1, 2, 3],
-        };
-        let req = legacy.clone().into_dynamic_fee();
-        assert_eq!(req.max_fee_per_gas, legacy.gas_price);
-        assert_eq!(req.max_priority_fee_per_gas, legacy.gas_price);
-        assert_eq!(req.value, legacy.value);
-        let signed = legacy.sign_as_dynamic_fee(&U256::from(42u64)).unwrap();
-        assert!(signed.recover_sender().is_ok());
-    }
-
-    #[test]
-    fn legacy_signing_hash_differs_from_typed() {
-        let legacy = LegacyTx {
-            chain_id: 1,
-            nonce: 0,
-            gas_price: U256::from(10u64),
-            gas_limit: 21_000,
-            to: None,
-            value: U256::ZERO,
-            data: vec![],
-        };
-        let typed = legacy.clone().into_dynamic_fee();
-        assert_ne!(legacy.signing_hash(), typed.signing_hash());
     }
 
     #[test]

@@ -79,6 +79,7 @@ impl Blockstore {
     }
 
     /// Total stored bytes.
+    #[expect(clippy::disallowed_methods, reason = "the sum is order-independent")]
     pub fn total_bytes(&self) -> u64 {
         self.blocks.values().map(|b| b.len() as u64).sum()
     }
@@ -93,15 +94,14 @@ impl Blockstore {
         self.pins.remove(cid)
     }
 
-    /// All pinned roots.
-    pub fn pins(&self) -> impl Iterator<Item = &Cid> {
-        self.pins.iter()
-    }
-
     /// Mark-and-sweep GC: removes every block not reachable from a pin.
     /// Returns the number of blocks collected.
     pub fn gc(&mut self) -> usize {
         let mut live: HashSet<Cid> = HashSet::new();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the live set reached from the pins does not depend on their order"
+        )]
         let mut queue: VecDeque<Cid> = self.pins.iter().cloned().collect();
         while let Some(cid) = queue.pop_front() {
             if !live.insert(cid.clone()) {

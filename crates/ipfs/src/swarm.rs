@@ -338,7 +338,9 @@ mod tests {
         let root = swarm.node_mut(0).add(&data).root;
         swarm.node_mut(1).add(&data);
         let (_, stats) = swarm.fetch(3, &root).unwrap();
-        assert_eq!(stats.providers.values().sum::<usize>(), 1);
+        #[expect(clippy::disallowed_methods, reason = "the sum is order-independent")]
+        let provided: usize = stats.providers.values().sum();
+        assert_eq!(provided, 1);
     }
 
     #[test]

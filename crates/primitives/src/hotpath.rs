@@ -103,6 +103,10 @@ pub struct PhaseTimer {
 impl PhaseTimer {
     /// Starts timing `phase` if accounting is enabled.
     pub fn start(phase: HotPhase) -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "runtime-gated bench timer; its counters never enter a digest"
+        )]
         let started = phase_timing_enabled().then(Instant::now);
         PhaseTimer { phase, started }
     }

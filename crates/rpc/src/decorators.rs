@@ -21,9 +21,9 @@
 //!
 //! Layers never touch a clock: they *price* requests into the response
 //! envelope's `cost` field, and the caller decides which clock or timeline
-//! pays. That is what lets the serial workflow charge its one global clock
-//! while the discrete-event engine charges per-owner timelines, both
-//! through the same stack.
+//! pays. That is what lets the discrete-event engine charge per-owner
+//! timelines while the DApp's blocking clicks charge the world's one
+//! clock, both through the same stack.
 
 use crate::backstage::{BackstageOp, BackstageReply};
 use crate::envelope::{RpcError, RpcMethod, RpcRequest, RpcResponse, RpcResult};

@@ -505,6 +505,7 @@ impl Wire for FetchStats {
         self.blocks_fetched.put(w);
         self.bytes_fetched.put(w);
         self.rounds.put(w);
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut providers: Vec<(&String, &usize)> = self.providers.iter().collect();
         providers.sort();
         w.u64(providers.len() as u64);

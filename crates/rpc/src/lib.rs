@@ -49,8 +49,8 @@
 //! Providers never advance a clock. Decorators *price* work into a
 //! [`Billed`] envelope (or `RpcResponse::cost`), and the caller charges the
 //! bill to whatever clock or per-participant timeline it owns. This is what
-//! lets one provider stack serve both the serial workflow (one global
-//! clock) and the discrete-event session engine (many overlapping
+//! lets one provider stack serve both the DApp's blocking clicks (one
+//! global clock) and the discrete-event session engine (many overlapping
 //! timelines).
 
 #![forbid(unsafe_code)]

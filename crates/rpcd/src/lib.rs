@@ -11,7 +11,7 @@
 //!
 //! Three transports share the same dispatch code:
 //!
-//! - **TCP** ([`serve_listener`] / [`serve_listener_with`]) and **Unix
+//! - **TCP** ([`serve_listener_with`]) and **Unix
 //!   sockets** ([`serve_unix_listener_with`]) — real sockets, one thread per
 //!   connection: what the `rpcd` binary runs.
 //! - **In-memory pipe** ([`PipeTransport`]) — client and server in one
@@ -50,6 +50,16 @@
 //! [`JoinHandle`]: std::thread::JoinHandle
 
 #![forbid(unsafe_code)]
+// R1: a worker facing an untrusted peer degrades with a typed error; it
+// never panics. Tests may unwrap (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use ofl_eth::chain::Chain;
 use ofl_ipfs::swarm::Swarm;
@@ -560,19 +570,6 @@ pub fn serve_listener_with(listener: TcpListener, options: DaemonOptions) -> Dae
     )
 }
 
-/// Accepts up to `max_connections` TCP connections (forever when `None`),
-/// serving each on its own thread with a fresh provisionable
-/// [`Connection`].
-pub fn serve_listener(listener: TcpListener, max_connections: Option<usize>) {
-    serve_listener_with(
-        listener,
-        DaemonOptions {
-            max_connections,
-            ..DaemonOptions::default()
-        },
-    );
-}
-
 /// [`serve_listener_with`] over a Unix domain socket.
 #[cfg(unix)]
 pub fn serve_unix_listener_with(listener: UnixListener, options: DaemonOptions) -> DaemonStats {
@@ -1068,7 +1065,8 @@ mod tests {
     fn real_tcp_socket_serves_a_provisioned_chain() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || serve_listener(listener, Some(1)));
+        let server =
+            std::thread::spawn(move || serve_listener_with(listener, DaemonOptions::max(1)));
 
         let endpoint = ofl_rpc::RemoteEndpoint::Tcp(addr.to_string());
         let wallet = Wallet::from_seed("rpcd-tcp", 1);
@@ -1091,7 +1089,8 @@ mod tests {
         use std::io::Write as _;
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || serve_listener(listener, Some(1)));
+        let server =
+            std::thread::spawn(move || serve_listener_with(listener, DaemonOptions::max(1)));
 
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
         // A valid header framing a garbage payload.

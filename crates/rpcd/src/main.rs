@@ -19,6 +19,16 @@
 //! up, reconnect and `Attach` to the same live backend.
 
 #![forbid(unsafe_code)]
+// R1: a worker facing an untrusted peer degrades with a typed error; it
+// never panics. Tests may unwrap (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use ofl_rpcd::DaemonOptions;
 use std::net::TcpListener;

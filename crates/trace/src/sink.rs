@@ -88,7 +88,12 @@ impl Trace {
     /// Chrome-trace JSON. Spans map to `B`/`E` phase pairs, instants to
     /// `i`; `tid` is the stable source id, `ts` is virtual microseconds.
     pub fn to_chrome_trace(&self) -> String {
-        let exported_unix_ms = std::time::SystemTime::now() // lint: wall-clock-ok(export-metadata stamp on the human-facing Chrome artifact; never emitted into JSONL)
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "export-metadata stamp on the human-facing Chrome artifact; never emitted into JSONL"
+        )]
+        let exported_unix_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);

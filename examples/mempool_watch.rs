@@ -54,7 +54,9 @@ fn main() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap().to_string();
     println!("rpcd listening on tcp://{addr} (daemon thread serving the watched shard)");
-    let server = std::thread::spawn(move || ofl_w3::rpcd::serve_listener(listener, Some(1)));
+    let server = std::thread::spawn(move || {
+        ofl_w3::rpcd::serve_listener_with(listener, ofl_w3::rpcd::DaemonOptions::max(1))
+    });
 
     let mut shard = 0usize;
     let endpoint = RemoteEndpoint::Tcp(addr);

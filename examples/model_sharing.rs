@@ -54,12 +54,12 @@ fn main() {
     let (fetched, stats) = swarm
         .fetch(buyer, &added.root)
         .expect("all blocks available");
+    #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
+    let mut providers: Vec<&String> = stats.providers.keys().collect();
+    providers.sort();
     println!(
         "fetched {} blocks / {} bytes in {} want-list rounds from {:?}",
-        stats.blocks_fetched,
-        stats.bytes_fetched,
-        stats.rounds,
-        stats.providers.keys().collect::<Vec<_>>()
+        stats.blocks_fetched, stats.bytes_fetched, stats.rounds, providers
     );
     let restored = decode_model(&fetched).expect("valid model bytes");
     assert_eq!(restored, trained.model, "bit-exact model transfer");

@@ -5,7 +5,7 @@
 //! two runs are indistinguishable, down to the RPC metering.
 //!
 //! The daemon here is served on a background thread by the same
-//! `serve_listener` loop the standalone `rpcd` binary runs; point
+//! `serve_listener_with` loop the standalone `rpcd` binary runs; point
 //! `RemoteEndpoint::Tcp` at `rpcd --tcp 127.0.0.1:8945` for the true
 //! two-process version.
 //!
@@ -37,7 +37,9 @@ fn main() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap().to_string();
     println!("rpcd listening on tcp://{addr} (background thread running the binary's serve loop)");
-    let server = std::thread::spawn(move || ofl_w3::rpcd::serve_listener(listener, Some(1)));
+    let server = std::thread::spawn(move || {
+        ofl_w3::rpcd::serve_listener_with(listener, ofl_w3::rpcd::DaemonOptions::max(1))
+    });
 
     // 2. A world whose pool mixes one local shard with one remote shard.
     //    `World::from_shards` connects, sends a Provision frame carrying

@@ -884,7 +884,9 @@ mod remote_backend {
         // A real rpcd server on an ephemeral TCP port, one connection.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || ofl_w3::rpcd::serve_listener(listener, Some(1)));
+        let server = std::thread::spawn(move || {
+            ofl_w3::rpcd::serve_listener_with(listener, ofl_w3::rpcd::DaemonOptions::max(1))
+        });
 
         let mut shard_index = 0usize;
         let (mm, remote) = MultiMarket::with_shards_via(configs(), 2, |config| {
