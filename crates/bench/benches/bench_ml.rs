@@ -6,7 +6,7 @@ use ofl_data::mnist;
 use ofl_fl::baselines::train_all_silos;
 use ofl_fl::client::{train_local, TrainConfig};
 use ofl_fl::hungarian::solve_min;
-use ofl_fl::pfnm::{aggregate, PfnmConfig};
+use ofl_fl::pfnm::{aggregate, cost_matrix, Atom, PfnmConfig};
 use ofl_tensor::serialize::{decode_model, encode_model};
 use ofl_tensor::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -25,6 +25,15 @@ fn bench_matmul(c: &mut Criterion) {
     let dy = Tensor::randn(64, 100, 1.0, &mut rng);
     group.bench_function("matmul_tn_grad_64x784x100", |b| {
         b.iter(|| black_box(&dy).matmul_tn(black_box(&x)))
+    });
+    // The buyer's test-set forward in the `pfnm-loo` market: 1,000 test
+    // images through the aggregate's hidden layer, 200 atoms wide (width
+    // 20 × 10 owners).
+    let test = Tensor::randn(1000, 784, 1.0, &mut rng);
+    let hidden = Tensor::randn(200, 784, 0.05, &mut rng);
+    group.throughput(Throughput::Elements(1000 * 784 * 200));
+    group.bench_function("matmul_nt_1000x784x200", |b| {
+        b.iter(|| black_box(&test).matmul_nt(black_box(&hidden)))
     });
     group.finish();
 }
@@ -85,6 +94,28 @@ fn bench_pfnm(c: &mut Criterion) {
     let trained = train_all_silos(&silos, &cfg);
     let weights: Vec<usize> = trained.iter().map(|t| t.n_examples).collect();
     let models: Vec<_> = trained.into_iter().map(|t| t.model).collect();
+    // One client's matching cost late in a `pfnm-loo` sweep: 20 local
+    // neurons against 180 atoms, each neuron 784 + 1 + 10 = 795 wide.
+    let dim = 795;
+    let mut vector =
+        |scale: f64| -> Vec<f64> { (0..dim).map(|_| rng.gen_range(-scale..scale)).collect() };
+    let neurons: Vec<Vec<f64>> = (0..20).map(|_| vector(0.1)).collect();
+    let atoms: Vec<Atom> = (0..180)
+        .map(|_| Atom {
+            weighted_sum: vector(0.1),
+            count: 1,
+        })
+        .collect();
+    group.bench_function("cost_matrix_20x180x795", |b| {
+        b.iter(|| {
+            cost_matrix(
+                black_box(&neurons),
+                black_box(&atoms),
+                10,
+                &PfnmConfig::default(),
+            )
+        })
+    });
     group.bench_function("aggregate_5x50_neurons", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(9);

@@ -60,6 +60,13 @@ pub enum PfnmError {
     UnsupportedArchitecture,
     /// Models have mismatched input/output dimensions.
     DimensionMismatch,
+    /// `weights` does not hold one example count per model.
+    WeightCountMismatch {
+        /// Number of models supplied.
+        models: usize,
+        /// Number of weights supplied.
+        weights: usize,
+    },
 }
 
 impl core::fmt::Display for PfnmError {
@@ -70,6 +77,9 @@ impl core::fmt::Display for PfnmError {
                 write!(f, "PFNM requires single-hidden-layer MLPs")
             }
             PfnmError::DimensionMismatch => write!(f, "local models disagree on in/out dims"),
+            PfnmError::WeightCountMismatch { models, weights } => {
+                write!(f, "{weights} weights for {models} local models")
+            }
         }
     }
 }
@@ -89,12 +99,12 @@ pub struct PfnmResult {
 }
 
 /// One global atom's sufficient statistics.
-#[derive(Clone)]
-struct Atom {
+#[derive(Debug, Clone)]
+pub struct Atom {
     /// Σ v/σ² over matched neuron vectors (μ₀ = 0).
-    weighted_sum: Vec<f64>,
+    pub weighted_sum: Vec<f64>,
     /// Number of matched clients.
-    count: usize,
+    pub count: usize,
 }
 
 struct Problem {
@@ -109,9 +119,9 @@ struct Problem {
 }
 
 /// Aggregates local models with PFNM. `weights[j]` is client j's example
-/// count (used for the output-bias average). `models` may hold the models
-/// themselves or references to them, so a caller aggregating a subset
-/// need not clone it.
+/// count (used for the output-bias average), one per model. `models` may
+/// hold the models themselves or references to them, so a caller
+/// aggregating a subset need not clone it.
 pub fn aggregate(
     models: &[impl Borrow<Mlp>],
     weights: &[usize],
@@ -165,6 +175,12 @@ fn prepare(models: &[impl Borrow<Mlp>], weights: &[usize]) -> Result<Problem, Pf
     if models.is_empty() {
         return Err(PfnmError::NoModels);
     }
+    if weights.len() != models.len() {
+        return Err(PfnmError::WeightCountMismatch {
+            models: models.len(),
+            weights: weights.len(),
+        });
+    }
     if models.iter().any(|m| m.layers.len() != 2) {
         return Err(PfnmError::UnsupportedArchitecture);
     }
@@ -194,11 +210,7 @@ fn prepare(models: &[impl Borrow<Mlp>], weights: &[usize]) -> Result<Problem, Pf
         })
         .collect();
     let output_biases = models.iter().map(|m| m.layers[1].bias.clone()).collect();
-    let weights = if weights.len() == models.len() {
-        weights.iter().map(|&w| w.max(1) as f64).collect()
-    } else {
-        vec![1.0; models.len()]
-    };
+    let weights = weights.iter().map(|&w| w.max(1) as f64).collect();
     Ok(Problem {
         client_neurons,
         output_biases,
@@ -214,11 +226,11 @@ fn norm2(v: &[f64]) -> f64 {
 }
 
 /// Log-posterior gain of adding a neuron to an atom with statistics
-/// (`weighted_sum`, `count`). `scaled` is the neuron's `v/σ²` and
-/// `atom_norm2` the atom's `‖weighted_sum‖²`: the caller computes each once,
-/// not once per (neuron, atom) pair.
+/// (`weighted_sum`, `count`). `with_sum` is `‖weighted_sum + v/σ²‖²` for
+/// the neuron's `v`, and `atom_norm2` the atom's `‖weighted_sum‖²`: the
+/// caller computes both (see [`cost_matrix`]).
 fn attach_benefit(
-    scaled: &[f64],
+    with_sum: f64,
     atom: &Atom,
     atom_norm2: f64,
     j_total: usize,
@@ -228,11 +240,6 @@ fn attach_benefit(
     let s02 = cfg.sigma0 * cfg.sigma0;
     let denom_with = 1.0 / s02 + (atom.count as f64 + 1.0) / s2;
     let denom_without = 1.0 / s02 + atom.count as f64 / s2;
-    let mut with_sum = 0.0;
-    for (&w, &x) in atom.weighted_sum.iter().zip(scaled) {
-        let s = w + x;
-        with_sum += s * s;
-    }
     let param = with_sum / denom_with - atom_norm2 / denom_without;
     // IBP popularity: atoms matched by many clients attract more.
     let c = (atom.count as f64).clamp(1e-10, j_total as f64 - 1e-10);
@@ -255,10 +262,22 @@ fn new_atom_benefit(scaled: &[f64], j_total: usize, cfg: &PfnmConfig) -> f64 {
 /// "new atom" column.
 const FORBIDDEN: f64 = 1e12;
 
-/// The min-cost matrix for matching one client's neurons: one row per
-/// neuron, columns are the existing atoms then one private "new atom" slot
-/// per neuron.
-fn cost_matrix(
+/// Local neurons the cost kernel scores side by side: one client's `v/σ²`
+/// vectors are packed `k`-major in panels of this many, one lane each.
+const COST_LANES: usize = 4;
+
+/// The min-cost matrix for matching one client's neurons (each `v` one
+/// `[w_in ‖ b ‖ w_out]` row) to `atoms`: one row per neuron, columns are
+/// the existing atoms then one private "new atom" slot per neuron.
+///
+/// Each atom's `‖weighted_sum‖²` and each neuron's `v/σ²` are computed
+/// once, not once per (neuron, atom) pair. The pair sums
+/// `‖weighted_sum + v/σ²‖²` are lane-packed: the neurons' `v/σ²` sit
+/// `k`-major in panels of 4 f64 lanes (tail lanes zero-padded and
+/// discarded), and one pass over an atom's `weighted_sum` advances every
+/// lane of a panel. Each lane still sums `(w + x)²` from `+0.0` in `k`
+/// order, so every entry is bit-identical to the per-pair loop.
+pub fn cost_matrix(
     neurons: &[Vec<f64>],
     atoms: &[Atom],
     j_total: usize,
@@ -266,19 +285,57 @@ fn cost_matrix(
 ) -> Vec<Vec<f64>> {
     let s2 = cfg.sigma * cfg.sigma;
     let l_local = neurons.len();
-    let atom_norms: Vec<f64> = atoms.iter().map(|a| norm2(&a.weighted_sum)).collect();
-    let mut scaled = Vec::new();
-    neurons
+    let dim = neurons.first().map_or(0, Vec::len);
+    let panel_len = dim * COST_LANES;
+    let mut packed = vec![0.0f64; l_local.div_ceil(COST_LANES) * panel_len];
+    let mut scaled = Vec::with_capacity(dim);
+    let new_benefits: Vec<f64> = neurons
         .iter()
         .enumerate()
         .map(|(l, v)| {
             scaled.clear();
             scaled.extend(v.iter().map(|x| x / s2));
-            let mut row = Vec::with_capacity(atoms.len() + l_local);
-            for (atom, &atom_norm2) in atoms.iter().zip(&atom_norms) {
-                row.push(-attach_benefit(&scaled, atom, atom_norm2, j_total, cfg));
+            let panel = &mut packed[l / COST_LANES * panel_len..][..panel_len];
+            let lane = panel[l % COST_LANES..].iter_mut().step_by(COST_LANES);
+            for (slot, &x) in lane.zip(&scaled) {
+                *slot = x;
             }
-            let new_benefit = new_atom_benefit(&scaled, j_total, cfg);
+            new_atom_benefit(&scaled, j_total, cfg)
+        })
+        .collect();
+    // with_sums[l][a] = ‖atoms[a].weighted_sum + v_l/σ²‖².
+    let mut with_sums = vec![vec![0.0f64; atoms.len()]; l_local];
+    // `max(1)`: with no neurons, or zero-width ones, there is no panel to
+    // visit, but the chunk width must not be zero.
+    for (p, panel) in packed.chunks_exact(panel_len.max(1)).enumerate() {
+        let (panel, _) = panel.as_chunks::<COST_LANES>();
+        let lanes = &mut with_sums[p * COST_LANES..l_local.min((p + 1) * COST_LANES)];
+        for (a, atom) in atoms.iter().enumerate() {
+            let mut acc = [0.0f64; COST_LANES];
+            for (&w, xs) in atom.weighted_sum.iter().zip(panel) {
+                for (sum, &x) in acc.iter_mut().zip(xs) {
+                    let s = w + x;
+                    *sum += s * s;
+                }
+            }
+            // Read the lanes out of a copy: a partial read of `acc` itself
+            // would keep it on the stack for the whole `k` loop.
+            let sums = acc;
+            for (row, &sum) in lanes.iter_mut().zip(&sums) {
+                row[a] = sum;
+            }
+        }
+    }
+    let atom_norms: Vec<f64> = atoms.iter().map(|a| norm2(&a.weighted_sum)).collect();
+    with_sums
+        .into_iter()
+        .zip(new_benefits)
+        .enumerate()
+        .map(|(l, (sums, new_benefit))| {
+            let mut row = Vec::with_capacity(atoms.len() + l_local);
+            for ((atom, &atom_norm2), with_sum) in atoms.iter().zip(&atom_norms).zip(sums) {
+                row.push(-attach_benefit(with_sum, atom, atom_norm2, j_total, cfg));
+            }
             for l2 in 0..l_local {
                 row.push(if l2 == l { -new_benefit } else { FORBIDDEN });
             }
@@ -437,9 +494,10 @@ mod tests {
         }
     }
 
-    /// The cost matrix as the per-pair formulas wrote it before the atom
-    /// norm and the `v/σ²` scaling were hoisted out of the pair loop: the
-    /// oracle [`cost_matrix`] must match bit for bit.
+    /// The cost matrix as the plain per-pair formulas write it: for each
+    /// (neuron, atom) pair, `v/σ²`, the atom norm and `‖w + v/σ²‖²` from
+    /// scratch, summed in `k` order. The hoisted, lane-packed
+    /// [`cost_matrix`] must match it bit for bit.
     fn per_pair_cost_matrix(
         neurons: &[Vec<f64>],
         atoms: &[Atom],
@@ -490,7 +548,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(15);
         let mut vector =
             |scale: f64| -> Vec<f64> { (0..dim).map(|_| rng.gen_range(-scale..scale)).collect() };
-        let neurons: Vec<Vec<f64>> = (0..7).map(|_| vector(1.0)).collect();
         let atoms: Vec<Atom> = [0, 1, j_total - 1, 2, 1, j_total - 1]
             .into_iter()
             .map(|count| Atom {
@@ -498,16 +555,31 @@ mod tests {
                 count,
             })
             .collect();
-        let hoisted = cost_matrix(&neurons, &atoms, j_total, &cfg);
-        let reference = per_pair_cost_matrix(&neurons, &atoms, j_total, &cfg);
         let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
             m.iter()
                 .map(|row| row.iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
-        assert_eq!(hoisted.len(), neurons.len());
-        assert_eq!(hoisted[0].len(), atoms.len() + neurons.len());
-        assert_eq!(bits(&hoisted), bits(&reference));
+        // Neuron counts around the lane width: none, one lane, a partial
+        // panel, one full panel, a full panel plus one, and several panels.
+        for n_neurons in [0, 1, 3, 4, 5, 7, 20] {
+            let neurons: Vec<Vec<f64>> = (0..n_neurons).map(|_| vector(1.0)).collect();
+            // The first client matched sees no atoms yet.
+            for atoms in [&atoms[..0], &atoms[..]] {
+                let hoisted = cost_matrix(&neurons, atoms, j_total, &cfg);
+                let reference = per_pair_cost_matrix(&neurons, atoms, j_total, &cfg);
+                assert_eq!(hoisted.len(), neurons.len());
+                for row in &hoisted {
+                    assert_eq!(row.len(), atoms.len() + neurons.len());
+                }
+                assert_eq!(
+                    bits(&hoisted),
+                    bits(&reference),
+                    "{n_neurons} neurons × {} atoms",
+                    atoms.len()
+                );
+            }
+        }
     }
 
     #[test]
@@ -666,6 +738,29 @@ mod tests {
             aggregate(&[a, b], &[1, 1], &PfnmConfig::default(), &mut rng).unwrap_err(),
             PfnmError::DimensionMismatch
         );
+    }
+
+    #[test]
+    fn rejects_a_weight_count_that_does_not_match_the_models() {
+        // One example count per model: a short or long list is an error,
+        // not a silent switch to equal weights.
+        let mut rng = StdRng::seed_from_u64(6);
+        let models: Vec<Mlp> = (0..3).map(|_| Mlp::new(&[10, 4, 2], &mut rng)).collect();
+        for weights in [&[][..], &[5, 5][..], &[5, 5, 5, 5][..]] {
+            let err = aggregate(&models, weights, &PfnmConfig::default(), &mut rng).unwrap_err();
+            assert_eq!(
+                err,
+                PfnmError::WeightCountMismatch {
+                    models: 3,
+                    weights: weights.len()
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("{} weights for 3 local models", weights.len())
+            );
+        }
+        assert!(aggregate(&models, &[5, 5, 5], &PfnmConfig::default(), &mut rng).is_ok());
     }
 
     #[test]

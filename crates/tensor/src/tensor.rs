@@ -1,10 +1,18 @@
 //! Dense row-major f32 matrices/vectors with the operations an MLP needs.
 //!
-//! The matmul kernels are register-blocked over the k dimension with the
-//! transposed-B variant (`matmul_nt`) as the hot path, since layer weights
-//! are stored row-per-neuron.
+//! The transposed-B product (`matmul_nt`) is the hot path, since layer
+//! weights are stored row-per-neuron. It is lane-packed: several outputs
+//! advance side by side, and each keeps its own sum in `k` order, so the
+//! result is bit-identical to the plain dot-product loop.
 
 use rand::Rng;
+
+/// Outputs one `matmul_nt` panel advances side by side: `other`'s rows are
+/// packed `k`-major in groups of this many, one lane per output column.
+const NT_LANES: usize = 8;
+
+/// Rows of `self` that share one pass over a packed panel.
+const NT_ROWS: usize = 4;
 
 /// A dense row-major tensor of rank 1 or 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,19 +139,43 @@ impl Tensor {
     }
 
     /// `self @ other.T`: (m,k) × (n,k) → (m,n). The layer forward pass.
+    ///
+    /// Every output is the dot product of a row of `self` and a row of
+    /// `other`, summed from `+0.0` with `acc += a * b` in `k` order (no
+    /// fused multiply-add), so it is bit-identical to the plain loop. The
+    /// speed comes from computing many such sums at once: `other` is packed
+    /// `k`-major in panels of 8 rows, one f32 lane each (tail lanes
+    /// zero-padded and discarded), and 4 rows of `self` share each pass
+    /// over a panel.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Tensor::zeros(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
+        if n == 0 || k == 0 {
+            // No outputs, or only empty sums: `+0.0`, which `zeros` holds.
+            return out;
+        }
+        let panel_len = k * NT_LANES;
+        let mut packed = vec![0.0f32; n.div_ceil(NT_LANES) * panel_len];
+        for (j, b_row) in other.data.chunks_exact(k).enumerate() {
+            let panel = &mut packed[j / NT_LANES * panel_len..][..panel_len];
+            let lane = panel[j % NT_LANES..].iter_mut().step_by(NT_LANES);
+            for (slot, &b) in lane.zip(b_row) {
+                *slot = b;
+            }
+        }
+        let blocks = self
+            .data
+            .chunks(NT_ROWS * k)
+            .zip(out.data.chunks_mut(NT_ROWS * n));
+        for (a_block, out_block) in blocks {
+            if a_block.len() == NT_ROWS * k {
+                nt_rows::<NT_ROWS>(a_block, out_block, &packed, k);
+            } else {
+                let rows = a_block.chunks_exact(k).zip(out_block.chunks_exact_mut(n));
+                for (a_row, out_row) in rows {
+                    nt_rows::<1>(a_row, out_row, &packed, k);
                 }
-                out.data[i * n + j] = acc;
             }
         }
         out
@@ -240,6 +272,35 @@ impl Tensor {
     }
 }
 
+/// `R` rows of `a` (each `k` long) against every packed panel of `packed`,
+/// writing the `R` output rows of `out`. Lane `l` of row `r` is one output:
+/// it starts at `+0.0` and adds `a[r][kk] * panel[kk][l]` in `kk` order.
+#[inline]
+fn nt_rows<const R: usize>(a: &[f32], out: &mut [f32], packed: &[f32], k: usize) {
+    let n = out.len() / R;
+    let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    for (p, panel) in packed.chunks_exact(k * NT_LANES).enumerate() {
+        let (panel, _) = panel.as_chunks::<NT_LANES>();
+        let mut acc = [[0.0f32; NT_LANES]; R];
+        for (kk, b) in panel.iter().enumerate() {
+            for (lanes, a_row) in acc.iter_mut().zip(&a) {
+                let x = a_row[kk];
+                for (s, &y) in lanes.iter_mut().zip(b) {
+                    *s += x * y;
+                }
+            }
+        }
+        // Read the lanes out of a copy: a partial read of `acc` itself
+        // would keep it on the stack for the whole `k` loop.
+        let sums = acc;
+        let j0 = p * NT_LANES;
+        let width = NT_LANES.min(n - j0);
+        for (lanes, out_row) in sums.iter().zip(out.chunks_exact_mut(n)) {
+            out_row[j0..j0 + width].copy_from_slice(&lanes[..width]);
+        }
+    }
+}
+
 /// Row-wise softmax (numerically stabilized).
 pub fn softmax_rows(logits: &Tensor) -> Tensor {
     let mut out = logits.clone();
@@ -280,7 +341,7 @@ pub fn cross_entropy_with_grad(logits: &Tensor, labels: &[usize]) -> (f32, Tenso
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn t(rows: usize, cols: usize, vals: &[f32]) -> Tensor {
         Tensor::from_vec(rows, cols, vals.to_vec())
@@ -304,6 +365,81 @@ mod tests {
         for (x, y) in direct.data().iter().zip(via_t.data()) {
             assert!((x - y).abs() < 1e-5);
         }
+    }
+
+    /// The plain dot-product loop: each output summed from `+0.0` in `k`
+    /// order. The lane-packed [`Tensor::matmul_nt`] must equal it bit for
+    /// bit.
+    fn matmul_nt_oracle(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k, n) = (a.rows(), a.cols(), b.rows());
+        let mut out = Tensor::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc += a.get(i, kk) * b.get(j, kk);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// Bit patterns, with every NaN mapped to one value: Rust leaves the
+    /// payload and sign of a NaN that arithmetic produces unspecified, so
+    /// only "is NaN" is a property of the sum order.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        let canonical = |x: f32| if x.is_nan() { u32::MAX } else { x.to_bits() };
+        t.data().iter().map(|&x| canonical(x)).collect()
+    }
+
+    #[test]
+    fn matmul_nt_matches_the_plain_k_order_loop_bit_for_bit() {
+        // NaN and ±∞ poison a whole sum, so they are rare enough to leave
+        // most 784-long sums finite; −0.0 and subnormals are common.
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let quiet = [
+            -0.0,
+            f32::from_bits(1),        // the smallest subnormal
+            -f32::MIN_POSITIVE / 3.0, // a negative subnormal
+            1e-30,                    // squares underflow to subnormal or zero
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        let filled = |rows: usize, cols: usize, rng: &mut StdRng| {
+            let mut t = Tensor::randn(rows, cols, 1.0, rng);
+            for v in t.data_mut() {
+                match rng.gen_range(0..3000) {
+                    0 => *v = poison[rng.gen_range(0..poison.len())],
+                    1..=300 => *v = quiet[rng.gen_range(0..quiet.len())],
+                    _ => {}
+                }
+            }
+            t
+        };
+        let mut finite = 0;
+        // m = 4, 5 and 9 reach the row-blocked path and its tail; n spans
+        // whole panels, padded panels and a single lane.
+        for m in [0, 1, 3, 4, 5, 9] {
+            for n in [1, 7, 8, 9, 20, 200] {
+                for k in [0, 1, 784] {
+                    let a = filled(m, k, &mut rng);
+                    let b = filled(n, k, &mut rng);
+                    let packed = a.matmul_nt(&b);
+                    let plain = matmul_nt_oracle(&a, &b);
+                    assert_eq!((packed.rows(), packed.cols()), (m, n));
+                    assert_eq!(bits(&packed), bits(&plain), "m={m} n={n} k={k}");
+                    finite += packed.data().iter().filter(|v| v.is_finite()).count();
+                }
+            }
+        }
+        assert!(finite > 10_000, "only {finite} finite outputs compared");
+        // Each special value alone in a sum: a column of them against a
+        // row of factors, one product per output.
+        let specials: Vec<f32> = poison.iter().chain(&quiet).copied().collect();
+        let factors = [1.0, -1.0, 0.0, -0.0, 0.5, 3.0, 1e30, 1e-10, f32::MAX];
+        let a = Tensor::from_vec(specials.len(), 1, specials);
+        let b = Tensor::from_vec(factors.len(), 1, factors.to_vec());
+        assert_eq!(bits(&a.matmul_nt(&b)), bits(&matmul_nt_oracle(&a, &b)));
     }
 
     #[test]
